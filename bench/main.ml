@@ -219,156 +219,150 @@ let print_bench_results results =
 (* ------------------------------------------------------------------ *)
 
 let write_json path ~table3 ~seq_par ~e13 ~e16 ~e12 ~e14 ~e15 ~e17 =
-  let b = Buffer.create 4096 in
-  let bpf fmt = Printf.bprintf b fmt in
-  bpf "{\n  \"schema\": \"phpsafe-bench/1\",\n";
-  bpf "  \"jobs\": %d,\n" (Sched.size pool);
-  bpf "  \"cache_enabled\": %b,\n" (Phplang.Store.enabled ());
+  let open Json in
+  let s6 = fixed 6 and s3 = fixed 3 in
+  let opt f = function None -> Null | Some r -> f r in
+  let metrics (m : Evalkit.Metrics.t) =
+    Obj [ ("tp", Int m.Evalkit.Metrics.tp); ("fp", Int m.Evalkit.Metrics.fp);
+          ("fn", Int m.Evalkit.Metrics.fn) ]
+  in
   let seq, par = seq_par in
-  bpf "  \"wall\": {\n    \"sequential_s\": %.6f,\n    \"parallel_s\": %.6f,\n"
-    seq par;
-  bpf "    \"table3\": {";
-  List.iteri
-    (fun i (name, t12, t14) ->
-      bpf "%s\n      \"%s\": {\"v2012_s\": %.6f, \"v2014_s\": %.6f}"
-        (if i = 0 then "" else ",") name t12 t14)
-    table3;
-  bpf "\n    }\n  },\n";
-  bpf "  \"cache\": {\n    \"namespaces\": {";
-  List.iteri
-    (fun i (s : Phplang.Store.stats) ->
+  let wall =
+    Obj
+      [ ("sequential_s", s6 seq); ("parallel_s", s6 par);
+        ("table3",
+         Obj
+           (List.map
+              (fun (name, t12, t14) ->
+                (name, Obj [ ("v2012_s", s6 t12); ("v2014_s", s6 t14) ]))
+              table3)) ]
+  in
+  let cache =
+    let ns (s : Phplang.Store.stats) =
       let lookups = s.Phplang.Store.hits + s.Phplang.Store.misses in
-      bpf
-        "%s\n      \"%s\": {\"hits\": %d, \"misses\": %d, \"stores\": %d, \
-         \"hit_rate\": %.4f}"
-        (if i = 0 then "" else ",")
-        s.Phplang.Store.ns s.Phplang.Store.hits s.Phplang.Store.misses
-        s.Phplang.Store.stores
-        (if lookups > 0 then
-           float_of_int s.Phplang.Store.hits /. float_of_int lookups
-         else 0.)
-    )
-    (Phplang.Store.counters ());
-  bpf "\n    }\n  },\n";
-  (let (t : Evalkit.Flow_delta.t) = e13 in
-   let variant key (m : Evalkit.Metrics.t) =
-     bpf "    \"%s\": {\"tp\": %d, \"fp\": %d, \"fn\": %d},\n" key
-       m.Evalkit.Metrics.tp m.Evalkit.Metrics.fp m.Evalkit.Metrics.fn
-   in
-   bpf "  \"e13\": {\n    \"reals\": %d,\n    \"foils\": %d,\n"
-     t.Evalkit.Flow_delta.fd_reals t.Evalkit.Flow_delta.fd_foils;
-   variant "flat" t.Evalkit.Flow_delta.fd_flat_metrics;
-   variant "flow" t.Evalkit.Flow_delta.fd_flow_metrics;
-   bpf "    \"new_tp\": %d,\n    \"removed_fp\": %d\n  },\n"
-     (List.length t.Evalkit.Flow_delta.fd_new_tp)
-     (List.length t.Evalkit.Flow_delta.fd_removed_fp));
-  (let (t : Evalkit.Class_delta.t) = e16 in
-   bpf "  \"e16\": {\n    \"reals\": %d,\n    \"foils\": %d,\n"
-     t.Evalkit.Class_delta.cd_reals t.Evalkit.Class_delta.cd_foils;
-   bpf "    \"so_only_two_phase\": %b,\n"
-     t.Evalkit.Class_delta.cd_so_only_two_phase;
-   bpf "    \"variants\": {";
-   List.iteri
-     (fun i (v : Evalkit.Class_delta.variant) ->
-       bpf "%s\n      \"%s\": {" (if i = 0 then "" else ",")
-         v.Evalkit.Class_delta.cv_name;
-       List.iteri
-         (fun j (k, (m : Evalkit.Metrics.t)) ->
-           bpf "%s\"%s\": {\"tp\": %d, \"fp\": %d, \"fn\": %d}"
-             (if j = 0 then "" else ", ")
-             (Secflow.Vuln.kind_spec_name k)
-             m.Evalkit.Metrics.tp m.Evalkit.Metrics.fp m.Evalkit.Metrics.fn)
-         v.Evalkit.Class_delta.cv_by_kind;
-       bpf "}")
-     t.Evalkit.Class_delta.cd_variants;
-   bpf "\n    }\n  },\n");
-  (match e12 with
-  | None -> bpf "  \"e12\": null,\n"
-  | Some (r : Evalkit.Incremental.report) ->
-      bpf "  \"e12\": {\n    \"files_2014\": %d,\n" r.Evalkit.Incremental.ir_files_2014;
-      bpf "    \"cold_total_s\": %.6f,\n    \"warm_total_s\": %.6f,\n"
-        r.Evalkit.Incremental.ir_cold_total r.Evalkit.Incremental.ir_warm_total;
-      bpf "    \"tools\": {";
-      List.iteri
-        (fun i (p : Evalkit.Incremental.tool_point) ->
-          bpf
-            "%s\n      \"%s\": {\"cold_s\": %.6f, \"warm_s\": %.6f, \
-             \"warm_replays\": %d, \"reused_from_2012\": %d}"
-            (if i = 0 then "" else ",")
-            p.Evalkit.Incremental.ip_tool p.Evalkit.Incremental.ip_cold_s
-            p.Evalkit.Incremental.ip_warm_s p.Evalkit.Incremental.ip_warm_hits
-            p.Evalkit.Incremental.ip_reused)
-        r.Evalkit.Incremental.ir_points;
-      bpf "\n    }\n  },\n");
-  (match e14 with
-  | None -> bpf "  \"e14\": null,\n"
-  | Some (r : Evalkit.Serve_bench.report) ->
-      let pass key (p : Evalkit.Serve_bench.pass) last =
-        bpf
-          "    \"%s\": {\"wall_s\": %.6f, \"rps\": %.3f, \"p50_ms\": %.3f, \
-           \"p99_ms\": %.3f}%s\n"
-          key p.Evalkit.Serve_bench.sp_wall_s p.Evalkit.Serve_bench.sp_rps
-          p.Evalkit.Serve_bench.sp_p50_ms p.Evalkit.Serve_bench.sp_p99_ms
-          (if last then "" else ",")
-      in
-      bpf "  \"e14\": {\n    \"protocol\": \"%s\",\n" Serve.Protocol.version;
-      bpf "    \"requests\": %d,\n    \"clients\": %d,\n    \"jobs\": %d,\n"
-        r.Evalkit.Serve_bench.sb_requests r.Evalkit.Serve_bench.sb_clients
-        r.Evalkit.Serve_bench.sb_jobs;
-      pass "cold" r.Evalkit.Serve_bench.sb_cold false;
-      pass "warm" r.Evalkit.Serve_bench.sb_warm true;
-      bpf "  },\n");
-  (match e15 with
-  | None -> bpf "  \"e15\": null,\n"
-  | Some (r : Evalkit.Chaos.report) ->
-      bpf "  \"e15\": {\n";
-      bpf "    \"seed\": %d,\n    \"rounds\": %d,\n    \"jobs\": %d,\n"
-        r.Evalkit.Chaos.ch_seed r.Evalkit.Chaos.ch_rounds
-        r.Evalkit.Chaos.ch_jobs;
-      bpf "    \"requests\": %d,\n    \"crashes\": %d,\n"
-        r.Evalkit.Chaos.ch_requests r.Evalkit.Chaos.ch_crashes;
-      bpf "    \"unterminated\": %d,\n    \"identity_ok\": %b,\n"
-        r.Evalkit.Chaos.ch_unterminated r.Evalkit.Chaos.ch_identity_ok;
-      bpf "    \"overshoot_p99_ms\": %.3f,\n    \"tolerance_ms\": %.1f,\n"
-        r.Evalkit.Chaos.ch_overshoot_p99_ms r.Evalkit.Chaos.ch_tolerance_ms;
-      bpf "    \"scenarios\": {";
-      List.iteri
-        (fun i (row : Evalkit.Chaos.row) ->
-          bpf
-            "%s\n      \"%s\": {\"report\": %d, \"deadline\": %d, \
-             \"overloaded\": %d, \"transport\": %d, \"other\": %d}"
-            (if i = 0 then "" else ",")
-            row.Evalkit.Chaos.cr_scenario row.Evalkit.Chaos.cr_report
-            row.Evalkit.Chaos.cr_deadline row.Evalkit.Chaos.cr_overloaded
-            row.Evalkit.Chaos.cr_transport row.Evalkit.Chaos.cr_other)
-        r.Evalkit.Chaos.ch_rows;
-      bpf "\n    }\n  },\n");
-  (match e17 with
-  | None -> bpf "  \"e17\": null\n"
-  | Some (r : Evalkit.Editstorm.report) ->
-      bpf "  \"e17\": {\n";
-      bpf "    \"seed\": %d,\n    \"plugin\": \"%s\",\n" r.Evalkit.Editstorm.es_seed
-        (String.escaped r.Evalkit.Editstorm.es_plugin);
-      bpf "    \"files\": %d,\n    \"projects\": %d,\n" r.Evalkit.Editstorm.es_files
-        r.Evalkit.Editstorm.es_projects;
-      bpf "    \"edits\": %d,\n    \"violations\": %d,\n"
-        r.Evalkit.Editstorm.es_edits r.Evalkit.Editstorm.es_violations;
-      bpf
-        "    \"single_def\": {\"full_p50_ms\": %.3f, \"inc_p50_ms\": %.3f, \
-         \"speedup\": %.3f},\n"
-        r.Evalkit.Editstorm.es_single_full_p50_ms
-        r.Evalkit.Editstorm.es_single_inc_p50_ms
-        r.Evalkit.Editstorm.es_single_speedup;
-      bpf
-        "    \"counters\": {\"region_reparse\": %d, \"region_fallback\": %d, \
-         \"ckpt_resume\": %d, \"resync_tokens\": %d, \"dag_invalidated\": \
-         %d, \"dag_retained\": %d}\n  }\n"
-        r.Evalkit.Editstorm.es_reparse r.Evalkit.Editstorm.es_fallback
-        r.Evalkit.Editstorm.es_resume r.Evalkit.Editstorm.es_resync_tokens
-        r.Evalkit.Editstorm.es_dag_invalidated
-        r.Evalkit.Editstorm.es_dag_retained);
-  bpf "}\n";
-  Obs.write_file path (Buffer.contents b);
+      ( s.Phplang.Store.ns,
+        Obj
+          [ ("hits", Int s.Phplang.Store.hits);
+            ("misses", Int s.Phplang.Store.misses);
+            ("stores", Int s.Phplang.Store.stores);
+            ("hit_rate",
+             fixed 4
+               (if lookups > 0 then
+                  float_of_int s.Phplang.Store.hits /. float_of_int lookups
+                else 0.)) ] )
+    in
+    Obj [ ("namespaces", Obj (List.map ns (Phplang.Store.counters ()))) ]
+  in
+  let e13_json =
+    let open Evalkit.Delta in
+    let flat, flow = pair e13 in
+    Obj
+      [ ("reals", Int e13.d_reals); ("foils", Int e13.d_foils);
+        ("flat", metrics flat.dr_metrics); ("flow", metrics flow.dr_metrics);
+        ("new_tp", Int (List.length flow.dr_new_tp));
+        ("removed_fp", Int (List.length flow.dr_removed_fp)) ]
+  in
+  let e16_json =
+    let open Evalkit.Delta in
+    Obj
+      [ ("reals", Int e16.d_reals); ("foils", Int e16.d_foils);
+        ("so_only_two_phase", Bool (so_only_two_phase e16));
+        ("variants",
+         Obj
+           (List.map
+              (fun r ->
+                ( r.dr_name,
+                  Obj
+                    (List.map
+                       (fun (k, m) ->
+                         (Secflow.Vuln.kind_spec_name k, metrics m))
+                       r.dr_by_kind) ))
+              e16.d_runs)) ]
+  in
+  let e12_json (r : Evalkit.Incremental.report) =
+    let open Evalkit.Incremental in
+    Obj
+      [ ("files_2014", Int r.ir_files_2014);
+        ("cold_total_s", s6 r.ir_cold_total);
+        ("warm_total_s", s6 r.ir_warm_total);
+        ("tools",
+         Obj
+           (List.map
+              (fun p ->
+                ( p.ip_tool,
+                  Obj
+                    [ ("cold_s", s6 p.ip_cold_s); ("warm_s", s6 p.ip_warm_s);
+                      ("warm_replays", Int p.ip_warm_hits);
+                      ("reused_from_2012", Int p.ip_reused) ] ))
+              r.ir_points)) ]
+  in
+  let e14_json (r : Evalkit.Serve_bench.report) =
+    let open Evalkit.Serve_bench in
+    let pass p =
+      Obj
+        [ ("wall_s", s6 p.sp_wall_s); ("rps", s3 p.sp_rps);
+          ("p50_ms", s3 p.sp_p50_ms); ("p99_ms", s3 p.sp_p99_ms) ]
+    in
+    Obj
+      [ ("protocol", String Serve.Protocol.version);
+        ("requests", Int r.sb_requests); ("clients", Int r.sb_clients);
+        ("jobs", Int r.sb_jobs); ("cold", pass r.sb_cold);
+        ("warm", pass r.sb_warm) ]
+  in
+  let e15_json (r : Evalkit.Chaos.report) =
+    let open Evalkit.Chaos in
+    Obj
+      [ ("seed", Int r.ch_seed); ("rounds", Int r.ch_rounds);
+        ("jobs", Int r.ch_jobs); ("requests", Int r.ch_requests);
+        ("crashes", Int r.ch_crashes);
+        ("unterminated", Int r.ch_unterminated);
+        ("identity_ok", Bool r.ch_identity_ok);
+        ("overshoot_p99_ms", s3 r.ch_overshoot_p99_ms);
+        ("tolerance_ms", fixed 1 r.ch_tolerance_ms);
+        ("scenarios",
+         Obj
+           (List.map
+              (fun row ->
+                ( row.cr_scenario,
+                  Obj
+                    [ ("report", Int row.cr_report);
+                      ("deadline", Int row.cr_deadline);
+                      ("overloaded", Int row.cr_overloaded);
+                      ("transport", Int row.cr_transport);
+                      ("other", Int row.cr_other) ] ))
+              r.ch_rows)) ]
+  in
+  let e17_json (r : Evalkit.Editstorm.report) =
+    let open Evalkit.Editstorm in
+    Obj
+      [ ("seed", Int r.es_seed); ("plugin", String r.es_plugin);
+        ("files", Int r.es_files); ("projects", Int r.es_projects);
+        ("edits", Int r.es_edits); ("violations", Int r.es_violations);
+        ("single_def",
+         Obj
+           [ ("full_p50_ms", s3 r.es_single_full_p50_ms);
+             ("inc_p50_ms", s3 r.es_single_inc_p50_ms);
+             ("speedup", s3 r.es_single_speedup) ]);
+        ("counters",
+         Obj
+           [ ("region_reparse", Int r.es_reparse);
+             ("region_fallback", Int r.es_fallback);
+             ("ckpt_resume", Int r.es_resume);
+             ("resync_tokens", Int r.es_resync_tokens);
+             ("dag_invalidated", Int r.es_dag_invalidated);
+             ("dag_retained", Int r.es_dag_retained) ]) ]
+  in
+  Obs.write_file path
+    (to_string
+       (Obj
+          [ ("schema", String "phpsafe-bench/1");
+            ("jobs", Int (Sched.size pool));
+            ("cache_enabled", Bool (Phplang.Store.enabled ()));
+            ("wall", wall); ("cache", cache); ("e13", e13_json);
+            ("e16", e16_json); ("e12", opt e12_json e12);
+            ("e14", opt e14_json e14); ("e15", opt e15_json e15);
+            ("e17", opt e17_json e17) ])
+    ^ "\n");
   Format.eprintf "bench results written to %s@." path
 
 let () =
@@ -389,21 +383,21 @@ let () =
       tools
   in
   let seq_par = sequential_vs_parallel () in
-  Format.printf "@.== scheduler / parse-cache instrumentation ==@.";
-  Format.printf "-- version 2012 --@.%a" Sched.pp_stats stats2012;
-  Format.printf "-- version 2014 --@.%a" Sched.pp_stats stats2014;
+  (* wall times and cache-path-dependent parse counts: stderr *)
+  Format.eprintf "@.== scheduler / parse-cache instrumentation ==@.";
+  Format.eprintf "-- version 2012 --@.%a" Sched.pp_stats stats2012;
+  Format.eprintf "-- version 2014 --@.%a" Sched.pp_stats stats2014;
   (* E10: scaling study *)
   Evalkit.Scaling.print Format.std_formatter
     (Evalkit.Scaling.measure Corpus.Plan.V2012);
   (* E11: context-sensitivity precision delta *)
-  Evalkit.Context_delta.print Format.std_formatter
-    (Evalkit.Context_delta.run ());
+  Evalkit.Delta.(print_contexts Format.std_formatter (contexts ()));
   (* E13: flow-sensitivity precision delta *)
-  let e13 = Evalkit.Flow_delta.run () in
-  Evalkit.Flow_delta.print Format.std_formatter e13;
+  let e13 = Evalkit.Delta.flow () in
+  Evalkit.Delta.print_flow Format.std_formatter e13;
   (* E16: per-class precision/recall of the new vulnerability classes *)
-  let e16 = Evalkit.Class_delta.run () in
-  Evalkit.Class_delta.print Format.std_formatter e16;
+  let e16 = Evalkit.Delta.classes () in
+  Evalkit.Delta.print_classes Format.std_formatter e16;
   (* E12: incremental re-analysis against the persistent cache (runs in its
      own temporary cache directories; skipped only under --no-cache) *)
   let e12 =
@@ -457,19 +451,5 @@ let () =
   in
   let results = benchmark tests in
   print_bench_results results;
-  if Obs.enabled () then begin
-    let snap = Obs.snapshot () in
-    (match trace_out with
-    | Some path ->
-        Obs.write_file path (Obs.trace_json snap);
-        Format.eprintf "trace written to %s (open in https://ui.perfetto.dev)@."
-          path
-    | None -> ());
-    (match metrics_out with
-    | Some path ->
-        Obs.write_file path (Obs.metrics_json snap);
-        Format.eprintf "metrics written to %s@." path
-    | None -> ());
-    Format.eprintf "%a" Obs.pp_summary snap
-  end;
+  Obs.export ~summary:true ?trace:trace_out ?metrics:metrics_out ();
   Format.printf "@.done.@."

@@ -101,36 +101,21 @@ let () =
   Format.printf "@.-- version 2014 --@.";
   Evalkit.Pattern_report.print Format.std_formatter
     (Evalkit.Pattern_report.compute ev2014);
-  Format.printf "@.== scheduler / parse-cache instrumentation ==@.";
-  Format.printf "-- version 2012 --@.%a" Sched.pp_stats st2012;
-  Format.printf "-- version 2014 --@.%a" Sched.pp_stats st2014;
-  (* E11 is opt-in so the default stdout stays byte-identical; the delta
-     run itself is sequential, so its table does not depend on --jobs *)
-  if Array.exists (String.equal "--contexts") Sys.argv then
-    Evalkit.Context_delta.print Format.std_formatter
-      (Evalkit.Context_delta.run ());
-  (* E13 mirrors E11: opt-in, sequential, --jobs-independent *)
-  if Array.exists (String.equal "--flow") Sys.argv then
-    Evalkit.Flow_delta.print Format.std_formatter (Evalkit.Flow_delta.run ());
-  (* E16: per-class precision/recall of the four new vulnerability classes
-     (cmdi, lfi, ssrf, so-sqli); opt-in, sequential, --jobs-independent *)
-  if Array.exists (String.equal "--classes") Sys.argv then
-    Evalkit.Class_delta.print Format.std_formatter (Evalkit.Class_delta.run ());
+  (* the scheduler block carries wall times and cache-path-dependent
+     parse counts, so it goes to stderr with the other run diagnostics *)
+  Format.eprintf "@.== scheduler / parse-cache instrumentation ==@.";
+  Format.eprintf "-- version 2012 --@.%a" Sched.pp_stats st2012;
+  Format.eprintf "-- version 2014 --@.%a" Sched.pp_stats st2014;
+  (* E11, E13 and E16 are opt-in so the default stdout stays
+     byte-identical; each delta runs sequentially, so its table does not
+     depend on --jobs *)
+  let flag f = Array.exists (String.equal f) Sys.argv in
+  let ppf = Format.std_formatter in
+  if flag "--contexts" then Evalkit.Delta.(print_contexts ppf (contexts ()));
+  if flag "--flow" then Evalkit.Delta.(print_flow ppf (flow ()));
+  if flag "--classes" then Evalkit.Delta.(print_classes ppf (classes ()));
   (* cache counters go to stderr: stdout must stay byte-identical whether
      the run was cold, warm or uncached *)
   if Phplang.Store.enabled () then
     Format.eprintf "%a" Phplang.Store.pp_counters ();
-  if Obs.enabled () then begin
-    let snap = Obs.snapshot () in
-    (match trace_out with
-    | Some path ->
-        Obs.write_file path (Obs.trace_json snap);
-        Format.eprintf "trace written to %s (open in https://ui.perfetto.dev)@." path
-    | None -> ());
-    (match metrics_out with
-    | Some path ->
-        Obs.write_file path (Obs.metrics_json snap);
-        Format.eprintf "metrics written to %s@." path
-    | None -> ());
-    Format.eprintf "%a" Obs.pp_summary snap
-  end
+  Obs.export ~summary:true ?trace:trace_out ?metrics:metrics_out ()

@@ -175,16 +175,10 @@ let run target kinds show_trace tool_name quiet format html_out json_out
         findings;
       Format.printf "%d finding(s)@." (List.length findings)
   | other -> failwith ("unknown output format: " ^ other));
-  let write_file path contents =
-    let oc = open_out_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc contents)
-  in
   (match json_out with
   | Some path ->
-      write_file path
-        (Phpsafe.Report_json.render ~tool:tool.Secflow.Tool.name
+      Obs.write_file path
+        (Secflow.Report.to_json ~tool:tool.Secflow.Tool.name
            { result with Secflow.Report.findings });
       Format.printf "JSON report written to %s@." path
   | None -> ());
@@ -195,23 +189,10 @@ let run target kinds show_trace tool_name quiet format html_out json_out
           ~title:(Printf.sprintf "%s — %s" tool.Secflow.Tool.name target)
           { result with Secflow.Report.findings }
       in
-      write_file path html;
+      Obs.write_file path html;
       Format.printf "HTML report written to %s@." path
   | None -> ());
-  if Obs.enabled () then begin
-    let snap = Obs.snapshot () in
-    (match trace_out with
-    | Some path ->
-        Obs.write_file path (Obs.trace_json snap);
-        Format.eprintf "trace written to %s (open in https://ui.perfetto.dev)@."
-          path
-    | None -> ());
-    (match metrics_out with
-    | Some path ->
-        Obs.write_file path (Obs.metrics_json snap);
-        Format.eprintf "metrics written to %s@." path
-    | None -> ())
-  end;
+  Obs.export ?trace:trace_out ?metrics:metrics_out ();
   if Phplang.Store.enabled () then
     Format.eprintf "%a" Phplang.Store.pp_counters ();
   (* CI-friendly exit status: 2 = some file could not be analyzed,

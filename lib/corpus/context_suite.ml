@@ -16,66 +16,22 @@
     the E11 precision delta (new true positives, removed false positives)
     is computed against labels, not expectations. *)
 
-let plugin_names = [| "form-mailer-ctx"; "report-exporter-ctx" |]
-
 let get = Secflow.Vuln.Get
 let post = Secflow.Vuln.Post
 
-(** Pattern mix per plugin: (pattern, vector) in emission order. *)
-let mixes : (Plan.pkind * Secflow.Vuln.vector) list array =
-  [|
-    (* form-mailer-ctx *)
-    [ (Plan.P_ctx_attr, get); (Plan.P_ctx_attr, post);
-      (Plan.P_ctx_js, get);
-      (Plan.P_ctx_sql_num, get); (Plan.P_ctx_sql_num, post);
-      (Plan.T_ctx_revert_body, get); (Plan.T_ctx_revert_body, get);
-      (Plan.T_ctx_revert_attr, get) ];
-    (* report-exporter-ctx *)
-    [ (Plan.P_ctx_attr, get);
-      (Plan.P_ctx_js, get); (Plan.P_ctx_js, post);
-      (Plan.P_ctx_sql_num, get);
-      (Plan.T_ctx_revert_body, get);
-      (Plan.T_ctx_revert_attr, get); (Plan.T_ctx_revert_attr, get) ];
-  |]
+let plugins : Suite.plugin list =
+  [ ( "form-mailer-ctx",
+      [ (Plan.P_ctx_attr, get); (Plan.P_ctx_attr, post);
+        (Plan.P_ctx_js, get);
+        (Plan.P_ctx_sql_num, get); (Plan.P_ctx_sql_num, post);
+        (Plan.T_ctx_revert_body, get); (Plan.T_ctx_revert_body, get);
+        (Plan.T_ctx_revert_attr, get) ] );
+    ( "report-exporter-ctx",
+      [ (Plan.P_ctx_attr, get);
+        (Plan.P_ctx_js, get); (Plan.P_ctx_js, post);
+        (Plan.P_ctx_sql_num, get);
+        (Plan.T_ctx_revert_body, get);
+        (Plan.T_ctx_revert_attr, get); (Plan.T_ctx_revert_attr, get) ] ) ]
 
-(** Instances for plugin [k], with ids ["c%04d"] disjoint from the main
-    plans' ["s"]/["t"] prefixes. *)
-let instances () : Plan.inst list array =
-  let next = ref 1 in
-  Array.mapi
-    (fun k mix ->
-      List.map
-        (fun (pattern, vector) ->
-          let id = Printf.sprintf "c%04d" !next in
-          incr next;
-          { Plan.in_id = id; in_pattern = pattern; in_vector = vector;
-            in_placement = Plan.Clean_file; in_plugin = k;
-            in_persistent = false })
-        mix)
-    mixes
-
-let file_quota = 60
-
-(** Build the suite.  Deterministic: fixed seeds, fresh filler state. *)
-let generate () : Catalog.corpus =
-  Filler.reset ();
-  let per_plugin = instances () in
-  let plugins =
-    Array.to_list
-      (Array.mapi
-         (fun k insts ->
-           let name = plugin_names.(k) in
-           let { Builder.project; seeds } =
-             Builder.build ~version:Plan.V2014 ~plugin_name:name
-               ~instances:insts ~carried:(fun _ -> false) ~extra_files:0
-               ~carried_extra_files:0 ~chains_carried:false ~file_quota
-               ~carried_file_quota:file_quota
-           in
-           { Catalog.po_name = name; po_project = project; po_seeds = seeds })
-         per_plugin)
-  in
-  {
-    Catalog.version = Plan.V2014;
-    plugins;
-    seeds = List.concat_map (fun p -> p.Catalog.po_seeds) plugins;
-  }
+(** Build the suite, with instance ids ["c%04d"]. *)
+let generate () = Suite.generate ~prefix:"c" ~plugins ()

@@ -21,43 +21,21 @@
     the E13 delta (new true positives, removed false positives) is computed
     against labels, not expectations. *)
 
-let plugin_names = [| "gallery-flow"; "event-list-flow" |]
-
 let get = Secflow.Vuln.Get
 let post = Secflow.Vuln.Post
 
-(** Pattern mix per plugin: (pattern, vector) in emission order. *)
-let mixes : (Plan.pkind * Secflow.Vuln.vector) list array =
-  [|
-    (* gallery-flow *)
-    [ (Plan.P_flow_branch, get); (Plan.P_flow_branch, post);
-      (Plan.P_flow_loop, get);
-      (Plan.P_flow_coalesce, get); (Plan.P_flow_coalesce, post);
-      (Plan.T_flow_exit, get); (Plan.T_flow_exit, get) ];
-    (* event-list-flow *)
-    [ (Plan.P_flow_branch, get);
-      (Plan.P_flow_loop, get); (Plan.P_flow_loop, post);
-      (Plan.P_flow_coalesce, get);
-      (Plan.T_flow_exit, get); (Plan.T_flow_exit, get); (Plan.T_flow_exit, get) ];
-  |]
-
-(** Instances for plugin [k], with ids ["f%04d"] disjoint from the main
-    plans' ["s"]/["t"] and the context suite's ["c"] prefixes. *)
-let instances () : Plan.inst list array =
-  let next = ref 1 in
-  Array.mapi
-    (fun k mix ->
-      List.map
-        (fun (pattern, vector) ->
-          let id = Printf.sprintf "f%04d" !next in
-          incr next;
-          { Plan.in_id = id; in_pattern = pattern; in_vector = vector;
-            in_placement = Plan.Clean_file; in_plugin = k;
-            in_persistent = false })
-        mix)
-    mixes
-
-let file_quota = 60
+let plugins : Suite.plugin list =
+  [ ( "gallery-flow",
+      [ (Plan.P_flow_branch, get); (Plan.P_flow_branch, post);
+        (Plan.P_flow_loop, get);
+        (Plan.P_flow_coalesce, get); (Plan.P_flow_coalesce, post);
+        (Plan.T_flow_exit, get); (Plan.T_flow_exit, get) ] );
+    ( "event-list-flow",
+      [ (Plan.P_flow_branch, get);
+        (Plan.P_flow_loop, get); (Plan.P_flow_loop, post);
+        (Plan.P_flow_coalesce, get);
+        (Plan.T_flow_exit, get); (Plan.T_flow_exit, get);
+        (Plan.T_flow_exit, get) ] ) ]
 
 (* ------------------------------------------------------------------ *)
 (* Raw front-end file: heredoc + <?= + ??                              *)
@@ -106,27 +84,6 @@ let with_raw_file k ({ Builder.project; seeds } : Builder.built) =
   in
   { Builder.project; seeds = seeds @ raw_seeds }
 
-(** Build the suite.  Deterministic: fixed seeds, fresh filler state. *)
-let generate () : Catalog.corpus =
-  Filler.reset ();
-  let per_plugin = instances () in
-  let plugins =
-    Array.to_list
-      (Array.mapi
-         (fun k insts ->
-           let name = plugin_names.(k) in
-           let built =
-             Builder.build ~version:Plan.V2014 ~plugin_name:name
-               ~instances:insts ~carried:(fun _ -> false) ~extra_files:0
-               ~carried_extra_files:0 ~chains_carried:false ~file_quota
-               ~carried_file_quota:file_quota
-           in
-           let { Builder.project; seeds } = with_raw_file k built in
-           { Catalog.po_name = name; po_project = project; po_seeds = seeds })
-         per_plugin)
-  in
-  {
-    Catalog.version = Plan.V2014;
-    plugins;
-    seeds = List.concat_map (fun p -> p.Catalog.po_seeds) plugins;
-  }
+(** Build the suite, with instance ids ["f%04d"] and each plugin's raw
+    file appended. *)
+let generate () = Suite.generate ~prefix:"f" ~plugins ~extend:with_raw_file ()

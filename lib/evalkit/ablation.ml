@@ -53,40 +53,32 @@ type row = {
   ab_failed_files : int;
 }
 
-(** Run every variant over [corpus]; FN is computed against the union of the
-    {e default} three-tool evaluation [ev] so that variants are compared on
-    the same reference set. *)
+(** Run every variant over [corpus] through the shared {!Delta} core; FN is
+    computed against the union of the {e default} three-tool evaluation
+    [ev] so that variants are compared on the same reference set. *)
 let run (ev : Runner.evaluation) : row list =
-  let corpus = ev.Runner.ev_corpus in
-  List.map
-    (fun v ->
-      let tool : Secflow.Tool.t =
-        {
-          Secflow.Tool.name = "phpSAFE[" ^ v.ab_name ^ "]";
-          analyze_project =
-            (fun p -> Phpsafe.analyze_project ~opts:v.ab_options p);
-        }
-      in
-      let run = Runner.run_tool tool corpus in
-      let classified =
-        Matching.classify ~seeds:corpus.Corpus.seeds run.Runner.tr_output
-      in
-      let metrics =
-        Matching.metrics_for ~union:ev.Runner.ev_union classified
-      in
+  let delta =
+    Delta.run ~union:ev.Runner.ev_union ev.Runner.ev_corpus
+      (List.map
+         (fun v -> Delta.phpsafe ("phpSAFE[" ^ v.ab_name ^ "]") v.ab_options)
+         variants)
+  in
+  List.map2
+    (fun v (run : Delta.run) ->
       let oop_tp =
         List.length
-          (List.filter Corpus.Gt.is_oop_wordpress classified.Matching.cl_tp)
+          (List.filter Corpus.Gt.is_oop_wordpress
+             run.Delta.dr_classified.Matching.cl_tp)
       in
       let failed =
         List.fold_left
           (fun acc (_, (r : Secflow.Report.result)) ->
             acc + List.length (Secflow.Report.failed_files r))
-          0 run.Runner.tr_output.Matching.to_results
+          0 run.Delta.dr_output.Matching.to_results
       in
-      { ab_variant = v.ab_name; ab_metrics = metrics; ab_oop_tp = oop_tp;
-        ab_failed_files = failed })
-    variants
+      { ab_variant = v.ab_name; ab_metrics = run.Delta.dr_metrics;
+        ab_oop_tp = oop_tp; ab_failed_files = failed })
+    variants delta.Delta.d_runs
 
 let print ppf ~(ev : Runner.evaluation) rows =
   Format.fprintf ppf "@.== E8: phpSAFE ablation study, version %s ==@."

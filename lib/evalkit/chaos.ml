@@ -23,30 +23,6 @@ type report = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Temporary directories (serve_bench style)                           *)
-(* ------------------------------------------------------------------ *)
-
-let fresh_dir tag =
-  let base = Filename.get_temp_dir_name () in
-  let rec go n =
-    let d = Filename.concat base (Printf.sprintf "phpsafe-e15-%s-%d" tag n) in
-    if Sys.file_exists d then go (n + 1)
-    else begin
-      Sys.mkdir d 0o755;
-      d
-    end
-  in
-  go 0
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-
-(* ------------------------------------------------------------------ *)
 (* Fixtures                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -103,14 +79,6 @@ type outcome =
   | O_transport
   | O_other
 
-let connect sock =
-  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX sock);
-  (* a wedged daemon must surface as O_other, not hang the harness *)
-  (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0
-   with Unix.Unix_error _ | Invalid_argument _ -> ());
-  fd
-
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 let classify ~expected reply =
@@ -133,7 +101,7 @@ let classify ~expected reply =
 (* One request whose bytes reach the daemon via [write]; the reply (or its
    absence) is classified. *)
 let exchange ~sock ~expected write =
-  match connect sock with
+  match Scratch.connect sock with
   | exception _ -> O_transport
   | fd -> (
       Fun.protect ~finally:(fun () -> close_quietly fd) @@ fun () ->
@@ -163,35 +131,10 @@ let write_slice fd b off len =
     p := !p + Unix.write fd b !p (off + len - !p)
   done
 
-(* ------------------------------------------------------------------ *)
-(* Daemon lifecycle                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let start_daemon cfg sock =
-  let t = Thread.create Serve.Daemon.run cfg in
-  let give_up = Obs.Clock.now () +. 10. in
-  while (not (Sys.file_exists sock)) && Obs.Clock.now () < give_up do
-    Thread.delay 0.005
-  done;
-  if not (Sys.file_exists sock) then failwith "chaos: daemon did not come up";
-  t
-
-let stop_daemon t sock =
-  (match connect sock with
-  | exception _ -> ()
-  | fd ->
-      (try
-         Serve.Protocol.write_frame fd
-           (Serve.Protocol.encode_simple_request ~op:"shutdown" ());
-         ignore (Serve.Protocol.read_frame fd)
-       with _ -> ());
-      close_quietly fd);
-  Thread.join t
-
 (* the per-round liveness probe: a daemon that can still answer [status]
    has not crashed *)
 let alive sock =
-  match connect sock with
+  match Scratch.connect sock with
   | exception _ -> false
   | fd -> (
       Fun.protect ~finally:(fun () -> close_quietly fd) @@ fun () ->
@@ -221,13 +164,6 @@ let scenario_order =
 let io_timeout_s = 0.25
 let tolerance_ms = 500.
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else
-    let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) - 1 in
-    sorted.(max 0 (min (n - 1) rank))
-
 let run ?(seed = 1105) ?(rounds = 4) ~jobs () : report =
   (* identity baselines come from the in-process encoder, computed before
      the harness redirects the store to its private directory *)
@@ -235,8 +171,8 @@ let run ?(seed = 1105) ?(rounds = 4) ~jobs () : report =
   let expected_plain = Serve.Scan.run_json Serve.Scan.default plain_project in
   let expected_slow = Serve.Scan.run_json Serve.Scan.default slow_project in
   let expected_disk = Serve.Scan.run_json Serve.Scan.default disk_project in
-  let saved_root = Phplang.Store.root () in
-  let cache_dir = fresh_dir "cache" and sock_dir = fresh_dir "sock" in
+  Scratch.with_store "e15-cache" @@ fun _ ->
+  Scratch.with_dir "e15-sock" @@ fun sock_dir ->
   let sock_a = Filename.concat sock_dir "e15-a.sock" in
   let sock_b = Filename.concat sock_dir "e15-b.sock" in
   let outcomes = ref [] in
@@ -246,12 +182,8 @@ let run ?(seed = 1105) ?(rounds = 4) ~jobs () : report =
   Fun.protect
     ~finally:(fun () ->
       Serve.Scan.set_before_analyze_hook None;
-      Phplang.Store.set_fault_hook None;
-      Phplang.Store.set_root saved_root;
-      rm_rf cache_dir;
-      rm_rf sock_dir)
+      Phplang.Store.set_fault_hook None)
   @@ fun () ->
-  Phplang.Store.set_root (Some cache_dir);
   Serve.Scan.set_before_analyze_hook (Some slow_hook);
 
   (* ---- phase A: one daemon, every per-connection scenario ---- *)
@@ -261,8 +193,7 @@ let run ?(seed = 1105) ?(rounds = 4) ~jobs () : report =
       max_queue = 16;
       io_timeout_s = Some io_timeout_s }
   in
-  let daemon_a = start_daemon cfg_a sock_a in
-  (try
+  Scratch.with_daemon cfg_a sock_a (fun () ->
      for round = 0 to rounds - 1 do
        let rng = Corpus.Prng.split (Corpus.Prng.create seed) ~salt:round in
        (* plain frame round-trips: the fault-free control group *)
@@ -285,7 +216,7 @@ let run ?(seed = 1105) ?(rounds = 4) ~jobs () : report =
               done));
        (* a frame cut mid-payload terminates as a transport error *)
        (record "mid-frame-cut"
-          (match connect sock_a with
+          (match Scratch.connect sock_a with
           | exception _ -> O_transport
           | fd ->
               let b =
@@ -332,11 +263,7 @@ let run ?(seed = 1105) ?(rounds = 4) ~jobs () : report =
                   Serve.Protocol.write_frame fd
                     (scan_payload ~id:"disk" disk_project))));
        if not (alive sock_a) then incr crashes
-     done
-   with e ->
-     stop_daemon daemon_a sock_a;
-     raise e);
-  stop_daemon daemon_a sock_a;
+     done);
 
   (* ---- phase B: a zero-queue daemon sheds every scan ---- *)
   let cfg_b =
@@ -344,19 +271,14 @@ let run ?(seed = 1105) ?(rounds = 4) ~jobs () : report =
       Serve.Daemon.jobs = Some jobs;
       max_queue = 0 }
   in
-  let daemon_b = start_daemon cfg_b sock_b in
-  (try
+  Scratch.with_daemon cfg_b sock_b (fun () ->
      for _ = 1 to rounds do
        record "overload-shed"
          (exchange ~sock:sock_b ~expected:expected_plain (fun fd ->
               Serve.Protocol.write_frame fd
                 (scan_payload ~id:"shed" plain_project)))
      done;
-     if not (alive sock_b) then incr crashes
-   with e ->
-     stop_daemon daemon_b sock_b;
-     raise e);
-  stop_daemon daemon_b sock_b;
+     if not (alive sock_b) then incr crashes);
 
   (* ---- tally ---- *)
   let rows =
@@ -382,8 +304,6 @@ let run ?(seed = 1105) ?(rounds = 4) ~jobs () : report =
   let identity_ok =
     List.for_all (function _, O_report ok -> ok | _ -> true) !outcomes
   in
-  let sorted = Array.of_list !overshoots in
-  Array.sort compare sorted;
   {
     ch_seed = seed;
     ch_rounds = rounds;
@@ -393,7 +313,7 @@ let run ?(seed = 1105) ?(rounds = 4) ~jobs () : report =
     ch_crashes = !crashes;
     ch_unterminated = List.fold_left (fun n r -> n + r.cr_other) 0 rows;
     ch_identity_ok = identity_ok;
-    ch_overshoot_p99_ms = percentile sorted 99.;
+    ch_overshoot_p99_ms = Scratch.percentile !overshoots 99.;
     ch_tolerance_ms = tolerance_ms;
   }
 

@@ -63,33 +63,6 @@ type report = {
 (* Small helpers                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let fresh_dir tag =
-  let base = Filename.get_temp_dir_name () in
-  let rec go n =
-    let d = Filename.concat base (Printf.sprintf "phpsafe-e17-%s-%d" tag n) in
-    if Sys.file_exists d then go (n + 1)
-    else begin
-      Sys.mkdir d 0o755;
-      d
-    end
-  in
-  go 0
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-
-let p50 = function
-  | [] -> 0.
-  | xs ->
-      let a = Array.of_list xs in
-      Array.sort compare a;
-      a.((Array.length a - 1) / 2)
-
 (* every start offset of [sub] in [s], ascending *)
 let occurrences ~sub s =
   let n = String.length s and m = String.length sub in
@@ -223,20 +196,16 @@ let measure ?(seed = default_seed) ?(edits = default_edits) ?corpus () :
   (* the corpus after the storm's edits so far: the edited plugin is
      rebuilt from [sources], every other plugin is untouched *)
   let current_corpus () = current_project () :: others in
-  let saved_root = Phplang.Store.root () in
-  let store_dir = fresh_dir "store" in
+  Scratch.with_store "e17-store" @@ fun store_dir ->
   let session = Phplang.Project.Increment.create () in
   Phpsafe.Analyzer.set_dag_tracking true;
   Fun.protect
     ~finally:(fun () ->
       Phpsafe.Analyzer.set_dag_tracking false;
-      Phplang.Project.Parse_cache.set_enabled true;
-      Phplang.Store.set_root saved_root;
-      rm_rf store_dir)
+      Phplang.Project.Parse_cache.set_enabled true)
   @@ fun () ->
   (* warm-up: populate the store (every plugin) and the incremental
      session (untimed) *)
-  Phplang.Store.set_root (Some store_dir);
   List.iter
     (fun p ->
       ignore
@@ -314,8 +283,9 @@ let measure ?(seed = default_seed) ?(edits = default_edits) ?corpus () :
   in
   let d i = List.nth deltas i in
   let single = List.filter (fun p -> p.pt_kind = Single_def) points in
-  let full_p50 = p50 (List.map (fun p -> p.pt_full_ms) single) in
-  let inc_p50 = p50 (List.map (fun p -> p.pt_inc_ms) single) in
+  let p50 field = Scratch.percentile (List.map field single) 50. in
+  let full_p50 = p50 (fun p -> p.pt_full_ms) in
+  let inc_p50 = p50 (fun p -> p.pt_inc_ms) in
   {
     es_seed = seed;
     es_plugin = name;
@@ -351,8 +321,9 @@ let print ppf (r : report) =
     (fun kind ->
       let ps = List.filter (fun p -> p.pt_kind = kind) r.es_points in
       if ps <> [] then begin
-        let f = p50 (List.map (fun p -> p.pt_full_ms) ps) in
-        let i = p50 (List.map (fun p -> p.pt_inc_ms) ps) in
+        let p50 field = Scratch.percentile (List.map field ps) 50. in
+        let f = p50 (fun p -> p.pt_full_ms) in
+        let i = p50 (fun p -> p.pt_inc_ms) in
         Format.fprintf ppf "%-11s %6d %9.2f ms %9.2f ms %8.1fx@."
           (kind_name kind) (List.length ps) f i
           (if i > 0. then f /. i else nan)

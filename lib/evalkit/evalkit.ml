@@ -12,10 +12,8 @@ module Tables = Tables
 
 let evaluate = Runner.evaluate
 
+module Delta = Delta
 module Ablation = Ablation
-module Context_delta = Context_delta
-module Flow_delta = Flow_delta
-module Class_delta = Class_delta
 
 (** Run both versions and print the full report to [ppf].  With [~pool] the
     analysis fans out across domains (same results, less wall time). *)

@@ -33,30 +33,6 @@ type report = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Temporary cache directories                                        *)
-(* ------------------------------------------------------------------ *)
-
-let fresh_dir tag =
-  let base = Filename.get_temp_dir_name () in
-  let rec go n =
-    let d = Filename.concat base (Printf.sprintf "phpsafe-e12-%s-%d" tag n) in
-    if Sys.file_exists d then go (n + 1)
-    else begin
-      Sys.mkdir d 0o755;
-      d
-    end
-  in
-  go 0
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-
-(* ------------------------------------------------------------------ *)
 (* Measurement                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -95,28 +71,26 @@ let measure ?(tools = Runner.default_tools ()) ?corpus12 ?corpus14 () : report =
     | None -> Corpus.generate Corpus.Plan.V2014
   in
   let files14, _ = Corpus.stats corpus14 in
-  let saved_root = Phplang.Store.root () in
-  let cold_dir = fresh_dir "cold" and cross_dir = fresh_dir "cross" in
-  Fun.protect ~finally:(fun () ->
-      Phplang.Store.set_root saved_root;
-      rm_rf cold_dir;
-      rm_rf cross_dir)
-  @@ fun () ->
-  (* cold and warm V.2014 passes against [cold_dir] *)
-  Phplang.Store.set_root (Some cold_dir);
-  let cold = List.map (fun t -> timed (fun () -> run_tool t corpus14)) tools in
-  let warm =
-    List.map
-      (fun t ->
-        let h0 = result_hits () in
-        let s = timed (fun () -> run_tool t corpus14) in
-        (s, result_hits () - h0))
-      tools
+  (* cold and warm V.2014 passes against one fresh store *)
+  let cold, warm =
+    Scratch.with_store "e12-cold" @@ fun _ ->
+    let cold =
+      List.map (fun t -> timed (fun () -> run_tool t corpus14)) tools
+    in
+    let warm =
+      List.map
+        (fun t ->
+          let h0 = result_hits () in
+          let s = timed (fun () -> run_tool t corpus14) in
+          (s, result_hits () - h0))
+        tools
+    in
+    (cold, warm)
   in
   (* cross-version pass: populate with V.2012, then analyze V.2014 *)
-  Phplang.Store.set_root (Some cross_dir);
-  List.iter (fun t -> run_tool t corpus12) tools;
   let reused =
+    Scratch.with_store "e12-cross" @@ fun _ ->
+    List.iter (fun t -> run_tool t corpus12) tools;
     List.map
       (fun t ->
         let h0 = result_hits () in

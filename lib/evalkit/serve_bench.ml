@@ -36,37 +36,8 @@ type report = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Temporary directories                                               *)
-(* ------------------------------------------------------------------ *)
-
-let fresh_dir tag =
-  let base = Filename.get_temp_dir_name () in
-  let rec go n =
-    let d = Filename.concat base (Printf.sprintf "phpsafe-e14-%s-%d" tag n) in
-    if Sys.file_exists d then go (n + 1)
-    else begin
-      Sys.mkdir d 0o755;
-      d
-    end
-  in
-  go 0
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-
-(* ------------------------------------------------------------------ *)
 (* Client side                                                         *)
 (* ------------------------------------------------------------------ *)
-
-let connect path =
-  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX path);
-  fd
 
 let request_of (p : Corpus.Catalog.plugin_output) =
   Serve.Protocol.encode_scan_request
@@ -77,14 +48,6 @@ let request_of (p : Corpus.Catalog.plugin_output) =
       sr_budget = Secflow.Budget.default;
       sr_deadline_ms = None }
 
-(* nearest-rank percentile over a sorted array *)
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else
-    let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) - 1 in
-    sorted.(max 0 (min (n - 1) rank))
-
 (* One pass: [clients] threads stripe the request array; each request is a
    full frame round-trip on that thread's own connection. *)
 let run_pass ~sock ~clients requests =
@@ -92,7 +55,7 @@ let run_pass ~sock ~clients requests =
   let lats = Array.make n 0. in
   let failure = Atomic.make None in
   let worker c =
-    match connect sock with
+    match Scratch.connect sock with
     | exception e -> Atomic.set failure (Some e)
     | fd ->
         Fun.protect
@@ -124,13 +87,12 @@ let run_pass ~sock ~clients requests =
   (match Atomic.get failure with
   | Some e -> raise (Failure ("serve_bench: " ^ Printexc.to_string e))
   | None -> ());
-  let sorted = Array.copy lats in
-  Array.sort compare sorted;
+  let lats = Array.to_list lats in
   {
     sp_wall_s = wall;
     sp_rps = (if wall > 0. then float_of_int n /. wall else 0.);
-    sp_p50_ms = percentile sorted 50.;
-    sp_p99_ms = percentile sorted 99.;
+    sp_p50_ms = Scratch.percentile lats 50.;
+    sp_p99_ms = Scratch.percentile lats 99.;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -144,58 +106,23 @@ let measure ?(clients = 4) ?corpus () : report =
   let requests =
     Array.of_list (List.map request_of corpus.Corpus.plugins)
   in
-  let saved_root = Phplang.Store.root () in
-  let cache_dir = fresh_dir "cache" and sock_dir = fresh_dir "sock" in
+  Scratch.with_store "e14-cache" @@ fun _ ->
+  Scratch.with_dir "e14-sock" @@ fun sock_dir ->
   let sock = Filename.concat sock_dir "e14.sock" in
-  Fun.protect
-    ~finally:(fun () ->
-      Phplang.Store.set_root saved_root;
-      rm_rf cache_dir;
-      rm_rf sock_dir)
-  @@ fun () ->
-  Phplang.Store.set_root (Some cache_dir);
   let cfg =
     { (Serve.Daemon.default_config (Serve.Daemon.Unix_sock sock)) with
       Serve.Daemon.max_queue = max 64 clients }
   in
-  let daemon = Thread.create Serve.Daemon.run cfg in
-  (* the socket file appearing is the daemon's ready signal *)
-  let deadline = Obs.Clock.now () +. 5. in
-  while (not (Sys.file_exists sock)) && Obs.Clock.now () < deadline do
-    Thread.delay 0.01
-  done;
-  if not (Sys.file_exists sock) then
-    failwith "serve_bench: daemon did not come up";
-  let finish () =
-    (* drain and join even when a pass failed, so no thread leaks *)
-    (match connect sock with
-    | exception _ -> ()
-    | fd ->
-        (try
-           Serve.Protocol.write_frame fd
-             (Serve.Protocol.encode_simple_request ~op:"shutdown" ());
-           ignore (Serve.Protocol.read_frame fd)
-         with _ -> ());
-        (try Unix.close fd with Unix.Unix_error _ -> ()));
-    Thread.join daemon
-  in
-  match
-    let cold = run_pass ~sock ~clients requests in
-    let warm = run_pass ~sock ~clients requests in
-    (cold, warm)
-  with
-  | cold, warm ->
-      finish ();
-      {
-        sb_requests = Array.length requests;
-        sb_clients = clients;
-        sb_jobs = Sched.default_size ();
-        sb_cold = cold;
-        sb_warm = warm;
-      }
-  | exception e ->
-      finish ();
-      raise e
+  Scratch.with_daemon cfg sock @@ fun () ->
+  let cold = run_pass ~sock ~clients requests in
+  let warm = run_pass ~sock ~clients requests in
+  {
+    sb_requests = Array.length requests;
+    sb_clients = clients;
+    sb_jobs = Sched.default_size ();
+    sb_cold = cold;
+    sb_warm = warm;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Report                                                              *)

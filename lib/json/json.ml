@@ -8,6 +8,8 @@ type t =
   | String of string
   | List of t list
   | Obj of (string * t) list
+  | Raw of string
+  | Seq of t Seq.t
 
 (* ------------------------------------------------------------------ *)
 (* Writer                                                             *)
@@ -29,13 +31,27 @@ let escape s =
     s;
   Buffer.contents buf
 
+(* Shortest of %.15g/%.16g/%.17g that reads back as [f]; a trailing ".0"
+   keeps integral values floats for the reader. *)
+let float_repr f =
+  let rec go p =
+    let s = Printf.sprintf "%.*g" p f in
+    if p >= 17 || float_of_string s = f then s else go (p + 1)
+  in
+  let s = go 15 in
+  if String.exists (fun c -> c = '.' || c = 'e') s then s else s ^ ".0"
+
+let fixed digits f =
+  let scale = 10. ** float_of_int digits in
+  Float (Float.round (f *. scale) /. scale)
+
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int n -> Buffer.add_string buf (string_of_int n)
   | Float f ->
-      if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.17g" f)
-      else Buffer.add_string buf "null"
+      Buffer.add_string buf (if Float.is_finite f then float_repr f else "null")
+  | Raw s -> Buffer.add_string buf s
   | String s ->
       Buffer.add_char buf '"';
       Buffer.add_string buf (escape s);
@@ -43,6 +59,14 @@ let rec write buf = function
   | List items ->
       Buffer.add_char buf '[';
       List.iteri
+        (fun i item ->
+          if i > 0 then Buffer.add_char buf ',';
+          write buf item)
+        items;
+      Buffer.add_char buf ']'
+  | Seq items ->
+      Buffer.add_char buf '[';
+      Seq.iteri
         (fun i item ->
           if i > 0 then Buffer.add_char buf ',';
           write buf item)

@@ -1,10 +1,12 @@
 (** Minimal dependency-free JSON: a value type, a deterministic writer and
     a defensive parser.
 
-    The writer is the one encoding every machine-readable findings surface
-    shares — [Secflow.Report.to_json], [phpsafe_cli --format json] and the
-    [phpsafe_serve] daemon all go through it, which is what makes their
-    outputs byte-identical for the same result.  Field order is the order
+    The writer is the only JSON encoder in the code base: findings reports
+    ([Secflow.Report.to_json], [phpsafe_cli --format json], the
+    [phpsafe_serve] daemon — which is what makes their outputs
+    byte-identical for the same result), the serve protocol's frames, the
+    Obs trace and metrics exporters and the [phpsafe-bench/1] results file
+    all build a {!t} and render it here.  Field order is the order
     of the association list; no whitespace is emitted, so two structurally
     equal values always render to the same bytes.
 
@@ -21,15 +23,24 @@ type t =
   | String of string
   | List of t list
   | Obj of (string * t) list
+  | Raw of string
+      (** an already-encoded JSON document, written verbatim (the daemon
+          splices a rendered report into its reply this way); never
+          produced by {!parse} *)
+  | Seq of t Seq.t
+      (** a list whose items are produced while it is written, so a long
+          stream (the Obs trace) never exists as one value; never
+          produced by {!parse} *)
 
 val to_string : t -> string
-(** Render without any whitespace.  [Float] values render with [%.17g]
-    (shortest round-trippable is not needed here; non-finite floats render
-    as [null] to stay inside the JSON grammar). *)
+(** Render without any whitespace.  [Float] values render with the
+    shortest of [%.15g]/[%.16g]/[%.17g] that reads back exactly, always
+    with a ['.'] or exponent; non-finite floats render as [null] to stay
+    inside the JSON grammar. *)
 
-val escape : string -> string
-(** The writer's string-body escaping (no surrounding quotes), exposed for
-    code that splices raw JSON fragments around an encoded string. *)
+val fixed : int -> float -> t
+(** [fixed digits f] is [Float f] rounded to [digits] decimal places —
+    for measured values whose trailing digits are noise. *)
 
 val parse : ?max_depth:int -> string -> (t, string) result
 (** Parse one complete JSON document ([max_depth] defaults to 512 nesting

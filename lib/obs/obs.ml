@@ -272,91 +272,85 @@ let pp_summary ppf s =
       s.sn_spans
   end
 
-(* Minimal JSON writer: the only strings we emit are span/counter names and
-   fixed keys, but escape defensively anyway. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let category_of name =
   match String.index_opt name '.' with
   | Some i -> String.sub name 0 i
   | None -> name
 
 let trace_json s =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  let first = ref true in
-  let emit fmt =
-    Printf.ksprintf
-      (fun piece ->
-        if not !first then Buffer.add_char buf ',';
-        first := false;
-        Buffer.add_string buf piece)
-      fmt
-  in
-  emit
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"phpsafe\"}}";
   let module IS = Set.Make (Int) in
+  let meta ~name ~tid label =
+    Json.Obj
+      [ ("name", Json.String name); ("ph", Json.String "M");
+        ("pid", Json.Int 1); ("tid", Json.Int tid);
+        ("args", Json.Obj [ ("name", Json.String label) ]) ]
+  in
   let domains =
     List.fold_left (fun acc e -> IS.add e.ev_domain acc) IS.empty s.sn_events
   in
-  IS.iter
-    (fun d ->
-      emit
-        "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":\"domain %d\"}}"
-        d d)
-    domains;
-  List.iter
-    (fun e ->
-      emit
-        "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f}"
-        (json_escape e.ev_name)
-        (json_escape (category_of e.ev_name))
-        e.ev_domain (ns_to_us e.ev_start_ns) (ns_to_us e.ev_dur_ns))
-    s.sn_events;
-  Buffer.add_string buf "],\"displayTimeUnit\":\"ms\"}";
-  Buffer.contents buf
+  let threads =
+    List.map
+      (fun d -> meta ~name:"thread_name" ~tid:d (Printf.sprintf "domain %d" d))
+      (IS.elements domains)
+  in
+  (* a long run records hundreds of thousands of events: build each one
+     only as the writer reaches it *)
+  let event e =
+    Json.Obj
+      [ ("name", Json.String e.ev_name);
+        ("cat", Json.String (category_of e.ev_name));
+        ("ph", Json.String "X"); ("pid", Json.Int 1);
+        ("tid", Json.Int e.ev_domain);
+        ("ts", Json.fixed 3 (ns_to_us e.ev_start_ns));
+        ("dur", Json.fixed 3 (ns_to_us e.ev_dur_ns)) ]
+  in
+  let process = meta ~name:"process_name" ~tid:0 "phpsafe" in
+  Json.to_string
+    (Json.Obj
+       [ ("traceEvents",
+          Json.Seq
+            (Seq.append
+               (List.to_seq (process :: threads))
+               (Seq.map event (List.to_seq s.sn_events))));
+         ("displayTimeUnit", Json.String "ms") ])
 
 let metrics_json s =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"schema\":\"phpsafe-obs/1\",\"gauges\":{";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%.6f" (json_escape name) v))
-    s.sn_gauges;
-  Buffer.add_string buf "},\"counters\":{";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (json_escape name) v))
-    s.sn_counters;
-  Buffer.add_string buf "},\"spans\":{";
-  List.iteri
-    (fun i a ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\"%s\":{\"count\":%d,\"total_s\":%.9f}"
-           (json_escape a.sa_name) a.sa_count (ns_to_s a.sa_total_ns)))
-    s.sn_spans;
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
+  Json.to_string
+    (Json.Obj
+       [ ("schema", Json.String "phpsafe-obs/1");
+         ("gauges",
+          Json.Obj (List.map (fun (n, v) -> (n, Json.fixed 6 v)) s.sn_gauges));
+         ("counters",
+          Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) s.sn_counters));
+         ("spans",
+          Json.Obj
+            (List.map
+               (fun a ->
+                 ( a.sa_name,
+                   Json.Obj
+                     [ ("count", Json.Int a.sa_count);
+                       ("total_s", Json.fixed 9 (ns_to_s a.sa_total_ns)) ] ))
+               s.sn_spans)) ])
 
 let write_file path contents =
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc contents)
+
+let export ?(summary = false) ?trace ?metrics () =
+  if enabled () then begin
+    let snap = snapshot () in
+    Option.iter
+      (fun path ->
+        write_file path (trace_json snap);
+        Format.eprintf "trace written to %s (open in https://ui.perfetto.dev)@."
+          path)
+      trace;
+    Option.iter
+      (fun path ->
+        write_file path (metrics_json snap);
+        Format.eprintf "metrics written to %s@." path)
+      metrics;
+    if summary then Format.eprintf "%a" pp_summary snap
+  end

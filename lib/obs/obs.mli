@@ -124,3 +124,9 @@ val metrics_json : snapshot -> string
 
 val write_file : string -> string -> unit
 (** [write_file path contents] — tiny helper shared by the drivers. *)
+
+val export : ?summary:bool -> ?trace:string -> ?metrics:string -> unit -> unit
+(** The drivers' end-of-run export: when recording is enabled, take one
+    {!snapshot}, write {!trace_json} to [trace] and {!metrics_json} to
+    [metrics] (each announced on stderr), and with [~summary:true] print
+    {!pp_summary} to stderr.  A no-op while recording is disabled. *)

@@ -53,6 +53,5 @@ let tool : Secflow.Tool.t =
 module Joomla = Joomla
 module Drupal = Drupal
 module Report_html = Report_html
-module Report_json = Report_json
 module Config_spec = Config_spec
 module Stats = Stats

@@ -2,7 +2,6 @@
 
 module Config = Pixy_config
 module Taint = Pixy_taint
-module Cfg = Dataflow.Cfg
 module Analyzer = Pixy_analyzer
 
 let analyze_project = Pixy_analyzer.analyze_project

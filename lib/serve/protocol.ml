@@ -343,16 +343,6 @@ let encode_simple_request ~op ?id () =
 (* Replies                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let id_fragment = function
-  | Some id -> Printf.sprintf ",\"id\":\"%s\"" (Json.escape id)
-  | None -> ""
-
-(* The report document is spliced in verbatim (not re-encoded) as the
-   final field, so the client can cut it back out byte-for-byte. *)
-let scan_reply ?id ~report () =
-  Printf.sprintf "{\"proto\":\"%s\",\"ok\":true,\"op\":\"scan\"%s,\"report\":%s}"
-    version (id_fragment id) report
-
 let ok_reply ~op ?id fields =
   Json.to_string
     (Json.Obj
@@ -360,6 +350,11 @@ let ok_reply ~op ?id fields =
           ("op", Json.String op) ]
        @ (match id with Some id -> [ ("id", Json.String id) ] | None -> [])
        @ fields))
+
+(* The report document is spliced in verbatim (not re-encoded) as the
+   final field, so the client can cut it back out byte-for-byte. *)
+let scan_reply ?id ~report () =
+  ok_reply ~op:"scan" ?id [ ("report", Json.Raw report) ]
 
 let error_reply ~op ?id ~code ~msg () =
   Json.to_string
@@ -372,7 +367,8 @@ let error_reply ~op ?id ~code ~msg () =
               [ ("code", Json.String code); ("message", Json.String msg) ])
          ]))
 
-let report_marker = ",\"report\":"
+(* the bytes just before the spliced report: [scan_reply]'s last key *)
+let report_marker = "," ^ Json.to_string (Json.String "report") ^ ":"
 
 let scan_report_of_reply reply =
   match Json.parse reply with

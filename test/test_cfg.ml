@@ -2,7 +2,7 @@
     construct, jump wiring and reverse post-order. *)
 
 module A = Phplang.Ast
-module Cfg = Pixy.Cfg
+module Cfg = Dataflow.Cfg
 
 let build src =
   Cfg.build (Phplang.Parser.parse_source ~file:"t.php" ("<?php\n" ^ src))

@@ -1,6 +1,6 @@
 (** Observability subsystem tests: span nesting and ordering, counter-merge
-    determinism across pool sizes, well-formedness of the two JSON
-    exporters, and the golden guarantee that the evaluation tables are
+    determinism across pool sizes, well-formedness and shape of the two
+    JSON exporters, and the golden guarantee that the evaluation tables are
     byte-identical with observability on or off (modulo the measured
     timings in Table III, which vary run to run). *)
 
@@ -315,6 +315,46 @@ let exporter_cases =
             let s = Obs.snapshot () in
             check_json "trace_json" (Obs.trace_json s);
             check_json "metrics_json" (Obs.metrics_json s)));
+    case "metrics JSON round-trips with its keys" `Quick (fun () ->
+        with_obs (fun () ->
+            Obs.set_gauge "sched.pool_size" 2.;
+            Obs.add "c" 3;
+            ignore (Obs.span "s" (fun () -> ()));
+            ignore (Obs.span "s" (fun () -> ()));
+            let doc =
+              match Json.parse (Obs.metrics_json (Obs.snapshot ())) with
+              | Ok doc -> doc
+              | Error msg -> Alcotest.fail msg
+            in
+            let get path =
+              List.fold_left
+                (fun j k -> Option.bind j (Json.member k))
+                (Some doc) path
+            in
+            Alcotest.(check (list string))
+              "top-level keys, in order"
+              [ "schema"; "gauges"; "counters"; "spans" ]
+              (match doc with
+              | Json.Obj fields -> List.map fst fields
+              | _ -> []);
+            Alcotest.(check (option string))
+              "schema" (Some "phpsafe-obs/1")
+              (Option.bind (get [ "schema" ]) Json.to_string_opt);
+            Alcotest.(check bool)
+              "gauge" true
+              (get [ "gauges"; "sched.pool_size" ] = Some (Json.Float 2.));
+            Alcotest.(check (option int))
+              "counter" (Some 3)
+              (Option.bind (get [ "counters"; "c" ]) Json.to_int_opt);
+            Alcotest.(check (option int))
+              "span count" (Some 2)
+              (Option.bind (get [ "spans"; "s"; "count" ]) Json.to_int_opt);
+            Alcotest.(check bool)
+              "span total_s" true
+              (match get [ "spans"; "s"; "total_s" ] with
+              | Some (Json.Float f) -> f >= 0.
+              | Some (Json.Int n) -> n >= 0
+              | _ -> false)));
     case "empty snapshot still exports valid JSON" `Quick (fun () ->
         with_obs (fun () ->
             let s = Obs.snapshot () in

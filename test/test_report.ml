@@ -148,7 +148,7 @@ let text_cases =
 let json_cases =
   [
     case "json has schema, summary and findings" (fun () ->
-        let j = Phpsafe.Report_json.render sample_result in
+        let j = Secflow.Report.to_json sample_result in
         Alcotest.(check bool) "schema" true
           (contains j "\"schema\":\"phpsafe-report/1\"");
         Alcotest.(check bool) "xss count" true (contains j "\"xss\":1");
@@ -156,12 +156,12 @@ let json_cases =
         Alcotest.(check bool) "finding kind" true (contains j "\"kind\":\"XSS\"");
         Alcotest.(check bool) "data flow" true (contains j "\"dataFlow\":["));
     case "json records per-file outcomes" (fun () ->
-        let j = Phpsafe.Report_json.render sample_result in
+        let j = Secflow.Report.to_json sample_result in
         Alcotest.(check bool) "file entry" true
           (contains j "\"file\":\"plugin.php\"");
         Alcotest.(check bool) "status" true (contains j "\"status\":\"analyzed\""));
     case "tool name is configurable" (fun () ->
-        let j = Phpsafe.Report_json.render ~tool:"RIPS" sample_result in
+        let j = Secflow.Report.to_json ~tool:"RIPS" sample_result in
         Alcotest.(check bool) "tool" true (contains j "\"tool\":\"RIPS\""));
     case "string escaping" (fun () ->
         let open Secflow.Json in
@@ -177,12 +177,26 @@ let json_cases =
         in
         Alcotest.(check string) "layout"
           "{\"a\":[1,false,\"x\"],\"b\":{\"c\":2}}" (to_string j));
-    case "render delegates to the shared Secflow.Report encoder" (fun () ->
-        Alcotest.(check string) "same bytes"
-          (Secflow.Report.to_json ~tool:"RIPS" sample_result)
-          (Phpsafe.Report_json.render ~tool:"RIPS" sample_result));
+    case "floats render shortest round-trip; fixed rounds" (fun () ->
+        let open Secflow.Json in
+        Alcotest.(check string) "layout"
+          "[0.1,3.0,1e+300,-2.5,null,0.123457,12.0]"
+          (to_string
+             (List
+                [ Float 0.1; Float 3.; Float 1e300; Float (-2.5); Float nan;
+                  fixed 6 0.1234567; fixed 1 11.96 ])));
+    case "raw fragments are spliced verbatim" (fun () ->
+        let open Secflow.Json in
+        Alcotest.(check string) "layout" "{\"a\":{\"b\": 1 }}"
+          (to_string (Obj [ ("a", Raw "{\"b\": 1 }") ])));
+    case "streamed lists render like lists" (fun () ->
+        let open Secflow.Json in
+        let items = [ Int 1; String "x"; Obj [ ("k", Null) ] ] in
+        Alcotest.(check string) "same bytes" (to_string (List items))
+          (to_string (Seq (List.to_seq items)));
+        Alcotest.(check string) "empty" "[]" (to_string (Seq Seq.empty)));
     case "vector classification included per finding" (fun () ->
-        let j = Phpsafe.Report_json.render sample_result in
+        let j = Secflow.Report.to_json sample_result in
         Alcotest.(check bool) "GET vector" true (contains j "\"vector\":\"GET\""));
     case "all six kinds appear in findings and summary counts" (fun () ->
         let j = Secflow.Report.to_json ~tool:"phpSAFE" all_kinds_result in

@@ -278,6 +278,12 @@ let connect sock =
   Unix.connect fd (Unix.ADDR_UNIX sock);
   fd
 
+(* Run [f] with a process-global before-analyze hook installed, clearing
+   it afterwards whatever happens. *)
+let with_scan_hook hook f =
+  Scan.set_before_analyze_hook (Some hook);
+  Fun.protect ~finally:(fun () -> Scan.set_before_analyze_hook None) f
+
 let with_daemon ?(reshape = fun c -> c) f =
   incr sock_seq;
   let sock =
@@ -505,21 +511,66 @@ let daemon_cases =
       (fun () ->
         let delivered = ref "" in
         let expected = Scan.run_json Scan.default vuln_project in
-        with_daemon (fun sock ->
-            let fd = connect sock in
-            Protocol.write_frame fd (scan_req vuln_project);
-            (* shutdown from a second connection while the scan is queued
-               or in flight *)
-            ignore
-              (roundtrip sock (Protocol.encode_simple_request ~op:"shutdown" ())
-                : string);
-            (match Protocol.read_frame fd with
-            | Protocol.Frame reply -> (
-                match Protocol.scan_report_of_reply reply with
-                | Ok report -> delivered := report
-                | Error m -> Alcotest.fail ("drained scan failed: " ^ m))
-            | _ -> Alcotest.fail "queued scan was dropped on shutdown");
-            Unix.close fd);
+        (* the hook holds the scan in flight until shutdown has been
+           accepted, so the reply below can only come from the drain *)
+        let release = Atomic.make false in
+        let hold (p : Phplang.Project.t) =
+          if String.equal p.Phplang.Project.name "demo" then begin
+            let give_up = Unix.gettimeofday () +. 10. in
+            while (not (Atomic.get release)) && Unix.gettimeofday () < give_up
+            do
+              Thread.delay 0.005
+            done
+          end
+        in
+        with_scan_hook hold (fun () ->
+            Fun.protect
+              ~finally:(fun () -> Atomic.set release true)
+              (fun () ->
+                with_daemon (fun sock ->
+                    let fd = connect sock in
+                    Protocol.write_frame fd (scan_req vuln_project);
+                    let pending () =
+                      match
+                        Json.parse
+                          (roundtrip sock
+                             (Protocol.encode_simple_request ~op:"status" ()))
+                      with
+                      | Error m -> Alcotest.fail m
+                      | Ok doc ->
+                          List.exists
+                            (fun k ->
+                              match
+                                Option.bind (Json.member k doc)
+                                  Json.to_int_opt
+                              with
+                              | Some n -> n > 0
+                              | None -> false)
+                            [ "queue_depth"; "inflight" ]
+                    in
+                    let give_up = Unix.gettimeofday () +. 10. in
+                    while
+                      (not (pending ())) && Unix.gettimeofday () < give_up
+                    do
+                      Thread.delay 0.005
+                    done;
+                    if not (pending ()) then
+                      Alcotest.fail "scan never showed as queued or in flight";
+                    (* shutdown from a second connection while the scan is
+                       in flight, then let the scan finish *)
+                    ignore
+                      (roundtrip sock
+                         (Protocol.encode_simple_request ~op:"shutdown" ())
+                        : string);
+                    Atomic.set release true;
+                    (match Protocol.read_frame fd with
+                    | Protocol.Frame reply -> (
+                        match Protocol.scan_report_of_reply reply with
+                        | Ok report -> delivered := report
+                        | Error m ->
+                            Alcotest.fail ("drained scan failed: " ^ m))
+                    | _ -> Alcotest.fail "queued scan was dropped on shutdown");
+                    Unix.close fd)));
         (* with_daemon joined the daemon thread: shutdown completed *)
         Alcotest.(check string) "drained reply is the real report" expected
           !delivered)
@@ -611,12 +662,6 @@ let with_tcp_daemon ?(reshape = fun c -> c) f =
           (try Unix.close fd with Unix.Unix_error _ -> ()));
       Thread.join daemon)
     (fun () -> f connect_tcp)
-
-(* Run [f] with a process-global before-analyze hook installed, clearing
-   it afterwards whatever happens. *)
-let with_scan_hook hook f =
-  Scan.set_before_analyze_hook (Some hook);
-  Fun.protect ~finally:(fun () -> Scan.set_before_analyze_hook None) f
 
 let robustness_cases =
   [
