@@ -8,8 +8,9 @@
     - then Table III measured the paper's way (average of 5 runs, on the
       monotonic wall clock rather than the paper's CPU time);
     - then one Bechamel [Test.make] per table/figure: the six Table III
-      analysis runs (tool × corpus version) and the artifact-regeneration
-      pipelines for Table I, Fig. 2, Table II and §V.D. *)
+      analysis runs (tool × corpus version), the artifact-regeneration
+      pipelines for Table I, Fig. 2, Table II and §V.D, and the lexer's
+      throughput over the V.2014 sources. *)
 
 open Bechamel
 open Toolkit
@@ -177,6 +178,27 @@ let corpus_test =
   Test.make ~name:"corpus/generate-2012"
     (Staged.stage (fun () -> ignore (Corpus.generate Corpus.Plan.V2012)))
 
+(* Front end: lexer throughput over every V.2014 source. *)
+let sources14 =
+  List.concat_map
+    (fun (p : Phplang.Project.t) ->
+      List.map
+        (fun (f : Phplang.Project.file) -> f.Phplang.Project.source)
+        p.Phplang.Project.files)
+    (Corpus.projects corpus14)
+
+let lex_name = "phplang/lex-2014"
+
+let lex_test =
+  Test.make ~name:lex_name
+    (Staged.stage (fun () ->
+         List.iter
+           (fun src ->
+             match Phplang.Lexer.tokenize_significant src with
+             | _ -> ()
+             | exception Phplang.Lexer.Error _ -> ())
+           sources14))
+
 (* ------------------------------------------------------------------ *)
 (* Bechamel driver                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -207,7 +229,13 @@ let print_bench_results results =
       let r2 =
         match Analyze.OLS.r_square ols with Some r -> r | None -> nan
       in
-      Format.printf "%-34s %12.3f ms/run  (r²=%.3f)@." name (est /. 1e6) r2)
+      Format.printf "%-34s %12.3f ms/run  (r²=%.3f)@." name (est /. 1e6) r2;
+      if String.equal name lex_name then
+        let bytes =
+          List.fold_left (fun n s -> n + String.length s) 0 sources14
+        in
+        Format.printf "%-34s %12.1f MB/s@." ""
+          (float_of_int bytes /. est *. 1e3))
     results
 
 (* ------------------------------------------------------------------ *)
@@ -446,7 +474,7 @@ let () =
     Format.eprintf "%a" Phplang.Store.pp_counters ();
   let tests =
     table1_test :: figure2_test :: table2_test :: inertia_test :: corpus_test
-    :: table3_tests
+    :: lex_test :: table3_tests
     |> List.concat_map Test.elements
   in
   let results = benchmark tests in

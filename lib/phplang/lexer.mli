@@ -10,6 +10,11 @@ val tokenize : string -> Token.t list
     Raises {!Error} on malformed input (unterminated strings/comments,
     characters outside the supported subset). *)
 
+val two_char_ops : (string * Token.kind) list
+(** The two-character operators and their kinds; the lexer's operator
+    dispatch is derived from this list.  [===], [!==], [?>] and [<<<] are
+    recognised separately. *)
+
 val significant : Token.t list -> Token.t list
 (** Drop whitespace and comment tokens — phpSAFE "cleans the AST by removing
     comments and extra whitespaces" (§III.B). *)

@@ -219,11 +219,54 @@ let keywords : (string * kind) list =
     ("xor", T_LOGICAL_XOR); ("null", T_NULL); ("true", T_TRUE);
     ("false", T_FALSE) ]
 
-let keyword_kind s =
-  let s = String.lowercase_ascii s in
-  List.assoc_opt s keywords
+(* [keywords] as an open-addressed table hashed on lowercased bytes.  A
+   slot holds a keyword with its preallocated [Some kind], so a lookup
+   neither lowercases its argument nor allocates; [""] marks an empty
+   slot.  128 slots keep the load under one half. *)
+let keyword_mask = 127
 
-let is_punct t c = t.kind = Punct && t.lexeme = String.make 1 c
+let hash_ci s =
+  let h = ref 0 in
+  for i = 0 to String.length s - 1 do
+    h := (!h * 31) + Char.code (Char.lowercase_ascii (String.unsafe_get s i))
+  done;
+  !h land keyword_mask
+
+let keyword_slots : (string * kind option) array =
+  let slots = Array.make (keyword_mask + 1) ("", None) in
+  List.iter
+    (fun (w, k) ->
+      let i = ref (hash_ci w) in
+      while fst slots.(!i) <> "" do
+        i := (!i + 1) land keyword_mask
+      done;
+      slots.(!i) <- (w, Some k))
+    keywords;
+  slots
+
+let max_keyword_length =
+  List.fold_left (fun m (w, _) -> max m (String.length w)) 0 keywords
+
+(* [lower] is a lowercase keyword; [s] matches it in any case. *)
+let rec equal_ci_from lower s i =
+  i = String.length lower
+  || Char.lowercase_ascii (String.unsafe_get s i) = String.unsafe_get lower i
+     && equal_ci_from lower s (i + 1)
+
+let rec probe_keyword s i =
+  let w, k = keyword_slots.(i) in
+  if String.length w = 0 then None
+  else if String.length w = String.length s && equal_ci_from w s 0 then k
+  else probe_keyword s ((i + 1) land keyword_mask)
+
+let keyword_kind s =
+  if String.length s > max_keyword_length then None
+  else probe_keyword s (hash_ci s)
+
+let is_punct t c =
+  t.kind = Punct
+  && String.length t.lexeme = 1
+  && String.unsafe_get t.lexeme 0 = c
 
 let pp ppf t = Format.fprintf ppf "%s(%S)@%d" (name t.kind) t.lexeme t.line
 

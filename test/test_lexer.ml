@@ -314,9 +314,98 @@ let frontend_cases =
         with Lexer.Error (_, _) -> ());
   ]
 
+(* Table-driven cases: every entry of the lexer's lookup tables, in every
+   case the table promises, plus the end-of-input edges of its probes. *)
+let mixed_case w =
+  String.mapi
+    (fun i c -> if i mod 2 = 0 then Char.uppercase_ascii c else c)
+    w
+
+let lex_one src =
+  match lex src with
+  | [ _open; tok; _eof ] -> tok
+  | toks ->
+      Alcotest.failf "%S: expected one token, got %d" src
+        (List.length toks - 2)
+
+let check_token src (kind, lexeme) =
+  let tok = lex_one src in
+  Alcotest.(check (pair string string))
+    src
+    (Token.name kind, lexeme)
+    (Token.name tok.Token.kind, tok.Token.lexeme)
+
+let table_cases =
+  [
+    Alcotest.test_case "every keyword in every case" `Quick (fun () ->
+        List.iter
+          (fun (w, kind) ->
+            List.iter
+              (fun w ->
+                check_token ("<?php " ^ w) (kind, w);
+                Alcotest.(check bool)
+                  ("keyword_kind " ^ w) true
+                  (Token.keyword_kind w = Some kind))
+              [ w; String.uppercase_ascii w; mixed_case w ])
+          Token.keywords);
+    Alcotest.test_case "identifiers extending a keyword" `Quick (fun () ->
+        List.iter
+          (fun w ->
+            check_token ("<?php " ^ w) (Token.T_STRING, w);
+            Alcotest.(check bool) ("keyword_kind " ^ w) true
+              (Token.keyword_kind w = None))
+          [ "returned"; "classes"; "include_once2"; "iff"; "ECHOES";
+            "a"; "_"; "require_onces" ]);
+    Alcotest.test_case "every multi-character operator" `Quick (fun () ->
+        List.iter
+          (fun (op, kind) -> check_token ("<?php " ^ op) (kind, op))
+          (Lexer.two_char_ops
+          @ [ ("===", Token.T_IS_IDENTICAL); ("!==", Token.T_IS_NOT_IDENTICAL);
+              ("?>", Token.T_CLOSE_TAG) ]);
+        check_token "<?php <<<EOT\nbody\nEOT" (Token.T_HEREDOC, "body"));
+    Alcotest.test_case "casts in any case, with inner blanks" `Quick (fun () ->
+        List.iter
+          (fun (src, kind) -> check_token ("<?php " ^ src) (kind, src))
+          [ ("( INT )", Token.T_INT_CAST);
+            ("(Boolean)", Token.T_BOOL_CAST);
+            ("(\tDouble )", Token.T_FLOAT_CAST);
+            ("(REAL)", Token.T_FLOAT_CAST);
+            ("(  sTrInG)", Token.T_STRING_CAST);
+            ("(Array)", Token.T_ARRAY_CAST);
+            ("(integer)", Token.T_INT_CAST);
+            ("( bool\t)", Token.T_BOOL_CAST) ]);
+    Alcotest.test_case "one-byte operator as the last byte" `Quick (fun () ->
+        String.iter
+          (fun c ->
+            let src = "<?php $a" ^ String.make 1 c in
+            match List.rev (lex src) with
+            | eof :: last :: _ ->
+                Alcotest.(check (pair string string))
+                  src
+                  ("PUNCT", String.make 1 c)
+                  (Token.name last.Token.kind, last.Token.lexeme);
+                Alcotest.(check string)
+                  "eof" "T_EOF" (Token.name eof.Token.kind)
+            | _ -> Alcotest.fail src)
+          ";,(){}[]=+-*/%.<>!?:&@|^~$");
+    Alcotest.test_case "probes stop at the end of input" `Quick (fun () ->
+        List.iter
+          (fun (src, want) ->
+            Alcotest.(check (list string)) src want (lexemes src))
+          [ ("<?php 1e", [ "<?php"; "1"; "e" ]);
+            ("<?php 1e+", [ "<?php"; "1"; "e"; "+" ]);
+            ("<?php 0x", [ "<?php"; "0"; "x" ]);
+            ("<?php 1.", [ "<?php"; "1"; "." ]);
+            ("<?php ( int", [ "<?php"; "("; "int" ]);
+            ("<?php ?", [ "<?php"; "?" ]);
+            ("<?", [ "<?" ]);
+            ("<?p", [ "<?"; "p" ]) ]);
+  ]
+
 let () =
   Alcotest.run "lexer"
     [ ("token kinds", cases);
       ("numeric literals", number_cases);
       ("positions and edge cases", line_cases);
-      ("front-end gaps (heredoc, <?=, ??)", frontend_cases) ]
+      ("front-end gaps (heredoc, <?=, ??)", frontend_cases);
+      ("lookup tables", table_cases) ]
