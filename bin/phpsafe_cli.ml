@@ -19,7 +19,7 @@ let watch_loop target opts ~poll_ms ~max_events =
   let session = Serve.Watch.create opts in
   let last = ref [] in
   let counter_deltas () =
-    let now = Obs.Mirror.all () in
+    let now = Serve.Watch.incremental_counters () in
     let delta =
       List.filter_map
         (fun (k, v) ->

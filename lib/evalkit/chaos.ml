@@ -313,7 +313,7 @@ let run ?(seed = 1105) ?(rounds = 4) ~jobs () : report =
     ch_crashes = !crashes;
     ch_unterminated = List.fold_left (fun n r -> n + r.cr_other) 0 rows;
     ch_identity_ok = identity_ok;
-    ch_overshoot_p99_ms = Scratch.percentile !overshoots 99.;
+    ch_overshoot_p99_ms = Obs.percentile !overshoots 99.;
     ch_tolerance_ms = tolerance_ms;
   }
 

@@ -218,7 +218,7 @@ let measure ?(seed = default_seed) ?(edits = default_edits) ?corpus () :
       (List.map (fun p -> render (analyze p)) projects)
   in
   ignore (analyze_all (current_corpus ()) : string);
-  let counter = Obs.Mirror.get in
+  let counter = Obs.counter in
   let c0 =
     [ counter "parser.region.reparse"; counter "parser.region.fallback";
       counter "lexer.ckpt.resume"; counter "lexer.ckpt.resync_tokens";
@@ -283,7 +283,7 @@ let measure ?(seed = default_seed) ?(edits = default_edits) ?corpus () :
   in
   let d i = List.nth deltas i in
   let single = List.filter (fun p -> p.pt_kind = Single_def) points in
-  let p50 field = Scratch.percentile (List.map field single) 50. in
+  let p50 field = Obs.percentile (List.map field single) 50. in
   let full_p50 = p50 (fun p -> p.pt_full_ms) in
   let inc_p50 = p50 (fun p -> p.pt_inc_ms) in
   {
@@ -321,7 +321,7 @@ let print ppf (r : report) =
     (fun kind ->
       let ps = List.filter (fun p -> p.pt_kind = kind) r.es_points in
       if ps <> [] then begin
-        let p50 field = Scratch.percentile (List.map field ps) 50. in
+        let p50 field = Obs.percentile (List.map field ps) 50. in
         let f = p50 (fun p -> p.pt_full_ms) in
         let i = p50 (fun p -> p.pt_inc_ms) in
         Format.fprintf ppf "%-11s %6d %9.2f ms %9.2f ms %8.1fx@."

@@ -1,8 +1,8 @@
 (** Scratch state shared by the measurement harnesses (E12 {!Incremental},
     E14 {!Serve_bench}, E15 {!Chaos}, E17 {!Editstorm}): throw-away
     directories that are always removed, a scratch {!Phplang.Store} root
-    that is always restored, in-process daemons that are always shut down,
-    and the nearest-rank percentile their latency rows report. *)
+    that is always restored, and in-process daemons that are always shut
+    down. *)
 
 let rec rm_rf path =
   if Sys.file_exists path then
@@ -71,13 +71,3 @@ let with_daemon cfg sock f =
     Thread.join daemon
   in
   Fun.protect ~finally:stop f
-
-(** Nearest-rank percentile [p] (0–100) of [xs]; 0 for no samples. *)
-let percentile xs p =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  let n = Array.length a in
-  if n = 0 then 0.
-  else
-    let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) - 1 in
-    a.(max 0 (min (n - 1) rank))

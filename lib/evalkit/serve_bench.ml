@@ -91,8 +91,8 @@ let run_pass ~sock ~clients requests =
   {
     sp_wall_s = wall;
     sp_rps = (if wall > 0. then float_of_int n /. wall else 0.);
-    sp_p50_ms = Scratch.percentile lats 50.;
-    sp_p99_ms = Scratch.percentile lats 99.;
+    sp_p50_ms = Obs.percentile lats 50.;
+    sp_p99_ms = Obs.percentile lats 99.;
   }
 
 (* ------------------------------------------------------------------ *)

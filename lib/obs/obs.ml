@@ -38,7 +38,6 @@ type buffer = {
   mutable buf_events : event list;  (** reversed *)
   mutable buf_depth : int;  (** open spans on this domain *)
   mutable buf_seq : int;
-  buf_counters : (string, int ref) Hashtbl.t;
   buf_spans : (string, int ref * int64 ref) Hashtbl.t;
 }
 
@@ -53,16 +52,89 @@ let buffer_key =
           buf_events = [];
           buf_depth = 0;
           buf_seq = 0;
-          buf_counters = Hashtbl.create 32;
           buf_spans = Hashtbl.create 32;
         }
       in
-      Mutex.lock registry_lock;
-      registry := b :: !registry;
-      Mutex.unlock registry_lock;
+      Mutex.protect registry_lock (fun () -> registry := b :: !registry);
       b)
 
 let buffer () = Domain.DLS.get buffer_key
+
+(* ------------------------------------------------------------------ *)
+(* Counters: always on, one shard per domain                          *)
+(* ------------------------------------------------------------------ *)
+
+(** A domain's counters.  The systhreads of one domain share its shard
+    (the daemon's connection threads and its scheduler thread all count
+    in the main domain), so every access takes [sh_lock].  At domain exit
+    the shard is folded into [retired] and unregistered, so the domains
+    [Sched.map] spawns per call do not pile up. *)
+type shard = {
+  sh_lock : Mutex.t;
+  sh_counts : (string, int ref) Hashtbl.t;
+  mutable sh_live : bool;  (** false once folded into [retired] *)
+}
+
+(* [shards_lock] guards [shards] and [retired], and is always taken
+   before any [sh_lock]. *)
+let shards : shard list ref = ref []
+let retired : (string, int ref) Hashtbl.t = Hashtbl.create 32
+let shards_lock = Mutex.create ()
+
+let bump tbl name n =
+  match Hashtbl.find tbl name with
+  | r -> r := !r + n
+  | exception Not_found -> Hashtbl.replace tbl name (ref n)
+
+let retire s () =
+  Mutex.protect shards_lock (fun () ->
+      Mutex.protect s.sh_lock (fun () ->
+          Hashtbl.iter (fun name r -> bump retired name !r) s.sh_counts;
+          s.sh_live <- false);
+      shards := List.filter (fun s' -> s' != s) !shards)
+
+let shard_key =
+  Domain.DLS.new_key (fun () ->
+      let s =
+        { sh_lock = Mutex.create (); sh_counts = Hashtbl.create 32;
+          sh_live = true }
+      in
+      Mutex.protect shards_lock (fun () -> shards := s :: !shards);
+      Domain.at_exit (retire s);
+      s)
+
+let add name n =
+  let s = Domain.DLS.get shard_key in
+  Mutex.lock s.sh_lock;
+  let live = s.sh_live in
+  if live then bump s.sh_counts name n;
+  Mutex.unlock s.sh_lock;
+  (* a count from an exit callback that runs after [retire] *)
+  if not live then Mutex.protect shards_lock (fun () -> bump retired name n)
+
+let incr name = add name 1
+
+let by_name (a, _) (b, _) = String.compare a b
+
+(* [f] over [retired] and every live shard's table, each under its lock *)
+let fold_shards f acc =
+  Mutex.protect shards_lock (fun () ->
+      List.fold_left
+        (fun acc s -> Mutex.protect s.sh_lock (fun () -> f acc s.sh_counts))
+        (f acc retired) !shards)
+
+let counters () =
+  let sum = Hashtbl.create 32 in
+  fold_shards
+    (fun () tbl -> Hashtbl.iter (fun name r -> bump sum name !r) tbl)
+    ();
+  List.sort by_name (Hashtbl.fold (fun k r acc -> (k, !r) :: acc) sum [])
+
+let counter name =
+  fold_shards
+    (fun acc tbl ->
+      match Hashtbl.find_opt tbl name with Some r -> acc + !r | None -> acc)
+    0
 
 let gauges : (string, float) Hashtbl.t = Hashtbl.create 16
 let gauges_lock = Mutex.create ()
@@ -79,37 +151,21 @@ let set_enabled b =
   Atomic.set enabled_flag b
 
 let reset () =
-  Mutex.lock registry_lock;
-  List.iter
-    (fun b ->
-      b.buf_events <- [];
-      b.buf_depth <- 0;
-      b.buf_seq <- 0;
-      Hashtbl.reset b.buf_counters;
-      Hashtbl.reset b.buf_spans)
-    !registry;
-  Mutex.unlock registry_lock;
-  Mutex.lock gauges_lock;
-  Hashtbl.reset gauges;
-  Mutex.unlock gauges_lock;
+  Mutex.protect registry_lock (fun () ->
+      List.iter
+        (fun b ->
+          b.buf_events <- [];
+          b.buf_depth <- 0;
+          b.buf_seq <- 0;
+          Hashtbl.reset b.buf_spans)
+        !registry);
+  fold_shards (fun () tbl -> Hashtbl.reset tbl) ();
+  Mutex.protect gauges_lock (fun () -> Hashtbl.reset gauges);
   Atomic.set epoch_ns (Clock.now_ns ())
 
-let add name n =
-  if Atomic.get enabled_flag then begin
-    let b = buffer () in
-    match Hashtbl.find_opt b.buf_counters name with
-    | Some r -> r := !r + n
-    | None -> Hashtbl.replace b.buf_counters name (ref n)
-  end
-
-let incr name = add name 1
-
 let set_gauge name v =
-  if Atomic.get enabled_flag then begin
-    Mutex.lock gauges_lock;
-    Hashtbl.replace gauges name v;
-    Mutex.unlock gauges_lock
-  end
+  if Atomic.get enabled_flag then
+    Mutex.protect gauges_lock (fun () -> Hashtbl.replace gauges name v)
 
 let record_span b name ~depth ~t0 =
   let t1 = Clock.now_ns () in
@@ -148,65 +204,31 @@ let span name f =
         raise e
   end
 
-(* ------------------------------------------------------------------ *)
-(* Mirrored counters                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let by_name (a, _) (b, _) = String.compare a b
-
+(* the former mirrored-counter API, kept only for perfbench/ *)
 module Mirror = struct
-  let table : (string, int ref) Hashtbl.t = Hashtbl.create 16
-  let lock = Mutex.create ()
-
-  let add name n =
-    add name n;
-    Mutex.lock lock;
-    (match Hashtbl.find_opt table name with
-    | Some r -> r := !r + n
-    | None -> Hashtbl.replace table name (ref n));
-    Mutex.unlock lock
-
-  let incr name = add name 1
-
-  let get name =
-    Mutex.lock lock;
-    let v =
-      match Hashtbl.find_opt table name with Some r -> !r | None -> 0
-    in
-    Mutex.unlock lock;
-    v
-
-  let all () =
-    Mutex.lock lock;
-    let l = Hashtbl.fold (fun k r acc -> (k, !r) :: acc) table [] in
-    Mutex.unlock lock;
-    List.sort by_name l
-
-  let reset () =
-    Mutex.lock lock;
-    Hashtbl.reset table;
-    Mutex.unlock lock
+  let get = counter
+  let reset = reset
 end
+
+let percentile xs p =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  let n = Array.length a in
+  if n = 0 then 0.
+  else
+    let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) - 1 in
+    a.(max 0 (min (n - 1) rank))
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot merge                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let snapshot () =
-  Mutex.lock registry_lock;
-  let buffers = !registry in
-  Mutex.unlock registry_lock;
-  let counters = Hashtbl.create 32 in
+  let buffers = Mutex.protect registry_lock (fun () -> !registry) in
   let spans = Hashtbl.create 32 in
   let events = ref [] in
   List.iter
     (fun b ->
-      Hashtbl.iter
-        (fun name r ->
-          match Hashtbl.find_opt counters name with
-          | Some acc -> acc := !acc + !r
-          | None -> Hashtbl.replace counters name (ref !r))
-        b.buf_counters;
       Hashtbl.iter
         (fun name (count, total) ->
           match Hashtbl.find_opt spans name with
@@ -217,13 +239,12 @@ let snapshot () =
         b.buf_spans;
       events := List.rev_append b.buf_events !events)
     buffers;
-  Mutex.lock gauges_lock;
-  let gs = Hashtbl.fold (fun k v acc -> (k, v) :: acc) gauges [] in
-  Mutex.unlock gauges_lock;
+  let gs =
+    Mutex.protect gauges_lock (fun () ->
+        Hashtbl.fold (fun k v acc -> (k, v) :: acc) gauges [])
+  in
   {
-    sn_counters =
-      Hashtbl.fold (fun k r acc -> (k, !r) :: acc) counters []
-      |> List.sort by_name;
+    sn_counters = counters ();
     sn_gauges = List.sort by_name gs;
     sn_spans =
       Hashtbl.fold

@@ -2,16 +2,22 @@
     the whole analysis stack, with domain-safe per-worker buffers and three
     exporters (human summary, Chrome trace-event JSON, metrics JSON).
 
-    Instrumentation points call {!span}, {!incr}, {!add} and {!set_gauge}
-    unconditionally; all four are no-ops while recording is disabled (the
-    default), so the instrumented hot paths pay one atomic load and nothing
-    else.  Drivers that want data call [set_enabled true] before the run and
-    {!snapshot} after it.
+    Counters are always on: {!incr} and {!add} count whether or not
+    recording is enabled, and any thread may read them at any time with
+    {!counter} and {!counters}.  Spans, events and gauges are recorded only
+    while recording is enabled (off by default), so the instrumented hot
+    paths pay one atomic load for them and nothing else.  Drivers that want
+    a trace call [set_enabled true] before the run and {!snapshot} after it.
 
-    Concurrency model: every domain records into its own buffer
-    ([Domain.DLS]), so workers spawned by [Sched.map] never contend; buffers
-    register themselves in a global list on first use.  {!snapshot} and
-    {!reset} must be called from a quiescent main domain (no workers
+    Concurrency model: every domain records spans into its own buffer
+    ([Domain.DLS]), so workers spawned by [Sched.map] never contend;
+    buffers register themselves in a global list on first use.  Counters
+    live in one shard per domain, behind a per-shard mutex because the
+    systhreads of a domain share its shard; a reader sums the shards.  When
+    a domain exits, its shard is folded into a retired total and dropped,
+    so the counts of a joined [Sched.map] are visible to the main domain
+    and a long-running process does not accumulate shards.  {!snapshot}
+    and {!reset} must be called from a quiescent main domain (no workers
     running), which is exactly the drivers' situation — [Sched.map] joins
     all domains before returning.  The merge is deterministic: counters and
     span aggregates are summed and sorted by name, so a parallel run at any
@@ -30,9 +36,10 @@ module Clock : sig
 end
 
 val set_enabled : bool -> unit
-(** Turn recording on or off.  Enabling records the trace epoch: event
-    timestamps in the trace export are relative to the [set_enabled true]
-    call.  Flip only from a quiescent main domain. *)
+(** Turn span, event and gauge recording on or off (counters are always
+    on).  Enabling records the trace epoch: event timestamps in the trace
+    export are relative to the [set_enabled true] call.  Flip only from a
+    quiescent main domain. *)
 
 val enabled : unit -> bool
 
@@ -47,38 +54,37 @@ val span : string -> (unit -> 'a) -> 'a
     recording is disabled this is exactly [f ()]. *)
 
 val incr : string -> unit
-(** Add 1 to a named counter. *)
+(** Add 1 to a named counter, whether or not recording is enabled. *)
 
 val add : string -> int -> unit
-(** Add [n] to a named counter. *)
+(** Add [n] to a named counter.  [add name 0] creates the counter, so it
+    shows in {!counters} with value 0. *)
+
+val counter : string -> int
+(** Current value of a named counter, summed over every domain; 0 for a
+    name never counted.  Safe from any thread at any time. *)
+
+val counters : unit -> (string * int) list
+(** Every counter, summed over every domain and sorted by name.  Safe from
+    any thread at any time. *)
 
 val set_gauge : string -> float -> unit
 (** Set a named gauge (last write wins; main-domain configuration values
     like pool size, not merged counters). *)
 
-(** {1 Mirrored counters}
-
-    A small always-on counter registry for low-frequency machinery counters
-    (the sub-file incremental pipeline: [lexer.ckpt.*], [parser.region.*],
-    [summary.dag.*]).  {!Mirror.incr}/{!Mirror.add} feed both the regular
-    Obs counter (visible in snapshots when recording is enabled) and a
-    mutex-guarded process-global mirror that can be read from {e any}
-    thread at any time — unlike {!snapshot}, which requires a quiescent
-    main domain.  The serving daemon's [metrics] reply reads the mirror
-    from its connection threads. *)
+(** The former mirrored-counter API, kept only for [perfbench/]: the
+    counters it mirrored now live in the registry above. *)
 module Mirror : sig
-  val incr : string -> unit
-  val add : string -> int -> unit
-
   val get : string -> int
-  (** Current mirrored value; 0 for a name never incremented. *)
-
-  val all : unit -> (string * int) list
-  (** Every mirrored counter, sorted by name. *)
+  (** {!counter}. *)
 
   val reset : unit -> unit
-  (** Drop the mirror (the regular Obs counters are untouched). *)
+  (** {!reset}. *)
 end
+
+val percentile : float list -> float -> float
+(** [percentile xs p] is the nearest-rank [p]-th percentile ([p] in
+    0–100) of [xs]; 0 for no samples. *)
 
 (** {1 Snapshots and exporters} *)
 
@@ -98,7 +104,7 @@ type event = {
 }
 
 type snapshot = {
-  sn_counters : (string * int) list;  (** sorted by name *)
+  sn_counters : (string * int) list;  (** {!counters} *)
   sn_gauges : (string * float) list;  (** sorted by name *)
   sn_spans : span_agg list;  (** sorted by name *)
   sn_events : event list;  (** sorted by (domain, seq) *)

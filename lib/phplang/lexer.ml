@@ -675,7 +675,7 @@ let relex (old : lexed) (src : string) : lexed * relex_info =
           ck := c)
       old.lx_ckpts;
     let ck = !ck in
-    Obs.Mirror.incr "lexer.ckpt.resume";
+    Obs.incr "lexer.ckpt.resume";
     let st =
       make_state ~pos:ck.ck_pos ~line:ck.ck_line ~in_php:ck.ck_in_php src
     in
@@ -704,7 +704,7 @@ let relex (old : lexed) (src : string) : lexed * relex_info =
             end
           end
         done);
-    Obs.Mirror.add "lexer.ckpt.resync_tokens" !fresh_count;
+    Obs.add "lexer.ckpt.resync_tokens" !fresh_count;
     let fresh = List.rev !fresh in
     let resync = if !resync >= 0 then Some !resync else None in
     let line_delta =

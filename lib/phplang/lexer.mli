@@ -15,6 +15,9 @@ val two_char_ops : (string * Token.kind) list
     dispatch is derived from this list.  [===], [!==], [?>] and [<<<] are
     recognised separately. *)
 
+val is_significant : Token.t -> bool
+(** [false] for whitespace and comment tokens. *)
+
 val significant : Token.t list -> Token.t list
 (** Drop whitespace and comment tokens — phpSAFE "cleans the AST by removing
     comments and extra whitespaces" (§III.B). *)

@@ -225,6 +225,13 @@ module Parse_cache = struct
     await ()
 end
 
+(* The disk-tier ({!Store}) key of a parse artifact: it depends on the
+   path (recorded in positions), the source bytes and the parser nesting
+   fuel ([--budget-parse-depth]); nothing else reaches the front end. *)
+let parse_store_key ~path ~source =
+  Digest.combine
+    [ path; Digest.hex source; string_of_int (Parser.nesting_limit ()) ]
+
 (** Parse [f], memoized in [cache] (default: {!Parse_cache.shared}) unless
     the cache is globally disabled.  [Error _] is a parse failure — cached
     too, so a broken file is diagnosed once, not once per tool.  Lexer
@@ -241,19 +248,14 @@ let parse_file ?(cache = Parse_cache.shared) (f : file) :
         Error (Syntax (Printf.sprintf "lexical error on line %d: %s" line msg))
     | exception Parser.Depth_exceeded (msg, _) -> Error (Over_budget msg)
   in
-  (* Disk tier ({!Store}): the parse artifact depends on the path (recorded
-     in positions), the source bytes and the parser nesting fuel
-     ([--budget-parse-depth]); nothing else reaches the front end.  The
-     disk lookup sits inside the in-memory memo's miss path, so the
-     exactly-once-per-process guarantee is untouched — a disk hit simply
-     replaces the parse work by an unmarshal. *)
+  (* Disk tier ({!Store}), under {!parse_store_key}.  The disk lookup sits
+     inside the in-memory memo's miss path, so the exactly-once-per-process
+     guarantee is untouched — a disk hit simply replaces the parse work by
+     an unmarshal. *)
   let parse_via_store () =
     if not (Store.enabled ()) then parse ()
     else begin
-      let key =
-        Digest.combine
-          [ f.path; Digest.hex f.source; string_of_int (Parser.nesting_limit ()) ]
-      in
+      let key = parse_store_key ~path:f.path ~source:f.source in
       match Store.get ~ns:"parse" ~key with
       | Some v -> v
       | None ->
@@ -343,23 +345,12 @@ module Increment = struct
 
   let create () = { ses_files = Hashtbl.create 16 }
 
-  (* Verification mode (tests, E17): after every sub-file splice, re-parse
-     the whole file and compare structural digests.  A mismatch uses the
-     full parse (safety) and bumps [parser.region.verify_mismatch]. *)
-  let verify_flag = Atomic.make false
-  let set_verify b = Atomic.set verify_flag b
-
-  let is_significant (t : Token.t) =
-    match t.Token.kind with
-    | Token.T_WHITESPACE | Token.T_COMMENT | Token.T_DOC_COMMENT -> false
-    | _ -> true
-
   let sig_of (lx : Lexer.lexed) : Token.t array * int array =
     let n = Array.length lx.Lexer.lx_tokens in
     let toks = ref [] and raws = ref [] in
     for i = n - 1 downto 0 do
       let t = lx.Lexer.lx_tokens.(i) in
-      if is_significant t then begin
+      if Lexer.is_significant t then begin
         toks := t :: !toks;
         raws := i :: !raws
       end
@@ -509,7 +500,7 @@ module Increment = struct
                 match Parser.parse_region ~file:path nsig ~start:r_lo ~stop:stop_new with
                 | None -> None
                 | Some (fresh_stmts, fresh_spans) ->
-                    Obs.Mirror.incr "parser.region.reparse";
+                    Obs.incr "parser.region.reparse";
                     let rec split n acc = function
                       | rest when n = 0 -> (List.rev acc, rest)
                       | x :: rest -> split (n - 1) (x :: acc) rest
@@ -566,24 +557,6 @@ module Increment = struct
             in
             match spliced with
             | Some (program, spans) ->
-                let program, spans =
-                  if Atomic.get verify_flag then begin
-                    let fresult, fspans = parse_sig ~path nsig in
-                    match fresult with
-                    | Ok fprog
-                      when String.equal
-                             (Digest.structural fprog)
-                             (Digest.structural program) ->
-                        (program, spans)
-                    | Ok fprog ->
-                        Obs.Mirror.incr "parser.region.verify_mismatch";
-                        (fprog, fspans)
-                    | Error _ ->
-                        Obs.Mirror.incr "parser.region.verify_mismatch";
-                        (program, spans)
-                  end
-                  else (program, spans)
-                in
                 {
                   ie_source = source;
                   ie_lexed = Some nlx;
@@ -593,7 +566,7 @@ module Increment = struct
                   ie_spans = spans;
                 }
             | None ->
-                Obs.Mirror.incr "parser.region.fallback";
+                Obs.incr "parser.region.fallback";
                 let result, spans = parse_sig ~path nsig in
                 {
                   ie_source = source;
@@ -610,13 +583,8 @@ module Increment = struct
   let seed_caches ~path ~source result =
     if Parse_cache.enabled () then
       Parse_cache.seed Parse_cache.shared (path, Digest.string source) result;
-    if Store.enabled () then begin
-      let key =
-        Digest.combine
-          [ path; Digest.hex source; string_of_int (Parser.nesting_limit ()) ]
-      in
-      Store.put ~ns:"parse" ~key result
-    end
+    if Store.enabled () then
+      Store.put ~ns:"parse" ~key:(parse_store_key ~path ~source) result
 
   let update session ~path ~source : (Ast.program, parse_error) result =
     match Hashtbl.find_opt session.ses_files path with

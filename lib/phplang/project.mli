@@ -114,9 +114,8 @@ val include_closure :
     ({!Parser.parse_region}) and splices it into the cached AST with the
     unchanged suffix's positions rebased; any ambiguity falls back to a
     whole-file parse, counted in [parser.region.fallback].  Results are
-    byte-identical to {!parse_file} on the same input (verifiable per
-    update with {!Increment.set_verify}) and are published into
-    {!Parse_cache.shared} and the disk {!Store} under {!parse_file}'s
+    byte-identical to {!parse_file} on the same input and are published
+    into {!Parse_cache.shared} and the disk {!Store} under {!parse_file}'s
     keys, so downstream analyzers hit transparently. *)
 module Increment : sig
   type session
@@ -137,11 +136,6 @@ module Increment : sig
     session -> string -> (Ast.program, parse_error) result option
   (** Last known result for [path], if the session has seen it. *)
 
-  val set_verify : bool -> unit
-  (** When on, every sub-file splice is checked against a whole-file parse
-      (structural digests must match; a mismatch bumps
-      [parser.region.verify_mismatch] and uses the full parse).  For tests
-      and E17; process-global. *)
 end
 
 val load : string -> t

@@ -95,38 +95,8 @@ let effective_ns ns =
 (* Hit / miss / store accounting, per namespace                        *)
 (* ------------------------------------------------------------------ *)
 
-type counter = {
-  mutable hit : int;
-  mutable miss : int;
-  mutable store : int;
-  mutable write_error : int;
-}
-
-let counters_lock = Mutex.create ()
-let counters_tbl : (string, counter) Hashtbl.t = Hashtbl.create 8
-
-let counter_for ns =
-  Mutex.lock counters_lock;
-  let c =
-    match Hashtbl.find_opt counters_tbl ns with
-    | Some c -> c
-    | None ->
-        let c = { hit = 0; miss = 0; store = 0; write_error = 0 } in
-        Hashtbl.replace counters_tbl ns c;
-        c
-  in
-  Mutex.unlock counters_lock;
-  c
-
+(* The counts live only in {!Obs}, as [cache.<ns>.<field>]. *)
 let count ns what =
-  let c = counter_for ns in
-  Mutex.lock counters_lock;
-  (match what with
-  | `Hit -> c.hit <- c.hit + 1
-  | `Miss -> c.miss <- c.miss + 1
-  | `Store -> c.store <- c.store + 1
-  | `Write_error -> c.write_error <- c.write_error + 1);
-  Mutex.unlock counters_lock;
   Obs.incr
     (Printf.sprintf "cache.%s.%s" ns
        (match what with
@@ -143,28 +113,35 @@ type stats = {
   write_errors : int;
 }
 
+(* [cache.<ns>.<field>] split at the last '.': tenant names may contain
+   dots, and other [cache.*] counters ([cache.pruned],
+   [cache.fsck.quarantined], [cache.result.replayed.<tool>]) have no
+   accounting field, so they never show up as namespaces. *)
 let counters () =
-  Mutex.lock counters_lock;
-  let out =
-    Hashtbl.fold
-      (fun ns c acc ->
-        {
-          ns;
-          hits = c.hit;
-          misses = c.miss;
-          stores = c.store;
-          write_errors = c.write_error;
-        }
-        :: acc)
-      counters_tbl []
+  let tbl = Hashtbl.create 8 in
+  let zero ns = { ns; hits = 0; misses = 0; stores = 0; write_errors = 0 } in
+  let set ns f =
+    Hashtbl.replace tbl ns
+      (f (Option.value (Hashtbl.find_opt tbl ns) ~default:(zero ns)))
   in
-  Mutex.unlock counters_lock;
-  List.sort (fun a b -> String.compare a.ns b.ns) out
+  List.iter
+    (fun (name, v) ->
+      match String.rindex_opt name '.' with
+      | Some i when i > 6 && String.starts_with ~prefix:"cache." name -> (
+          let set = set (String.sub name 6 (i - 6)) in
+          match String.sub name (i + 1) (String.length name - i - 1) with
+          | "hit" -> set (fun s -> { s with hits = v })
+          | "miss" -> set (fun s -> { s with misses = v })
+          | "store" -> set (fun s -> { s with stores = v })
+          | "write_error" -> set (fun s -> { s with write_errors = v })
+          | _ -> ())
+      | _ -> ())
+    (Obs.counters ());
+  List.sort
+    (fun a b -> String.compare a.ns b.ns)
+    (Hashtbl.fold (fun _ s acc -> s :: acc) tbl [])
 
-let reset_counters () =
-  Mutex.lock counters_lock;
-  Hashtbl.reset counters_tbl;
-  Mutex.unlock counters_lock
+let reset_counters = Obs.reset
 
 let pp_counters ppf () =
   List.iter

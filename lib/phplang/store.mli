@@ -41,9 +41,12 @@ type stats = {
 
 val counters : unit -> stats list
 (** Per-namespace hit/miss/store/write-error counts since start (or the
-    last {!reset_counters}), sorted by namespace. *)
+    last {!Obs.reset}), sorted by namespace.  The counts live only in
+    {!Obs}, as [cache.<ns>.hit], [.miss], [.store] and [.write_error];
+    this is a view of them, safe from any thread. *)
 
 val reset_counters : unit -> unit
+(** {!Obs.reset}, kept only for [perfbench/]. *)
 
 val pp_counters : Format.formatter -> unit -> unit
 

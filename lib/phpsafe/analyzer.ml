@@ -586,8 +586,8 @@ let track_definition_dag (c : ctx) (ic : icache) (analyzable : string list) =
       (fun k () acc -> if Hashtbl.mem table k then acc + 1 else acc)
       invalidated 0
   in
-  Obs.Mirror.add "summary.dag.invalidated" inv;
-  Obs.Mirror.add "summary.dag.retained" (max 0 (!total - inv))
+  Obs.add "summary.dag.invalidated" inv;
+  Obs.add "summary.dag.retained" (max 0 (!total - inv))
 
 (** What the summary cache persists: the summary, the findings emitted
     while it was being built (a sink inside the body fed directly by a

@@ -62,7 +62,7 @@ val set_dag_tracking : bool -> unit
     namespace ["defdigest"]) and diffs it against the previous run's: a
     definition whose body changed — plus every transitive caller over the
     call graph — counts as [summary.dag.invalidated], the rest as
-    [summary.dag.retained] (both {!Obs.Mirror} counters).  The invalidated
+    [summary.dag.retained] (both {!Obs} counters).  The invalidated
     set is exactly the set whose content-addressed summary keys changed,
     so the counters measure how much summary reuse an edit preserved.
     Used by watch mode, the daemon and E17; plain batch runs leave it off

@@ -54,18 +54,6 @@ module Latency = struct
     t.next <- (t.next + 1) mod ring_size;
     if t.filled < ring_size then t.filled <- t.filled + 1
 
-  (* nearest-rank percentile over the retained window *)
-  let percentile t p =
-    if t.filled = 0 then 0.
-    else begin
-      let sorted = Array.sub t.ring 0 t.filled in
-      Array.sort compare sorted;
-      let rank =
-        int_of_float (ceil (p /. 100. *. float_of_int t.filled)) - 1
-      in
-      sorted.(max 0 (min (t.filled - 1) rank))
-    end
-
   let mean t = if t.count = 0 then 0. else t.sum_ms /. float_of_int t.count
 end
 
@@ -229,8 +217,10 @@ let metrics_reply t id =
   let inflight = t.inflight in
   let lat_count = t.lat.Latency.count in
   let lat_mean = Latency.mean t.lat in
-  let lat_p50 = Latency.percentile t.lat 50. in
-  let lat_p99 = Latency.percentile t.lat 99. in
+  (* percentiles over the retained window *)
+  let window = List.init t.lat.Latency.filled (Array.get t.lat.Latency.ring) in
+  let lat_p50 = Obs.percentile window 50. in
+  let lat_p99 = Obs.percentile window 99. in
   Mutex.unlock t.m;
   let cache =
     List.map
@@ -245,10 +235,9 @@ let metrics_reply t id =
   in
   (* the sub-file incremental pipeline's process-lifetime counters:
      checkpointed-lexing resumes, region re-parses and their fallbacks,
-     summary-DAG invalidation.  [Obs.Mirror] is always on and readable
-     from this connection thread, unlike an [Obs] snapshot. *)
+     summary-DAG invalidation *)
   let incremental =
-    List.map (fun (k, v) -> (k, Json.Int v)) (Obs.Mirror.all ())
+    List.map (fun (k, v) -> (k, Json.Int v)) (Watch.incremental_counters ())
   in
   Protocol.ok_reply ~op:"metrics" ?id
     [ ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) counters));

@@ -33,6 +33,14 @@ let create opts =
     w_lock = Mutex.create ();
   }
 
+let incremental_counters () =
+  List.filter
+    (fun (name, _) ->
+      List.exists
+        (fun prefix -> String.starts_with ~prefix name)
+        [ "lexer.ckpt."; "parser.region."; "summary.dag." ])
+    (Obs.counters ())
+
 let locked s f =
   Mutex.lock s.w_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock s.w_lock) f

@@ -34,6 +34,12 @@ val create : Scan.opts -> session
     a long-lived incremental consumer, so every scan accounts summary-DAG
     invalidation ([summary.dag.invalidated]/[summary.dag.retained]). *)
 
+val incremental_counters : unit -> (string * int) list
+(** The sub-file incremental pipeline's counters ([lexer.ckpt.*],
+    [parser.region.*], [summary.dag.*]), sorted by name — the
+    [incremental] view of the daemon's [metrics] reply and of the CLI's
+    [--watch] lines.  Safe from any thread. *)
+
 val refresh_sources :
   session -> Phplang.Project.t -> string list * string list
 (** Update the incremental parse session to [project] without analyzing:

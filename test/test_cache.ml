@@ -554,6 +554,76 @@ let disk_cases =
           [ ""; "."; ".."; "a/b"; "a b"; "a\nb" ]);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Counter views                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* a -> b -> c across two files, plus a sibling d next to c *)
+let dag_project c_body =
+  project "dag"
+    [ ("main.php",
+       "<?php\nfunction a($x) { return b($x); }\n\
+        function b($x) { return c($x); }\n");
+      ("lib.php",
+       Printf.sprintf
+         "<?php\nfunction c($x) { %s }\nfunction d($x) { return $x; }\n"
+         c_body) ]
+
+(* [summary.dag.{invalidated,retained}] attributable to one run *)
+let dag_delta ?opts p =
+  let count () =
+    (Obs.counter "summary.dag.invalidated", Obs.counter "summary.dag.retained")
+  in
+  let i0, r0 = count () in
+  ignore (Phpsafe.analyze_project ?opts p : Secflow.Report.result);
+  let i1, r1 = count () in
+  (i1 - i0, r1 - r0)
+
+let counter_cases =
+  [
+    case "summary-DAG counters track edits along the call chain" `Quick
+      (fun () ->
+        with_cache_dir @@ fun _dir ->
+        Phpsafe.Analyzer.set_dag_tracking true;
+        Fun.protect ~finally:(fun () -> Phpsafe.Analyzer.set_dag_tracking false)
+        @@ fun () ->
+        let check ?opts what expect p =
+          Alcotest.(check (pair int int)) what expect (dag_delta ?opts p)
+        in
+        check "first run invalidates every definition" (4, 0)
+          (dag_project "return $x;");
+        check "editing c dirties c and its callers b and a" (3, 1)
+          (dag_project "return $x . 'y';");
+        check "whitespace inside a line moves nothing" (0, 4)
+          (dag_project "return  $x . 'y';");
+        check "a configuration change starts a fresh lineage" (4, 0)
+          ~opts:{ Phpsafe.default_options with Phpsafe.infer_contexts = true }
+          (dag_project "return  $x . 'y';"));
+    case "namespaces split at the last dot" `Quick (fun () ->
+        with_cache_dir @@ fun _dir ->
+        let tenant_project = project "dots" [ vuln_file "x.php" ] in
+        Store.with_tenant (Some "a.b") (fun () ->
+            ignore
+              (Phpsafe.analyze_project tenant_project : Secflow.Report.result));
+        (* a tenant-less warm run replays, bumping
+           cache.result.replayed.phpSAFE *)
+        let p = project "replay" [ vuln_file "y.php" ] in
+        ignore (Phpsafe.analyze_project p : Secflow.Report.result);
+        ignore (Phpsafe.analyze_project p : Secflow.Report.result);
+        let namespaces =
+          List.map (fun (s : Store.stats) -> s.Store.ns) (Store.counters ())
+        in
+        Alcotest.(check bool) "tenant namespace a.b/result" true
+          (List.mem "a.b/result" namespaces);
+        Alcotest.(check bool) "replay counted" true
+          (Obs.counter "cache.result.replayed.phpSAFE" > 0);
+        List.iter
+          (fun ns ->
+            if List.mem ns [ "result.replayed"; "a"; "a.b"; "" ] then
+              Alcotest.failf "bogus namespace %S" ns)
+          namespaces);
+  ]
+
 let () =
   Alcotest.run "cache"
     [ ("warm replay", replay_cases);
@@ -562,4 +632,5 @@ let () =
       ("corruption safety", corruption_cases);
       ("disk faults and fsck", fault_cases);
       ("pool transparency", [ jobs_case ]);
-      ("disk accounting and tenancy", disk_cases) ]
+      ("disk accounting and tenancy", disk_cases);
+      ("counter views", counter_cases) ]

@@ -160,10 +160,10 @@ let check_equivalent session ~path source =
 (* Run a sequence of sources through one session, asserting cold
    equivalence after every step, and return a named counter's delta. *)
 let run_seq ?(counter = "") sources =
-  let before = if counter = "" then 0 else Obs.Mirror.get counter in
+  let before = if counter = "" then 0 else Obs.counter counter in
   let session = Project.Increment.create () in
   List.iter (fun s -> check_equivalent session ~path:"seq.php" s) sources;
-  if counter = "" then 0 else Obs.Mirror.get counter - before
+  if counter = "" then 0 else Obs.counter counter - before
 
 let check_seq name ?counter ?expect_min sources =
   Alcotest.test_case name `Quick (fun () ->
@@ -270,8 +270,8 @@ let seq_cases =
 
 let resume_counted =
   Alcotest.test_case "relex resume and resync are counted" `Quick (fun () ->
-      let before_resume = Obs.Mirror.get "lexer.ckpt.resume" in
-      let before_resync = Obs.Mirror.get "lexer.ckpt.resync_tokens" in
+      let before_resume = Obs.counter "lexer.ckpt.resume" in
+      let before_resync = Obs.counter "lexer.ckpt.resync_tokens" in
       let old = Lexer.lex_all big_src in
       let edited =
         edit ~at:(String.length big_src / 2) ~drop:0 ~insert:"$q = 7; " big_src
@@ -279,8 +279,8 @@ let resume_counted =
       let incr, info = Lexer.relex old edited in
       Alcotest.(check int)
         "one resume" (before_resume + 1)
-        (Obs.Mirror.get "lexer.ckpt.resume");
-      let resynced = Obs.Mirror.get "lexer.ckpt.resync_tokens" - before_resync in
+        (Obs.counter "lexer.ckpt.resume");
+      let resynced = Obs.counter "lexer.ckpt.resync_tokens" - before_resync in
       let total = Array.length incr.Lexer.lx_tokens in
       if resynced <= 0 || resynced >= total / 2 then
         Alcotest.failf "expected a small fresh-token count, got %d of %d"
@@ -291,44 +291,35 @@ let resume_counted =
         Alcotest.fail "no suffix reused")
 
 (* ------------------------------------------------------------------ *)
-(* Randomized edit storm with splice verification                     *)
+(* Randomized edit storm: every splice checked against a cold parse   *)
 (* ------------------------------------------------------------------ *)
 
 let storm =
   Alcotest.test_case "seeded random edit storm" `Quick (fun () ->
-      Project.Increment.set_verify true;
-      Fun.protect
-        ~finally:(fun () -> Project.Increment.set_verify false)
-        (fun () ->
-          let mismatch0 = Obs.Mirror.get "parser.region.verify_mismatch" in
-          let rng = Random.State.make [| 0x5afe |] in
-          let alphabet = "abc $_='\";{}()<>?+.\n1x" in
-          let session = Project.Increment.create () in
-          let src = ref big_src in
-          check_equivalent session ~path:"storm.php" !src;
-          for _ = 1 to 120 do
-            let len = String.length !src in
-            let at = Random.State.int rng (len - 1) in
-            let drop =
-              if Random.State.bool rng then 0
-              else min (Random.State.int rng 12) (len - at - 1)
-            in
-            let insert =
-              if Random.State.bool rng then ""
-              else
-                String.init
-                  (1 + Random.State.int rng 8)
-                  (fun _ ->
-                    alphabet.[Random.State.int rng (String.length alphabet)])
-            in
-            if drop > 0 || insert <> "" then begin
-              src := edit ~at ~drop ~insert !src;
-              check_equivalent session ~path:"storm.php" !src
-            end
-          done;
-          Alcotest.(check int)
-            "no splice/full mismatches" mismatch0
-            (Obs.Mirror.get "parser.region.verify_mismatch")))
+      let rng = Random.State.make [| 0x5afe |] in
+      let alphabet = "abc $_='\";{}()<>?+.\n1x" in
+      let session = Project.Increment.create () in
+      let src = ref big_src in
+      check_equivalent session ~path:"storm.php" !src;
+      for _ = 1 to 120 do
+        let len = String.length !src in
+        let at = Random.State.int rng (len - 1) in
+        let drop =
+          if Random.State.bool rng then 0
+          else min (Random.State.int rng 12) (len - at - 1)
+        in
+        let insert =
+          if Random.State.bool rng then ""
+          else
+            String.init
+              (1 + Random.State.int rng 8)
+              (fun _ -> alphabet.[Random.State.int rng (String.length alphabet)])
+        in
+        if drop > 0 || insert <> "" then begin
+          src := edit ~at ~drop ~insert !src;
+          check_equivalent session ~path:"storm.php" !src
+        end
+      done)
 
 let () =
   Alcotest.run "increment"

@@ -172,7 +172,9 @@ let span_cases =
         Obs.incr "c";
         let s = Obs.snapshot () in
         Alcotest.(check int) "no events" 0 (List.length s.Obs.sn_events);
-        Alcotest.(check int) "no counters" 0 (List.length s.Obs.sn_counters));
+        Alcotest.(check (option int))
+          "a counter incremented while disabled is counted" (Some 1)
+          (List.assoc_opt "c" s.Obs.sn_counters));
     case "span nesting, ordering and timing" `Quick (fun () ->
         with_obs (fun () ->
             let r =
@@ -238,6 +240,55 @@ let span_cases =
               s.Obs.sn_counters;
             Alcotest.(check (list (pair string (float 1e-9))))
               "gauges" [ ("g", 4.5) ] s.Obs.sn_gauges));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Counter registry: any thread counts and reads                      *)
+(* ------------------------------------------------------------------ *)
+
+let registry_cases =
+  [
+    case "systhreads and domains count exactly under a polling reader"
+      `Quick (fun () ->
+        let name = "test.registry.shared" and per_writer = 10_000 in
+        let before = Obs.counter name in
+        let write () =
+          for _ = 1 to per_writer do
+            Obs.incr name
+          done
+        in
+        let stop = Atomic.make false and polls = ref 0 in
+        let reader =
+          Thread.create
+            (fun () ->
+              while not (Atomic.get stop) do
+                ignore (Obs.counters () : (string * int) list);
+                Stdlib.incr polls;
+                Thread.yield ()
+              done)
+            ()
+        in
+        let threads = List.init 4 (fun _ -> Thread.create write ()) in
+        let domains = List.init 2 (fun _ -> Domain.spawn write) in
+        List.iter Thread.join threads;
+        List.iter Domain.join domains;
+        Atomic.set stop true;
+        Thread.join reader;
+        Alcotest.(check int) "every increment counted" (6 * per_writer)
+          (Obs.counter name - before);
+        Alcotest.(check (option int))
+          "counters agrees with counter"
+          (Some (Obs.counter name))
+          (List.assoc_opt name (Obs.counters ()));
+        Alcotest.(check bool) "the reader polled" true (!polls > 0));
+    case "1,000 joined domains each count once" `Quick (fun () ->
+        let name = "test.registry.domains" in
+        let before = Obs.counter name in
+        for _ = 1 to 1_000 do
+          Domain.join (Domain.spawn (fun () -> Obs.incr name))
+        done;
+        Alcotest.(check int) "retired shards keep their counts" 1_000
+          (Obs.counter name - before));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -428,6 +479,7 @@ let () =
   Alcotest.run "obs"
     [
       ("spans", span_cases);
+      ("registry", registry_cases);
       ("determinism", determinism_cases);
       ("exporters", exporter_cases);
       ("golden tables", golden_cases);
