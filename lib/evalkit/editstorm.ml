@@ -9,7 +9,8 @@
 
     - {e incremental}: the long-lived warm path — the edited file goes
       through {!Phplang.Project.Increment.update} (checkpointed re-lexing
-      of the damaged region, region re-parse, AST splice), the persistent
+      of the damaged region, re-parse of the changed top-level statements
+      only, the others reused), the persistent
       {!Phplang.Store} stays on, and the analysis replays unchanged
       summaries and per-file results from cache for every plugin;
     - {e full}: the cold path — the store is disabled, the in-memory parse
@@ -19,9 +20,9 @@
     The two rendered reports must be byte-identical after every edit —
     incrementality is an accelerator, never an approximation.  Four edit
     shapes exercise every pipeline path: [single-def] (a statement
-    inserted into one function body — the region re-parse sweet spot),
+    inserted into one function body — one statement re-parsed),
     [whitespace] (lexically trivial damage), [cross-def] (one update
-    touching two definitions — the counted region fallback), and
+    touching two definitions — both re-parsed, no fallback), and
     [signature] (a parameter added — summary-DAG invalidation of the
     def and its callers). *)
 
@@ -198,11 +199,8 @@ let measure ?(seed = default_seed) ?(edits = default_edits) ?corpus () :
   let current_corpus () = current_project () :: others in
   Scratch.with_store "e17-store" @@ fun store_dir ->
   let session = Phplang.Project.Increment.create () in
-  Phpsafe.Analyzer.set_dag_tracking true;
   Fun.protect
-    ~finally:(fun () ->
-      Phpsafe.Analyzer.set_dag_tracking false;
-      Phplang.Project.Parse_cache.set_enabled true)
+    ~finally:(fun () -> Phplang.Project.Parse_cache.set_enabled true)
   @@ fun () ->
   (* warm-up: populate the store (every plugin) and the incremental
      session (untimed) *)
@@ -246,7 +244,7 @@ let measure ?(seed = default_seed) ?(edits = default_edits) ?corpus () :
     | Some src' ->
         Hashtbl.replace sources path src';
         let projects = current_corpus () in
-        (* incremental (warm) pass: damaged-region re-parse on the edited
+        (* incremental (warm) pass: statement-reuse re-parse of the edited
            file, then cached summary/result replay across the corpus *)
         let t0 = Obs.Clock.now () in
         ignore

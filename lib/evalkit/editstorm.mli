@@ -1,7 +1,7 @@
 (** E17 — sub-file incremental re-analysis under a deterministic edit
     storm: per-edit wall clock of the warm incremental pipeline
-    (checkpointed re-lexing, region re-parse, cached summary/result
-    replay) against a cold full re-analysis of the same bytes, with
+    (checkpointed re-lexing, statement-reuse re-parse, cached
+    summary/result replay) against a cold full re-analysis of the same bytes, with
     byte-identical-report verification after every edit.  See editstorm.ml
     for the edit shapes and what each exercises. *)
 

@@ -613,14 +613,7 @@ let token_index_of_start (starts : int array) pos =
   done;
   if !found < 0 then None else Some !found
 
-type relex_info = {
-  rl_prefix : int;  (* old tokens [0, rl_prefix) reused verbatim *)
-  rl_old_suffix : int;  (* old tokens [rl_old_suffix, n_old) reused *)
-  rl_new_suffix : int;  (* ... appearing at [rl_new_suffix, n_new) *)
-  rl_line_delta : int;  (* line shift applied to the reused suffix *)
-}
-
-let relex (old : lexed) (src : string) : lexed * relex_info =
+let relex (old : lexed) (src : string) : lexed =
   let olen = String.length old.lx_src and nlen = String.length src in
   let n_old = Array.length old.lx_tokens in
   (* damage region = everything between the byte-level common prefix and
@@ -629,14 +622,7 @@ let relex (old : lexed) (src : string) : lexed * relex_info =
   let p = ref 0 in
   while !p < maxp && old.lx_src.[!p] = src.[!p] do Stdlib.incr p done;
   let p = !p in
-  if p = olen && olen = nlen then
-    ( old,
-      {
-        rl_prefix = n_old;
-        rl_old_suffix = n_old;
-        rl_new_suffix = n_old;
-        rl_line_delta = 0;
-      } )
+  if p = olen && olen = nlen then old
   else begin
     let s = ref 0 in
     let maxs = maxp - p in
@@ -745,33 +731,13 @@ let relex (old : lexed) (src : string) : lexed * relex_info =
         tokens.(i) <- Token.make Token.T_EOF "" st.line;
         starts_a.(i) <- nlen;
         php_a.(i) <- st.in_php);
-    let result =
-      {
-        lx_src = src;
-        lx_tokens = tokens;
-        lx_starts = starts_a;
-        lx_php = php_a;
-        lx_ckpts = derive_ckpts tokens starts_a php_a;
-      }
-    in
-    let info =
-      match resync with
-      | Some i ->
-          {
-            rl_prefix = ck.ck_index;
-            rl_old_suffix = i;
-            rl_new_suffix = ck.ck_index + !fresh_count;
-            rl_line_delta = line_delta;
-          }
-      | None ->
-          {
-            rl_prefix = ck.ck_index;
-            rl_old_suffix = n_old;
-            rl_new_suffix = n_new;
-            rl_line_delta = 0;
-          }
-    in
-    (result, info)
+    {
+      lx_src = src;
+      lx_tokens = tokens;
+      lx_starts = starts_a;
+      lx_php = php_a;
+      lx_ckpts = derive_ckpts tokens starts_a php_a;
+    }
   end
 
 let tokens_of_lexed (l : lexed) = Array.to_list l.lx_tokens

@@ -53,26 +53,20 @@ type lexed = {
   lx_ckpts : checkpoint array;
 }
 
-type relex_info = {
-  rl_prefix : int;  (** old tokens [0, rl_prefix) reused verbatim *)
-  rl_old_suffix : int;  (** old tokens [rl_old_suffix, n_old) reused... *)
-  rl_new_suffix : int;  (** ...reappearing at [rl_new_suffix, n_new) *)
-  rl_line_delta : int;  (** line shift applied to the reused suffix *)
-}
-
 val checkpoint_interval : int
 
 val lex_all : string -> lexed
 (** Full tokenization with checkpoints; token-for-token identical to
     {!tokenize}.  Raises {!Error} like {!tokenize}. *)
 
-val relex : lexed -> string -> lexed * relex_info
+val relex : lexed -> string -> lexed
 (** [relex old src] re-tokenizes [src] incrementally against the previous
     result [old], resuming from a checkpoint before the first changed byte
     and re-synchronizing with [old]'s token stream after the last changed
     byte.  The result is token-for-token identical to [lex_all src]
-    (reused suffix tokens are rebuilt with shifted line numbers when the
-    edit changed the line count).  Raises {!Error} exactly when
+    (reused tokens are the old [Token.t] values themselves; suffix tokens
+    are rebuilt with shifted line numbers when the edit changed the line
+    count).  Raises {!Error} exactly when
     [lex_all src] would. *)
 
 val tokens_of_lexed : lexed -> Token.t list

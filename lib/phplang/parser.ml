@@ -1120,23 +1120,6 @@ and parse_class st pos is_interface =
 (* Entry points                                                       *)
 (* ------------------------------------------------------------------ *)
 
-and parse_tokens ~file tokens : Ast.program =
-  let st = { tokens = Array.of_list tokens; cur = 0; depth = 0; file } in
-  let rec loop acc =
-    if check st Token.T_EOF then List.rev acc
-    else if check st Token.T_OPEN_TAG then begin
-      ignore (advance st);
-      loop acc
-    end
-    else loop (parse_stmt st :: acc)
-  in
-  loop []
-
-(** Parse a full PHP source file. *)
-and parse_source ~file src : Ast.program =
-  let tokens = Obs.span "phplang.lex" (fun () -> Lexer.tokenize_significant src) in
-  Obs.span "phplang.parse" (fun () -> parse_tokens ~file tokens)
-
 (** Parse a single expression given as PHP text (no [<?php] tag). *)
 and expr_of_string ?(file = "<expr>") src : Ast.expr =
   let tokens = Lexer.significant (Lexer.tokenize ("<?php " ^ src ^ ";")) in
@@ -1145,62 +1128,43 @@ and expr_of_string ?(file = "<expr>") src : Ast.expr =
   let e = parse_expr st in
   e
 
-(* ------------------------------------------------------------------ *)
-(* Region re-parse support                                            *)
-(* ------------------------------------------------------------------ *)
-
 (* A top-level statement's extent in the significant-token array:
    [sp_start, sp_stop).  Skipped T_OPEN_TAG tokens belong to no span (they
    are gaps between spans). *)
 type top_span = { sp_start : int; sp_stop : int }
 
-(* Same loop as [parse_tokens], recording each top-level statement's token
-   extent.  The program is statement-for-statement identical to
-   [parse_tokens] on the same tokens. *)
-let parse_program_spans ~file (tokens : Token.t array) :
-    Ast.program * top_span array =
+(* The one top-level loop.  At each statement start [reuse] may supply a
+   statement already known to span [start, stop) of [tokens]; the loop
+   then jumps to [stop] instead of parsing.  Top-level statements start at
+   nesting depth 0, so a statement's parse depends only on its own tokens
+   and the one token after it. *)
+let parse_program ?reuse ~file tokens : Ast.program * top_span array =
   let st = { tokens; cur = 0; depth = 0; file } in
-  let spans = ref [] in
-  let rec loop acc =
-    if check st Token.T_EOF then
-      (List.rev acc, Array.of_list (List.rev !spans))
-    else if check st Token.T_OPEN_TAG then begin
-      ignore (advance st);
-      loop acc
-    end
-    else begin
-      let start = st.cur in
-      let s = parse_stmt st in
-      spans := { sp_start = start; sp_stop = st.cur } :: !spans;
-      loop (s :: acc)
-    end
-  in
-  loop []
-
-(* Bounded re-parse of a damaged region: parse top-level statements from
-   [start] against the {e full} token array until the cursor lands exactly
-   on [stop].  Parsing against the full array (rather than a slice with a
-   synthetic T_EOF) matters because the grammar accepts T_EOF in place of
-   ';' at statement end — a slice would accept input the whole-file parse
-   rejects.  [None] = the region's last statement overran the boundary
-   (splice ambiguity); the caller falls back to a whole-file parse.
-   Parse_error/Depth_exceeded propagate, as they would from the full
-   parse. *)
-let parse_region ~file (tokens : Token.t array) ~start ~stop :
-    (Ast.stmt list * top_span list) option =
-  let st = { tokens; cur = start; depth = 0; file } in
   let rec loop acc spans =
-    if st.cur >= stop then
-      if st.cur = stop then Some (List.rev acc, List.rev spans) else None
-    else if check st Token.T_EOF then None
+    if check st Token.T_EOF then (List.rev acc, Array.of_list (List.rev spans))
     else if check st Token.T_OPEN_TAG then begin
       ignore (advance st);
       loop acc spans
     end
     else begin
-      let s0 = st.cur in
-      let s = parse_stmt st in
-      loop (s :: acc) ({ sp_start = s0; sp_stop = st.cur } :: spans)
+      let start = st.cur in
+      let reused = match reuse with Some f -> f start | None -> None in
+      let s =
+        match reused with
+        | Some (s, stop) ->
+            st.cur <- stop;
+            s
+        | None -> parse_stmt st
+      in
+      loop (s :: acc) ({ sp_start = start; sp_stop = st.cur } :: spans)
     end
   in
   loop [] []
+
+let parse_tokens ~file tokens : Ast.program =
+  fst (parse_program ~file (Array.of_list tokens))
+
+(** Parse a full PHP source file. *)
+let parse_source ~file src : Ast.program =
+  let tokens = Obs.span "phplang.lex" (fun () -> Lexer.tokenize_significant src) in
+  Obs.span "phplang.parse" (fun () -> parse_tokens ~file tokens)

@@ -35,32 +35,28 @@ val expr_of_string : ?file:string -> string -> Ast.expr
 (** Parse a single PHP expression given without [<?php] tags — used for
     [{$...}] interpolation and convenient in tests. *)
 
-(** {1 Region re-parse}
+(** {1 Statement reuse}
 
-    Support for sub-file incremental parsing: {!parse_program_spans}
-    records each top-level statement's extent in the significant-token
-    array, and {!parse_region} re-parses just a damaged token range,
-    bounded by the old statement's end.  See [Project.Increment] for the
-    splice logic and fallback rules. *)
+    Support for sub-file incremental parsing: {!parse_program} records
+    each top-level statement's extent in the significant-token array and
+    can take already-parsed statements instead of parsing them.  See
+    [Project.Increment] for how reusable statements are found. *)
 
 type top_span = { sp_start : int; sp_stop : int }
 (** A top-level statement's extent [sp_start, sp_stop) in the
     significant-token array.  Skipped [T_OPEN_TAG] tokens belong to no
     span. *)
 
-val parse_program_spans :
-  file:string -> Token.t array -> Ast.program * top_span array
-(** Like {!parse_tokens} on the same (significant) tokens, additionally
-    returning one {!top_span} per top-level statement, in order. *)
-
-val parse_region :
+val parse_program :
+  ?reuse:(int -> (Ast.stmt * int) option) ->
   file:string ->
   Token.t array ->
-  start:int ->
-  stop:int ->
-  (Ast.stmt list * top_span list) option
-(** Parse top-level statements from [start] against the full token array
-    until the cursor lands exactly on [stop].  [None] when the last
-    statement overruns [stop] — the caller must fall back to a whole-file
-    parse.  Raises {!Parse_error}/{!Depth_exceeded} as the full parse
-    would. *)
+  Ast.program * top_span array
+(** Parse significant tokens (terminated by [T_EOF]) into the program and
+    one {!top_span} per top-level statement, in order.  At each statement
+    start [i], [reuse i] may answer [Some (stmt, stop)]: the loop takes
+    [stmt] as the statement spanning [i, stop) and resumes at [stop].  The
+    answer must be what parsing from [i] would give; a top-level
+    statement's parse depends only on its tokens, the one token after
+    them, [file] and the nesting limit.  Raises {!Parse_error} and
+    {!Depth_exceeded} like {!parse_tokens}. *)

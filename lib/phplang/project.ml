@@ -134,9 +134,11 @@ let parse_error_message = function Syntax m | Over_budget m -> m
     parsing twice — the "exactly once" stats guarantee holds under
     parallelism. *)
 module Parse_cache = struct
+  (* [Done (limit, v)]: [v] was parsed (or seeded) under nesting limit
+     [limit]; a lookup under another limit is a miss. *)
   type entry =
     | In_progress
-    | Done of (Ast.program, parse_error) result
+    | Done of int * (Ast.program, parse_error) result
 
   type t = {
     table : (string * string, entry) Hashtbl.t;  (** (path, digest) *)
@@ -181,14 +183,15 @@ module Parse_cache = struct
     Mutex.lock t.lock;
     (match Hashtbl.find_opt t.table key with
     | Some In_progress -> ()
-    | _ -> Hashtbl.replace t.table key (Done v));
+    | _ -> Hashtbl.replace t.table key (Done (Parser.nesting_limit (), v)));
     Mutex.unlock t.lock
 
   let memo t key parse =
+    let limit = Parser.nesting_limit () in
     Mutex.lock t.lock;
     let rec await () =
       match Hashtbl.find_opt t.table key with
-      | Some (Done v) ->
+      | Some (Done (l, v)) when l = limit ->
           Mutex.unlock t.lock;
           Atomic.incr t.hits;
           Obs.incr "phplang.parse_cache.hit";
@@ -196,13 +199,13 @@ module Parse_cache = struct
       | Some In_progress ->
           Condition.wait t.cond t.lock;
           await ()
-      | None -> (
+      | Some (Done _) | None -> (
           Hashtbl.replace t.table key In_progress;
           Mutex.unlock t.lock;
           match parse () with
           | v ->
               Mutex.lock t.lock;
-              Hashtbl.replace t.table key (Done v);
+              Hashtbl.replace t.table key (Done (limit, v));
               Condition.broadcast t.cond;
               Mutex.unlock t.lock;
               Atomic.incr t.misses;
@@ -319,264 +322,129 @@ let include_closure ?(max_depth = max_int) ?(max_files = max_int) ~parse t
 (* ------------------------------------------------------------------ *)
 
 (** Per-file incremental parsing sessions: an edit re-lexes only the
-    damaged region ({!Lexer.relex}), maps the damaged significant tokens to
-    the enclosing top-level statement, re-parses just that region
-    ({!Parser.parse_region}) and splices the fresh statements into the
-    cached AST with the reused suffix's positions rebased
-    ({!Ast.shift_lines}).  Any ambiguity — damage touching several
-    top-level statements, region parse overrunning its boundary, a
-    previously failed parse — falls back to a whole-file parse, counted in
-    [parser.region.fallback].
+    damaged region ({!Lexer.relex}), then runs the parser's top-level loop
+    ({!Parser.parse_program}) with statement reuse.  A top-level statement
+    of the previous parse is reused, its lines shifted ({!Ast.shift_stmt}),
+    wherever its tokens and the one token after them reappear, every line
+    moved by the same delta; only the other statements are parsed.  So a
+    diff touching k statements re-parses those k, wherever they are.  Such
+    updates count in [parser.region.reparse].  With no previous [Ok] parse,
+    or under a changed nesting limit, the update is a whole-file parse,
+    counted in [parser.region.fallback].
 
     Every update publishes its result into {!Parse_cache.shared} and the
     disk {!Store} under exactly the keys {!parse_file} uses, so the
     analyzers downstream hit transparently. *)
 module Increment = struct
   type entry = {
-    mutable ie_source : string;
-    mutable ie_lexed : Lexer.lexed option;  (* None after a lex error *)
-    mutable ie_sig : Token.t array;  (* significant tokens, incl T_EOF *)
-    mutable ie_sig_raw : int array;  (* raw token index per sig token *)
-    mutable ie_result : (Ast.program, parse_error) result;
-    mutable ie_spans : Parser.top_span array;  (* valid when Ok *)
+    ie_source : string;
+    ie_limit : int;  (* the nesting limit [ie_result] was parsed under *)
+    ie_lexed : Lexer.lexed option;  (* None after a lex error *)
+    ie_sig : Token.t array;  (* significant tokens, incl T_EOF *)
+    ie_result : (Ast.program, parse_error) result;
+    ie_spans : Parser.top_span array;  (* one per statement when Ok *)
   }
 
   type session = { ses_files : (string, entry) Hashtbl.t }
 
   let create () = { ses_files = Hashtbl.create 16 }
 
-  let sig_of (lx : Lexer.lexed) : Token.t array * int array =
-    let n = Array.length lx.Lexer.lx_tokens in
-    let toks = ref [] and raws = ref [] in
-    for i = n - 1 downto 0 do
-      let t = lx.Lexer.lx_tokens.(i) in
-      if Lexer.is_significant t then begin
-        toks := t :: !toks;
-        raws := i :: !raws
-      end
-    done;
-    (Array.of_list !toks, Array.of_list !raws)
+  let sig_of (lx : Lexer.lexed) : Token.t array =
+    Array.fold_right
+      (fun t acc -> if Lexer.is_significant t then t :: acc else acc)
+      lx.Lexer.lx_tokens []
+    |> Array.of_list
 
-  (* Number of sig tokens whose raw index is < [bound]; [raw] is strictly
-     increasing. *)
-  let count_sig_below (raw : int array) bound =
-    let lo = ref 0 and hi = ref (Array.length raw) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if raw.(mid) < bound then lo := mid + 1 else hi := mid
-    done;
-    !lo
+  (* The reuse oracle for the parse of [nsig]: an old statement is the
+     answer at [i] when its tokens and the one after them match those from
+     [i] on in kind and lexeme, the span's lines all moved by one delta.
+     Old statements are indexed by their first two lexemes; both lie in
+     the compared range, since a span holds at least one token. *)
+  let reuser (old : entry) (oldprog : Ast.program) (nsig : Token.t array) =
+    let osig = old.ie_sig in
+    let key (toks : Token.t array) i =
+      (toks.(i).Token.lexeme, toks.(i + 1).Token.lexeme)
+    in
+    let index = Hashtbl.create (Array.length old.ie_spans) in
+    List.iteri
+      (fun k s ->
+        let sp = old.ie_spans.(k) in
+        Hashtbl.add index (key osig sp.Parser.sp_start) (sp, s))
+      oldprog;
+    (* tokens [0, len) of the span, then the lookahead token [len] *)
+    let rec matches o i len d k =
+      k > len
+      ||
+      let a = osig.(o + k) and b = nsig.(i + k) in
+      (if a == b then d = 0 || k = len
+       else
+         a.Token.kind = b.Token.kind
+         && String.equal a.Token.lexeme b.Token.lexeme
+         && (k = len || b.Token.line = a.Token.line + d))
+      && matches o i len d (k + 1)
+    in
+    let n_new = Array.length nsig in
+    fun i ->
+      let rec first = function
+        | [] -> None
+        | ((sp : Parser.top_span), s) :: rest ->
+            let o = sp.Parser.sp_start in
+            let len = sp.Parser.sp_stop - o in
+            let d = nsig.(i).Token.line - osig.(o).Token.line in
+            if i + len < n_new && matches o i len d 0 then
+              Some ((if d = 0 then s else Ast.shift_stmt d s), i + len)
+            else first rest
+      in
+      first (Hashtbl.find_all index (key nsig i))
 
-  let lex_error_result line msg : (Ast.program, parse_error) result =
-    Error (Syntax (Printf.sprintf "lexical error on line %d: %s" line msg))
-
-  let parse_sig ~path (sigt : Token.t array) :
-      (Ast.program, parse_error) result * Parser.top_span array =
-    match Parser.parse_program_spans ~file:path sigt with
-    | prog, spans -> (Ok prog, spans)
-    | exception Parser.Parse_error (msg, _) -> (Error (Syntax msg), [||])
-    | exception Parser.Depth_exceeded (msg, _) ->
-        (Error (Over_budget msg), [||])
-
-  (* Whole-file lex + parse producing exactly [parse_file]'s result value
-     (same error mapping), plus the incremental bookkeeping. *)
-  let full ~path ~source : entry =
-    match Lexer.lex_all source with
+  (* Lex [source] with [lex], then parse it (with statement reuse when
+     [reuse] is given), producing exactly [parse_file]'s result value
+     (same error mapping) plus the incremental bookkeeping. *)
+  let build ?reuse ~path ~source lex : entry =
+    let limit = Parser.nesting_limit () in
+    match lex source with
     | exception Lexer.Error (msg, line) ->
         {
           ie_source = source;
+          ie_limit = limit;
           ie_lexed = None;
           ie_sig = [||];
-          ie_sig_raw = [||];
-          ie_result = lex_error_result line msg;
+          ie_result =
+            Error
+              (Syntax (Printf.sprintf "lexical error on line %d: %s" line msg));
           ie_spans = [||];
         }
     | lexed ->
-        let sigt, sigraw = sig_of lexed in
-        let result, spans = parse_sig ~path sigt in
+        let sigt = sig_of lexed in
+        if reuse <> None then Obs.incr "parser.region.reparse";
+        let reuse = Option.map (fun r -> r sigt) reuse in
+        let result, spans =
+          match Parser.parse_program ?reuse ~file:path sigt with
+          | prog, spans -> (Ok prog, spans)
+          | exception Parser.Parse_error (msg, _) -> (Error (Syntax msg), [||])
+          | exception Parser.Depth_exceeded (msg, _) ->
+              (Error (Over_budget msg), [||])
+        in
         {
           ie_source = source;
+          ie_limit = limit;
           ie_lexed = Some lexed;
           ie_sig = sigt;
-          ie_sig_raw = sigraw;
           ie_result = result;
           ie_spans = spans;
         }
 
-  let token_eq (a : Token.t) (b : Token.t) =
-    a.Token.kind = b.Token.kind && String.equal a.Token.lexeme b.Token.lexeme
-
-  (* Attempt the sub-file re-parse of [nsig] against the previous entry.
-     Returns the spliced (program, spans), or None when any splice
-     ambiguity demands the whole-file fallback. *)
-  let try_region (e : entry) ~path (oldprog : Ast.program)
-      (info : Lexer.relex_info) (nsig : Token.t array) :
-      (Ast.program * Parser.top_span array) option =
-    let osig = e.ie_sig and osigraw = e.ie_sig_raw and ospans = e.ie_spans in
-    let m_old = Array.length osig and m_new = Array.length nsig in
-    let shift = m_new - m_old in
-    let ld = info.Lexer.rl_line_delta in
-    (* maximal verbatim sig prefix (kind, lexeme and line), seeded from the
-       lexer's raw-token reuse: sig tokens below rl_prefix are identical by
-       construction, the scan only walks the re-lexed middle *)
-    let p = ref (count_sig_below osigraw info.Lexer.rl_prefix) in
-    while
-      !p < m_old && !p < m_new
-      && token_eq osig.(!p) nsig.(!p)
-      && osig.(!p).Token.line = nsig.(!p).Token.line
-    do
-      Stdlib.incr p
-    done;
-    let prefix = !p in
-    (* maximal reused sig suffix: old index j reappears at j + shift with
-       lines uniformly shifted by ld *)
-    let s = ref (count_sig_below osigraw info.Lexer.rl_old_suffix) in
-    while
-      !s > 0
-      &&
-      let j = !s - 1 in
-      let nj = j + shift in
-      nj >= 0 && nj < m_new
-      && token_eq osig.(j) nsig.(nj)
-      && nsig.(nj).Token.line = osig.(j).Token.line + ld
-    do
-      Stdlib.decr s
-    done;
-    let su = !s in
-    if prefix >= m_old && m_old = m_new && prefix >= m_new then
-      (* token streams fully identical (lines included): AST unchanged *)
-      Some (oldprog, ospans)
-    else begin
-      (* damaged old window [pfx, sfx); clamp so the matched regions map to
-         disjoint ranges of the new stream *)
-      let sfx = max su prefix in
-      let pfx = min prefix (sfx + shift) in
-      if pfx < 0 || sfx > m_old || sfx + shift > m_new then None
-      else begin
-        (* classify top-level statements against the window *)
-        let n_spans = Array.length ospans in
-        let dirty = ref [] in
-        Array.iteri
-          (fun k (sp : Parser.top_span) ->
-            if sp.Parser.sp_stop <= pfx then ()
-            else if sp.Parser.sp_start >= sfx then ()
-            else dirty := k :: !dirty)
-          ospans;
-        match List.rev !dirty with
-        | _ :: _ :: _ -> None (* damage straddles several definitions *)
-        | dirty_list -> (
-            (* old region to re-parse: the dirty statement's full extent,
-               widened to cover the whole damaged window *)
-            let r_lo, r_hi =
-              match dirty_list with
-              | [ k ] ->
-                  ( min pfx ospans.(k).Parser.sp_start,
-                    max sfx ospans.(k).Parser.sp_stop )
-              | _ -> (pfx, sfx)
-            in
-            let stop_new = r_hi + shift in
-            if stop_new < r_lo || stop_new > m_new then None
-            else
-              (* splice point: statements strictly before / after region *)
-              let n_before =
-                let c = ref 0 in
-                Array.iter
-                  (fun (sp : Parser.top_span) ->
-                    if sp.Parser.sp_stop <= r_lo then Stdlib.incr c)
-                  ospans;
-                !c
-              in
-              let n_after =
-                let c = ref 0 in
-                Array.iter
-                  (fun (sp : Parser.top_span) ->
-                    if sp.Parser.sp_start >= r_hi then Stdlib.incr c)
-                  ospans;
-                !c
-              in
-              let n_dirty = List.length dirty_list in
-              if n_before + n_dirty + n_after <> n_spans then None
-              else
-                match Parser.parse_region ~file:path nsig ~start:r_lo ~stop:stop_new with
-                | None -> None
-                | Some (fresh_stmts, fresh_spans) ->
-                    Obs.incr "parser.region.reparse";
-                    let rec split n acc = function
-                      | rest when n = 0 -> (List.rev acc, rest)
-                      | x :: rest -> split (n - 1) (x :: acc) rest
-                      | [] -> (List.rev acc, [])
-                    in
-                    let before, rest = split n_before [] oldprog in
-                    let _, after = split n_dirty [] rest in
-                    let program =
-                      before @ fresh_stmts @ Ast.shift_lines ld after
-                    in
-                    let spans =
-                      Array.of_list
-                        (List.concat
-                           [
-                             Array.to_list (Array.sub ospans 0 n_before);
-                             fresh_spans;
-                             Array.to_list
-                               (Array.sub ospans (n_before + n_dirty) n_after)
-                             |> List.map (fun (sp : Parser.top_span) ->
-                                    {
-                                      Parser.sp_start = sp.Parser.sp_start + shift;
-                                      sp_stop = sp.Parser.sp_stop + shift;
-                                    });
-                           ])
-                    in
-                    Some (program, spans))
-      end
-    end
-
-  (* One file update: relex incrementally, splice or fall back, publish. *)
-  let compute (e : entry option) ~path ~source : entry =
-    match e with
-    | Some ({ ie_lexed = Some oldlx; ie_result = Ok oldprog; _ } as e) -> (
-        match Lexer.relex oldlx source with
-        | exception Lexer.Error (msg, line) ->
-            {
-              ie_source = source;
-              ie_lexed = None;
-              ie_sig = [||];
-              ie_sig_raw = [||];
-              ie_result = lex_error_result line msg;
-              ie_spans = [||];
-            }
-        | nlx, info -> (
-            let nsig, nsigraw = sig_of nlx in
-            let spliced =
-              match try_region e ~path oldprog info nsig with
-              | v -> v
-              | exception (Parser.Parse_error _ | Parser.Depth_exceeded _) ->
-                  (* the region parse failed where the full parse would
-                     fail too; run the fallback to produce the identical
-                     structured error *)
-                  None
-            in
-            match spliced with
-            | Some (program, spans) ->
-                {
-                  ie_source = source;
-                  ie_lexed = Some nlx;
-                  ie_sig = nsig;
-                  ie_sig_raw = nsigraw;
-                  ie_result = Ok program;
-                  ie_spans = spans;
-                }
-            | None ->
-                Obs.incr "parser.region.fallback";
-                let result, spans = parse_sig ~path nsig in
-                {
-                  ie_source = source;
-                  ie_lexed = Some nlx;
-                  ie_sig = nsig;
-                  ie_sig_raw = nsigraw;
-                  ie_result = result;
-                  ie_spans = spans;
-                }))
-    | Some _ | None -> full ~path ~source
+  (* One file update: statement reuse against the previous [Ok] parse
+     under the same nesting limit, else a whole-file parse. *)
+  let compute (prev : entry option) ~path ~source : entry =
+    match prev with
+    | None -> build ~path ~source Lexer.lex_all
+    | Some ({ ie_lexed = Some oldlx; ie_result = Ok oldprog; _ } as e)
+      when e.ie_limit = Parser.nesting_limit () ->
+        build ~reuse:(reuser e oldprog) ~path ~source (Lexer.relex oldlx)
+    | Some _ ->
+        Obs.incr "parser.region.fallback";
+        build ~path ~source Lexer.lex_all
 
   (* Publish into the same two cache tiers [parse_file] reads, under its
      exact keys, so downstream analyzers hit without code changes. *)
@@ -588,7 +456,10 @@ module Increment = struct
 
   let update session ~path ~source : (Ast.program, parse_error) result =
     match Hashtbl.find_opt session.ses_files path with
-    | Some e when String.equal e.ie_source source -> e.ie_result
+    | Some e
+      when String.equal e.ie_source source
+           && e.ie_limit = Parser.nesting_limit () ->
+        e.ie_result
     | prev ->
         let e = compute prev ~path ~source in
         Hashtbl.replace session.ses_files path e;

@@ -24,7 +24,9 @@ val parse_error_message : parse_error -> string
 (** Content-keyed parse memoization shared by analyzers and domains:
     entries are keyed by file path + source digest, so each distinct file
     is parsed exactly once per process even when three tools (or several
-    domains) visit it.  Safe to use concurrently: the table is
+    domains) visit it.  Each entry records the nesting limit
+    ({!Parser.nesting_limit}) it was parsed or seeded under; a lookup
+    under another limit is a miss that re-parses and replaces it.  Safe to use concurrently: the table is
     mutex-guarded and concurrent misses for the same key parse only once. *)
 module Parse_cache : sig
   type t
@@ -110,13 +112,17 @@ val include_closure :
 
 (** Sub-file incremental re-parse sessions (the [--watch]/daemon hot
     path).  {!Increment.update} re-lexes only an edit's damaged region
-    ({!Lexer.relex}), re-parses the enclosing top-level statement
-    ({!Parser.parse_region}) and splices it into the cached AST with the
-    unchanged suffix's positions rebased; any ambiguity falls back to a
-    whole-file parse, counted in [parser.region.fallback].  Results are
-    byte-identical to {!parse_file} on the same input and are published
-    into {!Parse_cache.shared} and the disk {!Store} under {!parse_file}'s
-    keys, so downstream analyzers hit transparently. *)
+    ({!Lexer.relex}) and re-parses with statement reuse
+    ({!Parser.parse_program}): a top-level statement of the previous parse
+    is reused, lines shifted, wherever its tokens and the one token after
+    them reappear with every line moved by one delta.  A diff touching k
+    statements re-parses those k, wherever they are; such updates count
+    in [parser.region.reparse].  With no previous [Ok] parse, or under a
+    changed nesting limit, the update is a whole-file parse, counted in
+    [parser.region.fallback].  Results are byte-identical to {!parse_file}
+    on the same input and are published into {!Parse_cache.shared} and
+    the disk {!Store} under {!parse_file}'s keys, so downstream analyzers
+    hit transparently. *)
 module Increment : sig
   type session
 
@@ -126,7 +132,8 @@ module Increment : sig
     session -> path:string -> source:string -> (Ast.program, parse_error) result
   (** Bring [path] up to date with [source], incrementally when the
       session has seen the file before, and seed the process parse caches.
-      Returns exactly what {!parse_file} would for the same input. *)
+      Returns exactly what {!parse_file} would for the same input, under
+      the current nesting limit. *)
 
   val forget : session -> string -> unit
   (** Drop a file (deleted from the project); the next update re-parses it

@@ -484,10 +484,9 @@ let summary_key ic funcs key : string option =
    re-digests the bodies of files whose bytes changed — the tables (and
    call edges) of unchanged files replay verbatim.  A tracked warm run
    therefore costs one source digest per file, not one body scan per
-   definition.  Tracking is opt-in (watch mode, the daemon, E17): plain
-   batch runs skip even that. *)
-let dag_tracking = Atomic.make false
-let set_dag_tracking b = Atomic.set dag_tracking b
+   definition.  Tracking runs whenever a Store root is set; the switch
+   below does nothing and is kept only for perfbench/. *)
+let set_dag_tracking (_ : bool) = ()
 
 (* persisted per file: (source digest, [(def key, body digest, callees)]) *)
 type def_table = string * (string * string * string list) list
@@ -1813,9 +1812,8 @@ let analyze_project_internal ?(opts = default_options)
     analyzable
   in
   (match ctx.cache with
-  | Some ic when Atomic.get dag_tracking ->
-      track_definition_dag ctx ic analyzable
-  | _ -> ());
+  | Some ic -> track_definition_dag ctx ic analyzable
+  | None -> ());
   (* crash barrier: an exception escaping the taint walk poisons only the
      file that triggered it, never the project run *)
   let mark_file_crashed_msg path msg =

@@ -234,8 +234,8 @@ let metrics_reply t id =
       (Phplang.Store.counters ())
   in
   (* the sub-file incremental pipeline's process-lifetime counters:
-     checkpointed-lexing resumes, region re-parses and their fallbacks,
-     summary-DAG invalidation *)
+     checkpointed-lexing resumes, statement-reuse re-parses and their
+     fallbacks, summary-DAG invalidation *)
   let incremental =
     List.map (fun (k, v) -> (k, Json.Int v)) (Watch.incremental_counters ())
   in
@@ -556,21 +556,31 @@ let handle_connection t conn_id fd =
 (* The accept backlog follows [max_queue]: connections the admission
    control would shed anyway gain nothing from queueing in the kernel
    first (floored so tiny-queue test configs still accept connection
-   bursts). *)
+   bursts).  Returns the socket and the address to report.  A Unix
+   socket's file appears at [bind], before [listen], and clients wait for
+   that file, so it is bound under a sibling temp name and renamed into
+   place only once it accepts connections. *)
 let make_listener ~backlog = function
   | Unix_sock path ->
-      if Sys.file_exists path then (try Unix.unlink path with _ -> ());
+      let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
       let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd backlog;
-      fd
+      (try
+         (try Unix.unlink tmp with Unix.Unix_error _ -> ());
+         Unix.bind fd (Unix.ADDR_UNIX tmp);
+         Unix.listen fd backlog;
+         Unix.rename tmp path
+       with e ->
+         (try Unix.unlink tmp with Unix.Unix_error _ -> ());
+         (try Unix.close fd with Unix.Unix_error _ -> ());
+         raise e);
+      (fd, Unix.ADDR_UNIX path)
   | Tcp (host, port) ->
       let addr = (Unix.gethostbyname host).Unix.h_addr_list.(0) in
       let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
       Unix.setsockopt fd Unix.SO_REUSEADDR true;
       Unix.bind fd (Unix.ADDR_INET (addr, port));
       Unix.listen fd backlog;
-      fd
+      (fd, Unix.getsockname fd)
 
 (* Per-syscall receive/send timeouts on an accepted connection: a peer
    that goes silent (or stops reading) for a whole interval can no longer
@@ -620,12 +630,12 @@ let accept_loop t =
 let run ?on_ready cfg =
   (* a client hanging up mid-reply must surface as EPIPE, not kill us *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let listen_fd = make_listener ~backlog:(max 16 cfg.max_queue) cfg.listen in
+  let listen_fd, addr =
+    make_listener ~backlog:(max 16 cfg.max_queue) cfg.listen
+  in
   (* the listener is bound and accepting: tell the embedder (tests bind
      TCP port 0 and need the real port back) *)
-  (match on_ready with
-  | Some f -> f (Unix.getsockname listen_fd)
-  | None -> ());
+  Option.iter (fun f -> f addr) on_ready;
   (* an explicit --jobs pins the pool; an auto-sized one is re-fitted to
      the cgroup CPU quota between batches (Sched.refresh) *)
   let pool = Sched.create ?size:cfg.jobs () in

@@ -69,7 +69,9 @@ val run : ?on_ready:(Unix.sockaddr -> unit) -> config -> unit
 
     [on_ready] is called once, on the calling thread, as soon as the
     listener is bound and accepting — with the bound address, so an
-    embedder that asked for TCP port 0 learns the real port.  The status
+    embedder that asked for TCP port 0 learns the real port.  A Unix
+    socket is bound under a temp name and renamed onto its path only
+    once it listens, so a client that sees the socket file can connect.  The status
     reply's [heartbeat_age_s] (also the [serve.heartbeat.age_s] gauge in
     [metrics]) is the watchdog: seconds since the scheduler last made
     observable progress (batch picked up, item finished, batch

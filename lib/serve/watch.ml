@@ -21,10 +21,6 @@ type session = {
 }
 
 let create opts =
-  (* a long-lived session is exactly the consumer the summary-DAG
-     bookkeeping exists for: every scan reports how much of the summary
-     graph the latest edits dirtied *)
-  Phpsafe.Analyzer.set_dag_tracking true;
   {
     w_opts = opts;
     w_inc = Phplang.Project.Increment.create ();

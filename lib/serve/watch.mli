@@ -30,9 +30,6 @@ type delta = {
 type session
 
 val create : Scan.opts -> session
-(** Also turns on {!Phpsafe.Analyzer.set_dag_tracking}: a watch session is
-    a long-lived incremental consumer, so every scan accounts summary-DAG
-    invalidation ([summary.dag.invalidated]/[summary.dag.retained]). *)
 
 val incremental_counters : unit -> (string * int) list
 (** The sub-file incremental pipeline's counters ([lexer.ckpt.*],

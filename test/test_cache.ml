@@ -584,9 +584,6 @@ let counter_cases =
     case "summary-DAG counters track edits along the call chain" `Quick
       (fun () ->
         with_cache_dir @@ fun _dir ->
-        Phpsafe.Analyzer.set_dag_tracking true;
-        Fun.protect ~finally:(fun () -> Phpsafe.Analyzer.set_dag_tracking false)
-        @@ fun () ->
         let check ?opts what expect p =
           Alcotest.(check (pair int int)) what expect (dag_delta ?opts p)
         in

@@ -1,8 +1,9 @@
-(** Sub-file incremental re-analysis: checkpointed relexing and region
-    re-parse must be byte-identical to a cold lex/parse after every edit,
-    including the nasty front-end cases (heredoc bodies, unterminated
-    strings, [<?=] blocks, edits straddling two definitions), with the
-    fallback paths exercised and counted. *)
+(** Sub-file incremental re-analysis: checkpointed relexing and
+    statement-reuse re-parse must be byte-identical to a cold lex/parse
+    after every edit, including the nasty front-end cases (heredoc bodies,
+    unterminated strings, [<?=] blocks, edits touching two definitions,
+    lookahead past a reused statement), with the fallback paths exercised
+    and counted. *)
 
 open Phplang
 
@@ -20,7 +21,7 @@ let check_relex name old_src new_src =
   Alcotest.test_case name `Quick (fun () ->
       let old = Lexer.lex_all old_src in
       let fresh = Lexer.lex_all new_src in
-      let incr, _info = Lexer.relex old new_src in
+      let incr = Lexer.relex old new_src in
       Alcotest.(check (list string))
         "relex tokens = cold tokens" (token_list fresh) (token_list incr);
       Alcotest.(check string) "source recorded" new_src incr.Lexer.lx_src;
@@ -158,22 +159,29 @@ let check_equivalent session ~path source =
     (result_fingerprint cold) (result_fingerprint incr)
 
 (* Run a sequence of sources through one session, asserting cold
-   equivalence after every step, and return a named counter's delta. *)
-let run_seq ?(counter = "") sources =
-  let before = if counter = "" then 0 else Obs.counter counter in
+   equivalence after every step. *)
+let run_seq sources =
   let session = Project.Increment.create () in
-  List.iter (fun s -> check_equivalent session ~path:"seq.php" s) sources;
-  if counter = "" then 0 else Obs.counter counter - before
+  List.iter (fun s -> check_equivalent session ~path:"seq.php" s) sources
 
-let check_seq name ?counter ?expect_min sources =
+let region_counters = [ "parser.region.reparse"; "parser.region.fallback" ]
+
+(* [f]'s deltas of the region counters *)
+let region_deltas f =
+  let before = List.map Obs.counter region_counters in
+  let v = f () in
+  (v, List.map2 (fun c b -> Obs.counter c - b) region_counters before)
+
+(* [reparse]/[fallback], when given, are the exact counter deltas over
+   the whole sequence *)
+let check_seq name ?reparse ?fallback sources =
   Alcotest.test_case name `Quick (fun () ->
-      match (counter, expect_min) with
-      | Some c, Some n ->
-          let d = run_seq ~counter:c sources in
-          if d < n then
-            Alcotest.failf "expected %s to rise by >= %d, got %d" c n d
-      | _ ->
-          ignore (run_seq sources))
+      let (), deltas = region_deltas (fun () -> run_seq sources) in
+      List.iter2
+        (fun (c, expect) got ->
+          Option.iter (fun n -> Alcotest.(check int) c n got) expect)
+        (List.combine region_counters [ reparse; fallback ])
+        deltas)
 
 (* replace the first occurrence of [needle]; fails the test if absent *)
 let replace needle by s =
@@ -196,22 +204,27 @@ let three_defs body2 =
 
 let seq_cases =
   [
-    check_seq "single-def body edit reparses region"
-      ~counter:"parser.region.reparse" ~expect_min:1
+    check_seq "single-def body edit reparses region" ~reparse:2 ~fallback:0
       [
         three_defs "return $b;";
         three_defs "return $b . 'y';";
         three_defs "return $b . 'yz';";
       ];
-    check_seq "straddling edit falls back"
-      ~counter:"parser.region.fallback" ~expect_min:1
+    check_seq "an edit touching two definitions re-parses both" ~reparse:1
+      ~fallback:0
       [
         three_defs "return $b;";
-        (* edit the tail of two() and the head of three() in one update:
-           damage spans two top-level definitions *)
+        (* edit the tail of two() and the head of three() in one update *)
         (three_defs "return $b;"
         |> replace "return $b;\n}\nfunction three($c)"
              "return $b . '!';\n}\nfunction three($c, $d)");
+      ];
+    check_seq "an update after a failed parse falls back" ~reparse:1
+      ~fallback:1
+      [
+        three_defs "return $b;";
+        three_defs "return $b";
+        three_defs "return $b . 'ok';";
       ];
     check_seq "whitespace-only edit"
       [
@@ -261,11 +274,154 @@ let seq_cases =
         (three_defs "return $b;"
         |> replace "function two($b)" "function two($b, $extra = 'd')");
       ];
+    check_seq "an unchanged if gains an else" ~reparse:2 ~fallback:0
+      [
+        "<?php\nif ($a) { echo 1; }\n$b = 2;\n";
+        "<?php\nif ($a) { echo 1; }\nelse { echo 3; }\n$b = 2;\n";
+        "<?php\nif ($a) { echo 1; }\nelse if ($c) { echo 3; }\n$b = 2;\n";
+      ];
+    check_seq "an unchanged try gains a catch" ~reparse:1 ~fallback:0
+      [
+        "<?php\ntry { f(); }\n$b = 2;\n";
+        "<?php\ntry { f(); }\ncatch (Exception $e) { g($e); }\n$b = 2;\n";
+      ];
+    check_seq "the last statement loses its ; before EOF"
+      [
+        "<?php\n$a = 1;\n$b = 2;";
+        "<?php\n$a = 1;\n$b = 2";
+        "<?php\n$a = 1;\n$b = 2\n$c = 3;";
+        "<?php\n$a = 1;\n$b = 2;\n$c = 3;";
+      ];
     check_seq "close tag inserted mid-function"
       [
         "<?php function f() { $a = 1; return $a; } function g() { return 2; }";
         "<?php function f() { $a = 1; ?> html <?php return $a; } function g() { return 2; }";
       ];
+  ]
+
+(* the top-level function named [name] in [r] *)
+let func r name =
+  match r with
+  | Some (Ok prog) -> (
+      match
+        List.find_map
+          (fun (st : Ast.stmt) ->
+            match st.Ast.s with
+            | Ast.FuncDef f when f.Ast.f_name = name -> Some (st, f)
+            | _ -> None)
+          prog
+      with
+      | Some x -> x
+      | None -> Alcotest.failf "no function %s" name)
+  | _ -> Alcotest.fail "expected a successful parse"
+
+(* A reused statement is the old value (line delta 0) or a line-shifted
+   copy of it, which still shares the old leaf expressions; a re-parse
+   builds every node afresh.  [leaf] is the first body statement's
+   returned expression. *)
+let leaf (_, (f : Ast.func)) =
+  match f.Ast.f_body with
+  | { Ast.s = Ast.Return (Some e); _ } :: _ -> e.Ast.e
+  | _ -> Alcotest.fail "expected a return"
+
+let reuse_cases =
+  [
+    Alcotest.test_case "untouched definitions are reused, not re-parsed"
+      `Quick (fun () ->
+        let session = Project.Increment.create () in
+        let path = "reuse.php" in
+        check_equivalent session ~path (three_defs "return $b;");
+        let r0 = Project.Increment.result session path in
+        check_equivalent session ~path
+          (three_defs "return $b;"
+          |> replace "return $b;\n}\nfunction three($c)"
+               "return $b . '!';\n}\nfunction three($c, $d)");
+        let r1 = Project.Increment.result session path in
+        Alcotest.(check bool)
+          "one() is the old statement" true
+          (fst (func r0 "one") == fst (func r1 "one"));
+        Alcotest.(check bool)
+          "two() is re-parsed" false
+          (leaf (func r0 "two") == leaf (func r1 "two")));
+    Alcotest.test_case "swapped functions are reused with their own deltas"
+      `Quick (fun () ->
+        let short = "function short($a) {\n  return $a;\n}\n" in
+        let long =
+          "function long($b) {\n  return $b;\n\n\n  $b = $b . 'x';\n}\n"
+        in
+        (* the token after each function stays [function] *)
+        let tail = "function tail() {}\n" in
+        let session = Project.Increment.create () in
+        let path = "swap.php" in
+        let (), deltas =
+          region_deltas (fun () ->
+              check_equivalent session ~path ("<?php\n" ^ short ^ long ^ tail);
+              let r0 = Project.Increment.result session path in
+              check_equivalent session ~path ("<?php\n" ^ long ^ short ^ tail);
+              let r1 = Project.Increment.result session path in
+              List.iter
+                (fun name ->
+                  let (s0, _) as f0 = func r0 name and (s1, _) as f1 = func r1 name in
+                  if s0.Ast.spos.Ast.line = s1.Ast.spos.Ast.line then
+                    Alcotest.failf "%s did not move" name;
+                  Alcotest.(check bool)
+                    (name ^ " is reused") true
+                    (leaf f0 == leaf f1))
+                [ "short"; "long" ])
+        in
+        Alcotest.(check (list int)) "one reuse update, no fallback" [ 1; 0 ]
+          deltas);
+  ]
+
+(* The nesting limit is part of a parse's identity: a result parsed under
+   one limit must not answer a lookup under another. *)
+let deep_src =
+  "<?php $x = " ^ String.make 40 '(' ^ "1" ^ String.make 40 ')' ^ ";\n"
+
+let with_limit n f =
+  Parser.set_nesting_limit n;
+  Fun.protect
+    ~finally:(fun () -> Parser.set_nesting_limit Parser.default_nesting_limit)
+    f
+
+let outcome = function
+  | Ok _ -> "ok"
+  | Error (Project.Syntax _) -> "syntax"
+  | Error (Project.Over_budget _) -> "over budget"
+
+let budget_cases =
+  [
+    Alcotest.test_case "the parse memo follows the nesting limit" `Quick
+      (fun () ->
+        let f = { Project.path = "deep-memo.php"; source = deep_src } in
+        with_limit 16 (fun () ->
+            Alcotest.(check string)
+              "tight limit" "over budget"
+              (outcome (Project.parse_file f)));
+        Alcotest.(check string)
+          "default limit" "ok"
+          (outcome (Project.parse_file f)));
+    Alcotest.test_case "an increment session follows the nesting limit" `Quick
+      (fun () ->
+        let session = Project.Increment.create () in
+        let path = "deep-inc.php" in
+        with_limit 16 (fun () ->
+            Alcotest.(check string)
+              "tight limit" "over budget"
+              (outcome (Project.Increment.update session ~path ~source:deep_src)));
+        let r, deltas =
+          region_deltas (fun () ->
+              Project.Increment.update session ~path ~source:deep_src)
+        in
+        Alcotest.(check string) "default limit" "ok" (outcome r);
+        Alcotest.(check (list int)) "a counted fallback" [ 0; 1 ] deltas;
+        (* a successful parse under the old limit is not reused either *)
+        let _, deltas =
+          region_deltas (fun () ->
+              with_limit 400 (fun () ->
+                  check_equivalent session ~path (deep_src ^ "$y = 2;\n")))
+        in
+        Alcotest.(check (list int)) "changed limit falls back" [ 0; 1 ] deltas);
   ]
 
 let resume_counted =
@@ -276,7 +432,7 @@ let resume_counted =
       let edited =
         edit ~at:(String.length big_src / 2) ~drop:0 ~insert:"$q = 7; " big_src
       in
-      let incr, info = Lexer.relex old edited in
+      let incr = Lexer.relex old edited in
       Alcotest.(check int)
         "one resume" (before_resume + 1)
         (Obs.counter "lexer.ckpt.resume");
@@ -284,25 +440,35 @@ let resume_counted =
       let total = Array.length incr.Lexer.lx_tokens in
       if resynced <= 0 || resynced >= total / 2 then
         Alcotest.failf "expected a small fresh-token count, got %d of %d"
-          resynced total;
-      (* the reuse info must cover most of the stream on both sides *)
-      if info.Lexer.rl_prefix = 0 then Alcotest.fail "no prefix reused";
-      if info.Lexer.rl_old_suffix >= Array.length old.Lexer.lx_tokens then
-        Alcotest.fail "no suffix reused")
+          resynced total)
 
 (* ------------------------------------------------------------------ *)
-(* Randomized edit storm: every splice checked against a cold parse   *)
+(* Randomized edit storms: every update checked against a cold parse  *)
 (* ------------------------------------------------------------------ *)
+
+(* [steps] edits from [src]; every second one is a two-site update that
+   undoes the previous edit and makes a new one, as a watch session sees
+   when each save replaces the last edit. *)
+let run_storm ~path ~steps ~random_edit src =
+  let session = Project.Increment.create () in
+  check_equivalent session ~path src;
+  let current = ref src and before_last = ref src in
+  for step = 1 to steps do
+    let from = if step mod 2 = 0 then !before_last else !current in
+    match random_edit from with
+    | None -> ()
+    | Some src' ->
+        before_last := from;
+        current := src';
+        check_equivalent session ~path src'
+  done
 
 let storm =
   Alcotest.test_case "seeded random edit storm" `Quick (fun () ->
       let rng = Random.State.make [| 0x5afe |] in
       let alphabet = "abc $_='\";{}()<>?+.\n1x" in
-      let session = Project.Increment.create () in
-      let src = ref big_src in
-      check_equivalent session ~path:"storm.php" !src;
-      for _ = 1 to 120 do
-        let len = String.length !src in
+      let random_edit src =
+        let len = String.length src in
         let at = Random.State.int rng (len - 1) in
         let drop =
           if Random.State.bool rng then 0
@@ -315,11 +481,46 @@ let storm =
               (1 + Random.State.int rng 8)
               (fun _ -> alphabet.[Random.State.int rng (String.length alphabet)])
         in
-        if drop > 0 || insert <> "" then begin
-          src := edit ~at ~drop ~insert !src;
-          check_equivalent session ~path:"storm.php" !src
-        end
-      done)
+        if drop > 0 || insert <> "" then Some (edit ~at ~drop ~insert src)
+        else None
+      in
+      run_storm ~path:"storm.php" ~steps:160 ~random_edit big_src)
+
+(* Edits that keep the file parsing, so every update after the first goes
+   through statement reuse: statements and blank lines inserted after a
+   line end, and whole lines deleted. *)
+let valid_storm =
+  Alcotest.test_case "seeded parse-preserving edit storm" `Quick (fun () ->
+      let rng = Random.State.make [| 0x1ed17 |] in
+      let line_starts src =
+        List.filter_map
+          (fun i -> if i > 6 && src.[i - 1] = '\n' then Some i else None)
+          (List.init (String.length src) Fun.id)
+      in
+      let random_edit src =
+        let starts = Array.of_list (line_starts src) in
+        let at = starts.(Random.State.int rng (Array.length starts)) in
+        match Random.State.int rng 3 with
+        | 0 -> Some (edit ~at ~drop:0 ~insert:"\n\n" src)
+        | 1 ->
+            Some
+              (edit ~at ~drop:0
+                 ~insert:(Printf.sprintf "$v%d = %d;\n" at at)
+                 src)
+        | _ ->
+            (* delete an inserted statement line, if any starts here *)
+            if String.length src > at + 2 && String.sub src at 2 = "$v" then
+              let stop = String.index_from src at '\n' in
+              Some (edit ~at ~drop:(stop - at + 1) ~insert:"" src)
+            else None
+      in
+      let (), deltas =
+        region_deltas (fun () ->
+            run_storm ~path:"valid-storm.php" ~steps:120 ~random_edit big_src)
+      in
+      Alcotest.(check int) "no fallback" 0 (List.nth deltas 1);
+      if List.hd deltas < 60 then
+        Alcotest.failf "only %d reuse updates" (List.hd deltas))
 
 let () =
   Alcotest.run "increment"
@@ -327,6 +528,8 @@ let () =
       ("relex", relex_cases);
       ("recovery", [ recovery_case ]);
       ("equivalence", seq_cases);
+      ("reuse", reuse_cases);
+      ("budget", budget_cases);
       ("counters", [ resume_counted ]);
-      ("storm", [ storm ]);
+      ("storm", [ storm; valid_storm ]);
     ]

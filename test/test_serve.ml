@@ -665,6 +665,55 @@ let with_tcp_daemon ?(reshape = fun c -> c) f =
 
 let robustness_cases =
   [
+    case "the Unix socket file appears only once it accepts connections"
+      `Quick (fun () ->
+        incr sock_seq;
+        let sock =
+          Filename.concat
+            (Filename.get_temp_dir_name ())
+            (Printf.sprintf "phpsafe-test-ready-%d-%d.sock" (Unix.getpid ())
+               !sock_seq)
+        in
+        if Sys.file_exists sock then Sys.remove sock;
+        let ready = Atomic.make None in
+        let daemon =
+          Thread.create
+            (fun () ->
+              Serve.Daemon.run
+                ~on_ready:(fun addr -> Atomic.set ready (Some addr))
+                (Serve.Daemon.default_config (Serve.Daemon.Unix_sock sock)))
+            ()
+        in
+        (* connect the moment the file exists, with no grace delay *)
+        let give_up = Unix.gettimeofday () +. 10. in
+        while (not (Sys.file_exists sock)) && Unix.gettimeofday () < give_up do
+          Thread.yield ()
+        done;
+        let fd =
+          match connect sock with
+          | fd -> fd
+          | exception Unix.Unix_error (e, _, _) ->
+              Alcotest.failf "first connect refused: %s" (Unix.error_message e)
+        in
+        Fun.protect
+          ~finally:(fun () ->
+            (try Unix.close fd with Unix.Unix_error _ -> ());
+            Thread.join daemon)
+          (fun () ->
+            Protocol.write_frame fd
+              (Protocol.encode_simple_request ~op:"shutdown" ());
+            ignore (Protocol.read_frame fd));
+        Alcotest.(check bool)
+          "on_ready reports the final path" true
+          (Atomic.get ready = Some (Unix.ADDR_UNIX sock));
+        let leftovers =
+          Sys.readdir (Filename.get_temp_dir_name ())
+          |> Array.to_list
+          |> List.filter
+               (String.starts_with ~prefix:(Filename.basename sock ^ "."))
+        in
+        Alcotest.(check (list string)) "no temp socket left" [] leftovers;
+        Alcotest.(check bool) "unlinked on shutdown" false (Sys.file_exists sock));
     case "TCP transport: byte-identical scans and oversized-frame refusal"
       `Quick (fun () ->
         with_tcp_daemon
