@@ -52,8 +52,8 @@ let int_opt_from_argv flag =
           Printf.eprintf "evaluate: ignoring invalid %s=%S\n%!" flag v;
           None)
 
-(* Resource budgets (Secflow.Budget): parser nesting fuel, Pixy fixpoint
-   pass cap, include-closure caps.  Exhaustion degrades the affected file
+(* Resource budgets (Secflow.Budget): parser nesting fuel, the fixpoint
+   pass cap (Pixy, phpSAFE --flow), include-closure caps.  Exhaustion degrades the affected file
    to a Failed (Budget_exhausted _) row in the §V.E table. *)
 let budget_from_argv () =
   let d = Secflow.Budget.default in

@@ -355,8 +355,10 @@ let budget =
   in
   let fixpoint_passes =
     let doc =
-      "Cap on Pixy dataflow fixpoint passes; hitting it keeps the (over-
-       approximate) findings but reports the file as budget-exhausted."
+      "Cap on dataflow fixpoint passes per body, for Pixy and for phpSAFE's
+       $(b,--flow) walk; hitting it keeps the findings made so far (partial,
+       since more passes could only add taint) but reports the file as
+       budget-exhausted."
     in
     Arg.(
       value

@@ -242,7 +242,7 @@ let budget =
       & info [ "budget-parse-depth" ] ~docv:"N" ~doc)
   in
   let fixpoint_passes =
-    let doc = "Cap on Pixy dataflow fixpoint passes for this request." in
+    let doc = "Cap on dataflow fixpoint passes (Pixy, phpSAFE --flow) for this request." in
     Arg.(
       value
       & opt int default.Secflow.Budget.fixpoint_passes

@@ -13,9 +13,16 @@
     - a node with no computed predecessor inputs gets [bottom] ([init] for
       the entry node);
     - iteration stops when no out-state changed during a pass, or after
-      [max_passes] passes, whichever comes first.  In the latter case the
-      states computed so far stand as an over-approximation and
-      [converged] is [false].
+      [max_passes] passes, whichever comes first.  In the latter case
+      [converged] is [false] and the states computed so far stand: the
+      iteration ascends from [bottom], so for a may-analysis (taint) they
+      {e under}-approximate the fixpoint — facts the missing passes would
+      have added are absent.  Clients report exhaustion rather than treat
+      those states as sound;
+    - an out-state physically equal to the previous one is unchanged
+      without calling [equal], which must therefore be reflexive.  A
+      client whose transfer function returns its input (or shares it)
+      when nothing changed gets the convergence test for free.
 
     The transfer function may carry side effects (finding reports,
     observability counters): it runs once per node visit, every pass, so
@@ -26,9 +33,9 @@ type 'st config = {
   init : 'st;  (** in-state of the entry node *)
   bottom : 'st;  (** state of nodes with no computed predecessors *)
   join : 'st -> 'st -> 'st;
-  equal : 'st -> 'st -> bool;  (** convergence test *)
+  equal : 'st -> 'st -> bool;  (** convergence test; must be reflexive *)
   transfer : 'st -> Phplang.Ast.stmt -> 'st;
-  max_passes : int;  (** pass budget; exhaustion over-approximates *)
+  max_passes : int;  (** pass budget; exhaustion under-approximates *)
 }
 
 type 'st result = {
@@ -65,7 +72,7 @@ let solve ?(check = fun () -> ()) (c : 'st config) (cfg : Cfg.t) :
         in
         let out_state = List.fold_left c.transfer in_state node.Cfg.stmts in
         match out_states.(id) with
-        | Some prev when c.equal prev out_state -> ()
+        | Some prev when prev == out_state || c.equal prev out_state -> ()
         | _ ->
             out_states.(id) <- Some out_state;
             changed := true)

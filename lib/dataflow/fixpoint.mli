@@ -7,12 +7,17 @@ type 'st config = {
   init : 'st;  (** in-state of the entry node *)
   bottom : 'st;  (** state of nodes with no computed predecessors *)
   join : 'st -> 'st -> 'st;
-  equal : 'st -> 'st -> bool;  (** convergence test *)
+  equal : 'st -> 'st -> bool;
+      (** convergence test; must be reflexive, since a physically equal
+          out-state counts as unchanged without calling it *)
   transfer : 'st -> Phplang.Ast.stmt -> 'st;
       (** may carry side effects; runs once per node visit, every pass, so
           effectful clients must de-duplicate and keep their state
           monotonically ascending *)
-  max_passes : int;  (** pass budget; exhaustion over-approximates *)
+  max_passes : int;
+      (** pass budget.  Iteration ascends from [bottom], so a solve that
+          runs out of passes leaves states that {e under}-approximate a
+          may-analysis's fixpoint; [converged] says so. *)
 }
 
 type 'st result = {

@@ -33,7 +33,9 @@
    (ns "defdigest") and switches Digest.structural to No_sharing
    marshalling, changing every derived digest; v5 entries' keys and
    payloads are both stale. *)
-let format_version = 6
+(* v7: phpSAFE's summary and per-file result entries record the files
+   whose [--flow] fixpoint ran out of passes. *)
+let format_version = 7
 
 let magic = "phpsafe-store"
 

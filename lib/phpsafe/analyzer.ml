@@ -15,7 +15,7 @@
 
 open Secflow
 module S = Set.Make (String)
-module SMap = Map.Make (String)
+module SMap = Env.SMap
 
 type budget = {
   max_include_depth : int;
@@ -136,7 +136,7 @@ type ctx = {
   classes : (string, Phplang.Ast.cls) Hashtbl.t;
   summaries : (string, Summary.t) Hashtbl.t;
   in_progress : (string, unit) Hashtbl.t;
-  globals : (string, Taint.t) Hashtbl.t;
+  globals : Env.table;
   mutable findings : Report.finding list;
   mutable reported : Report.Occurrence_set.t;
   mutable include_stack : S.t;  (** include cycle cut, per entry run *)
@@ -147,6 +147,9 @@ type ctx = {
   mutable so_writes : S.t;
       (** DB-write keys reached by SQL-tainted data ([So_record] phase);
           ["*"] stands for a write whose key is not statically known *)
+  mutable exhausted : S.t;
+      (** files with a [--flow] body walk that ran out of fixpoint passes;
+          their outcome becomes [Budget_exhausted] when results assemble *)
   cache : icache option;
 }
 
@@ -197,6 +200,8 @@ let so_write_key (cs : Summary.cond_sink) =
     (String.length cs.Summary.cs_sink_name - String.length so_write_prefix)
 
 let record_so_write (c : ctx) key = c.so_writes <- S.add key c.so_writes
+
+let record_exhausted (c : ctx) file = c.exhausted <- S.add file c.exhausted
 
 let report a ?context ~kind ~pos ~sink_name ~var (taint : Taint.t) =
   if not (kind_enabled a.c.opts kind) then ()
@@ -600,6 +605,8 @@ type summary_entry = {
   se_so_writes : string list;
       (** DB-write keys recorded while the summary was built, replayed on a
           hit so the second-order record phase is cache-transparent *)
+  se_exhausted : string list;
+      (** files whose fixpoint ran out while the summary was built *)
 }
 
 (** One uncalled-entry-point record inside a per-file entry. *)
@@ -607,6 +614,7 @@ type uncalled_rec = {
   ur_findings : Report.finding list;
   ur_crashed : string option;  (** exception text when the walk crashed *)
   ur_so_writes : string list;  (** DB-write keys recorded during the walk *)
+  ur_exhausted : string list;  (** files whose fixpoint ran out in the walk *)
 }
 
 (** What the per-file result cache persists for one analyzable file: the
@@ -622,6 +630,9 @@ type file_entry = {
   ue_so_writes : string list;
       (** DB-write keys recorded during the entry walk (second-order
           record phase), merged back on replay *)
+  ue_exhausted : string list;
+      (** files whose fixpoint ran out during the entry walk, merged back
+          on replay so a warm run reports the same outcomes *)
 }
 
 (** Cold-run bookkeeping for a file entry being recorded. *)
@@ -630,6 +641,7 @@ type pending = {
   mutable pd_outcome : Report.file_outcome;
   mutable pd_uncalled : (string * uncalled_rec) list;  (** reversed *)
   mutable pd_so_writes : string list;
+  pd_exhausted : string list;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -826,6 +838,13 @@ let rec resolve_method ctx cls m =
         match cdef.Phplang.Ast.c_parent with
         | Some parent -> resolve_method ctx parent m
         | None -> None
+
+(** The [--flow] join: per-variable {!Taint.join}.  Joining a state with
+    itself returns it unchanged when every binding joins to itself, so a
+    merge of unchanged states shares the map instead of rebuilding it. *)
+let join_vars m1 m2 =
+  if m1 == m2 && SMap.for_all (fun _ t -> Taint.join t t == t) m1 then m1
+  else SMap.union (fun _ x y -> Some (Taint.join x y)) m1 m2
 
 (* ------------------------------------------------------------------ *)
 (* Expression evaluation                                              *)
@@ -1351,11 +1370,13 @@ and obtain_summary (c : ctx) (fi : func_info) : Summary.t =
                   end)
                 e.se_published;
               List.iter (record_so_write c) e.se_so_writes;
+              List.iter (record_exhausted c) e.se_exhausted;
               e.se_summary
           | None ->
               let findings0 = List.length c.findings in
               let log0 = List.length c.sum_log in
               let so0 = c.so_writes in
+              let ex0 = c.exhausted in
               let s = analyze_function c fi in
               let rec take k l =
                 if k <= 0 then []
@@ -1368,6 +1389,7 @@ and obtain_summary (c : ctx) (fi : func_info) : Summary.t =
                   se_findings = delta c.findings findings0;
                   se_published = delta c.sum_log log0;
                   se_so_writes = S.elements (S.diff c.so_writes so0);
+                  se_exhausted = S.elements (S.diff c.exhausted ex0);
                 };
               s))
 
@@ -1454,11 +1476,13 @@ and exec_body a (stmts : Phplang.Ast.stmt list) =
   if a.c.opts.flow_sensitive then exec_body_flow a stmts
   else List.iter (exec_stmt a) stmts
 
-(* Flow-sensitive walk: the abstract state is a snapshot of the scope's
-   local table (at top level, the shared global table), joined per variable
-   at CFG merge points, so a sanitizer applied on one branch is killed at
-   the join when the other branch kept the taint, and a loop back-edge
-   re-generates taint assigned after a sink.
+(* Flow-sensitive walk: the abstract state is the persistent map in the
+   scope's local table (at top level, the shared global table), joined per
+   variable at CFG merge points, so a sanitizer applied on one branch is
+   killed at the join when the other branch kept the taint, and a loop
+   back-edge re-generates taint assigned after a sink.  Taking a snapshot
+   reads the table's cell and restoring one writes it, so a statement
+   costs what it changes, not the size of the scope.
 
    The transfer function is the ordinary [exec_stmt] walk, replayed every
    pass, so its side effects need the usual fixpoint discipline:
@@ -1468,34 +1492,36 @@ and exec_body a (stmts : Phplang.Ast.stmt list) =
      states;
    - conditional sinks accumulated in the frame are de-duplicated when the
      summary is built ({!analyze_function});
-   - [fr_ret] joins monotonically across passes. *)
+   - [fr_ret] joins monotonically across passes.
+   A walk that runs out of passes keeps its findings and marks [a.file] —
+   the entry file, or the file defining the function being summarised —
+   budget-exhausted. *)
 and exec_body_flow a stmts =
   let module F = Dataflow.Fixpoint in
   let cfg = Dataflow.Cfg.build stmts in
-  let snapshot () = Hashtbl.fold SMap.add a.env.Env.locals SMap.empty in
-  let restore st =
-    Hashtbl.reset a.env.Env.locals;
-    SMap.iter (Hashtbl.replace a.env.Env.locals) st
-  in
+  let cell = a.env.Env.locals in
   let res =
     F.solve ~check:Deadline.check
       {
-        F.init = snapshot ();
+        F.init = cell.Env.vars;
         bottom = SMap.empty;
-        join = SMap.union (fun _ x y -> Some (Taint.join x y));
+        join = join_vars;
         equal = SMap.equal Taint.equal_modulo_trace;
         transfer =
           (fun st s ->
-            restore st;
+            cell.Env.vars <- st;
             exec_stmt a s;
-            snapshot ());
+            cell.Env.vars);
         max_passes = (Budget.get ()).Budget.fixpoint_passes;
       }
       cfg
   in
   Obs.add "phpsafe.flow.passes" res.F.passes;
-  if not res.F.converged then Obs.incr "phpsafe.flow.exhausted";
-  restore res.F.exit_state
+  if not res.F.converged then begin
+    Obs.incr "phpsafe.flow.exhausted";
+    record_exhausted a.c a.file
+  end;
+  cell.Env.vars <- res.F.exit_state
 
 and exec_stmt a (s : Phplang.Ast.stmt) =
   match s.Phplang.Ast.s with
@@ -1707,13 +1733,14 @@ let analyze_project_internal ?(opts = default_options)
       classes = Hashtbl.create 32;
       summaries = Hashtbl.create 128;
       in_progress = Hashtbl.create 8;
-      globals = Hashtbl.create 64;
+      globals = Env.table ();
       findings = [];
       reported = Report.Occurrence_set.empty;
       include_stack = S.empty;
       errors = 0;
       sum_log = [];
       so_writes = S.empty;
+      exhausted = S.empty;
       cache;
     }
   in
@@ -1896,6 +1923,7 @@ let analyze_project_internal ?(opts = default_options)
               Hashtbl.replace replayed path e;
               List.iter (replay_finding ctx) e.ue_findings;
               List.iter (record_so_write ctx) e.ue_so_writes;
+              List.iter (record_exhausted ctx) e.ue_exhausted;
               (match e.ue_outcome with
               | Report.Analyzed -> ()
               | Report.Failed _ -> ctx.errors <- ctx.errors + 1);
@@ -1905,6 +1933,7 @@ let analyze_project_internal ?(opts = default_options)
                 if ctx.cache = None then 0 else List.length ctx.findings
               in
               let so0 = ctx.so_writes in
+              let ex0 = ctx.exhausted in
               ctx.include_stack <- S.singleton path;
               let env = Env.create_toplevel ctx.globals in
               let a = { c = ctx; env; frame = None; file = path } in
@@ -1922,6 +1951,7 @@ let analyze_project_internal ?(opts = default_options)
                       | None -> Report.Analyzed);
                     pd_uncalled = [];
                     pd_so_writes = S.elements (S.diff ctx.so_writes so0);
+                    pd_exhausted = S.elements (S.diff ctx.exhausted ex0);
                   })
         analyzable;
       if opts.analyze_uncalled then begin
@@ -1936,6 +1966,7 @@ let analyze_project_internal ?(opts = default_options)
           Deadline.check ();
           let n0 = if ctx.cache = None then 0 else List.length ctx.findings in
           let so0 = ctx.so_writes in
+          let ex0 = ctx.exhausted in
           let crashed =
             match obtain_summary ctx fi with
             | _ -> None
@@ -1950,7 +1981,8 @@ let analyze_project_internal ?(opts = default_options)
                 (fkey,
                  { ur_findings = findings_delta n0;
                    ur_crashed = crashed;
-                   ur_so_writes = S.elements (S.diff ctx.so_writes so0) })
+                   ur_so_writes = S.elements (S.diff ctx.so_writes so0);
+                   ur_exhausted = S.elements (S.diff ctx.exhausted ex0) })
                 :: pd.pd_uncalled
           | None -> ()
         in
@@ -1962,6 +1994,7 @@ let analyze_project_internal ?(opts = default_options)
                 | Some ur -> (
                     List.iter (replay_finding ctx) ur.ur_findings;
                     List.iter (record_so_write ctx) ur.ur_so_writes;
+                    List.iter (record_exhausted ctx) ur.ur_exhausted;
                     match ur.ur_crashed with
                     | Some msg -> mark_file_crashed_msg fi.fi_file msg
                     | None -> ())
@@ -1999,13 +2032,29 @@ let analyze_project_internal ?(opts = default_options)
               ue_called;
               ue_uncalled;
               ue_so_writes = pd.pd_so_writes;
+              ue_exhausted = pd.pd_exhausted;
             })
         pendings);
   (* stage 4 (§III.D): results *)
   Obs.span "phpsafe.results" @@ fun () ->
+  (* a file whose [--flow] fixpoint ran out keeps its findings but reports
+     the exhausted pass budget, as Pixy does *)
+  let outcomes =
+    List.rev_map
+      (fun (path, o) ->
+        match o with
+        | Report.Analyzed when S.mem path ctx.exhausted ->
+            ctx.errors <- ctx.errors + 1;
+            ( path,
+              Report.fail
+                (Report.Budget_exhausted
+                   "dataflow fixpoint pass budget exhausted") )
+        | o -> (path, o))
+      !outcomes
+  in
   ( {
       Report.findings = List.rev ctx.findings;
-      outcomes = List.rev !outcomes;
+      outcomes;
       errors = ctx.errors;
       unresolved_includes = S.cardinal !unresolved;
     },

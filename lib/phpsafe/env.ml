@@ -9,13 +9,23 @@
     declarations alias a local name to the global table.  [$obj] → class
     bindings let the analyzer resolve method calls on plugin objects.
     Properties of [$this] are stored per-class in the global table under
-    ["Class::$prop"], so taint stored by one method is visible to others. *)
+    ["Class::$prop"], so taint stored by one method is visible to others.
+
+    A variable table is one mutable cell holding a persistent map, so the
+    [--flow] fixpoint snapshots a scope by reading the cell and restores it
+    by writing the cell back — O(1) either way, with unchanged bindings
+    shared between states. *)
 
 module S = Set.Make (String)
+module SMap = Map.Make (String)
+
+type table = { mutable vars : Taint.t SMap.t }
+
+let table () = { vars = SMap.empty }
 
 type t = {
-  locals : (string, Taint.t) Hashtbl.t;
-  globals : (string, Taint.t) Hashtbl.t;  (** shared project-wide *)
+  locals : table;
+  globals : table;  (** shared project-wide *)
   mutable declared_global : S.t;
   top_level : bool;  (** in global scope, locals = globals *)
   class_of : (string, string) Hashtbl.t;  (** variable -> class binding *)
@@ -39,7 +49,7 @@ let create_toplevel globals =
 
 let create_scope ?current_class globals =
   {
-    locals = Hashtbl.create 16;
+    locals = table ();
     globals;
     declared_global = S.empty;
     top_level = false;
@@ -65,28 +75,54 @@ let alias t name target =
 let table_for t name =
   if t.top_level || S.mem name t.declared_global then t.globals else t.locals
 
-let get t name =
-  let name = representative t name in
-  match Hashtbl.find_opt (table_for t name) name with
+let find tbl name =
+  match SMap.find_opt name tbl.vars with
   | Some taint -> taint
   | None -> Taint.untainted
 
+let get t name =
+  let name = representative t name in
+  find (table_for t name) name
+
 let mem t name =
   let name = representative t name in
-  Hashtbl.mem (table_for t name) name
+  SMap.mem name (table_for t name).vars
 
 let set t name taint =
   let name = representative t name in
-  Hashtbl.replace (table_for t name) name taint
+  let tbl = table_for t name in
+  tbl.vars <- SMap.add name taint tbl.vars
 
 (** Assigning to one array slot taints the whole array conservatively. *)
 let set_join t name taint = set t name (Taint.join (get t name) taint)
 
 (** [unset($a)] destroys only [$a]'s binding; a referenced cell stays alive
-    through its other names. *)
+    through its other names.  When [$a] is itself the representative other
+    names point at, its binding moves to the smallest-named of them, and
+    the rest are re-pointed there. *)
 let unset t name =
   if Hashtbl.mem t.aliases name then Hashtbl.remove t.aliases name
-  else Hashtbl.remove (table_for t name) name
+  else begin
+    let tbl = table_for t name in
+    let binding = SMap.find_opt name tbl.vars in
+    tbl.vars <- SMap.remove name tbl.vars;
+    let others =
+      Hashtbl.fold
+        (fun v rep acc -> if String.equal rep name then v :: acc else acc)
+        t.aliases []
+      |> List.sort String.compare
+    in
+    match others with
+    | [] -> ()
+    | heir :: rest ->
+        Hashtbl.remove t.aliases heir;
+        List.iter (fun v -> Hashtbl.replace t.aliases v heir) rest;
+        let dst = table_for t heir in
+        dst.vars <-
+          (match binding with
+          | Some taint -> SMap.add heir taint dst.vars
+          | None -> SMap.remove heir dst.vars)
+  end
 
 (* -- class bindings ------------------------------------------------- *)
 
@@ -106,12 +142,9 @@ let this_prop_key t prop =
 
 let static_prop_key cls prop = cls ^ "::" ^ prop
 
-let get_global_key t key =
-  match Hashtbl.find_opt t.globals key with
-  | Some taint -> taint
-  | None -> Taint.untainted
+let get_global_key t key = find t.globals key
 
-let set_global_key t key taint = Hashtbl.replace t.globals key taint
+let set_global_key t key taint = t.globals.vars <- SMap.add key taint t.globals.vars
 
 let set_global_key_join t key taint =
   set_global_key t key (Taint.join (get_global_key t key) taint)

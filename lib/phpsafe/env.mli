@@ -6,10 +6,18 @@
     ["Class::$prop"] so taint crosses method boundaries (§III.E). *)
 
 module S : Set.S with type elt = string
+module SMap : Map.S with type key = string
+
+type table = { mutable vars : Taint.t SMap.t }
+(** A variable table: one mutable cell holding a persistent map, so a
+    snapshot is a read of [vars] and a restore is a write. *)
+
+val table : unit -> table
+(** A fresh, empty table. *)
 
 type t = {
-  locals : (string, Taint.t) Hashtbl.t;
-  globals : (string, Taint.t) Hashtbl.t;
+  locals : table;
+  globals : table;
   mutable declared_global : S.t;
   top_level : bool;
   class_of : (string, string) Hashtbl.t;  (** variable -> class binding *)
@@ -18,10 +26,10 @@ type t = {
       (** [$a =& $b] reference bindings (the Pixy [-A] analogue, §IV.B) *)
 }
 
-val create_toplevel : (string, Taint.t) Hashtbl.t -> t
+val create_toplevel : table -> t
 (** Global scope: locals {e are} the global table. *)
 
-val create_scope : ?current_class:string -> (string, Taint.t) Hashtbl.t -> t
+val create_scope : ?current_class:string -> table -> t
 (** Fresh function/method scope sharing the given global table. *)
 
 val declare_global : t -> string -> unit
@@ -41,6 +49,9 @@ val set_join : t -> string -> Taint.t -> unit
     the whole array conservatively. *)
 
 val unset : t -> string -> unit
+(** Destroy one name's binding.  A referenced cell stays alive through its
+    other names: unsetting the representative moves its binding to the
+    smallest-named alias and re-points the remaining aliases there. *)
 
 val bind_class : t -> string -> string -> unit
 val class_binding : t -> string -> string option

@@ -160,7 +160,12 @@ let join_comp a b =
     was_deps = Int_set.union a.was_deps b.was_deps;
   }
 
+(* [join a a] is [a] itself exactly when [join_sans] keeps every applied
+   set, i.e. every kind with one is relevant; otherwise the join drops the
+   sets of the irrelevant kinds and must be rebuilt. *)
 let join a b =
+  if a == b && Kmap.for_all (fun k _ -> relevant k a) a.sans.applied then a
+  else
   (* keep the trace (and its truncation flag) of the "more tainted" operand *)
   let a_leads = any_tainted a || has_deps a in
   {
@@ -193,7 +198,8 @@ let equal_sans a b =
     keeps [comps]/[applied] canonical (no clean/empty entries).  This is
     the convergence test of the flow-sensitive fixpoint ([--flow]). *)
 let equal_modulo_trace a b =
-  Kmap.equal equal_comp a.comps b.comps && equal_sans a.sans b.sans
+  a == b
+  || Kmap.equal equal_comp a.comps b.comps && equal_sans a.sans b.sans
 
 (** Neutralise [kind], remembering the pre-sanitization state. *)
 let sanitize kind t =

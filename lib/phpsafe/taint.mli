@@ -72,7 +72,9 @@ val interesting : t -> bool
 
 val join : t -> t -> t
 (** Least upper bound; keeps the first available source and the trace of the
-    "more tainted" operand. *)
+    "more tainted" operand.  [join a a] returns [a] itself when every kind
+    with an applied sanitizer set is {!relevant}; otherwise it drops the
+    sets of the irrelevant kinds, as for any other join. *)
 
 val join_all : t list -> t
 

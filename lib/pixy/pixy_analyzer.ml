@@ -125,8 +125,9 @@ type fctx = {
   mutable in_progress : string list;
   mutable over_budget : bool;
       (** a dataflow fixpoint hit the pass budget before converging — the
-          states computed so far are kept (over-approximate result) but the
-          file is reported as budget-exhausted *)
+          states computed so far are kept (an under-approximation: more
+          passes could only add taint) and the file is reported as
+          budget-exhausted *)
 }
 
 let max_inline_depth = 8
@@ -452,8 +453,9 @@ and run_dataflow sc (stmts : A.stmt list) (init : T.state) : T.state =
   in
   Obs.add "pixy.fixpoint.passes" res.Dataflow.Fixpoint.passes;
   if not res.Dataflow.Fixpoint.converged then begin
-    (* the pass budget ran out before a fixpoint: the last states stand as
-       an over-approximation, and the file is flagged instead of looping *)
+    (* the pass budget ran out before a fixpoint: the last states stand,
+       under-approximating the converged result, and the file is flagged
+       instead of looping *)
     sc.fx.over_budget <- true;
     Obs.incr "pixy.fixpoint.exhausted"
   end;

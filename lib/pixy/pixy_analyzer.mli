@@ -9,8 +9,9 @@ exception Oop of string
 
 val max_inline_depth : int
 (** The fixpoint pass cap moved to [Secflow.Budget.fixpoint_passes];
-    exhausting it degrades the file to an over-approximate result reported
-    as [Failed (Budget_exhausted _)] instead of iterating further. *)
+    exhausting it keeps the findings made so far (an under-approximation:
+    the missing passes could only add taint) and reports the file as
+    [Failed (Budget_exhausted _)] instead of iterating further. *)
 
 val analyze_file :
   file:string ->

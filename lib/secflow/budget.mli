@@ -1,12 +1,14 @@
 (** Process-global resource budgets for the analysis pipeline.
 
     Budgets bound the places where a pathological input could otherwise
-    consume unbounded stack, memory or time: parser nesting, Pixy's
-    dataflow fixpoint, and the include-closure walk.  Exhausting a budget
-    is never fatal — the affected file degrades to a
-    [Failed (Budget_exhausted _)] outcome in the §V.E robustness table
-    (for Pixy's fixpoint, with the over-approximate findings kept) while
-    the rest of the run proceeds.
+    consume unbounded stack, memory or time: parser nesting, the dataflow
+    fixpoints (Pixy's, and phpSAFE's under [--flow]), and the
+    include-closure walk.  Exhausting a budget is never fatal — the
+    affected file degrades to a [Failed (Budget_exhausted _)] outcome in
+    the §V.E robustness table while the rest of the run proceeds.  A
+    fixpoint that runs out keeps the findings it already made; they
+    under-approximate the converged result, since the missing passes could
+    only have added taint.
 
     The budget is one process-global value (an [Atomic.t]): the drivers
     set it once from their [--budget-*] flags before any analysis runs.
@@ -22,8 +24,8 @@ type t = {
   parse_depth : int;
       (** parser nesting fuel (expression/statement depth); default 512 *)
   fixpoint_passes : int;
-      (** cap on Pixy dataflow fixpoint passes per function/file body;
-          default 64 *)
+      (** cap on dataflow fixpoint passes per function/file body, for Pixy
+          and for phpSAFE's [--flow] walk; default 64 *)
   include_depth : int;
       (** include-closure chain-depth cap; default 64 *)
   include_files : int;

@@ -92,8 +92,8 @@ type failure_reason =
           barrier — the analysis aborted but the run survives *)
   | Budget_exhausted of string
       (** a resource budget (parser nesting fuel, fixpoint pass cap,
-          include-closure cap — see {!Budget}) ran out; the result may be
-          partial/over-approximate *)
+          include-closure cap — see {!Budget}) ran out; the findings kept
+          are partial *)
 
 (** Stable label for a failure reason, used for per-reason [Obs] counters
     and report breakdowns. *)

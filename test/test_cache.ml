@@ -42,14 +42,16 @@ let project name files =
   Phplang.Project.make ~name
     (List.map (fun (path, source) -> { Phplang.Project.path; source }) files)
 
-let result_stats () =
+let ns_stats ns =
   match
     List.find_opt
-      (fun (s : Store.stats) -> String.equal s.Store.ns "result")
+      (fun (s : Store.stats) -> String.equal s.Store.ns ns)
       (Store.counters ())
   with
   | Some s -> (s.Store.hits, s.Store.misses)
   | None -> (0, 0)
+
+let result_stats () = ns_stats "result"
 
 (* Result-cache hits/misses attributable to [f] alone. *)
 let result_delta f =
@@ -215,6 +217,69 @@ let opts_cases =
         Alcotest.(check int) "flow entries invalidated" 0 hits;
         Alcotest.(check bool) "analyzed afresh" true (misses > 0));
   ]
+
+(* A [--flow] walk that runs out of fixpoint passes marks its file
+   budget-exhausted — the entry file, or the file defining the function
+   being summarised.  Warm runs must report the same outcomes, whether the
+   exhaustion replays from a file entry or from a summary entry. *)
+let exhaustion_case =
+  case "--flow pass-budget exhaustion replays warm" `Quick (fun () ->
+      with_cache_dir @@ fun dir ->
+      let d = Secflow.Budget.default in
+      Fun.protect ~finally:Secflow.Budget.reset @@ fun () ->
+      Secflow.Budget.set { d with Secflow.Budget.fixpoint_passes = 3 };
+      let flow = { Phpsafe.default_options with Phpsafe.flow_sensitive = true } in
+      (* a 12-step chain in a loop: far more than 3 passes to converge *)
+      let chain src =
+        "while ($k) {\n"
+        ^ String.concat ""
+            (List.init 12 (fun i ->
+                 Printf.sprintf "$a%d = $a%d;\n" (12 - i) (11 - i)))
+        ^ "$a0 = " ^ src ^ ";\n}\n"
+      in
+      let main pad =
+        ( "main.php",
+          "<?php\n" ^ pad ^ "echo $_GET['z'];\necho f($_GET['x']);\n"
+          ^ chain "$_GET['y']" ^ "echo $a12;\n" )
+      in
+      let lib =
+        ("lib.php", "<?php\nfunction f($p) {\n" ^ chain "$p" ^ "return $a12;\n}\n")
+      in
+      let status (r : Secflow.Report.result) path =
+        match List.assoc_opt path r.Secflow.Report.outcomes with
+        | Some Secflow.Report.Analyzed -> "analyzed"
+        | Some (Secflow.Report.Failed reason) -> Secflow.Report.failure_label reason
+        | None -> "missing"
+      in
+      let check_exhausted what r =
+        Alcotest.(check (list string)) what
+          [ "budget_exhausted"; "budget_exhausted" ]
+          [ status r "main.php"; status r "lib.php" ]
+      in
+      let p1 = project "exhaust" [ main ""; lib ] in
+      let cold = Phpsafe.analyze_project ~opts:flow p1 in
+      check_exhausted "cold" cold;
+      Alcotest.(check int) "entry findings kept" 1
+        (List.length cold.Secflow.Report.findings);
+      let warm, hits, misses =
+        result_delta (fun () -> Phpsafe.analyze_project ~opts:flow p1)
+      in
+      Alcotest.check check_result "warm replays the outcomes" cold warm;
+      Alcotest.(check bool) "warm run replayed" true (hits > 0);
+      Alcotest.(check int) "warm run fully cached" 0 misses;
+      (* only main.php changes: it is walked again and takes f's summary
+         from the summary cache, while lib.php's entry replays *)
+      let p2 = project "exhaust" [ main "$pad = 1;\n"; lib ] in
+      let s0, _ = ns_stats "summary" in
+      let edited = Phpsafe.analyze_project ~opts:flow p2 in
+      let s1, _ = ns_stats "summary" in
+      Alcotest.(check bool) "f's summary replayed" true (s1 > s0);
+      check_exhausted "edited" edited;
+      Store.set_root None;
+      let uncached = Phpsafe.analyze_project ~opts:flow p2 in
+      Store.set_root (Some dir);
+      Alcotest.check check_result "edited run matches an uncached run"
+        uncached edited)
 
 (* --budget-* invalidation is per analyzer: only the tools whose key covers
    the changed Budget slice may miss. *)
@@ -625,7 +690,8 @@ let () =
   Alcotest.run "cache"
     [ ("warm replay", replay_cases);
       ("exact invalidation",
-       (edited_file_case :: edited_callee_case :: opts_cases) @ [ budget_case ]);
+       (edited_file_case :: edited_callee_case :: opts_cases)
+       @ [ budget_case; exhaustion_case ]);
       ("corruption safety", corruption_cases);
       ("disk faults and fsck", fault_cases);
       ("pool transparency", [ jobs_case ]);

@@ -21,6 +21,26 @@ let expect name src expected =
       in
       Alcotest.(check (list string)) name (List.sort compare expected) got)
 
+let analyze_flow src =
+  let opts = { Phpsafe.default_options with Phpsafe.flow_sensitive = true } in
+  Phpsafe.analyze_source ~opts ~file:"t.php" ("<?php\n" ^ src)
+
+let expect_flow name src expected =
+  Alcotest.test_case name `Quick (fun () ->
+      let got =
+        (analyze_flow src).Report.findings
+        |> List.map (fun (f : Report.finding) ->
+               Printf.sprintf "%s@%d"
+                 (Vuln.kind_to_string f.Report.kind)
+                 (f.Report.sink_pos.Phplang.Ast.line - 1))
+        |> List.sort compare
+      in
+      Alcotest.(check (list string)) name (List.sort compare expected) got)
+
+(* the same expectation for the flat walk and for [--flow] *)
+let expect_both name src expected =
+  [ expect name src expected; expect_flow (name ^ " (--flow)") src expected ]
+
 let flow_cases =
   [
     expect "direct superglobal echo" "echo $_GET['x'];" [ "XSS@1" ];
@@ -304,6 +324,17 @@ let reference_cases =
       "$a = 'safe';\n$b =& $a;\n$c =& $b;\n$c = $_GET['x'];\necho $a;"
       [ "XSS@5" ];
   ]
+  (* [unset] of either name leaves the cell alive through the other: PHP
+     echoes the input in both orders *)
+  @ [ expect_flow "unset breaks only the unset name (--flow)"
+        "$a = $_GET['x'];\n$b =& $a;\nunset($b);\necho $a;" [ "XSS@4" ] ]
+  @ expect_both "unset of the reference target keeps the alias's value"
+      "$a = $_GET['x'];\n$b =& $a;\nunset($a);\necho $b;" [ "XSS@4" ]
+  @ expect_both "unset target: remaining aliases follow the heir"
+      "$a = $_GET['x'];\n$b =& $a;\n$c =& $a;\nunset($a);\n$c = 'safe';\necho $b;"
+      []
+  @ expect_both "unset target: the unset name itself is clean"
+      "$a = $_GET['x'];\n$b =& $a;\nunset($a);\necho $a;" []
 
 let option_cases =
   [
@@ -503,22 +534,6 @@ let frontend_cases =
     expect "?? of two literals is clean" "$a = 'x' ?? 'y';\necho $a;" [];
   ]
 
-let analyze_flow src =
-  let opts = { Phpsafe.default_options with Phpsafe.flow_sensitive = true } in
-  Phpsafe.analyze_source ~opts ~file:"t.php" ("<?php\n" ^ src)
-
-let expect_flow name src expected =
-  Alcotest.test_case name `Quick (fun () ->
-      let got =
-        (analyze_flow src).Report.findings
-        |> List.map (fun (f : Report.finding) ->
-               Printf.sprintf "%s@%d"
-                 (Vuln.kind_to_string f.Report.kind)
-                 (f.Report.sink_pos.Phplang.Ast.line - 1))
-        |> List.sort compare
-      in
-      Alcotest.(check (list string)) name (List.sort compare expected) got)
-
 (* --flow: the fixpoint walk over the shared CFG; contrast each case with
    its flat counterpart in [flow_cases] *)
 let flow_sensitive_cases =
@@ -541,6 +556,93 @@ let flow_sensitive_cases =
       "$a = $_GET['x'];\necho $a;" [ "XSS@2" ];
     expect_flow "sequential overwrite still kills taint"
       "$a = $_GET['x'];\n$a = 'safe';\necho $a;" [];
+    (* at top level the flow state is the shared global table itself *)
+    expect_flow "top level sees a global written by a called function"
+      "function load() {\nglobal $g;\n$g = $_GET['x'];\n}\nload();\necho $g;"
+      [ "XSS@6" ];
+    expect_flow "a function sees a global joined across two branches"
+      "if ($c) {\n$g = $_GET['x'];\n} else {\n$g = 'safe';\n}\nfunction show() {\nglobal $g;\necho $g;\n}\nshow();"
+      [ "XSS@8" ];
+    Alcotest.test_case "a long top-level walk allocates per statement, not per global"
+      `Quick (fun () ->
+        (* every statement adds a global: a walk that copied the scope per
+           statement would allocate quadratically (hundreds of Mwords) *)
+        let n = 2000 in
+        let source =
+          "<?php\n"
+          ^ String.concat ""
+              (List.init n (fun i -> Printf.sprintf "$g%d = $_GET['p%d'];\n" i i))
+        in
+        let file = { Phplang.Project.path = "big.php"; source } in
+        ignore (Phplang.Project.parse_file file);
+        let project = Phplang.Project.make ~name:"big" [ file ] in
+        let opts = { Phpsafe.default_options with Phpsafe.flow_sensitive = true } in
+        let w0 = Gc.minor_words () in
+        let r = Phpsafe.analyze_project ~opts project in
+        let mwords = (Gc.minor_words () -. w0) /. 1e6 in
+        Alcotest.(check int) "no findings" 0 (List.length r.Report.findings);
+        if mwords >= 5. then
+          Alcotest.failf "%d top-level assignments allocated %.1f Mwords (limit 5)"
+            n mwords);
+  ]
+
+(* the [--flow] pass budget: a walk that runs out keeps its findings and
+   reports its file as budget-exhausted *)
+let chain_loop src =
+  (* a 12-step assignment chain inside a loop needs more than a dozen
+     passes to carry [src] from [$a0] to [$a12] *)
+  "while ($k) {\n"
+  ^ String.concat ""
+      (List.init 12 (fun i -> Printf.sprintf "$a%d = $a%d;\n" (12 - i) (11 - i)))
+  ^ "$a0 = " ^ src ^ ";\n}\n"
+
+let with_passes n f =
+  let d = Budget.default in
+  Fun.protect ~finally:Budget.reset @@ fun () ->
+  Budget.set { d with Budget.fixpoint_passes = n };
+  f ()
+
+let status (r : Report.result) path =
+  match List.assoc_opt path r.Report.outcomes with
+  | Some Report.Analyzed -> "analyzed"
+  | Some (Report.Failed reason) -> Report.failure_label reason
+  | None -> "missing"
+
+let flow_budget_cases =
+  [
+    Alcotest.test_case "converged walk: finding, file analyzed" `Quick (fun () ->
+        let r = analyze_flow (chain_loop "$_GET['x']" ^ "echo $a12;") in
+        Alcotest.(check int) "one XSS" 1 (List.length r.Report.findings);
+        Alcotest.(check string) "status" "analyzed" (status r "t.php"));
+    Alcotest.test_case "exhausted entry walk keeps findings, reports the file"
+      `Quick (fun () ->
+        with_passes 3 @@ fun () ->
+        let r = analyze_flow ("echo $_GET['y'];\n" ^ chain_loop "$_GET['x']" ^ "echo $a12;") in
+        Alcotest.(check int) "the early finding is kept" 1
+          (List.length r.Report.findings);
+        Alcotest.(check string) "status" "budget_exhausted" (status r "t.php");
+        Alcotest.(check int) "one error" 1 r.Report.errors);
+    Alcotest.test_case "exhausted summary reports the defining file" `Quick
+      (fun () ->
+        with_passes 3 @@ fun () ->
+        let project =
+          Phplang.Project.make ~name:"p"
+            [ { Phplang.Project.path = "main.php";
+                source = "<?php\necho f($_GET['x']);\n" };
+              { Phplang.Project.path = "lib.php";
+                source =
+                  "<?php\nfunction f($p) {\n"
+                  ^ chain_loop "$p"
+                  ^ "return $a12;\n}\n" } ]
+        in
+        let opts = { Phpsafe.default_options with Phpsafe.flow_sensitive = true } in
+        let r = Phpsafe.analyze_project ~opts project in
+        Alcotest.(check string) "caller" "analyzed" (status r "main.php");
+        Alcotest.(check string) "definer" "budget_exhausted" (status r "lib.php"));
+    Alcotest.test_case "the flat walk ignores the pass budget" `Quick (fun () ->
+        with_passes 3 @@ fun () ->
+        let r = analyze (chain_loop "$_GET['x']" ^ "echo $a12;") in
+        Alcotest.(check string) "status" "analyzed" (status r "t.php"));
   ]
 
 let () =
@@ -548,6 +650,7 @@ let () =
     [ ("data flow (§III.C)", flow_cases);
       ("front-end gaps (heredoc, <?=, ??)", frontend_cases);
       ("flow-sensitive walk (--flow)", flow_sensitive_cases);
+      ("fixpoint pass budget (--flow)", flow_budget_cases);
       ("sanitizers and reverts (§III.A)", sanitizer_cases);
       ("inter-procedural and summaries", interproc_cases);
       ("OOP support (§III.E)", oop_cases);

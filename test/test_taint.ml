@@ -179,21 +179,58 @@ let sans_cases =
 
 open QCheck2
 
+(* A sanitizer set drawn from a small pool of names. *)
+let gen_san_set : T.San_set.t Gen.t =
+  let open Gen in
+  let+ picks = list_repeat 3 bool in
+  List.fold_left2
+    (fun s keep name -> if keep then T.San_set.add name s else s)
+    T.San_set.empty picks [ "esc_html"; "htmlspecialchars"; "intval" ]
+
+(* Canonical taint values over XSS and SQLi.  A component's parameter
+   dependency is optional, so a kind may be irrelevant (neither live nor
+   dependent); applied sanitizer sets are drawn for both kinds and for
+   command injection, which never has a component — [join] must drop the
+   sets of irrelevant kinds. *)
 let gen_taint : T.t Gen.t =
   let open Gen in
   let* xss = bool and* sqli = bool and* wx = bool and* ws = bool in
-  let* d1 = int_bound 3 and* d2 = int_bound 3 in
+  let* d1 = opt (int_bound 3) and* d2 = opt (int_bound 3) in
   let* sanitized = bool in
-  let comp live was dep =
-    { T.live; was; deps = T.Int_set.singleton dep; was_deps = T.Int_set.empty }
+  let* sx = gen_san_set and* ss = gen_san_set and* sc = gen_san_set in
+  let add kind live was dep m =
+    let deps =
+      match dep with Some d -> T.Int_set.singleton d | None -> T.Int_set.empty
+    in
+    if live || was || not (T.Int_set.is_empty deps) then
+      T.Kmap.add kind { T.live; was; deps; was_deps = T.Int_set.empty } m
+    else m
   in
   let comps =
-    T.Kmap.empty
-    |> T.Kmap.add Vuln.Xss (comp xss wx d1)
-    |> T.Kmap.add Vuln.Sqli (comp sqli ws d2)
+    T.Kmap.empty |> add Vuln.Xss xss wx d1 |> add Vuln.Sqli sqli ws d2
   in
-  let base = { T.untainted with T.comps } in
+  let add_set kind s m = if T.San_set.is_empty s then m else T.Kmap.add kind s m in
+  let applied =
+    T.Kmap.empty
+    |> add_set Vuln.Xss sx |> add_set Vuln.Sqli ss |> add_set Vuln.Cmdi sc
+  in
+  let base = { T.untainted with T.comps; sans = { T.no_sans with T.applied } } in
   return (if sanitized then T.sanitize Vuln.Xss base else base)
+
+(* Everything [join] and [equal_modulo_trace] look at, as plain data. *)
+let observe (t : T.t) =
+  ( T.Kmap.bindings t.T.comps
+    |> List.map (fun (k, (c : T.comp)) ->
+           ( Vuln.kind_to_string k, c.T.live, c.T.was,
+             T.Int_set.elements c.T.deps, T.Int_set.elements c.T.was_deps )),
+    ( T.Kmap.bindings t.T.sans.T.applied
+      |> List.map (fun (k, s) -> (Vuln.kind_to_string k, names s)),
+      names t.T.sans.T.undone,
+      t.T.sans.T.undone_all ),
+    t.T.source )
+
+(* A structural copy of [t] that is not physically equal to it. *)
+let copy (t : T.t) = { t with T.comps = t.T.comps }
 
 let flags t =
   let cx = T.comp Vuln.Xss t and cs = T.comp Vuln.Sqli t in
@@ -227,6 +264,14 @@ let props =
         let j = T.join a b in
         (T.is_tainted Vuln.Xss a || T.is_tainted Vuln.Xss b)
         = T.is_tainted Vuln.Xss j);
+    (* [join a a] may return [a] itself; it must agree with the join of two
+       structurally equal but distinct values, which takes the full path *)
+    Test.make ~name:"join a a agrees with join of a copy" ~count:500 gen_taint
+      (fun a ->
+        let a' = copy a in
+        a' != a && observe (T.join a a) = observe (T.join a a'));
+    Test.make ~name:"equal_modulo_trace is reflexive" ~count:300 gen_taint
+      (fun a -> T.equal_modulo_trace a a && T.equal_modulo_trace a (copy a));
   ]
 
 let () =
