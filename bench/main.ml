@@ -377,8 +377,8 @@ let write_json path ~table3 ~seq_par ~e13 ~e16 ~e12 ~e14 ~e15 ~e17 =
              ("region_fallback", Int r.es_fallback);
              ("ckpt_resume", Int r.es_resume);
              ("resync_tokens", Int r.es_resync_tokens);
-             ("dag_invalidated", Int r.es_dag_invalidated);
-             ("dag_retained", Int r.es_dag_retained) ]) ]
+             ("summary_rebuilt", Int r.es_summary_rebuilt);
+             ("summary_replayed", Int r.es_summary_replayed) ]) ]
   in
   Obs.write_file path
     (to_string

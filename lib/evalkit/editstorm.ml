@@ -23,8 +23,8 @@
     inserted into one function body — one statement re-parsed),
     [whitespace] (lexically trivial damage), [cross-def] (one update
     touching two definitions — both re-parsed, no fallback), and
-    [signature] (a parameter added — summary-DAG invalidation of the
-    def and its callers). *)
+    [signature] (a parameter added — the def's summary is rebuilt, and
+    so are its callers' when their file's entry is walked again). *)
 
 type kind = Single_def | Whitespace | Cross_def | Signature
 
@@ -56,8 +56,8 @@ type report = {
   es_fallback : int;  (** parser.region.fallback over the storm *)
   es_resume : int;  (** lexer.ckpt.resume over the storm *)
   es_resync_tokens : int;  (** lexer.ckpt.resync_tokens over the storm *)
-  es_dag_invalidated : int;  (** summary.dag.invalidated over the storm *)
-  es_dag_retained : int;  (** summary.dag.retained over the storm *)
+  es_summary_rebuilt : int;  (** cache.summary.miss over the storm *)
+  es_summary_replayed : int;  (** cache.summary.hit over the storm *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -118,7 +118,8 @@ let edit_cross_def _rng src =
   | _ -> None
 
 (* a parameter added to one function's signature: its structural digest
-   changes, invalidating the def and its transitive callers in the DAG *)
+   changes, and with it the summary keys of the def and its transitive
+   callers (rebuilt when a live walk reaches them) *)
 let edit_signature rng src =
   match occurrences ~sub:"function " src with
   | [] -> None
@@ -220,7 +221,7 @@ let measure ?(seed = default_seed) ?(edits = default_edits) ?corpus () :
   let c0 =
     [ counter "parser.region.reparse"; counter "parser.region.fallback";
       counter "lexer.ckpt.resume"; counter "lexer.ckpt.resync_tokens";
-      counter "summary.dag.invalidated"; counter "summary.dag.retained" ]
+      counter "cache.summary.miss"; counter "cache.summary.hit" ]
   in
   let rng = Corpus.Prng.create seed in
   let kinds = [| Single_def; Whitespace; Cross_def; Signature |] in
@@ -276,7 +277,7 @@ let measure ?(seed = default_seed) ?(edits = default_edits) ?corpus () :
     List.map2 (fun k v0 -> counter k - v0)
       [ "parser.region.reparse"; "parser.region.fallback";
         "lexer.ckpt.resume"; "lexer.ckpt.resync_tokens";
-        "summary.dag.invalidated"; "summary.dag.retained" ]
+        "cache.summary.miss"; "cache.summary.hit" ]
       c0
   in
   let d i = List.nth deltas i in
@@ -300,8 +301,8 @@ let measure ?(seed = default_seed) ?(edits = default_edits) ?corpus () :
     es_fallback = d 1;
     es_resume = d 2;
     es_resync_tokens = d 3;
-    es_dag_invalidated = d 4;
-    es_dag_retained = d 5;
+    es_summary_rebuilt = d 4;
+    es_summary_replayed = d 5;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -336,8 +337,8 @@ let print ppf (r : report) =
      resume(s), %d token(s) re-lexed@."
     r.es_reparse r.es_fallback r.es_resume r.es_resync_tokens;
   Format.fprintf ppf
-    "summary DAG: %d invalidated, %d retained across the storm@."
-    r.es_dag_invalidated r.es_dag_retained;
+    "summary cache: %d rebuilt, %d replayed across the storm@."
+    r.es_summary_rebuilt r.es_summary_replayed;
   Format.fprintf ppf
     "single-def edits: %.2f ms full vs %.2f ms incremental (%.1fx; goal \
      >= 5x)@."

@@ -33,15 +33,14 @@ type report = {
   es_fallback : int;
   es_resume : int;
   es_resync_tokens : int;
-  es_dag_invalidated : int;
-  es_dag_retained : int;
+  es_summary_rebuilt : int;  (** summary-cache misses over the storm *)
+  es_summary_replayed : int;  (** summary-cache hits over the storm *)
 }
 
 val measure : ?seed:int -> ?edits:int -> ?corpus:Corpus.t -> unit -> report
 (** Run the storm (default: seed [0x5afe17], 48 edits landing in the
     largest V.2012 plugin; every edit re-analyzes the whole corpus both
     ways).  Uses its own temporary store directory; the store root active
-    before the call is restored, and summary-DAG tracking is turned back
-    off. *)
+    before the call is restored. *)
 
 val print : Format.formatter -> report -> unit

@@ -35,7 +35,10 @@
    payloads are both stale. *)
 (* v7: phpSAFE's summary and per-file result entries record the files
    whose [--flow] fixpoint ran out of passes. *)
-let format_version = 7
+(* v8: phpSAFE's summary, per-file and uncalled-function entries all hold
+   one replay journal (pre-dedup findings, published summaries with their
+   summary keys); the "defdigest" namespace is gone. *)
+let format_version = 8
 
 let magic = "phpsafe-store"
 

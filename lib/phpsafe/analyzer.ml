@@ -139,11 +139,22 @@ type ctx = {
   globals : Env.table;
   mutable findings : Report.finding list;
   mutable reported : Report.Occurrence_set.t;
+  mutable emitted : Report.finding list;
+      (** findings reported before de-duplication while a {!journaled}
+          walk runs, newest first *)
+  mutable jseen : Report.Occurrence_set.t option;
+      (** occurrences already in [emitted] for the innermost running
+          journal; [None] when no journal runs *)
   mutable include_stack : S.t;  (** include cycle cut, per entry run *)
   mutable errors : int;
-  mutable sum_log : (string * Summary.t) list;
-      (** summaries in publication order — the incremental cache uses the
-          log to attribute nested summary work to the call that caused it *)
+  mutable sum_log : (string * string option * Summary.t) list;
+      (** summaries published or replayed, newest first, each with its
+          {!summary_key} — {!journaled} attributes nested summary work to
+          the walk that caused it *)
+  deferred : (string, string option * Summary.t) Hashtbl.t;
+      (** summaries that replayed journals recorded, not yet published:
+          the uncalled stage counts them as called, and a live call
+          publishes one only if its summary key still matches *)
   mutable so_writes : S.t;
       (** DB-write keys reached by SQL-tainted data ([So_record] phase);
           ["*"] stands for a write whose key is not statically known *)
@@ -203,36 +214,53 @@ let record_so_write (c : ctx) key = c.so_writes <- S.add key c.so_writes
 
 let record_exhausted (c : ctx) file = c.exhausted <- S.add file c.exhausted
 
-let report a ?context ~kind ~pos ~sink_name ~var (taint : Taint.t) =
-  if not (kind_enabled a.c.opts kind) then ()
-  else
-  let occ =
-    { Report.o_key =
-        { Report.k_kind = kind; k_file = pos.Phplang.Ast.file;
-          k_line = pos.Phplang.Ast.line };
-      o_sink = sink_name;
-      o_var = var }
-  in
+(** The one reporting gate, shared by live walks and {!replay}: a finding
+    is kept unless its occurrence was already reported.  While a journal
+    runs, the first report of each occurrence is also logged before
+    de-duplication.  [finding] is built only when one of the two needs it. *)
+let emit (c : ctx) occ (finding : unit -> Report.finding) =
   Obs.incr "phpsafe.findings.pre_dedup";
-  if not (Report.Occurrence_set.mem occ a.c.reported) then begin
-    Obs.incr "phpsafe.findings.post_dedup";
-    a.c.reported <- Report.Occurrence_set.add occ a.c.reported;
-    let source, source_pos = Taint.source_of taint in
-    a.c.findings <-
-      {
-        Report.kind;
-        sink_pos = pos;
-        sink = sink_name;
-        variable = var;
-        source;
-        source_pos;
-        trace = List.rev taint.Taint.trace;
-        context;
-        sanitizers_applied = Taint.San_set.elements (Taint.applied kind taint);
-        trace_truncated = taint.Taint.trace_truncated;
-      }
-      :: a.c.findings
+  let fresh = not (Report.Occurrence_set.mem occ c.reported) in
+  let logged =
+    match c.jseen with
+    | Some seen when not (Report.Occurrence_set.mem occ seen) ->
+        c.jseen <- Some (Report.Occurrence_set.add occ seen);
+        true
+    | _ -> false
+  in
+  if fresh || logged then begin
+    let f = finding () in
+    if logged then c.emitted <- f :: c.emitted;
+    if fresh then begin
+      Obs.incr "phpsafe.findings.post_dedup";
+      c.reported <- Report.Occurrence_set.add occ c.reported;
+      c.findings <- f :: c.findings
+    end
   end
+
+let report a ?context ~kind ~pos ~sink_name ~var (taint : Taint.t) =
+  if kind_enabled a.c.opts kind then
+    let occ =
+      { Report.o_key =
+          { Report.k_kind = kind; k_file = pos.Phplang.Ast.file;
+            k_line = pos.Phplang.Ast.line };
+        o_sink = sink_name;
+        o_var = var }
+    in
+    emit a.c occ @@ fun () ->
+    let source, source_pos = Taint.source_of taint in
+    {
+      Report.kind;
+      sink_pos = pos;
+      sink = sink_name;
+      variable = var;
+      source;
+      source_pos;
+      trace = List.rev taint.Taint.trace;
+      context;
+      sanitizers_applied = Taint.San_set.elements (Taint.applied kind taint);
+      trace_truncated = taint.Taint.trace_truncated;
+    }
 
 (** Check one value arriving at a sink.  Live taint is reported; symbolic
     parameter dependencies become conditional sinks of the enclosing
@@ -259,18 +287,6 @@ let check_sink a ~kind ~pos ~sink_name ~var (taint : Taint.t) =
 (* ------------------------------------------------------------------ *)
 (* Incremental cache: replay and keys                                 *)
 (* ------------------------------------------------------------------ *)
-
-(** Re-emit a cached finding through the same de-duplication gate as
-    {!report}, so replayed and live findings interleave exactly as in the
-    cold run that recorded them. *)
-let replay_finding (c : ctx) (f : Report.finding) =
-  let occ = Report.occurrence_of_finding f in
-  Obs.incr "phpsafe.findings.pre_dedup";
-  if not (Report.Occurrence_set.mem occ c.reported) then begin
-    Obs.incr "phpsafe.findings.post_dedup";
-    c.reported <- Report.Occurrence_set.add occ c.reported;
-    c.findings <- f :: c.findings
-  end
 
 (** Scan a function body for the summary cache: collect the names of
     called user functions and decide purity (see {!fmeta.fm_pure}). *)
@@ -469,179 +485,103 @@ let summary_key ic funcs key : string option =
           m.fm_key <- Some k;
           k)
 
-(* ------------------------------------------------------------------ *)
-(* Summary-DAG invalidation bookkeeping                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Per-definition digest tables, persisted per analyzable file in the
-   Store (ns "defdigest"), keyed by the summary fingerprint + project
-   name + path so a configuration change starts a fresh lineage.  Each tracked run diffs
-   the previous tables against the current definitions: a definition whose
-   structural digest changed — plus every transitive caller over the
-   call graph — is exactly the set whose content-addressed summary keys
-   (see [summary_key]) changed, so
-   [summary.dag.invalidated]/[summary.dag.retained] measure precisely how
-   much of the summary DAG an edit dirtied; sibling definitions in the
-   same file stay retained, and their summaries (and recorded second-order
-   writes) replay from cache.
-
-   Each table carries its file's source digest, so a run only rescans and
-   re-digests the bodies of files whose bytes changed — the tables (and
-   call edges) of unchanged files replay verbatim.  A tracked warm run
-   therefore costs one source digest per file, not one body scan per
-   definition.  Tracking runs whenever a Store root is set; the switch
-   below does nothing and is kept only for perfbench/. *)
+(** Does nothing; kept only for [perfbench/]. *)
 let set_dag_tracking (_ : bool) = ()
 
-(* persisted per file: (source digest, [(def key, body digest, callees)]) *)
-type def_table = string * (string * string * string list) list
+(** What one recorded walk did to the run state.  Summary entries,
+    per-file entries and uncalled-function records all replay a journal in
+    place of the walk. *)
+type journal = {
+  j_findings : Report.finding list;
+      (** reported before de-duplication, oldest first; only the first
+          report of each occurrence is kept, since a later one can never
+          pass the gate on replay *)
+  j_summaries : (string * string option * Summary.t) list;
+      (** published or replayed, oldest first, each with the
+          {!summary_key} it was recorded under *)
+  j_so_writes : string list;  (** DB-write keys added ([So_record]) *)
+  j_exhausted : string list;  (** files whose [--flow] fixpoint ran out *)
+}
 
-let track_definition_dag (c : ctx) (ic : icache) (analyzable : string list) =
-  Obs.span "phpsafe.dag" @@ fun () ->
-  let by_file : (string, string list ref) Hashtbl.t = Hashtbl.create 32 in
-  Hashtbl.iter
-    (fun key (fi : func_info) ->
-      match Hashtbl.find_opt by_file fi.fi_file with
-      | Some r -> r := key :: !r
-      | None -> Hashtbl.replace by_file fi.fi_file (ref [ key ]))
-    c.funcs;
-  let changed = Hashtbl.create 16 in
-  (* def key -> callees, merged over reused and rescanned tables *)
-  let table : (string, string list) Hashtbl.t = Hashtbl.create 64 in
-  let total = ref 0 in
+(* what was consed onto [before] to make [now], oldest first *)
+let since before now =
+  let rec go acc l =
+    if l == before then acc
+    else match l with [] -> acc | x :: tl -> go (x :: acc) tl
+  in
+  go [] now
+
+let added before now =
+  if now == before then [] else S.elements (S.diff now before)
+
+let current_key (c : ctx) key =
+  Option.bind c.cache (fun ic -> summary_key ic c.funcs key)
+
+(** Publish a function summary built or checked by live analysis. *)
+let publish (c : ctx) key s =
+  Hashtbl.replace c.summaries key s;
+  c.sum_log <- (key, current_key c key, s) :: c.sum_log
+
+(** [f ()] and the journal of what it did to [c]'s four logs.  Journals
+    nest: a summary built inside a recorded file walk has its own. *)
+let journaled (c : ctx) f =
+  let e0 = c.emitted and l0 = c.sum_log in
+  let so0 = c.so_writes and ex0 = c.exhausted in
+  let outer = c.jseen in
+  c.jseen <- Some Report.Occurrence_set.empty;
+  let v =
+    Fun.protect f ~finally:(fun () ->
+        (* the inner window lies inside the outer one *)
+        c.jseen <-
+          (match (outer, c.jseen) with
+          | Some o, Some i -> Some (Report.Occurrence_set.union o i)
+          | _ -> outer))
+  in
+  let _, findings =
+    List.fold_left
+      (fun (seen, acc) f ->
+        let occ = Report.occurrence_of_finding f in
+        if Report.Occurrence_set.mem occ seen then (seen, acc)
+        else (Report.Occurrence_set.add occ seen, f :: acc))
+      (Report.Occurrence_set.empty, [])
+      (since e0 c.emitted)
+  in
+  (* outside every journal the log is dead weight *)
+  if Option.is_none outer then c.emitted <- e0;
+  ( v,
+    { j_findings = List.rev findings;
+      j_summaries = since l0 c.sum_log;
+      j_so_writes = added so0 c.so_writes;
+      j_exhausted = added ex0 c.exhausted } )
+
+(** Re-apply a journal through the gates live code uses, so replayed and
+    live work interleave exactly as in the cold run that recorded it.
+    Recorded summaries are deferred, not published: a per-file key covers
+    only the include closure, and a called function can be defined outside
+    it, so {!obtain_summary} checks a summary's key when a live call first
+    needs it.  The check costs nothing in runs that replay every file. *)
+let replay (c : ctx) j =
   List.iter
-    (fun path ->
-      let src_digest =
-        match Phplang.Project.find c.project path with
-        | Some f -> Phplang.Digest.hex f.Phplang.Project.source
-        | None -> ""
-      in
-      let store_key =
-        (* the project name disambiguates same-named files across the
-           plugins sharing one store *)
-        Phplang.Digest.combine
-          [ "defdigest"; ic.ic_sum_fp; c.project.Phplang.Project.name; path ]
-      in
-      let prev : def_table option =
-        Phplang.Store.get ~ns:"defdigest" ~key:store_key
-      in
-      match prev with
-      | Some (d, defs) when String.equal d src_digest ->
-          (* unchanged bytes: the table replays verbatim, no body scans *)
-          total := !total + List.length defs;
-          List.iter
-            (fun (k, _, callees) -> Hashtbl.replace table k callees)
-            defs
-      | _ ->
-          let keys =
-            match Hashtbl.find_opt by_file path with
-            | Some r -> List.sort String.compare !r
-            | None -> []
-          in
-          let defs =
-            List.filter_map
-              (fun k ->
-                match meta ic c.funcs k with
-                | None -> None
-                | Some m -> Some (k, m.fm_digest, m.fm_callees))
-              keys
-          in
-          total := !total + List.length defs;
-          let prev_defs =
-            match prev with Some (_, pdefs) -> pdefs | None -> []
-          in
-          List.iter
-            (fun (k, dg, callees) ->
-              Hashtbl.replace table k callees;
-              match
-                List.find_opt (fun (k', _, _) -> String.equal k k') prev_defs
-              with
-              | Some (_, dg', _) when String.equal dg dg' -> ()
-              | _ -> Hashtbl.replace changed k ())
-            defs;
-          Phplang.Store.put ~ns:"defdigest" ~key:store_key
-            ((src_digest, defs) : def_table))
-    analyzable;
-  (* propagate over reverse call edges: a changed callee dirties every
-     transitive caller's summary key *)
-  let rdeps : (string, string list ref) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun key callees ->
-      List.iter
-        (fun callee ->
-          match Hashtbl.find_opt rdeps callee with
-          | Some r -> r := key :: !r
-          | None -> Hashtbl.replace rdeps callee (ref [ key ]))
-        callees)
-    table;
-  let invalidated = Hashtbl.create 16 in
-  let rec mark key =
-    if not (Hashtbl.mem invalidated key) then begin
-      Hashtbl.replace invalidated key ();
-      match Hashtbl.find_opt rdeps key with
-      | Some callers -> List.iter mark !callers
-      | None -> ()
-    end
-  in
-  Hashtbl.iter (fun k () -> mark k) changed;
-  (* count invalidation only against definitions that exist now *)
-  let inv =
-    Hashtbl.fold
-      (fun k () acc -> if Hashtbl.mem table k then acc + 1 else acc)
-      invalidated 0
-  in
-  Obs.add "summary.dag.invalidated" inv;
-  Obs.add "summary.dag.retained" (max 0 (!total - inv))
-
-(** What the summary cache persists: the summary, the findings emitted
-    while it was being built (a sink inside the body fed directly by a
-    superglobal reports immediately), and every summary published during
-    the analysis (nested callees), so a hit restores the exact state a
-    cold analysis would have left. *)
-type summary_entry = {
-  se_summary : Summary.t;
-  se_findings : Report.finding list;
-  se_published : (string * Summary.t) list;
-  se_so_writes : string list;
-      (** DB-write keys recorded while the summary was built, replayed on a
-          hit so the second-order record phase is cache-transparent *)
-  se_exhausted : string list;
-      (** files whose fixpoint ran out while the summary was built *)
-}
-
-(** One uncalled-entry-point record inside a per-file entry. *)
-type uncalled_rec = {
-  ur_findings : Report.finding list;
-  ur_crashed : string option;  (** exception text when the walk crashed *)
-  ur_so_writes : string list;  (** DB-write keys recorded during the walk *)
-  ur_exhausted : string list;  (** files whose fixpoint ran out in the walk *)
-}
+    (fun f -> emit c (Report.occurrence_of_finding f) (fun () -> f))
+    j.j_findings;
+  List.iter
+    (fun ((k, sk, s) as e) ->
+      if not (Hashtbl.mem c.summaries k || Hashtbl.mem c.deferred k) then begin
+        Hashtbl.replace c.deferred k (sk, s);
+        c.sum_log <- e :: c.sum_log
+      end)
+    j.j_summaries;
+  List.iter (record_so_write c) j.j_so_writes;
+  List.iter (record_exhausted c) j.j_exhausted
 
 (** What the per-file result cache persists for one analyzable file: the
-    findings its entry walk emitted (post-dedup, in emission order), its
-    outcome after the walk, and — for the uncalled stage — which functions
-    defined in it ended up called (their effects are inside some file's
-    findings already) vs. analyzed as uncalled entry points. *)
+    journal of its entry walk, its outcome after the walk, and one record
+    per function defined in it that the run analyzed as an uncalled entry
+    point (the walk's journal, and the exception text if it crashed). *)
 type file_entry = {
-  ue_findings : Report.finding list;
-  ue_outcome : Report.file_outcome;
-  ue_called : string list;
-  ue_uncalled : (string * uncalled_rec) list;
-  ue_so_writes : string list;
-      (** DB-write keys recorded during the entry walk (second-order
-          record phase), merged back on replay *)
-  ue_exhausted : string list;
-      (** files whose fixpoint ran out during the entry walk, merged back
-          on replay so a warm run reports the same outcomes *)
-}
-
-(** Cold-run bookkeeping for a file entry being recorded. *)
-type pending = {
-  mutable pd_findings : Report.finding list;
-  mutable pd_outcome : Report.file_outcome;
-  mutable pd_uncalled : (string * uncalled_rec) list;  (** reversed *)
-  mutable pd_so_writes : string list;
-  pd_exhausted : string list;
+  fe_journal : journal;
+  fe_outcome : Report.file_outcome;
+  fe_uncalled : (string * (journal * string option)) list;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -1348,49 +1288,28 @@ and analyze_closure a (cl : Phplang.Ast.closure) =
   let sub = { a with env; frame = None } in
   exec_body sub cl.Phplang.Ast.cl_body
 
-(** {!analyze_function} behind the summary cache: a hit replays the
-    recorded findings and publishes the recorded summaries instead of
-    walking the body; a miss walks it and persists the delta.  Impure
-    functions (and cache-off runs) go straight to the walk. *)
+(** {!analyze_function} behind the summary cache: a deferred summary
+    whose key still matches is published; otherwise a hit replays the
+    journal recorded with the summary instead of walking the body, and a
+    miss walks it and persists the summary with its journal.  An impure
+    function (no key) and a cache-off run go straight to the walk. *)
 and obtain_summary (c : ctx) (fi : func_info) : Summary.t =
-  match c.cache with
+  match current_key c fi.fi_key with
   | None -> analyze_function c fi
-  | Some ic -> (
-      match summary_key ic c.funcs fi.fi_key with
-      | None -> analyze_function c fi
-      | Some key -> (
+  | Some key -> (
+      match Hashtbl.find_opt c.deferred fi.fi_key with
+      | Some (Some k, s) when String.equal k key ->
+          Hashtbl.remove c.deferred fi.fi_key;
+          publish c fi.fi_key s;
+          s
+      | _ -> (
           match Phplang.Store.get ~ns:"summary" ~key with
-          | Some (e : summary_entry) ->
-              List.iter (replay_finding c) e.se_findings;
-              List.iter
-                (fun (k, s) ->
-                  if not (Hashtbl.mem c.summaries k) then begin
-                    Hashtbl.replace c.summaries k s;
-                    c.sum_log <- (k, s) :: c.sum_log
-                  end)
-                e.se_published;
-              List.iter (record_so_write c) e.se_so_writes;
-              List.iter (record_exhausted c) e.se_exhausted;
-              e.se_summary
+          | Some ((s, j) : Summary.t * journal) ->
+              replay c j;
+              s
           | None ->
-              let findings0 = List.length c.findings in
-              let log0 = List.length c.sum_log in
-              let so0 = c.so_writes in
-              let ex0 = c.exhausted in
-              let s = analyze_function c fi in
-              let rec take k l =
-                if k <= 0 then []
-                else match l with [] -> [] | x :: tl -> x :: take (k - 1) tl
-              in
-              let delta l n = List.rev (take (List.length l - n) l) in
-              Phplang.Store.put ~ns:"summary" ~key
-                {
-                  se_summary = s;
-                  se_findings = delta c.findings findings0;
-                  se_published = delta c.sum_log log0;
-                  se_so_writes = S.elements (S.diff c.so_writes so0);
-                  se_exhausted = S.elements (S.diff c.exhausted ex0);
-                };
+              let s, j = journaled c (fun () -> analyze_function c fi) in
+              Phplang.Store.put ~ns:"summary" ~key (s, j);
               s))
 
 and analyze_function (c : ctx) (fi : func_info) : Summary.t =
@@ -1413,8 +1332,7 @@ and analyze_function (c : ctx) (fi : func_info) : Summary.t =
   in
   let summary = { Summary.ret = frame.fr_ret; cond_sinks } in
   Hashtbl.remove c.in_progress fi.fi_key;
-  Hashtbl.replace c.summaries fi.fi_key summary;
-  c.sum_log <- (fi.fi_key, summary) :: c.sum_log;
+  publish c fi.fi_key summary;
   summary
 
 and exec_include a (arg : Phplang.Ast.expr) =
@@ -1736,9 +1654,12 @@ let analyze_project_internal ?(opts = default_options)
       globals = Env.table ();
       findings = [];
       reported = Report.Occurrence_set.empty;
+      emitted = [];
+      jseen = None;
       include_stack = S.empty;
       errors = 0;
       sum_log = [];
+      deferred = Hashtbl.create 16;
       so_writes = S.empty;
       exhausted = S.empty;
       cache;
@@ -1838,12 +1759,9 @@ let analyze_project_internal ?(opts = default_options)
       analyzable;
     analyzable
   in
-  (match ctx.cache with
-  | Some ic -> track_definition_dag ctx ic analyzable
-  | None -> ());
   (* crash barrier: an exception escaping the taint walk poisons only the
      file that triggered it, never the project run *)
-  let mark_file_crashed_msg path msg =
+  let mark_file_crashed path msg =
     ctx.errors <- ctx.errors + 1;
     Obs.incr "phpsafe.files.crashed";
     match List.assoc_opt path !outcomes with
@@ -1857,15 +1775,13 @@ let analyze_project_internal ?(opts = default_options)
               !outcomes
         else outcomes := (path, outcome) :: !outcomes
   in
-  let mark_file_crashed path exn =
-    mark_file_crashed_msg path (Printexc.to_string exn)
-  in
   (* per-file result cache key: everything the entry walk can observe —
      the fingerprint (configuration + budget slice), the file itself, and
      the source digest of every file in its include closure (missing
      closure members are part of the key by name, so creating one later
-     invalidates).  Calls are assumed to resolve within the closure, as in
-     the paper's per-file + includes model. *)
+     invalidates).  Calls and globals are assumed to resolve within the
+     closure, as in the paper's per-file + includes model; DESIGN.md
+     "Incremental analysis" has two repros where they do not. *)
   let unit_key ic path =
     let closure_part =
       if not opts.resolve_includes then [ "no-includes" ]
@@ -1892,18 +1808,21 @@ let analyze_project_internal ?(opts = default_options)
   in
   let ukeys : (string, string) Hashtbl.t = Hashtbl.create 64 in
   let replayed : (string, file_entry) Hashtbl.t = Hashtbl.create 64 in
-  let pendings : (string, pending) Hashtbl.t = Hashtbl.create 64 in
-  let findings_delta n0 =
-    let rec take k l =
-      if k <= 0 then []
-      else match l with [] -> [] | x :: tl -> x :: take (k - 1) tl
-    in
-    List.rev (take (List.length ctx.findings - n0) ctx.findings)
+  let recorded : (string, file_entry) Hashtbl.t = Hashtbl.create 64 in
+  (* [walk ()] live; with a cache, hand its value and journal to [record] *)
+  let walk_recorded walk record =
+    match ctx.cache with
+    | None -> walk ()
+    | Some _ ->
+        let v, j = journaled ctx walk in
+        record v j;
+        v
   in
   (* stage 3 (§III.C): inter-procedural analysis from each file's "main
      function", then uncalled functions as entry points.  With a cache
      root configured, each file either replays its recorded entry (same
-     findings, same outcome, no walk) or is walked live and recorded. *)
+     findings, summaries and outcome, no walk) or is walked live and
+     recorded. *)
   Obs.span "phpsafe.analysis" (fun () ->
       List.iter
         (fun path ->
@@ -1921,120 +1840,72 @@ let analyze_project_internal ?(opts = default_options)
           | Some e ->
               Obs.incr "cache.result.replayed.phpSAFE";
               Hashtbl.replace replayed path e;
-              List.iter (replay_finding ctx) e.ue_findings;
-              List.iter (record_so_write ctx) e.ue_so_writes;
-              List.iter (record_exhausted ctx) e.ue_exhausted;
-              (match e.ue_outcome with
+              replay ctx e.fe_journal;
+              (match e.fe_outcome with
               | Report.Analyzed -> ()
               | Report.Failed _ -> ctx.errors <- ctx.errors + 1);
-              outcomes := (path, e.ue_outcome) :: !outcomes
+              outcomes := (path, e.fe_outcome) :: !outcomes
           | None ->
-              let n0 =
-                if ctx.cache = None then 0 else List.length ctx.findings
-              in
-              let so0 = ctx.so_writes in
-              let ex0 = ctx.exhausted in
-              ctx.include_stack <- S.singleton path;
-              let env = Env.create_toplevel ctx.globals in
-              let a = { c = ctx; env; frame = None; file = path } in
-              (match exec_body a (Hashtbl.find ctx.parsed path) with
-              | () -> outcomes := (path, Report.Analyzed) :: !outcomes
-              | exception (Deadline.Exceeded as e) -> raise e
-              | exception exn -> mark_file_crashed path exn);
-              if ctx.cache <> None then
-                Hashtbl.replace pendings path
-                  {
-                    pd_findings = findings_delta n0;
-                    pd_outcome =
-                      (match List.assoc_opt path !outcomes with
-                      | Some o -> o
-                      | None -> Report.Analyzed);
-                    pd_uncalled = [];
-                    pd_so_writes = S.elements (S.diff ctx.so_writes so0);
-                    pd_exhausted = S.elements (S.diff ctx.exhausted ex0);
-                  })
+              walk_recorded
+                (fun () ->
+                  ctx.include_stack <- S.singleton path;
+                  let env = Env.create_toplevel ctx.globals in
+                  let a = { c = ctx; env; frame = None; file = path } in
+                  match exec_body a (Hashtbl.find ctx.parsed path) with
+                  | () -> outcomes := (path, Report.Analyzed) :: !outcomes
+                  | exception (Deadline.Exceeded as e) -> raise e
+                  | exception exn ->
+                      mark_file_crashed path (Printexc.to_string exn))
+                (fun () j ->
+                  Hashtbl.replace recorded path
+                    { fe_journal = j;
+                      fe_outcome =
+                        Option.value (List.assoc_opt path !outcomes)
+                          ~default:Report.Analyzed;
+                      fe_uncalled = [] }))
         analyzable;
-      if opts.analyze_uncalled then begin
-        let uncalled =
-          Hashtbl.fold
-            (fun key fi acc ->
-              if Hashtbl.mem ctx.summaries key then acc else (key, fi) :: acc)
-            ctx.funcs []
-          |> List.sort (fun (k1, _) (k2, _) -> String.compare k1 k2)
-        in
-        let analyze_live fkey fi =
-          Deadline.check ();
-          let n0 = if ctx.cache = None then 0 else List.length ctx.findings in
-          let so0 = ctx.so_writes in
-          let ex0 = ctx.exhausted in
-          let crashed =
-            match obtain_summary ctx fi with
-            | _ -> None
-            | exception (Deadline.Exceeded as e) -> raise e
-            | exception exn ->
-                mark_file_crashed fi.fi_file exn;
-                Some (Printexc.to_string exn)
-          in
-          match Hashtbl.find_opt pendings fi.fi_file with
-          | Some pd ->
-              pd.pd_uncalled <-
-                (fkey,
-                 { ur_findings = findings_delta n0;
-                   ur_crashed = crashed;
-                   ur_so_writes = S.elements (S.diff ctx.so_writes so0);
-                   ur_exhausted = S.elements (S.diff ctx.exhausted ex0) })
-                :: pd.pd_uncalled
-          | None -> ()
-        in
-        List.iter
-          (fun (fkey, fi) ->
-            match Hashtbl.find_opt replayed fi.fi_file with
-            | Some e -> (
-                match List.assoc_opt fkey e.ue_uncalled with
-                | Some ur -> (
-                    List.iter (replay_finding ctx) ur.ur_findings;
-                    List.iter (record_so_write ctx) ur.ur_so_writes;
-                    List.iter (record_exhausted ctx) ur.ur_exhausted;
-                    match ur.ur_crashed with
-                    | Some msg -> mark_file_crashed_msg fi.fi_file msg
-                    | None -> ())
-                | None ->
-                    (* recorded as called: its effects replay from the
-                       entries of the files that called it *)
-                    if not (List.mem fkey e.ue_called) then analyze_live fkey fi)
-            | None -> analyze_live fkey fi)
-          uncalled
-      end);
+      (* replayed entries deferred their summaries, so the uncalled set is
+         exactly the cold run's *)
+      if opts.analyze_uncalled then
+        Hashtbl.fold
+          (fun key fi acc ->
+            if Hashtbl.mem ctx.summaries key || Hashtbl.mem ctx.deferred key
+            then acc
+            else (key, fi) :: acc)
+          ctx.funcs []
+        |> List.sort (fun (k1, _) (k2, _) -> String.compare k1 k2)
+        |> List.iter (fun (fkey, fi) ->
+               Deadline.check ();
+               let file = fi.fi_file in
+               let crashed =
+                 match
+                   Option.bind (Hashtbl.find_opt replayed file) (fun e ->
+                       List.assoc_opt fkey e.fe_uncalled)
+                 with
+                 | Some (j, crashed) ->
+                     replay ctx j;
+                     crashed
+                 | None ->
+                     walk_recorded
+                       (fun () ->
+                         match obtain_summary ctx fi with
+                         | _ -> None
+                         | exception (Deadline.Exceeded as e) -> raise e
+                         | exception exn -> Some (Printexc.to_string exn))
+                       (fun crashed j ->
+                         Option.iter
+                           (fun e ->
+                             Hashtbl.replace recorded file
+                               { e with
+                                 fe_uncalled =
+                                   (fkey, (j, crashed)) :: e.fe_uncalled })
+                           (Hashtbl.find_opt recorded file))
+               in
+               Option.iter (mark_file_crashed file) crashed));
   (* persist the entries recorded this run *)
-  (match ctx.cache with
-  | None -> ()
-  | Some _ ->
-      Hashtbl.iter
-        (fun path (pd : pending) ->
-          let ue_uncalled = List.rev pd.pd_uncalled in
-          let ue_called =
-            Hashtbl.fold
-              (fun fkey (fi : func_info) acc ->
-                if
-                  String.equal fi.fi_file path
-                  && Hashtbl.mem ctx.summaries fkey
-                  && not (List.mem_assoc fkey ue_uncalled)
-                then fkey :: acc
-                else acc)
-              ctx.funcs []
-            |> List.sort String.compare
-          in
-          Cache.store
-            ~key:(Hashtbl.find ukeys path)
-            {
-              ue_findings = pd.pd_findings;
-              ue_outcome = pd.pd_outcome;
-              ue_called;
-              ue_uncalled;
-              ue_so_writes = pd.pd_so_writes;
-              ue_exhausted = pd.pd_exhausted;
-            })
-        pendings);
+  Hashtbl.iter
+    (fun path e -> Cache.store ~key:(Hashtbl.find ukeys path) e)
+    recorded;
   (* stage 4 (§III.D): results *)
   Obs.span "phpsafe.results" @@ fun () ->
   (* a file whose [--flow] fixpoint ran out keeps its findings but reports

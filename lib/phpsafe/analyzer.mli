@@ -56,15 +56,7 @@ val guard_functions : string list
 (** Validation functions recognised under [respect_guards]. *)
 
 val set_dag_tracking : bool -> unit
-(** Does nothing; kept only for [perfbench/].  Summary-DAG invalidation
-    bookkeeping runs whenever a {!Phplang.Store} root is configured: each
-    run persists a per-definition structural-digest table per analyzable
-    file (store namespace ["defdigest"]) and diffs it against the previous
-    run's.  A definition whose body changed, plus every transitive caller
-    over the call graph, counts as [summary.dag.invalidated], the rest as
-    [summary.dag.retained] (both {!Obs} counters).  The invalidated set is
-    exactly the set whose content-addressed summary keys changed, so the
-    counters measure how much summary reuse an edit preserved. *)
+(** Does nothing; a no-op kept for [perfbench/]. *)
 
 val analyze_project :
   ?opts:options -> Phplang.Project.t -> Secflow.Report.result

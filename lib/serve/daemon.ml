@@ -235,7 +235,7 @@ let metrics_reply t id =
   in
   (* the sub-file incremental pipeline's process-lifetime counters:
      checkpointed-lexing resumes, statement-reuse re-parses and their
-     fallbacks, summary-DAG invalidation *)
+     fallbacks *)
   let incremental =
     List.map (fun (k, v) -> (k, Json.Int v)) (Watch.incremental_counters ())
   in

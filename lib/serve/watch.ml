@@ -34,7 +34,7 @@ let incremental_counters () =
     (fun (name, _) ->
       List.exists
         (fun prefix -> String.starts_with ~prefix name)
-        [ "lexer.ckpt."; "parser.region."; "summary.dag." ])
+        [ "lexer.ckpt."; "parser.region." ])
     (Obs.counters ())
 
 let locked s f =

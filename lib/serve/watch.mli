@@ -33,9 +33,9 @@ val create : Scan.opts -> session
 
 val incremental_counters : unit -> (string * int) list
 (** The sub-file incremental pipeline's counters ([lexer.ckpt.*],
-    [parser.region.*], [summary.dag.*]), sorted by name — the
-    [incremental] view of the daemon's [metrics] reply and of the CLI's
-    [--watch] lines.  Safe from any thread. *)
+    [parser.region.*]), sorted by name — the [incremental] view of the
+    daemon's [metrics] reply and of the CLI's [--watch] lines.  Safe from
+    any thread. *)
 
 val refresh_sources :
   session -> Phplang.Project.t -> string list * string list

@@ -281,6 +281,86 @@ let exhaustion_case =
       Alcotest.check check_result "edited run matches an uncached run"
         uncached edited)
 
+(* Analyze [before] cold into a fresh cache, then [after] warm over the same
+   cache: the warm report must be byte-identical to an uncached run of
+   [after]'s bytes, which reports [expect] findings. *)
+let cold_edit_warm ~expect before after =
+  with_cache_dir @@ fun dir ->
+  ignore (Phpsafe.analyze_project (project "edit" before) : Secflow.Report.result);
+  let warm = Phpsafe.analyze_project (project "edit" after) in
+  Store.set_root None;
+  let uncached = Phpsafe.analyze_project (project "edit" after) in
+  Store.set_root (Some dir);
+  Alcotest.(check int) "uncached findings" expect
+    (List.length uncached.Secflow.Report.findings);
+  Alcotest.(check string) "warm report = uncached report"
+    (Secflow.Report.to_json uncached) (Secflow.Report.to_json warm)
+
+(* A replayed file entry must not decide which of its functions count as
+   called: that depends on every other file's walk. *)
+let uncalled_status_case =
+  case "a function that loses its only caller is analyzed as uncalled" `Quick
+    (fun () ->
+      let a = ("a.php", "<?php\nfunction f($x) { echo $_GET[\"y\"]; }\n") in
+      cold_edit_warm ~expect:1
+        [ a; ("b.php", "<?php\nf(1);\n") ]
+        [ a; ("b.php", "<?php\necho 1;\n") ])
+
+(* A replayed entry must re-emit what its walk reported before
+   de-duplication: a finding an earlier file reported first still belongs
+   to it once that file stops reporting it. *)
+let pre_dedup_case =
+  case "a finding two files share survives the first one's edit" `Quick
+    (fun () ->
+      (* the shared finding sits in a function both files call ... *)
+      let lib = ("lib.php", "<?php\nfunction show() { echo $_GET[\"x\"]; }\n") in
+      let caller = "<?php\ninclude \"lib.php\";\nshow();\n" in
+      cold_edit_warm ~expect:1
+        [ ("a.php", caller); ("b.php", caller); lib ]
+        [ ("a.php", "<?php\ninclude \"lib.php\";\n"); ("b.php", caller); lib ];
+      (* ... or in the top level of a file both include *)
+      let lib = ("lib.php", "<?php\necho $_GET[\"x\"];\n") in
+      let includer = "<?php\ninclude \"lib.php\";\n" in
+      cold_edit_warm ~expect:1
+        [ ("a.php", includer); ("b.php", includer); lib ]
+        [ ("a.php", "<?php\necho 1;\n"); ("b.php", includer); lib ])
+
+(* A replayed entry must not hand a live walk a summary that is no longer
+   current: b.php's walk built foo's summary, but b.php's key covers only
+   b.php, so b.php replays after foo's edit. *)
+let stale_summary_case =
+  case "a replayed entry does not publish a stale summary" `Quick (fun () ->
+      let a echo =
+        ("a.php", Printf.sprintf "<?php\nfunction foo($x) { echo %s; }\n" echo)
+      in
+      let b = ("b.php", "<?php\nfoo($_GET['q']);\n") in
+      let c call = ("c.php", "<?php\ninclude 'a.php';\n" ^ call) in
+      let final = [ a "$x"; b; c "foo($_GET['r']);\n" ] in
+      let run files = Phpsafe.analyze_project (project "stale" files) in
+      with_cache_dir @@ fun dir ->
+      ignore (run [ a "htmlspecialchars($x)"; b; c "" ] : Secflow.Report.result);
+      ignore (run [ a "$x"; b; c "" ] : Secflow.Report.result);
+      let warm = run final in
+      Store.set_root None;
+      let uncached = run final in
+      Store.set_root (Some dir);
+      (* b.php's own call still replays the old walk, so the one finding
+         comes from c.php's call rather than b.php's (DESIGN.md
+         "Incremental analysis", case b1): compare occurrences, not
+         traces *)
+      let occurrences (r : Secflow.Report.result) =
+        List.map
+          (fun (f : Secflow.Report.finding) ->
+            Printf.sprintf "%s:%d %s(%s)" f.Secflow.Report.sink_pos.file
+              f.sink_pos.line f.sink f.variable)
+          r.Secflow.Report.findings
+        |> List.sort String.compare
+      in
+      Alcotest.(check (list string)) "uncached occurrences" [ "a.php:2 echo($x)" ]
+        (occurrences uncached);
+      Alcotest.(check (list string)) "warm occurrences = uncached"
+        (occurrences uncached) (occurrences warm))
+
 (* --budget-* invalidation is per analyzer: only the tools whose key covers
    the changed Budget slice may miss. *)
 let budget_case =
@@ -624,8 +704,8 @@ let disk_cases =
 (* ------------------------------------------------------------------ *)
 
 (* a -> b -> c across two files, plus a sibling d next to c *)
-let dag_project c_body =
-  project "dag"
+let chain_project c_body =
+  project "chain"
     [ ("main.php",
        "<?php\nfunction a($x) { return b($x); }\n\
         function b($x) { return c($x); }\n");
@@ -634,33 +714,36 @@ let dag_project c_body =
          "<?php\nfunction c($x) { %s }\nfunction d($x) { return $x; }\n"
          c_body) ]
 
-(* [summary.dag.{invalidated,retained}] attributable to one run *)
-let dag_delta ?opts p =
-  let count () =
-    (Obs.counter "summary.dag.invalidated", Obs.counter "summary.dag.retained")
-  in
-  let i0, r0 = count () in
+(* summary-cache (hits, misses) attributable to one run *)
+let summary_delta ?opts p =
+  let h0, m0 = ns_stats "summary" in
   ignore (Phpsafe.analyze_project ?opts p : Secflow.Report.result);
-  let i1, r1 = count () in
-  (i1 - i0, r1 - r0)
+  let h1, m1 = ns_stats "summary" in
+  (h1 - h0, m1 - m0)
 
 let counter_cases =
   [
-    case "summary-DAG counters track edits along the call chain" `Quick
+    case "summary-cache counters track edits along the call chain" `Quick
       (fun () ->
         with_cache_dir @@ fun _dir ->
         let check ?opts what expect p =
-          Alcotest.(check (pair int int)) what expect (dag_delta ?opts p)
+          Alcotest.(check (pair int int)) what expect (summary_delta ?opts p)
         in
-        check "first run invalidates every definition" (4, 0)
-          (dag_project "return $x;");
-        check "editing c dirties c and its callers b and a" (3, 1)
-          (dag_project "return $x . 'y';");
-        check "whitespace inside a line moves nothing" (0, 4)
-          (dag_project "return  $x . 'y';");
-        check "a configuration change starts a fresh lineage" (4, 0)
+        (* every function is uncalled: a builds b and c on the way (three
+           misses), then b and c hit as entry points of their own, d misses *)
+        check "first run builds every summary" (2, 4)
+          (chain_project "return $x;");
+        (* lib.php is walked again: c rebuilds and d hits, while a's and
+           b's uncalled records replay from main.php's unchanged entry —
+           the per-file key covers only the include closure (DESIGN.md
+           "Incremental analysis") *)
+        check "editing c rebuilds c and replays the rest" (1, 1)
+          (chain_project "return $x . 'y';");
+        check "whitespace inside a line rebuilds nothing" (2, 0)
+          (chain_project "return  $x . 'y';");
+        check "a configuration change starts afresh" (2, 4)
           ~opts:{ Phpsafe.default_options with Phpsafe.infer_contexts = true }
-          (dag_project "return  $x . 'y';"));
+          (chain_project "return  $x . 'y';"));
     case "namespaces split at the last dot" `Quick (fun () ->
         with_cache_dir @@ fun _dir ->
         let tenant_project = project "dots" [ vuln_file "x.php" ] in
@@ -691,7 +774,8 @@ let () =
     [ ("warm replay", replay_cases);
       ("exact invalidation",
        (edited_file_case :: edited_callee_case :: opts_cases)
-       @ [ budget_case; exhaustion_case ]);
+       @ [ budget_case; exhaustion_case; uncalled_status_case; pre_dedup_case;
+           stale_summary_case ]);
       ("corruption safety", corruption_cases);
       ("disk faults and fsck", fault_cases);
       ("pool transparency", [ jobs_case ]);
