@@ -98,11 +98,13 @@ let run target kinds show_trace tool_name quiet format html_out json_out
     match (String.lowercase_ascii tool_name, config_path) with
     | "phpsafe", Some path ->
         (* custom configuration profile, merged over generic PHP so the
-           language builtins stay known (paper §III.A extensibility) *)
+           language builtins stay known (paper §III.A extensibility); a
+           custom entry cannot override a builtin one of the same name *)
         let custom, parse_warnings = Phpsafe.Config_spec.load_with_warnings path in
         List.iter
           (fun w -> Format.eprintf "phpsafe: config warning: %s@." w)
-          (parse_warnings @ Phpsafe.Config_spec.validate custom);
+          (parse_warnings
+          @ Phpsafe.Config_spec.validate ~base:Phpsafe.Config.generic_php custom);
         let config = Phpsafe.Config.extend Phpsafe.Config.generic_php custom in
         let opts =
           { Phpsafe.default_options with

@@ -130,6 +130,7 @@ type icache = {
 
 type ctx = {
   opts : options;
+  ix : Config.index;  (** [opts.config]'s role lookups, built in stage 1 *)
   project : Phplang.Project.t;
   parsed : (string, Phplang.Ast.program) Hashtbl.t;
   funcs : (string, func_info) Hashtbl.t;
@@ -613,9 +614,9 @@ let infer_context kind prefix =
   | Vuln.Ssrf -> Context.Url_remote
 
 (** Did the value pass through a sanitizer adequate for context [ctxt]? *)
-let adequately_sanitized config kind ctxt (taint : Taint.t) =
+let adequately_sanitized ix kind ctxt (taint : Taint.t) =
   Taint.San_set.exists
-    (fun name -> Config.adequate config ~name ctxt)
+    (fun name -> Config.adequate ix ~name ctxt)
     (Taint.applied kind taint)
 
 (* ------------------------------------------------------------------ *)
@@ -670,7 +671,7 @@ let check_db_write a ~pos ~is_method name args arg_ts =
   match a.c.opts.so_mode with
   | So_off -> ()
   | So_record | So_replay _ -> (
-      match Config.find_db_write a.c.opts.config ~is_method name with
+      match Config.find_db_write a.c.ix ~is_method name with
       | None -> ()
       | Some rw -> (
           let key = db_key rw args in
@@ -703,7 +704,7 @@ let so_read_taint a ~pos ~is_method ?disp name args =
   match a.c.opts.so_mode with
   | So_off | So_record -> Taint.untainted
   | So_replay keys -> (
-      match Config.find_db_read a.c.opts.config ~is_method name with
+      match Config.find_db_read a.c.ix ~is_method name with
       | None -> Taint.untainted
       | Some rw ->
           let rkey = db_key rw args in
@@ -805,7 +806,7 @@ let rec eval a (e : Phplang.Ast.expr) : Taint.t =
              | Phplang.Ast.IExpr e -> eval a e)
            parts)
   | Phplang.Ast.Var v -> (
-      match Config.is_superglobal_source a.c.opts.config v with
+      match Config.is_superglobal_source a.c.ix v with
       | Some kinds ->
           Taint.of_source ~kinds ~source:(Vuln.Superglobal v) ~pos
           |> Taint.push_step ~var:v ~pos ~note:"attacker-controlled input"
@@ -967,26 +968,32 @@ and check_sink_ctx a ~pos ~targets (e : Phplang.Ast.expr) : Taint.t =
       | Phplang.Strshape.Dyn sub ->
           let t = eval a sub in
           let var = name_of_expr sub in
-          let p = Buffer.contents prefix in
+          (* inferred only for a hole that can report or register a
+             conditional sink; [infer_context] is pure *)
+          let context kind = infer_context kind (Buffer.contents prefix) in
           List.iter
             (fun (kind, sink_name) ->
-              let ctxt = infer_context kind p in
               if Taint.is_tainted kind t then begin
-                if not (adequately_sanitized a.c.opts.config kind ctxt t) then
+                let ctxt = context kind in
+                if not (adequately_sanitized a.c.ix kind ctxt t) then
                   report a ~context:ctxt ~kind ~pos ~sink_name ~var t
               end
               else
                 match a.frame with
                 | Some frame ->
-                    Taint.Int_set.iter
-                      (fun i ->
-                        frame.fr_csinks <-
-                          { Summary.cs_param = i; cs_kind = kind;
-                            cs_sink_name = sink_name; cs_pos = pos;
-                            cs_var = var; cs_context = Some ctxt;
-                            cs_sans = t.Taint.sans }
-                          :: frame.fr_csinks)
-                      (Taint.deps kind t)
+                    let deps = Taint.deps kind t in
+                    if not (Taint.Int_set.is_empty deps) then begin
+                      let ctxt = context kind in
+                      Taint.Int_set.iter
+                        (fun i ->
+                          frame.fr_csinks <-
+                            { Summary.cs_param = i; cs_kind = kind;
+                              cs_sink_name = sink_name; cs_pos = pos;
+                              cs_var = var; cs_context = Some ctxt;
+                              cs_sans = t.Taint.sans }
+                            :: frame.fr_csinks)
+                        deps
+                    end
                 | None -> ())
             targets;
           acc := Taint.join !acc t)
@@ -1039,8 +1046,8 @@ and assign_lval_join a (lhs : Phplang.Ast.expr) taint =
   | _ -> ()
 
 and eval_call a ~pos fname args =
-  let config = a.c.opts.config in
-  let sinks = Config.find_sinks config fname in
+  let ix = a.c.ix in
+  let sinks = Config.find_sinks ix fname in
   (* 1. sink roles.  In context mode the sink arguments are evaluated
      piecewise by [check_sink_ctx] (still exactly once each) so that every
      hole gets its inferred output context. *)
@@ -1086,7 +1093,7 @@ and eval_call a ~pos fname args =
   in
   (* 2. value roles, in priority order *)
   let t =
-  match Config.find_sanitizer config fname with
+  match Config.find_sanitizer ix fname with
   | Some san ->
       let t =
         if ctx_on a then
@@ -1099,11 +1106,11 @@ and eval_call a ~pos fname args =
           ~note:(Printf.sprintf "filtered by %s" fname)
       else t
   | None ->
-      if Config.is_revert config fname then
+      if Config.is_revert ix fname then
         let t =
           if ctx_on a then
             Taint.revert_named
-              ~undoes:(Config.revert_undoes config fname)
+              ~undoes:(Config.revert_undoes fname)
               (arg0 ())
           else Taint.revert (arg0 ())
         in
@@ -1112,15 +1119,15 @@ and eval_call a ~pos fname args =
             ~note:(Printf.sprintf "sanitization reverted by %s" fname)
         else t
       else (
-        match Config.find_function_source config fname with
+        match Config.find_function_source ix fname with
         | Some src ->
             Taint.of_source ~kinds:src.Config.src_kinds
               ~source:src.Config.src_desc ~pos
             |> Taint.push_step ~var:(fname ^ "()") ~pos
                  ~note:"untrusted data returned"
         | None ->
-            if Config.is_passthrough config fname then arg0 ()
-            else if Config.is_concat_all config fname then
+            if Config.is_passthrough ix fname then arg0 ()
+            else if Config.is_concat_all ix fname then
               Taint.join_all arg_ts
             else (
               match Hashtbl.find_opt a.c.funcs (lc fname) with
@@ -1130,7 +1137,7 @@ and eval_call a ~pos fname args =
   if Taint.interesting so_t then Taint.join t so_t else t
 
 and eval_method_call a ~pos obj m args =
-  let config = a.c.opts.config in
+  let ix = a.c.ix in
   ignore (eval a obj);
   let full_name obj_name = obj_name ^ "->" ^ m in
   let obj_name = name_of_expr obj in
@@ -1146,7 +1153,7 @@ and eval_method_call a ~pos obj m args =
   let msinks =
     match user_class with
     | Some _ -> []
-    | None -> Config.find_method_sinks config m
+    | None -> Config.find_method_sinks ix m
   in
   (* method sinks check their first (query) argument; in context mode that
      argument is evaluated piecewise by [check_sink_ctx] *)
@@ -1191,13 +1198,13 @@ and eval_method_call a ~pos obj m args =
         so_read_taint a ~pos ~is_method:true ~disp:(full_name obj_name) m args
       in
       let t =
-        match Config.find_method_sanitizer config m with
+        match Config.find_method_sanitizer ix m with
         | Some san ->
             if ctx_on a then
               Taint.record_sanitizer ~name:m san.Config.san_kinds (arg0 ())
             else Taint.sanitize_kinds san.Config.san_kinds (arg0 ())
         | None -> (
-            match Config.find_method_source config m with
+            match Config.find_method_source ix m with
             | Some src ->
                 Taint.of_source ~kinds:src.Config.src_kinds
                   ~source:src.Config.src_desc ~pos
@@ -1247,7 +1254,7 @@ and call_user_function a ~pos key arg_ts arg_exprs =
                     ctx_on a
                     && (match cs.Summary.cs_context with
                        | Some ctxt ->
-                           adequately_sanitized a.c.opts.config
+                           adequately_sanitized a.c.ix
                              cs.Summary.cs_kind ctxt arg_taint
                        | None -> false)
                   in
@@ -1340,7 +1347,7 @@ and exec_include a (arg : Phplang.Ast.expr) =
      against the configured [include] sink entries (paper-class path
      traversal; a string literal resolves statically and is safe) *)
   let check_dynamic () =
-    match Config.find_sinks a.c.opts.config "include" with
+    match Config.find_sinks a.c.ix "include" with
     | [] -> ignore (eval a arg)
     | include_sinks ->
         let pos = arg.Phplang.Ast.epos in
@@ -1608,8 +1615,10 @@ let rec register_stmt ctx ~file (s : Phplang.Ast.stmt) =
 let analyze_project_internal ?(opts = default_options)
     (project : Phplang.Project.t) : Report.result * string list =
   (* stage 1 (§III.A): configuration — the run context carrying the sink/
-     source/sanitizer model, plus the incremental-cache fingerprints when a
-     cache root is configured.  The file fingerprint covers the whole
+     source/sanitizer model and its role index, plus the incremental-cache
+     fingerprints when a cache root is configured.  The index is built
+     here, not kept in [Config.t], so the fingerprints, which digest
+     [opts], see only the plain profile.  The file fingerprint covers the whole
      option record (profile, [--contexts], [--flow], guards, the modeling
      budget) and the slice of the safety {!Budget} phpSAFE consults; the
      summary fingerprint deliberately excludes the include caps — function
@@ -1645,6 +1654,7 @@ let analyze_project_internal ?(opts = default_options)
     in
     {
       opts;
+      ix = Config.index opts.config;
       project;
       parsed = Hashtbl.create 64;
       funcs = Hashtbl.create 128;

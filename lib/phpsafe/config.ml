@@ -218,65 +218,124 @@ let generic_php =
     db_reads = [];
   }
 
-let is_superglobal_source t name = List.assoc_opt name t.superglobal_sources
+module H = Hashtbl.Make (String)
 
-let find_function_source t name =
-  List.find_opt
-    (fun e -> (not e.src_is_method) && String.equal e.src_name name)
-    t.function_sources
+module Rw_key = struct
+  type t = bool * string
 
-let find_method_source t name =
-  List.find_opt
-    (fun e -> e.src_is_method && String.equal e.src_name name)
-    t.function_sources
+  let equal (m, n) (m', n') = Bool.equal m m' && String.equal n n'
+  let hash = Hashtbl.hash
+end
 
-let find_sanitizer t name =
-  List.find_opt
-    (fun e -> (not e.san_is_method) && String.equal e.san_name name)
-    t.sanitizers
+module Rw = Hashtbl.Make (Rw_key)
 
-let find_method_sanitizer t name =
-  List.find_opt
-    (fun e -> e.san_is_method && String.equal e.san_name name)
-    t.sanitizers
+(** Role lookups over one profile, built once per analysis run.  Each
+    table answers what a scan of the spec-ordered lists would: the first
+    entry for a name wins for sources, sanitizers, sanitizer contexts and
+    DB endpoints, and a name maps to every sink entry it has, in spec order
+    ([file_get_contents] → its [`Non_url] entry, then its [`Url_prefix]
+    one).  The lists in {!t} stay the spec order that [Config_spec] prints
+    and validates; the index is never stored in {!t}, so a [{ c with … }]
+    update cannot carry a stale one along. *)
+type index = {
+  ix_superglobals : Vuln.kind list H.t;
+  ix_fn_sources : source_entry H.t;
+  ix_m_sources : source_entry H.t;
+  ix_fn_sanitizers : sanitizer_entry H.t;
+  ix_m_sanitizers : sanitizer_entry H.t;
+  ix_san_contexts : Context.t list H.t;
+      (** function and method sanitizers alike: the applied-sanitizer set
+          at a sink only carries names *)
+  ix_reverts : unit H.t;
+  ix_fn_sinks : sink_entry list H.t;
+  ix_m_sinks : sink_entry list H.t;
+  ix_passthrough : unit H.t;
+  ix_concat : unit H.t;
+  ix_db_writes : db_rw_entry Rw.t;
+  ix_db_reads : db_rw_entry Rw.t;
+}
 
-let is_revert t name = List.exists (String.equal name) t.reverts
+let index t =
+  let add_first tbl k v = if not (H.mem tbl k) then H.add tbl k v in
+  let rw_add_first tbl k v = if not (Rw.mem tbl k) then Rw.add tbl k v in
+  let ix =
+    {
+      ix_superglobals = H.create 16;
+      ix_fn_sources = H.create 32;
+      ix_m_sources = H.create 16;
+      ix_fn_sanitizers = H.create 64;
+      ix_m_sanitizers = H.create 16;
+      ix_san_contexts = H.create 64;
+      ix_reverts = H.create 16;
+      ix_fn_sinks = H.create 64;
+      ix_m_sinks = H.create 16;
+      ix_passthrough = H.create 32;
+      ix_concat = H.create 16;
+      ix_db_writes = Rw.create 16;
+      ix_db_reads = Rw.create 16;
+    }
+  in
+  List.iter
+    (fun (n, ks) -> add_first ix.ix_superglobals n ks)
+    t.superglobal_sources;
+  List.iter
+    (fun e ->
+      add_first
+        (if e.src_is_method then ix.ix_m_sources else ix.ix_fn_sources)
+        e.src_name e)
+    t.function_sources;
+  List.iter
+    (fun e ->
+      add_first
+        (if e.san_is_method then ix.ix_m_sanitizers else ix.ix_fn_sanitizers)
+        e.san_name e;
+      add_first ix.ix_san_contexts e.san_name e.san_contexts)
+    t.sanitizers;
+  List.iter (fun n -> H.replace ix.ix_reverts n ()) t.reverts;
+  (* walk the sinks backwards so each name's list comes out in spec order *)
+  List.iter
+    (fun e ->
+      let tbl = if e.snk_is_method then ix.ix_m_sinks else ix.ix_fn_sinks in
+      H.replace tbl e.snk_name
+        (e :: Option.value ~default:[] (H.find_opt tbl e.snk_name)))
+    (List.rev t.sinks);
+  List.iter (fun n -> H.replace ix.ix_passthrough n ()) t.passthrough;
+  List.iter (fun n -> H.replace ix.ix_concat n ()) t.concat_all_args;
+  List.iter
+    (fun e -> rw_add_first ix.ix_db_writes (e.rw_is_method, e.rw_name) e)
+    t.db_writes;
+  List.iter
+    (fun e -> rw_add_first ix.ix_db_reads (e.rw_is_method, e.rw_name) e)
+    t.db_reads;
+  ix
 
-let find_sinks t name =
-  List.filter
-    (fun e -> (not e.snk_is_method) && String.equal e.snk_name name)
-    t.sinks
+let is_superglobal_source ix name = H.find_opt ix.ix_superglobals name
+let find_function_source ix name = H.find_opt ix.ix_fn_sources name
+let find_method_source ix name = H.find_opt ix.ix_m_sources name
+let find_sanitizer ix name = H.find_opt ix.ix_fn_sanitizers name
+let find_method_sanitizer ix name = H.find_opt ix.ix_m_sanitizers name
+let is_revert ix name = H.mem ix.ix_reverts name
 
-let find_method_sinks t name =
-  List.filter
-    (fun e -> e.snk_is_method && String.equal e.snk_name name)
-    t.sinks
+let find_sinks ix name =
+  Option.value ~default:[] (H.find_opt ix.ix_fn_sinks name)
 
-let is_passthrough t name = List.exists (String.equal name) t.passthrough
-let is_concat_all t name = List.exists (String.equal name) t.concat_all_args
+let find_method_sinks ix name =
+  Option.value ~default:[] (H.find_opt ix.ix_m_sinks name)
 
-let find_db_write t ~is_method name =
-  List.find_opt
-    (fun e -> e.rw_is_method = is_method && String.equal e.rw_name name)
-    t.db_writes
-
-let find_db_read t ~is_method name =
-  List.find_opt
-    (fun e -> e.rw_is_method = is_method && String.equal e.rw_name name)
-    t.db_reads
+let is_passthrough ix name = H.mem ix.ix_passthrough name
+let is_concat_all ix name = H.mem ix.ix_concat name
+let find_db_write ix ~is_method name = Rw.find_opt ix.ix_db_writes (is_method, name)
+let find_db_read ix ~is_method name = Rw.find_opt ix.ix_db_reads (is_method, name)
 
 (** Contexts sanitizer [name] is adequate for, searching function and
-    method entries alike (the applied-sanitizer set at a sink only carries
-    names).  Unknown names are adequate nowhere. *)
-let sanitizer_contexts t name =
-  match List.find_opt (fun e -> String.equal e.san_name name) t.sanitizers with
-  | Some e -> e.san_contexts
-  | None -> []
+    method entries alike.  Unknown names are adequate nowhere. *)
+let sanitizer_contexts ix name =
+  Option.value ~default:[] (H.find_opt ix.ix_san_contexts name)
 
-(** [adequate t ~name ctx]: is sanitizer [name] adequate for output
+(** [adequate ix ~name ctx]: is sanitizer [name] adequate for output
     context [ctx]? *)
-let adequate t ~name ctx =
-  List.exists (Context.equal ctx) (sanitizer_contexts t name)
+let adequate ix ~name ctx =
+  List.exists (Context.equal ctx) (sanitizer_contexts ix name)
 
 (* Which applied sanitizers each revert function undoes (context pass).
    Decoders undo exactly their encoding family; [base64_decode] (and any
@@ -292,7 +351,7 @@ let html_escapers =
 let url_encoders = [ "urlencode"; "rawurlencode"; "esc_url"; "check_url" ]
 
 (** The set of applied sanitizers revert function [name] undoes. *)
-let revert_undoes _t name =
+let revert_undoes name =
   match name with
   | "stripslashes" | "stripcslashes" -> `Named slash_escapers
   | "html_entity_decode" | "htmlspecialchars_decode"

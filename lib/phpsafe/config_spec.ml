@@ -386,8 +386,15 @@ let dups to_name entries =
     source and as a sanitizer for the same vulnerability kind (one of the
     two is certainly a configuration mistake — the analyzer would both
     taint and clear at the same call).  An empty list means the profile is
-    coherent; the builtin profiles all are. *)
-let validate (c : Config.t) : string list =
+    coherent; the builtin profiles all are.
+
+    With [~base], [c] is an extension merged after [base]
+    ({!Config.extend}), and every entry of [c] that [base] already answers
+    is reported as shadowed: the first entry for a name wins, so the
+    extension's entry is never consulted.  Sinks accumulate (every entry
+    for a name fires) and reverts, passthroughs and concats carry no data,
+    so only sources, sanitizers and DB endpoints can be shadowed. *)
+let validate ?base (c : Config.t) : string list =
   let warnings = ref [] in
   let warn fmt = Printf.ksprintf (fun s -> warnings := s :: !warnings) fmt in
   List.iter
@@ -454,6 +461,50 @@ let validate (c : Config.t) : string list =
               s.Config.src_kinds)
         c.Config.sanitizers)
     c.Config.function_sources;
+  Option.iter
+    (fun (base : Config.t) ->
+      let ix = Config.index base in
+      let shadowed role name =
+        warn "%s %s is shadowed by %s (first entry wins)" role name
+          base.Config.name
+      in
+      List.iter
+        (fun (n, _) ->
+          if Config.is_superglobal_source ix n <> None then
+            shadowed "source superglobal" n)
+        c.Config.superglobal_sources;
+      List.iter
+        (fun (e : Config.source_entry) ->
+          let find =
+            if e.Config.src_is_method then Config.find_method_source
+            else Config.find_function_source
+          in
+          if find ix e.Config.src_name <> None then
+            shadowed
+              ("source " ^ place e.Config.src_is_method)
+              e.Config.src_name)
+        c.Config.function_sources;
+      List.iter
+        (fun (e : Config.sanitizer_entry) ->
+          let find =
+            if e.Config.san_is_method then Config.find_method_sanitizer
+            else Config.find_sanitizer
+          in
+          if find ix e.Config.san_name <> None then
+            shadowed
+              ("sanitizer " ^ place e.Config.san_is_method)
+              e.Config.san_name)
+        c.Config.sanitizers;
+      let rw directive find (e : Config.db_rw_entry) =
+        if find ix ~is_method:e.Config.rw_is_method e.Config.rw_name <> None
+        then
+          shadowed
+            (directive ^ " " ^ place e.Config.rw_is_method)
+            e.Config.rw_name
+      in
+      List.iter (rw "dbwrite" Config.find_db_write) c.Config.db_writes;
+      List.iter (rw "dbread" Config.find_db_read) c.Config.db_reads)
+    base;
   List.rev !warnings
 
 let read_file path =

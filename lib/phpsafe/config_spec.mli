@@ -18,11 +18,15 @@ val of_string_with_warnings : string -> Config.t * string list
 val to_string : Config.t -> string
 (** A fixpoint of [of_string ∘ to_string] up to the source classes. *)
 
-val validate : Config.t -> string list
+val validate : ?base:Config.t -> Config.t -> string list
 (** Sanity-check a profile: human-readable warnings for duplicate entries
     within a section and for names registered both as a source and as a
-    sanitizer for the same vulnerability kind.  Empty for a coherent
-    profile (all builtin profiles validate cleanly). *)
+    sanitizer for the same vulnerability kind.  With [~base], the profile
+    is an extension merged after [base], and each of its source, sanitizer
+    and DB-endpoint entries whose name [base] already has for the same
+    role is reported as shadowed (the first entry wins).  Empty for a
+    coherent profile (all builtin profiles validate cleanly, and the
+    shipped extensions shadow nothing in [generic-php]). *)
 
 val load : string -> Config.t
 (** Load a spec file from disk. *)

@@ -122,6 +122,76 @@ let export_cases =
               (read_file out1) (read_file out2)));
   ]
 
+let contains hay needle =
+  let hl = String.length hay and nl = String.length needle in
+  let rec at i = i + nl <= hl && (String.sub hay i nl = needle || at (i + 1)) in
+  at 0
+
+(* [--config] merges the spec after generic-php; a spec entry reusing a
+   builtin name loses to the builtin and the CLI says so on stderr *)
+let config_cases =
+  let scan dir ?spec ~php () =
+    let php_file = Filename.concat dir "q.php" in
+    let out = Filename.concat dir "out.txt" and err = Filename.concat dir "err.txt" in
+    write php_file php;
+    let config =
+      match spec with
+      | None -> ""
+      | Some spec ->
+          let spec_file = Filename.concat dir "custom.spec" in
+          write spec_file spec;
+          " --config " ^ Filename.quote spec_file
+    in
+    let status =
+      Sys.command
+        (Printf.sprintf "%s %s%s > %s 2> %s" (Filename.quote exe)
+           (Filename.quote php_file) config (Filename.quote out)
+           (Filename.quote err))
+    in
+    (status, read_file out, read_file err)
+  in
+  [
+    case "a new custom sanitizer clears the finding" `Quick (fun () ->
+        in_temp_dir (fun dir ->
+            (* without the spec, the identity function carries the taint *)
+            let php =
+              "<?php function my_strip($s) { return $s; }\n\
+               mysql_query(\"SELECT * FROM t WHERE a = \" . \
+               my_strip($_GET[\"x\"]));\n"
+            in
+            let status, _, _ = scan dir ~php () in
+            Alcotest.(check int) "finding without the spec" 1 status;
+            let status, _, err =
+              scan dir ~spec:"sanitizer function my_strip xss,sqli\n" ~php ()
+            in
+            Alcotest.(check int) "clean scan" 0 status;
+            Alcotest.(check bool) "no config warning" false
+              (contains err "config warning")));
+    case "a shadowed builtin name warns and keeps the finding" `Quick
+      (fun () ->
+        in_temp_dir (fun dir ->
+            let status, out, err =
+              scan dir ~spec:"sanitizer function strip_tags xss,sqli\n"
+                ~php:
+                  "<?php mysql_query(\"SELECT * FROM t WHERE a = \" . \
+                   strip_tags($_GET[\"x\"]));\n"
+                ()
+            in
+            Alcotest.(check int) "finding kept" 1 status;
+            Alcotest.(check bool) "the SQLi is reported" true
+              (contains out "SQLi");
+            Alcotest.(check int) "one warning line" 1
+              (List.length
+                 (List.filter
+                    (fun l -> contains l "config warning")
+                    (String.split_on_char '\n' err)));
+            Alcotest.(check bool) "the warning names entry and winner" true
+              (contains err
+                 "phpsafe: config warning: sanitizer function strip_tags is \
+                  shadowed by generic-php (first entry wins)")));
+  ]
+
 let () =
   Alcotest.run "phpsafe_cli"
-    [ ("exit status", exit_cases); ("exporters", export_cases) ]
+    [ ("exit status", exit_cases); ("exporters", export_cases);
+      ("custom profile", config_cases) ]
