@@ -376,9 +376,7 @@ let write_json path ~table3 ~seq_par ~e13 ~e16 ~e12 ~e14 ~e15 ~e17 =
            [ ("region_reparse", Int r.es_reparse);
              ("region_fallback", Int r.es_fallback);
              ("ckpt_resume", Int r.es_resume);
-             ("resync_tokens", Int r.es_resync_tokens);
-             ("summary_rebuilt", Int r.es_summary_rebuilt);
-             ("summary_replayed", Int r.es_summary_replayed) ]) ]
+             ("resync_tokens", Int r.es_resync_tokens) ]) ]
   in
   Obs.write_file path
     (to_string

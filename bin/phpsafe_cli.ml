@@ -300,10 +300,11 @@ let second_order =
 
 let cache_dir =
   let doc =
-    "Keep a persistent content-addressed analysis cache (parse artifacts,
-     function summaries, per-file results) under $(docv); reused across
-     runs, shared between processes.  Defaults to $(b,PHPSAFE_CACHE_DIR)
-     when set.  Findings are byte-identical with or without it."
+    "Keep a persistent content-addressed cache under $(docv): parse
+     artifacts for every tool, plus per-file results for $(b,--tool rips)
+     and $(b,--tool pixy) (phpSAFE always re-analyzes); reused across runs,
+     shared between processes.  Defaults to $(b,PHPSAFE_CACHE_DIR) when
+     set.  Findings are byte-identical with or without it."
   in
   Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
 

@@ -10,9 +10,8 @@
     - {e incremental}: the long-lived warm path — the edited file goes
       through {!Phplang.Project.Increment.update} (checkpointed re-lexing
       of the damaged region, re-parse of the changed top-level statements
-      only, the others reused), the persistent
-      {!Phplang.Store} stays on, and the analysis replays unchanged
-      summaries and per-file results from cache for every plugin;
+      only, the others reused), the persistent {!Phplang.Store} stays on,
+      and every plugin is analyzed live over the warm parse caches;
     - {e full}: the cold path — the store is disabled, the in-memory parse
       memo is bypassed, and every plugin is parsed and analyzed from
       scratch.
@@ -23,8 +22,7 @@
     inserted into one function body — one statement re-parsed),
     [whitespace] (lexically trivial damage), [cross-def] (one update
     touching two definitions — both re-parsed, no fallback), and
-    [signature] (a parameter added — the def's summary is rebuilt, and
-    so are its callers' when their file's entry is walked again). *)
+    [signature] (a parameter added — the def's summary changes shape). *)
 
 type kind = Single_def | Whitespace | Cross_def | Signature
 
@@ -56,8 +54,6 @@ type report = {
   es_fallback : int;  (** parser.region.fallback over the storm *)
   es_resume : int;  (** lexer.ckpt.resume over the storm *)
   es_resync_tokens : int;  (** lexer.ckpt.resync_tokens over the storm *)
-  es_summary_rebuilt : int;  (** cache.summary.miss over the storm *)
-  es_summary_replayed : int;  (** cache.summary.hit over the storm *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -117,9 +113,8 @@ let edit_cross_def _rng src =
       | _ -> None)
   | _ -> None
 
-(* a parameter added to one function's signature: its structural digest
-   changes, and with it the summary keys of the def and its transitive
-   callers (rebuilt when a live walk reaches them) *)
+(* a parameter added to one function's signature: the def's summary
+   changes shape *)
 let edit_signature rng src =
   match occurrences ~sub:"function " src with
   | [] -> None
@@ -217,12 +212,11 @@ let measure ?(seed = default_seed) ?(edits = default_edits) ?corpus () :
       (List.map (fun p -> render (analyze p)) projects)
   in
   ignore (analyze_all (current_corpus ()) : string);
-  let counter = Obs.counter in
-  let c0 =
-    [ counter "parser.region.reparse"; counter "parser.region.fallback";
-      counter "lexer.ckpt.resume"; counter "lexer.ckpt.resync_tokens";
-      counter "cache.summary.miss"; counter "cache.summary.hit" ]
+  let counters =
+    [ "parser.region.reparse"; "parser.region.fallback";
+      "lexer.ckpt.resume"; "lexer.ckpt.resync_tokens" ]
   in
+  let c0 = List.map Obs.counter counters in
   let rng = Corpus.Prng.create seed in
   let kinds = [| Single_def; Whitespace; Cross_def; Signature |] in
   let editable =
@@ -246,7 +240,7 @@ let measure ?(seed = default_seed) ?(edits = default_edits) ?corpus () :
         Hashtbl.replace sources path src';
         let projects = current_corpus () in
         (* incremental (warm) pass: statement-reuse re-parse of the edited
-           file, then cached summary/result replay across the corpus *)
+           file, then live analysis of the corpus over warm parse caches *)
         let t0 = Obs.Clock.now () in
         ignore
           (Phplang.Project.Increment.update session ~path ~source:src'
@@ -273,13 +267,7 @@ let measure ?(seed = default_seed) ?(edits = default_edits) ?corpus () :
           :: !points
   done;
   let points = List.rev !points in
-  let deltas =
-    List.map2 (fun k v0 -> counter k - v0)
-      [ "parser.region.reparse"; "parser.region.fallback";
-        "lexer.ckpt.resume"; "lexer.ckpt.resync_tokens";
-        "cache.summary.miss"; "cache.summary.hit" ]
-      c0
-  in
+  let deltas = List.map2 (fun k v0 -> Obs.counter k - v0) counters c0 in
   let d i = List.nth deltas i in
   let single = List.filter (fun p -> p.pt_kind = Single_def) points in
   let p50 field = Obs.percentile (List.map field single) 50. in
@@ -301,8 +289,6 @@ let measure ?(seed = default_seed) ?(edits = default_edits) ?corpus () :
     es_fallback = d 1;
     es_resume = d 2;
     es_resync_tokens = d 3;
-    es_summary_rebuilt = d 4;
-    es_summary_replayed = d 5;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -336,9 +322,6 @@ let print ppf (r : report) =
     "pipeline: %d region re-parse(s), %d fallback(s), %d checkpoint \
      resume(s), %d token(s) re-lexed@."
     r.es_reparse r.es_fallback r.es_resume r.es_resync_tokens;
-  Format.fprintf ppf
-    "summary cache: %d rebuilt, %d replayed across the storm@."
-    r.es_summary_rebuilt r.es_summary_replayed;
   Format.fprintf ppf
     "single-def edits: %.2f ms full vs %.2f ms incremental (%.1fx; goal \
      >= 5x)@."

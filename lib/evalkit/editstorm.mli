@@ -1,7 +1,7 @@
 (** E17 — sub-file incremental re-analysis under a deterministic edit
     storm: per-edit wall clock of the warm incremental pipeline
-    (checkpointed re-lexing, statement-reuse re-parse, cached
-    summary/result replay) against a cold full re-analysis of the same bytes, with
+    (checkpointed re-lexing, statement-reuse re-parse, live analysis over
+    warm parse caches) against a cold full re-analysis of the same bytes, with
     byte-identical-report verification after every edit.  See editstorm.ml
     for the edit shapes and what each exercises. *)
 
@@ -33,8 +33,6 @@ type report = {
   es_fallback : int;
   es_resume : int;
   es_resync_tokens : int;
-  es_summary_rebuilt : int;  (** summary-cache misses over the storm *)
-  es_summary_replayed : int;  (** summary-cache hits over the storm *)
 }
 
 val measure : ?seed:int -> ?edits:int -> ?corpus:Corpus.t -> unit -> report

@@ -1,12 +1,15 @@
 (** E12 — incremental cross-version re-analysis: cold vs warm wall clock
     per tool against the persistent cache, and the fraction of V.2014 files
-    whose analysis replays verbatim from a V.2012-populated cache. *)
+    whose stored result (RIPS, Pixy) or parse (phpSAFE) is reused from a
+    V.2012-populated cache. *)
 
 type tool_point = {
   ip_tool : string;
   ip_cold_s : float;  (** V.2014, empty cache directory *)
   ip_warm_s : float;  (** V.2014 again, cache populated by the cold run *)
-  ip_warm_hits : int;  (** result-cache replays during the warm run *)
+  ip_warm_hits : int;
+      (** hits in the tool's replay namespace during the warm run: ["parse"]
+          for phpSAFE, ["result"] for RIPS and Pixy *)
   ip_reused : int;  (** V.2014 files replayed from a V.2012-populated cache *)
 }
 

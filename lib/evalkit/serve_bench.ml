@@ -11,9 +11,10 @@
     - [clients] client threads issue one [scan] request per V.2012 corpus
       plugin over [phpsafe-serve/1] frames — encode, connect, frame,
       decode, exactly what an external client pays;
-    - the {e cold} pass runs against the empty cache, the {e warm} pass
-      repeats the same requests against whatever the cold pass populated
-      (disk store and in-process parse memo both hot);
+    - the {e cold} pass runs against the empty cache and a cleared
+      in-process parse memo, the {e warm} pass repeats the same requests
+      against whatever the cold pass populated (disk store and parse memo
+      both hot);
     - per-pass: wall seconds, requests per second, client-observed p50 and
       p99 latency (nearest-rank, milliseconds).
 
@@ -114,6 +115,7 @@ let measure ?(clients = 4) ?corpus () : report =
       Serve.Daemon.max_queue = max 64 clients }
   in
   Scratch.with_daemon cfg sock @@ fun () ->
+  Phplang.Project.Parse_cache.clear Phplang.Project.Parse_cache.shared;
   let cold = run_pass ~sock ~clients requests in
   let warm = run_pass ~sock ~clients requests in
   {

@@ -28,9 +28,6 @@ val table3 :
   unit
 (** Table III: detection time of all plugins in seconds. *)
 
-val oop_summary : Format.formatter -> ev:Runner.evaluation -> unit
-(** §V.A: WordPress-object vulnerabilities per tool. *)
-
 val inertia :
   Format.formatter ->
   ev2012:Runner.evaluation ->
@@ -40,10 +37,6 @@ val inertia :
 
 val robustness : Format.formatter -> ev:Runner.evaluation -> unit
 (** §V.E: corpus size, failed files, error counts. *)
-
-val stray_report : Format.formatter -> ev:Runner.evaluation -> unit
-(** Unplanned detections (matching no seed) — prints nothing when, as
-    expected, there are none. *)
 
 val full_report :
   ?with_ablation:bool ->

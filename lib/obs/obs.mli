@@ -26,13 +26,10 @@
     number). *)
 
 module Clock : sig
-  val now_ns : unit -> int64
-  (** Monotonic clock, nanoseconds ([clock_gettime(CLOCK_MONOTONIC)]).
+  val now : unit -> float
+  (** Monotonic clock, seconds ([clock_gettime(CLOCK_MONOTONIC)]).
       Unlike [Sys.time] this is wall time, not process CPU time, so it
       stays correct when work fans out across domains. *)
-
-  val now : unit -> float
-  (** {!now_ns} in seconds. *)
 end
 
 val set_enabled : bool -> unit
@@ -114,9 +111,6 @@ val snapshot : unit -> snapshot
 (** Merge every domain's buffer deterministically.  Quiescent main domain
     only. *)
 
-val pp_summary : Format.formatter -> snapshot -> unit
-(** Human-readable summary table: gauges, counters, span aggregates. *)
-
 val trace_json : snapshot -> string
 (** Chrome trace-event JSON (the [{"traceEvents": [...]}] envelope): one
     complete ("ph":"X") event per span, one track ("tid") per domain, with
@@ -135,4 +129,5 @@ val export : ?summary:bool -> ?trace:string -> ?metrics:string -> unit -> unit
 (** The drivers' end-of-run export: when recording is enabled, take one
     {!snapshot}, write {!trace_json} to [trace] and {!metrics_json} to
     [metrics] (each announced on stderr), and with [~summary:true] print
-    {!pp_summary} to stderr.  A no-op while recording is disabled. *)
+    a human-readable table of gauges, counters and span aggregates to
+    stderr.  A no-op while recording is disabled. *)

@@ -468,6 +468,12 @@ module Increment = struct
 
   let forget session path = Hashtbl.remove session.ses_files path
 
+  let source session path =
+    Option.map (fun e -> e.ie_source) (Hashtbl.find_opt session.ses_files path)
+
+  let paths session =
+    Hashtbl.fold (fun path _ acc -> path :: acc) session.ses_files []
+
   let result session path =
     Option.map
       (fun e -> e.ie_result)

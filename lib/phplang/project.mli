@@ -139,6 +139,12 @@ module Increment : sig
   (** Drop a file (deleted from the project); the next update re-parses it
       from scratch. *)
 
+  val source : session -> string -> string option
+  (** The source [path] was last updated to, if the session holds it. *)
+
+  val paths : session -> string list
+  (** Every path the session holds, in no particular order. *)
+
   val result :
     session -> string -> (Ast.program, parse_error) result option
   (** Last known result for [path], if the session has seen it. *)

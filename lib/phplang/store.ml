@@ -1,5 +1,5 @@
 (** Persistent content-addressed artifact store — the disk tier behind the
-    parse, summary and analysis-result caches.
+    parse cache and the RIPS/Pixy per-file result caches.
 
     Layout: [<root>/v<N>/<ns>/<k0k1>/<key>] where [key] is a hex digest and
     [k0k1] its first two characters (fan-out).  Each entry is a small
@@ -37,7 +37,9 @@
    whose [--flow] fixpoint ran out of passes. *)
 (* v8: phpSAFE's summary, per-file and uncalled-function entries all hold
    one replay journal (pre-dedup findings, published summaries with their
-   summary keys); the "defdigest" namespace is gone. *)
+   summary keys); the "defdigest" namespace is gone.  phpSAFE has since
+   stopped caching analysis: its v8 "summary" and "result" entries are
+   unreachable, and [prune] reclaims them. *)
 let format_version = 8
 
 let magic = "phpsafe-store"

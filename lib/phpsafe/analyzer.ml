@@ -24,12 +24,10 @@ type budget = {
 
 (** Mirrors the paper's observed limits: phpSAFE "was unable to analyze one
     file [2012] and three files [2014]" whose include chains "required a lot
-    of memory". *)
+    of memory" (§V.E). *)
 let default_budget = { max_include_depth = 6; max_closure_loc = 40_000 }
 
-(** Second-order analysis phase ({!analyze_project_so}).  Data-only so the
-    whole [options] record stays digestible for the cache fingerprints —
-    a replay with different keys is a different fingerprint. *)
+(** Second-order analysis phase ({!analyze_project_so}). *)
 type so_mode =
   | So_off      (** ordinary single-pass analysis; zero behavioural change *)
   | So_record   (** phase 1: record DB-write keys reached by tainted data *)
@@ -101,37 +99,9 @@ type func_info = {
   fi_file : string;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Incremental analysis cache (see DESIGN.md "Incremental analysis")  *)
-(* ------------------------------------------------------------------ *)
-
-(** Per-function metadata for the summary cache. *)
-type fmeta = {
-  fm_digest : string;  (** structural digest of the function body (incl. positions) *)
-  fm_callees : string list;  (** lowercase names of called user functions *)
-  fm_pure : bool;
-      (** body free of anything that couples it to state outside its
-          parameters and the configuration: no [global], no property or
-          static-property access, no method calls / [new] / static calls,
-          no closures, no includes.  Only pure functions (transitively)
-          have cacheable summaries. *)
-  mutable fm_key : string option option;
-      (** memoized summary-cache key; [Some None] = not cacheable *)
-}
-
-(** Per-run state of the incremental cache, present only when a
-    {!Phplang.Store} root is configured. *)
-type icache = {
-  ic_file_fp : string;  (** fingerprint for per-file result entries *)
-  ic_sum_fp : string;   (** fingerprint for summary entries *)
-  ic_meta : (string, fmeta) Hashtbl.t;  (** function key -> metadata *)
-  ic_cacheable : (string, bool) Hashtbl.t;  (** transitive purity memo *)
-}
-
 type ctx = {
   opts : options;
   ix : Config.index;  (** [opts.config]'s role lookups, built in stage 1 *)
-  project : Phplang.Project.t;
   parsed : (string, Phplang.Ast.program) Hashtbl.t;
   funcs : (string, func_info) Hashtbl.t;
   classes : (string, Phplang.Ast.cls) Hashtbl.t;
@@ -140,29 +110,14 @@ type ctx = {
   globals : Env.table;
   mutable findings : Report.finding list;
   mutable reported : Report.Occurrence_set.t;
-  mutable emitted : Report.finding list;
-      (** findings reported before de-duplication while a {!journaled}
-          walk runs, newest first *)
-  mutable jseen : Report.Occurrence_set.t option;
-      (** occurrences already in [emitted] for the innermost running
-          journal; [None] when no journal runs *)
   mutable include_stack : S.t;  (** include cycle cut, per entry run *)
   mutable errors : int;
-  mutable sum_log : (string * string option * Summary.t) list;
-      (** summaries published or replayed, newest first, each with its
-          {!summary_key} — {!journaled} attributes nested summary work to
-          the walk that caused it *)
-  deferred : (string, string option * Summary.t) Hashtbl.t;
-      (** summaries that replayed journals recorded, not yet published:
-          the uncalled stage counts them as called, and a live call
-          publishes one only if its summary key still matches *)
   mutable so_writes : S.t;
       (** DB-write keys reached by SQL-tainted data ([So_record] phase);
           ["*"] stands for a write whose key is not statically known *)
   mutable exhausted : S.t;
       (** files with a [--flow] body walk that ran out of fixpoint passes;
           their outcome becomes [Budget_exhausted] when results assemble *)
-  cache : icache option;
 }
 
 type frame = {
@@ -215,32 +170,11 @@ let record_so_write (c : ctx) key = c.so_writes <- S.add key c.so_writes
 
 let record_exhausted (c : ctx) file = c.exhausted <- S.add file c.exhausted
 
-(** The one reporting gate, shared by live walks and {!replay}: a finding
-    is kept unless its occurrence was already reported.  While a journal
-    runs, the first report of each occurrence is also logged before
-    de-duplication.  [finding] is built only when one of the two needs it. *)
-let emit (c : ctx) occ (finding : unit -> Report.finding) =
-  Obs.incr "phpsafe.findings.pre_dedup";
-  let fresh = not (Report.Occurrence_set.mem occ c.reported) in
-  let logged =
-    match c.jseen with
-    | Some seen when not (Report.Occurrence_set.mem occ seen) ->
-        c.jseen <- Some (Report.Occurrence_set.add occ seen);
-        true
-    | _ -> false
-  in
-  if fresh || logged then begin
-    let f = finding () in
-    if logged then c.emitted <- f :: c.emitted;
-    if fresh then begin
-      Obs.incr "phpsafe.findings.post_dedup";
-      c.reported <- Report.Occurrence_set.add occ c.reported;
-      c.findings <- f :: c.findings
-    end
-  end
-
+(** The one reporting gate: a finding is kept unless its occurrence was
+    already reported, and is built only when kept. *)
 let report a ?context ~kind ~pos ~sink_name ~var (taint : Taint.t) =
-  if kind_enabled a.c.opts kind then
+  if kind_enabled a.c.opts kind then begin
+    let c = a.c in
     let occ =
       { Report.o_key =
           { Report.k_kind = kind; k_file = pos.Phplang.Ast.file;
@@ -248,20 +182,27 @@ let report a ?context ~kind ~pos ~sink_name ~var (taint : Taint.t) =
         o_sink = sink_name;
         o_var = var }
     in
-    emit a.c occ @@ fun () ->
-    let source, source_pos = Taint.source_of taint in
-    {
-      Report.kind;
-      sink_pos = pos;
-      sink = sink_name;
-      variable = var;
-      source;
-      source_pos;
-      trace = List.rev taint.Taint.trace;
-      context;
-      sanitizers_applied = Taint.San_set.elements (Taint.applied kind taint);
-      trace_truncated = taint.Taint.trace_truncated;
-    }
+    Obs.incr "phpsafe.findings.pre_dedup";
+    if not (Report.Occurrence_set.mem occ c.reported) then begin
+      Obs.incr "phpsafe.findings.post_dedup";
+      c.reported <- Report.Occurrence_set.add occ c.reported;
+      let source, source_pos = Taint.source_of taint in
+      c.findings <-
+        {
+          Report.kind;
+          sink_pos = pos;
+          sink = sink_name;
+          variable = var;
+          source;
+          source_pos;
+          trace = List.rev taint.Taint.trace;
+          context;
+          sanitizers_applied = Taint.San_set.elements (Taint.applied kind taint);
+          trace_truncated = taint.Taint.trace_truncated;
+        }
+        :: c.findings
+    end
+  end
 
 (** Check one value arriving at a sink.  Live taint is reported; symbolic
     parameter dependencies become conditional sinks of the enclosing
@@ -284,306 +225,6 @@ let check_sink a ~kind ~pos ~sink_name ~var (taint : Taint.t) =
               (Taint.deps kind taint)
         | None -> ())
     (sink_check_kinds a kind)
-
-(* ------------------------------------------------------------------ *)
-(* Incremental cache: replay and keys                                 *)
-(* ------------------------------------------------------------------ *)
-
-(** Scan a function body for the summary cache: collect the names of
-    called user functions and decide purity (see {!fmeta.fm_pure}). *)
-let scan_func (fn : Phplang.Ast.func) : bool * string list =
-  let module A = Phplang.Ast in
-  let pure = ref true in
-  let callees = ref S.empty in
-  let impure () = pure := false in
-  let rec expr (e : A.expr) =
-    match e.A.e with
-    | A.Call (g, args) ->
-        callees := S.add (String.lowercase_ascii g) !callees;
-        List.iter expr args
-    | A.MethodCall (o, _, args) ->
-        impure ();
-        expr o;
-        List.iter expr args
-    | A.New (_, args) | A.StaticCall (_, _, args) ->
-        impure ();
-        List.iter expr args
-    | A.Prop (x, _) ->
-        impure ();
-        expr x
-    | A.StaticProp _ ->
-        impure ()
-    | A.Closure cl ->
-        impure ();
-        List.iter stmt cl.A.cl_body
-    | A.IncludeE (_, arg) ->
-        impure ();
-        expr arg
-    | A.Assign (l, r) | A.AssignRef (l, r) | A.OpAssign (_, l, r)
-    | A.Bin (_, l, r) ->
-        expr l;
-        expr r
-    | A.Un (_, x) | A.CastE (_, x) | A.EmptyE x | A.PrintE x -> expr x
-    | A.Ternary (cnd, t, e2) ->
-        expr cnd;
-        Option.iter expr t;
-        expr e2
-    | A.ArrayGet (a, i) ->
-        expr a;
-        Option.iter expr i
-    | A.ArrayLit items ->
-        List.iter
-          (fun (k, v) ->
-            Option.iter expr k;
-            expr v)
-          items
-    | A.Isset es -> List.iter expr es
-    | A.Exit e -> Option.iter expr e
-    | A.ListAssign (slots, rhs) ->
-        List.iter (Option.iter expr) slots;
-        expr rhs
-    | A.Interp parts ->
-        List.iter (function A.IExpr x -> expr x | A.ILit _ -> ()) parts
-    | A.Null | A.True | A.False | A.Int _ | A.Float _ | A.Str _ | A.Var _
-    | A.ClassConst _ | A.Const _ ->
-        ()
-  and stmt (s : A.stmt) =
-    match s.A.s with
-    | A.Expr e | A.Throw e -> expr e
-    | A.Echo es | A.Unset es -> List.iter expr es
-    | A.Global _ -> impure ()
-    | A.If (branches, els) ->
-        List.iter
-          (fun (c, b) ->
-            expr c;
-            List.iter stmt b)
-          branches;
-        Option.iter (List.iter stmt) els
-    | A.While (c, b) ->
-        expr c;
-        List.iter stmt b
-    | A.DoWhile (b, c) ->
-        List.iter stmt b;
-        expr c
-    | A.For (i, c, u, b) ->
-        List.iter expr i;
-        List.iter expr c;
-        List.iter expr u;
-        List.iter stmt b
-    | A.Foreach (subject, binding, b) ->
-        expr subject;
-        (match binding with
-        | A.ForeachValue v -> expr v
-        | A.ForeachKeyValue (k, v) ->
-            expr k;
-            expr v);
-        List.iter stmt b
-    | A.Switch (subject, cases) ->
-        expr subject;
-        List.iter
-          (fun (c : A.case) ->
-            Option.iter expr c.A.case_guard;
-            List.iter stmt c.A.case_body)
-          cases
-    | A.Return e -> Option.iter expr e
-    | A.StaticVar vars -> List.iter (fun (_, d) -> Option.iter expr d) vars
-    | A.Block b -> List.iter stmt b
-    | A.FuncDef f -> List.iter stmt f.A.f_body
-    | A.ClassDef _ -> impure ()
-    | A.TryCatch (b, catches) ->
-        List.iter stmt b;
-        List.iter (fun (c : A.catch) -> List.iter stmt c.A.catch_body) catches
-    | A.InlineHtml _ | A.Nop | A.Break | A.Continue -> ()
-  in
-  List.iter stmt fn.Phplang.Ast.f_body;
-  (!pure, S.elements !callees)
-
-(** Function metadata, computed on first demand (warm runs that replay
-    every file never pay for the body scans). *)
-let meta ic (funcs : (string, func_info) Hashtbl.t) key : fmeta option =
-  match Hashtbl.find_opt ic.ic_meta key with
-  | Some m -> Some m
-  | None -> (
-      match Hashtbl.find_opt funcs key with
-      | None -> None
-      | Some fi ->
-          let pure, callees = scan_func fi.fi_func in
-          let m =
-            {
-              fm_digest = Phplang.Digest.structural fi.fi_func;
-              fm_callees = callees;
-              fm_pure = pure;
-              fm_key = None;
-            }
-          in
-          Hashtbl.replace ic.ic_meta key m;
-          Some m)
-
-(** Transitive purity: a summary is cacheable when its own body is pure
-    and every user function it (transitively) calls is too.  Recursion is
-    resolved coinductively — a cycle of pure bodies is cacheable. *)
-let rec cacheable ic funcs key =
-  match Hashtbl.find_opt ic.ic_cacheable key with
-  | Some b -> b
-  | None -> (
-      match meta ic funcs key with
-      | None -> true (* not a user function: behaviour fixed by the config *)
-      | Some m ->
-          if not m.fm_pure then begin
-            Hashtbl.replace ic.ic_cacheable key false;
-            false
-          end
-          else begin
-            (* coinductive assumption for the cycle *)
-            Hashtbl.replace ic.ic_cacheable key true;
-            let ok = List.for_all (cacheable ic funcs) m.fm_callees in
-            Hashtbl.replace ic.ic_cacheable key ok;
-            ok
-          end)
-
-(** Summary-cache key of [key]: covers the configuration slice, the body
-    digest and the body digests of every user function transitively
-    reachable from it — editing a callee invalidates exactly the callers
-    whose summaries could observe the edit.  [None] when not cacheable. *)
-let summary_key ic funcs key : string option =
-  match meta ic funcs key with
-  | None -> None
-  | Some m -> (
-      match m.fm_key with
-      | Some k -> k
-      | None ->
-          let k =
-            if not (cacheable ic funcs key) then None
-            else begin
-              (* transitive dependency set over the registry call graph *)
-              let seen = Hashtbl.create 8 in
-              let rec walk k =
-                if not (Hashtbl.mem seen k) then begin
-                  Hashtbl.add seen k ();
-                  match meta ic funcs k with
-                  | None -> ()
-                  | Some m -> List.iter walk m.fm_callees
-                end
-              in
-              List.iter walk m.fm_callees;
-              let deps =
-                Hashtbl.fold
-                  (fun k () acc ->
-                    if String.equal k key then acc
-                    else
-                      match Hashtbl.find_opt ic.ic_meta k with
-                      | Some dm -> (k ^ "=" ^ dm.fm_digest) :: acc
-                      | None -> acc)
-                  seen []
-                |> List.sort String.compare
-              in
-              Some
-                (Phplang.Digest.combine
-                   (("summary:" ^ ic.ic_sum_fp) :: (key ^ "=" ^ m.fm_digest)
-                   :: deps))
-            end
-          in
-          m.fm_key <- Some k;
-          k)
-
-(** Does nothing; kept only for [perfbench/]. *)
-let set_dag_tracking (_ : bool) = ()
-
-(** What one recorded walk did to the run state.  Summary entries,
-    per-file entries and uncalled-function records all replay a journal in
-    place of the walk. *)
-type journal = {
-  j_findings : Report.finding list;
-      (** reported before de-duplication, oldest first; only the first
-          report of each occurrence is kept, since a later one can never
-          pass the gate on replay *)
-  j_summaries : (string * string option * Summary.t) list;
-      (** published or replayed, oldest first, each with the
-          {!summary_key} it was recorded under *)
-  j_so_writes : string list;  (** DB-write keys added ([So_record]) *)
-  j_exhausted : string list;  (** files whose [--flow] fixpoint ran out *)
-}
-
-(* what was consed onto [before] to make [now], oldest first *)
-let since before now =
-  let rec go acc l =
-    if l == before then acc
-    else match l with [] -> acc | x :: tl -> go (x :: acc) tl
-  in
-  go [] now
-
-let added before now =
-  if now == before then [] else S.elements (S.diff now before)
-
-let current_key (c : ctx) key =
-  Option.bind c.cache (fun ic -> summary_key ic c.funcs key)
-
-(** Publish a function summary built or checked by live analysis. *)
-let publish (c : ctx) key s =
-  Hashtbl.replace c.summaries key s;
-  c.sum_log <- (key, current_key c key, s) :: c.sum_log
-
-(** [f ()] and the journal of what it did to [c]'s four logs.  Journals
-    nest: a summary built inside a recorded file walk has its own. *)
-let journaled (c : ctx) f =
-  let e0 = c.emitted and l0 = c.sum_log in
-  let so0 = c.so_writes and ex0 = c.exhausted in
-  let outer = c.jseen in
-  c.jseen <- Some Report.Occurrence_set.empty;
-  let v =
-    Fun.protect f ~finally:(fun () ->
-        (* the inner window lies inside the outer one *)
-        c.jseen <-
-          (match (outer, c.jseen) with
-          | Some o, Some i -> Some (Report.Occurrence_set.union o i)
-          | _ -> outer))
-  in
-  let _, findings =
-    List.fold_left
-      (fun (seen, acc) f ->
-        let occ = Report.occurrence_of_finding f in
-        if Report.Occurrence_set.mem occ seen then (seen, acc)
-        else (Report.Occurrence_set.add occ seen, f :: acc))
-      (Report.Occurrence_set.empty, [])
-      (since e0 c.emitted)
-  in
-  (* outside every journal the log is dead weight *)
-  if Option.is_none outer then c.emitted <- e0;
-  ( v,
-    { j_findings = List.rev findings;
-      j_summaries = since l0 c.sum_log;
-      j_so_writes = added so0 c.so_writes;
-      j_exhausted = added ex0 c.exhausted } )
-
-(** Re-apply a journal through the gates live code uses, so replayed and
-    live work interleave exactly as in the cold run that recorded it.
-    Recorded summaries are deferred, not published: a per-file key covers
-    only the include closure, and a called function can be defined outside
-    it, so {!obtain_summary} checks a summary's key when a live call first
-    needs it.  The check costs nothing in runs that replay every file. *)
-let replay (c : ctx) j =
-  List.iter
-    (fun f -> emit c (Report.occurrence_of_finding f) (fun () -> f))
-    j.j_findings;
-  List.iter
-    (fun ((k, sk, s) as e) ->
-      if not (Hashtbl.mem c.summaries k || Hashtbl.mem c.deferred k) then begin
-        Hashtbl.replace c.deferred k (sk, s);
-        c.sum_log <- e :: c.sum_log
-      end)
-    j.j_summaries;
-  List.iter (record_so_write c) j.j_so_writes;
-  List.iter (record_exhausted c) j.j_exhausted
-
-(** What the per-file result cache persists for one analyzable file: the
-    journal of its entry walk, its outcome after the walk, and one record
-    per function defined in it that the run analyzed as an uncalled entry
-    point (the walk's journal, and the exception text if it crashed). *)
-type file_entry = {
-  fe_journal : journal;
-  fe_outcome : Report.file_outcome;
-  fe_uncalled : (string * (journal * string option)) list;
-}
 
 (* ------------------------------------------------------------------ *)
 (* Context inference (--contexts, §VI future work)                    *)
@@ -1223,7 +864,7 @@ and call_user_function a ~pos key arg_ts arg_exprs =
         | Some s -> Some s
         | None ->
             if Hashtbl.mem a.c.in_progress key then None (* recursion cut *)
-            else Some (obtain_summary a.c fi)
+            else Some (analyze_function a.c fi)
       in
       (match summary with
       | None -> Taint.untainted
@@ -1295,30 +936,10 @@ and analyze_closure a (cl : Phplang.Ast.closure) =
   let sub = { a with env; frame = None } in
   exec_body sub cl.Phplang.Ast.cl_body
 
-(** {!analyze_function} behind the summary cache: a deferred summary
-    whose key still matches is published; otherwise a hit replays the
-    journal recorded with the summary instead of walking the body, and a
-    miss walks it and persists the summary with its journal.  An impure
-    function (no key) and a cache-off run go straight to the walk. *)
-and obtain_summary (c : ctx) (fi : func_info) : Summary.t =
-  match current_key c fi.fi_key with
-  | None -> analyze_function c fi
-  | Some key -> (
-      match Hashtbl.find_opt c.deferred fi.fi_key with
-      | Some (Some k, s) when String.equal k key ->
-          Hashtbl.remove c.deferred fi.fi_key;
-          publish c fi.fi_key s;
-          s
-      | _ -> (
-          match Phplang.Store.get ~ns:"summary" ~key with
-          | Some ((s, j) : Summary.t * journal) ->
-              replay c j;
-              s
-          | None ->
-              let s, j = journaled c (fun () -> analyze_function c fi) in
-              Phplang.Store.put ~ns:"summary" ~key (s, j);
-              s))
-
+(* Walk [fi]'s body once with symbolic parameters and memoise the summary
+   in [c.summaries], which lasts one run (§III.C: "a function is parsed
+   only once; the summary of this analysis is reused in subsequent
+   calls"). *)
 and analyze_function (c : ctx) (fi : func_info) : Summary.t =
   Obs.incr "phpsafe.summaries.built";
   Hashtbl.replace c.in_progress fi.fi_key ();
@@ -1339,7 +960,7 @@ and analyze_function (c : ctx) (fi : func_info) : Summary.t =
   in
   let summary = { Summary.ret = frame.fr_ret; cond_sinks } in
   Hashtbl.remove c.in_progress fi.fi_key;
-  publish c fi.fi_key summary;
+  Hashtbl.replace c.summaries fi.fi_key summary;
   summary
 
 and exec_include a (arg : Phplang.Ast.expr) =
@@ -1615,47 +1236,13 @@ let rec register_stmt ctx ~file (s : Phplang.Ast.stmt) =
 let analyze_project_internal ?(opts = default_options)
     (project : Phplang.Project.t) : Report.result * string list =
   (* stage 1 (§III.A): configuration — the run context carrying the sink/
-     source/sanitizer model and its role index, plus the incremental-cache
-     fingerprints when a cache root is configured.  The index is built
-     here, not kept in [Config.t], so the fingerprints, which digest
-     [opts], see only the plain profile.  The file fingerprint covers the whole
-     option record (profile, [--contexts], [--flow], guards, the modeling
-     budget) and the slice of the safety {!Budget} phpSAFE consults; the
-     summary fingerprint deliberately excludes the include caps — function
-     bodies with includes are never cached, so [--budget-include-*] must
-     not invalidate summaries.  The fixpoint-pass cap is consulted only by
-     the [--flow] walk (which also runs inside function bodies), so it
-     joins both fingerprints exactly when that mode is on. *)
+     source/sanitizer model and its role index.  The index is built here
+     per run rather than kept in [Config.t], which stays plain data. *)
   let ctx =
     Obs.span "phpsafe.config" @@ fun () ->
-    let cache =
-      if not (Cache.enabled ()) then None
-      else
-        let b = Budget.get () in
-        let flow_passes =
-          if opts.flow_sensitive then b.Budget.fixpoint_passes else 0
-        in
-        Some
-          {
-            ic_file_fp =
-              Phplang.Digest.structural
-                ( "phpSAFE-file",
-                  opts,
-                  ( b.Budget.parse_depth,
-                    b.Budget.include_depth,
-                    b.Budget.include_files ),
-                  flow_passes );
-            ic_sum_fp =
-              Phplang.Digest.structural
-                ("phpSAFE-summary", opts, b.Budget.parse_depth, flow_passes);
-            ic_meta = Hashtbl.create 64;
-            ic_cacheable = Hashtbl.create 64;
-          }
-    in
     {
       opts;
       ix = Config.index opts.config;
-      project;
       parsed = Hashtbl.create 64;
       funcs = Hashtbl.create 128;
       classes = Hashtbl.create 32;
@@ -1664,22 +1251,14 @@ let analyze_project_internal ?(opts = default_options)
       globals = Env.table ();
       findings = [];
       reported = Report.Occurrence_set.empty;
-      emitted = [];
-      jseen = None;
       include_stack = S.empty;
       errors = 0;
-      sum_log = [];
-      deferred = Hashtbl.create 16;
       so_writes = S.empty;
       exhausted = S.empty;
-      cache;
     }
   in
   let outcomes = ref [] in
   let unresolved = ref S.empty in
-  let closures : (string, Phplang.Project.closure) Hashtbl.t =
-    Hashtbl.create 64
-  in
   (* stage 2 (§III.B): model construction — parse everything, check the
      include budget, hoist the function/class registry *)
   let analyzable =
@@ -1702,31 +1281,24 @@ let analyze_project_internal ?(opts = default_options)
               (f.Phplang.Project.path, Report.fail reason) :: !outcomes)
       project.Phplang.Project.files;
     let parse_ok = List.rev !parse_ok in
-    (* include closures: needed for the memory budget and for the result
-       cache's closure digests; walked once, used by both.  No closure is
-       built at all when include resolution is off. *)
-    if opts.resolve_includes && (opts.budget <> None || ctx.cache <> None)
-    then begin
-      let safety = Budget.get () in
-      List.iter
-        (fun path ->
-          let parse (f : Phplang.Project.file) =
-            Hashtbl.find_opt ctx.parsed f.Phplang.Project.path
-          in
-          Hashtbl.replace closures path
-            (Phplang.Project.include_closure
-               ~max_depth:safety.Budget.include_depth
-               ~max_files:safety.Budget.include_files ~parse project path))
-        parse_ok
-    end;
-    (* memory budget: files whose include closure is too expensive fail *)
+    (* memory budget: files whose include closure is too expensive fail.
+       Closures are built only here, so none is built when include
+       resolution or the budget is off. *)
     let failed_mem = Hashtbl.create 4 in
     (match (if opts.resolve_includes then opts.budget else None) with
     | None -> ()
     | Some budget ->
+        let safety = Budget.get () in
+        let parse (f : Phplang.Project.file) =
+          Hashtbl.find_opt ctx.parsed f.Phplang.Project.path
+        in
         List.iter
           (fun path ->
-            let closure = Hashtbl.find closures path in
+            let closure =
+              Phplang.Project.include_closure
+                ~max_depth:safety.Budget.include_depth
+                ~max_files:safety.Budget.include_files ~parse project path
+            in
             let closure_loc =
               List.fold_left
                 (fun acc p ->
@@ -1785,137 +1357,34 @@ let analyze_project_internal ?(opts = default_options)
               !outcomes
         else outcomes := (path, outcome) :: !outcomes
   in
-  (* per-file result cache key: everything the entry walk can observe —
-     the fingerprint (configuration + budget slice), the file itself, and
-     the source digest of every file in its include closure (missing
-     closure members are part of the key by name, so creating one later
-     invalidates).  Calls and globals are assumed to resolve within the
-     closure, as in the paper's per-file + includes model; DESIGN.md
-     "Incremental analysis" has two repros where they do not. *)
-  let unit_key ic path =
-    let closure_part =
-      if not opts.resolve_includes then [ "no-includes" ]
-      else
-        match Hashtbl.find_opt closures path with
-        | None -> [ "no-closure" ]
-        | Some cl ->
-            (if cl.Phplang.Project.cl_truncated then "truncated" else "full")
-            :: List.map
-                 (fun p ->
-                   match Phplang.Project.find project p with
-                   | Some f ->
-                       p ^ "=" ^ Phplang.Digest.hex f.Phplang.Project.source
-                   | None -> p ^ "=<missing>")
-                 cl.Phplang.Project.cl_paths
-    in
-    let source =
-      match Phplang.Project.find project path with
-      | Some f -> Phplang.Digest.hex f.Phplang.Project.source
-      | None -> "<missing>"
-    in
-    Phplang.Digest.combine
-      (("unit:" ^ ic.ic_file_fp) :: path :: source :: closure_part)
-  in
-  let ukeys : (string, string) Hashtbl.t = Hashtbl.create 64 in
-  let replayed : (string, file_entry) Hashtbl.t = Hashtbl.create 64 in
-  let recorded : (string, file_entry) Hashtbl.t = Hashtbl.create 64 in
-  (* [walk ()] live; with a cache, hand its value and journal to [record] *)
-  let walk_recorded walk record =
-    match ctx.cache with
-    | None -> walk ()
-    | Some _ ->
-        let v, j = journaled ctx walk in
-        record v j;
-        v
-  in
   (* stage 3 (§III.C): inter-procedural analysis from each file's "main
-     function", then uncalled functions as entry points.  With a cache
-     root configured, each file either replays its recorded entry (same
-     findings, summaries and outcome, no walk) or is walked live and
-     recorded. *)
+     function", then uncalled functions as entry points *)
   Obs.span "phpsafe.analysis" (fun () ->
       List.iter
         (fun path ->
           (* file boundary: a per-request deadline cancels between files *)
           Deadline.check ();
-          let entry =
-            match ctx.cache with
-            | None -> None
-            | Some ic ->
-                let key = unit_key ic path in
-                Hashtbl.replace ukeys path key;
-                (Cache.find ~key : file_entry option)
-          in
-          match entry with
-          | Some e ->
-              Obs.incr "cache.result.replayed.phpSAFE";
-              Hashtbl.replace replayed path e;
-              replay ctx e.fe_journal;
-              (match e.fe_outcome with
-              | Report.Analyzed -> ()
-              | Report.Failed _ -> ctx.errors <- ctx.errors + 1);
-              outcomes := (path, e.fe_outcome) :: !outcomes
-          | None ->
-              walk_recorded
-                (fun () ->
-                  ctx.include_stack <- S.singleton path;
-                  let env = Env.create_toplevel ctx.globals in
-                  let a = { c = ctx; env; frame = None; file = path } in
-                  match exec_body a (Hashtbl.find ctx.parsed path) with
-                  | () -> outcomes := (path, Report.Analyzed) :: !outcomes
-                  | exception (Deadline.Exceeded as e) -> raise e
-                  | exception exn ->
-                      mark_file_crashed path (Printexc.to_string exn))
-                (fun () j ->
-                  Hashtbl.replace recorded path
-                    { fe_journal = j;
-                      fe_outcome =
-                        Option.value (List.assoc_opt path !outcomes)
-                          ~default:Report.Analyzed;
-                      fe_uncalled = [] }))
+          ctx.include_stack <- S.singleton path;
+          let env = Env.create_toplevel ctx.globals in
+          let a = { c = ctx; env; frame = None; file = path } in
+          match exec_body a (Hashtbl.find ctx.parsed path) with
+          | () -> outcomes := (path, Report.Analyzed) :: !outcomes
+          | exception (Deadline.Exceeded as e) -> raise e
+          | exception exn -> mark_file_crashed path (Printexc.to_string exn))
         analyzable;
-      (* replayed entries deferred their summaries, so the uncalled set is
-         exactly the cold run's *)
       if opts.analyze_uncalled then
         Hashtbl.fold
           (fun key fi acc ->
-            if Hashtbl.mem ctx.summaries key || Hashtbl.mem ctx.deferred key
-            then acc
-            else (key, fi) :: acc)
+            if Hashtbl.mem ctx.summaries key then acc else (key, fi) :: acc)
           ctx.funcs []
         |> List.sort (fun (k1, _) (k2, _) -> String.compare k1 k2)
-        |> List.iter (fun (fkey, fi) ->
+        |> List.iter (fun (_, fi) ->
                Deadline.check ();
-               let file = fi.fi_file in
-               let crashed =
-                 match
-                   Option.bind (Hashtbl.find_opt replayed file) (fun e ->
-                       List.assoc_opt fkey e.fe_uncalled)
-                 with
-                 | Some (j, crashed) ->
-                     replay ctx j;
-                     crashed
-                 | None ->
-                     walk_recorded
-                       (fun () ->
-                         match obtain_summary ctx fi with
-                         | _ -> None
-                         | exception (Deadline.Exceeded as e) -> raise e
-                         | exception exn -> Some (Printexc.to_string exn))
-                       (fun crashed j ->
-                         Option.iter
-                           (fun e ->
-                             Hashtbl.replace recorded file
-                               { e with
-                                 fe_uncalled =
-                                   (fkey, (j, crashed)) :: e.fe_uncalled })
-                           (Hashtbl.find_opt recorded file))
-               in
-               Option.iter (mark_file_crashed file) crashed));
-  (* persist the entries recorded this run *)
-  Hashtbl.iter
-    (fun path e -> Cache.store ~key:(Hashtbl.find ukeys path) e)
-    recorded;
+               match analyze_function ctx fi with
+               | _ -> ()
+               | exception (Deadline.Exceeded as e) -> raise e
+               | exception exn ->
+                   mark_file_crashed fi.fi_file (Printexc.to_string exn)));
   (* stage 4 (§III.D): results *)
   Obs.span "phpsafe.results" @@ fun () ->
   (* a file whose [--flow] fixpoint ran out keeps its findings but reports
@@ -1959,3 +1428,6 @@ let analyze_project_so ?(opts = default_options) (project : Phplang.Project.t)
     Obs.incr "phpsafe.so.replay_runs";
     analyze_project ~opts:{ opts with so_mode = So_replay keys } project
   end
+
+(** Does nothing; kept only for [perfbench/]. *)
+let set_dag_tracking (_ : bool) = ()

@@ -7,11 +7,6 @@ type budget = {
   max_closure_loc : int;
 }
 
-val default_budget : budget
-(** Mirrors the paper's observed limits: phpSAFE "was unable to analyze one
-    file [2012] and three files [2014]" whose include chains "required a lot
-    of memory" (§V.E). *)
-
 type so_mode =
   | So_off  (** single-phase run: no persistent-storage modeling *)
   | So_record

@@ -1,19 +1,17 @@
-(** Per-file analysis-result cache, shared by the three analyzers through
-    the {!Phplang.Store} disk tier (namespace ["result"]).
+(** Per-file analysis-result cache of RIPS and Pixy, through the
+    {!Phplang.Store} disk tier (namespace ["result"]).  Their per-file keys
+    are exact because their analysis of a file reads only that file.
+    phpSAFE's walk reads across files (calls, globals, includes), so it
+    caches only parses and always analyzes live.
 
     The contract: an entry's key must cover {e everything} the cached value
     depends on —
 
-    - the analyzer's name and configuration fingerprint (so switching the
-      phpSAFE profile from WordPress to Drupal, or toggling [--contexts],
-      misses rather than reuses);
+    - the analyzer's name and configuration fingerprint;
     - the slice of the process-global {!Budget} the analyzer actually
       consults (so [--budget-fixpoint-passes] invalidates Pixy entries but
-      not phpSAFE's, and vice versa for the include caps);
-    - the file's path (positions embed it) and source digest;
-    - for analyzers that resolve includes, the digest of the whole include
-      closure (editing a callee's file invalidates exactly the entries
-      whose closure contains it).
+      not RIPS's);
+    - the file's path (positions embed it) and source digest.
 
     Values are replayed verbatim into the analyzer's normal result
     assembly, so a warm run's [Report.result] is byte-identical to the cold
@@ -37,12 +35,6 @@ let file_key ~tool ~fingerprint ~path ~source =
 
 let find_file ~key : file_entry option = Phplang.Store.get ~ns ~key
 let store_file ~key (e : file_entry) = Phplang.Store.put ~ns ~key e
-
-(** Raw access for analyzers with richer per-file entries (phpSAFE).  The
-    caller owns the key discipline: one entry type per key shape. *)
-let find ~key : 'a option = Phplang.Store.get ~ns ~key
-
-let store ~key (v : 'a) : unit = Phplang.Store.put ~ns ~key v
 
 (** Per-file analysis loop with replay, shared by RIPS and Pixy (the two
     analyzers with no cross-file state beyond finding de-duplication):

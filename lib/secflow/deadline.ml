@@ -15,11 +15,6 @@ let with_deadline at f =
   Domain.DLS.set key at;
   Fun.protect ~finally:(fun () -> Domain.DLS.set key old) f
 
-let remaining_s () =
-  match Domain.DLS.get key with
-  | None -> None
-  | Some at -> Some (at -. Obs.Clock.now ())
-
 let expired () =
   match Domain.DLS.get key with
   | None -> false

@@ -32,9 +32,6 @@ val with_deadline : float option -> (unit -> 'a) -> 'a
 val get : unit -> float option
 (** The absolute deadline in force on this domain, if any. *)
 
-val remaining_s : unit -> float option
-(** Seconds until the deadline (negative once past), [None] if unbounded. *)
-
 val expired : unit -> bool
 (** [true] once the deadline in force has passed. *)
 

@@ -65,9 +65,6 @@ end)
     still uses the coarse (kind, file, line) {!key}. *)
 type occurrence = { o_key : key; o_sink : string; o_var : string }
 
-let occurrence_of_finding f =
-  { o_key = key_of_finding f; o_sink = f.sink; o_var = f.variable }
-
 let compare_occurrence a b =
   match compare_key a.o_key b.o_key with
   | 0 -> (

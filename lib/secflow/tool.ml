@@ -2,18 +2,8 @@
     and Pixy through this signature, mirroring the paper's automated
     execution of each tool over all plugin files (§IV.B step 4). *)
 
-module type ANALYZER = sig
-  val name : string
-
-  (** Analyze every file of a plugin project and return the merged result. *)
-  val analyze_project : Phplang.Project.t -> Report.result
-end
-
-(** First-class version, convenient for lists of tools. *)
 type t = {
   name : string;
   analyze_project : Phplang.Project.t -> Report.result;
+      (** analyze every file of a plugin project, return the merged result *)
 }
-
-let of_module (module A : ANALYZER) =
-  { name = A.name; analyze_project = A.analyze_project }

@@ -1,15 +1,8 @@
 (** Uniform analyzer interface: the evaluation harness drives phpSAFE, RIPS
-    and Pixy through this signature (paper §IV.B step 4). *)
-
-module type ANALYZER = sig
-  val name : string
-  val analyze_project : Phplang.Project.t -> Report.result
-end
+    and Pixy through this record (paper §IV.B step 4). *)
 
 (** First-class analyzer, convenient for lists of tools. *)
 type t = {
   name : string;
   analyze_project : Phplang.Project.t -> Report.result;
 }
-
-val of_module : (module ANALYZER) -> t

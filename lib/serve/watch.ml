@@ -15,7 +15,7 @@ type delta = {
 type session = {
   w_opts : Scan.opts;
   w_inc : Phplang.Project.Increment.session;
-  w_sources : (string, string) Hashtbl.t;  (* path -> last seen source *)
+      (* also the record of each path's last seen source *)
   mutable w_prev : Secflow.Report.finding list option;
   w_lock : Mutex.t;
 }
@@ -24,7 +24,6 @@ let create opts =
   {
     w_opts = opts;
     w_inc = Phplang.Project.Increment.create ();
-    w_sources = Hashtbl.create 64;
     w_prev = None;
     w_lock = Mutex.create ();
   }
@@ -41,6 +40,12 @@ let locked s f =
   Mutex.lock s.w_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock s.w_lock) f
 
+(* Is [f] exactly what the parse session last saw? *)
+let unchanged s (f : Phplang.Project.file) =
+  match Phplang.Project.Increment.source s.w_inc f.path with
+  | Some old -> String.equal old f.source
+  | None -> false
+
 (* Under the session lock: bring the incremental parse session in line
    with [project], returning the changed and deleted paths (each sorted).
    Each changed file goes through {!Phplang.Project.Increment.update},
@@ -50,14 +55,8 @@ let refresh_locked s (project : Phplang.Project.t) =
   let changed = ref [] in
   List.iter
     (fun (f : Phplang.Project.file) ->
-      let same =
-        match Hashtbl.find_opt s.w_sources f.path with
-        | Some old -> String.equal old f.source
-        | None -> false
-      in
-      if not same then begin
+      if not (unchanged s f) then begin
         changed := f.path :: !changed;
-        Hashtbl.replace s.w_sources f.path f.source;
         ignore
           (Phplang.Project.Increment.update s.w_inc ~path:f.path
              ~source:f.source
@@ -69,15 +68,11 @@ let refresh_locked s (project : Phplang.Project.t) =
     (fun (f : Phplang.Project.file) -> Hashtbl.replace live f.path ())
     project.files;
   let deleted =
-    Hashtbl.fold
-      (fun path _ acc -> if Hashtbl.mem live path then acc else path :: acc)
-      s.w_sources []
+    List.filter
+      (fun path -> not (Hashtbl.mem live path))
+      (Phplang.Project.Increment.paths s.w_inc)
   in
-  List.iter
-    (fun path ->
-      Hashtbl.remove s.w_sources path;
-      Phplang.Project.Increment.forget s.w_inc path)
-    deleted;
+  List.iter (Phplang.Project.Increment.forget s.w_inc) deleted;
   (List.sort String.compare !changed, List.sort String.compare deleted)
 
 let refresh_sources s project = locked s (fun () -> refresh_locked s project)
@@ -146,13 +141,9 @@ let scan_if_changed s project =
   let quiescent =
     locked s @@ fun () ->
     s.w_prev <> None
-    && List.length project.Phplang.Project.files = Hashtbl.length s.w_sources
-    && List.for_all
-         (fun (f : Phplang.Project.file) ->
-           match Hashtbl.find_opt s.w_sources f.path with
-           | Some old -> String.equal old f.source
-           | None -> false)
-         project.files
+    && List.length project.Phplang.Project.files
+       = List.length (Phplang.Project.Increment.paths s.w_inc)
+    && List.for_all (unchanged s) project.files
   in
   if quiescent then None else Some (scan s project)
 

@@ -1,8 +1,10 @@
-(** Persistent analysis-cache tests: warm runs must replay cold results
-    byte-identically, invalidation must be exact (edited file, edited
-    callee, profile switch, [--contexts], the per-analyzer [--budget-*]
-    slices), corrupt or mismatched entries must read as misses, and a
-    shared cache directory must be transparent at any pool size. *)
+(** Persistent cache tests: warm runs must reproduce cold results
+    byte-identically (RIPS and Pixy replay per-file results, phpSAFE
+    re-analyzes over stored parses), invalidation must be exact (edited
+    file, edited callee, profile switch, [--contexts], the per-analyzer
+    [--budget-*] slices), corrupt or mismatched entries must read as
+    misses, and a shared cache directory must be transparent at any pool
+    size. *)
 
 module Store = Phplang.Store
 
@@ -20,9 +22,11 @@ let rec rm_rf path =
 
 let dir_seq = ref 0
 
-(* Fresh cache directory for the duration of [f]; the store is always
-   disabled again afterwards (tests must not leak a root into each other). *)
+(* Fresh cache directory and parse memo for the duration of [f], as in a
+   new process; the store is always disabled again afterwards (tests must
+   not leak a root into each other). *)
 let with_cache_dir f =
+  Phplang.Project.Parse_cache.clear Phplang.Project.Parse_cache.shared;
   incr dir_seq;
   let dir =
     Filename.concat
@@ -60,7 +64,23 @@ let result_delta f =
   let h1, m1 = result_stats () in
   (v, h1 - h0, m1 - m0)
 
+(* Parse-namespace hits/misses attributable to [f] alone, run against a
+   cleared parse memo so that every parse goes to the store. *)
+let parse_delta f =
+  Phplang.Project.Parse_cache.clear Phplang.Project.Parse_cache.shared;
+  let h0, m0 = ns_stats "parse" in
+  let v = f () in
+  let h1, m1 = ns_stats "parse" in
+  (v, h1 - h0, m1 - m0)
+
 let tools : Secflow.Tool.t list = [ Phpsafe.tool; Rips.tool; Pixy.tool ]
+
+(* The store traffic of a warm run of [tool]: phpSAFE caches only parses,
+   RIPS and Pixy cache per-file results. *)
+let replay_delta (tool : Secflow.Tool.t) f =
+  if String.equal tool.Secflow.Tool.name Phpsafe.tool.Secflow.Tool.name then
+    parse_delta f
+  else result_delta f
 
 let vuln_file path =
   (path, Printf.sprintf "<?php\n$x = $_GET['%s'];\necho $x;\n" path)
@@ -81,12 +101,9 @@ let replay_cases =
         (fun () ->
           with_cache_dir @@ fun _dir ->
           let p = project "warm" [ vuln_file "a.php"; vuln_file "b.php" ] in
-          let cold, _, cold_misses =
-            result_delta (fun () -> tool.Secflow.Tool.analyze_project p)
-          in
-          let warm, warm_hits, warm_misses =
-            result_delta (fun () -> tool.Secflow.Tool.analyze_project p)
-          in
+          let run () = tool.Secflow.Tool.analyze_project p in
+          let cold, _, cold_misses = replay_delta tool run in
+          let warm, warm_hits, warm_misses = replay_delta tool run in
           Alcotest.check check_result "identical results" cold warm;
           Alcotest.(check bool) "cold run missed" true (cold_misses > 0);
           Alcotest.(check bool) "warm run replayed" true (warm_hits > 0);
@@ -132,74 +149,68 @@ let edited_callee_case =
       let r1 = Phpsafe.tool.Secflow.Tool.analyze_project p1 in
       Alcotest.(check bool) "passthrough callee leaks taint" true
         (r1.Secflow.Report.findings <> []);
-      (* only lib.php changes; main.php's bytes are untouched, but its
-         include closure digest differs, so its entry must not replay *)
+      (* only lib.php changes; main.php's bytes are untouched, so its
+         parse is reused, but its analysis must see the edited callee *)
       let p2 = project "callee" [ main ""; lib "return htmlspecialchars($x);" ] in
-      let r2, _, misses =
-        result_delta (fun () -> Phpsafe.tool.Secflow.Tool.analyze_project p2)
+      let r2, hits, misses =
+        parse_delta (fun () -> Phpsafe.tool.Secflow.Tool.analyze_project p2)
       in
       Alcotest.(check bool) "sanitizing callee silences the sink" true
         (r2.Secflow.Report.findings = []);
-      Alcotest.(check bool) "includer re-analyzed, not replayed" true
-        (misses > 0);
+      Alcotest.(check int) "includer's parse reused" 1 hits;
+      Alcotest.(check int) "edited callee re-parsed" 1 misses;
       let r3, hits3, misses3 =
-        result_delta (fun () -> Phpsafe.tool.Secflow.Tool.analyze_project p2)
+        parse_delta (fun () -> Phpsafe.tool.Secflow.Tool.analyze_project p2)
       in
       Alcotest.check check_result "edited project replays warm" r2 r3;
-      Alcotest.(check bool) "second run replays" true (hits3 > 0);
+      Alcotest.(check int) "second run reuses both parses" 2 hits3;
       Alcotest.(check int) "second run fully cached" 0 misses3)
+
+(* Run [p] under [opts] over a cache directory earlier runs populated: the
+   report must equal a store-off run's, and [p]'s one parse must come from
+   the store — a parse does not depend on the analysis options. *)
+let warm_matches_uncached ~dir ?opts p =
+  let warm, hits, misses =
+    parse_delta (fun () -> Phpsafe.analyze_project ?opts p)
+  in
+  Store.set_root None;
+  let uncached = Phpsafe.analyze_project ?opts p in
+  Store.set_root (Some dir);
+  Alcotest.check check_result "warm report = uncached report" uncached warm;
+  Alcotest.(check (pair int int)) "parse reused" (1, 0) (hits, misses)
 
 let opts_cases =
   let p () = project "opts" [ vuln_file "a.php" ] in
   [
-    case "profile switch misses instead of reusing" `Quick (fun () ->
-        with_cache_dir @@ fun _dir ->
+    case "profile switch re-analyzes over reused parses" `Quick (fun () ->
+        with_cache_dir @@ fun dir ->
         ignore (Phpsafe.analyze_project (p ()));
         let drupal =
           { Phpsafe.default_options with
             Phpsafe.config = Phpsafe.Drupal.default_config }
         in
-        let _, hits, misses =
-          result_delta (fun () -> Phpsafe.analyze_project ~opts:drupal (p ()))
-        in
-        Alcotest.(check int) "no WordPress entry reused" 0 hits;
-        Alcotest.(check bool) "analyzed afresh" true (misses > 0);
-        let _, hits2, _ =
-          result_delta (fun () -> Phpsafe.analyze_project ~opts:drupal (p ()))
-        in
-        Alcotest.(check bool) "same profile replays" true (hits2 > 0));
-    case "--contexts toggle misses instead of reusing" `Quick (fun () ->
-        with_cache_dir @@ fun _dir ->
+        warm_matches_uncached ~dir ~opts:drupal (p ());
+        warm_matches_uncached ~dir ~opts:drupal (p ()));
+    case "--contexts toggle re-analyzes over reused parses" `Quick (fun () ->
+        with_cache_dir @@ fun dir ->
         ignore (Phpsafe.analyze_project (p ()));
         let ctx =
           { Phpsafe.default_options with Phpsafe.infer_contexts = true }
         in
-        let _, hits, misses =
-          result_delta (fun () -> Phpsafe.analyze_project ~opts:ctx (p ()))
-        in
-        Alcotest.(check int) "no context-free entry reused" 0 hits;
-        Alcotest.(check bool) "analyzed afresh" true (misses > 0));
-    case "--flow toggle misses instead of reusing" `Quick (fun () ->
-        with_cache_dir @@ fun _dir ->
+        warm_matches_uncached ~dir ~opts:ctx (p ()));
+    case "--flow toggle re-analyzes over reused parses" `Quick (fun () ->
+        with_cache_dir @@ fun dir ->
         ignore (Phpsafe.analyze_project (p ()));
         let flow =
           { Phpsafe.default_options with Phpsafe.flow_sensitive = true }
         in
-        let _, hits, misses =
-          result_delta (fun () -> Phpsafe.analyze_project ~opts:flow (p ()))
-        in
-        Alcotest.(check int) "no flat entry reused" 0 hits;
-        Alcotest.(check bool) "analyzed afresh" true (misses > 0);
-        let _, hits2, _ =
-          result_delta (fun () -> Phpsafe.analyze_project ~opts:flow (p ()))
-        in
-        Alcotest.(check bool) "same mode replays" true (hits2 > 0));
-    case "fixpoint cap joins phpSAFE's key only under --flow" `Quick
+        warm_matches_uncached ~dir ~opts:flow (p ());
+        warm_matches_uncached ~dir ~opts:flow (p ()));
+    case "fixpoint cap change under --flow matches an uncached run" `Quick
       (fun () ->
-        (* the flow walk consults [fixpoint_passes], so bumping the cap
-           must invalidate flow-mode entries — while flat-mode entries
-           stay insensitive to it (asserted in the budget-slice case) *)
-        with_cache_dir @@ fun _dir ->
+        (* the flow walk consults [fixpoint_passes]; the parse key covers
+           only the nesting limit, so the parse is still reused *)
+        with_cache_dir @@ fun dir ->
         let d = Secflow.Budget.default in
         Fun.protect ~finally:Secflow.Budget.reset @@ fun () ->
         Secflow.Budget.set d;
@@ -211,17 +222,13 @@ let opts_cases =
           { d with
             Secflow.Budget.fixpoint_passes = d.Secflow.Budget.fixpoint_passes + 1
           };
-        let _, hits, misses =
-          result_delta (fun () -> Phpsafe.analyze_project ~opts:flow (p ()))
-        in
-        Alcotest.(check int) "flow entries invalidated" 0 hits;
-        Alcotest.(check bool) "analyzed afresh" true (misses > 0));
+        warm_matches_uncached ~dir ~opts:flow (p ()));
   ]
 
 (* A [--flow] walk that runs out of fixpoint passes marks its file
    budget-exhausted — the entry file, or the file defining the function
-   being summarised.  Warm runs must report the same outcomes, whether the
-   exhaustion replays from a file entry or from a summary entry. *)
+   being summarised.  Warm runs must report the same outcomes, before and
+   after an edit to one of the two files. *)
 let exhaustion_case =
   case "--flow pass-budget exhaustion replays warm" `Quick (fun () ->
       with_cache_dir @@ fun dir ->
@@ -262,18 +269,18 @@ let exhaustion_case =
       Alcotest.(check int) "entry findings kept" 1
         (List.length cold.Secflow.Report.findings);
       let warm, hits, misses =
-        result_delta (fun () -> Phpsafe.analyze_project ~opts:flow p1)
+        parse_delta (fun () -> Phpsafe.analyze_project ~opts:flow p1)
       in
       Alcotest.check check_result "warm replays the outcomes" cold warm;
-      Alcotest.(check bool) "warm run replayed" true (hits > 0);
+      Alcotest.(check int) "warm run reused both parses" 2 hits;
       Alcotest.(check int) "warm run fully cached" 0 misses;
-      (* only main.php changes: it is walked again and takes f's summary
-         from the summary cache, while lib.php's entry replays *)
+      (* only main.php changes: it alone is re-parsed *)
       let p2 = project "exhaust" [ main "$pad = 1;\n"; lib ] in
-      let s0, _ = ns_stats "summary" in
-      let edited = Phpsafe.analyze_project ~opts:flow p2 in
-      let s1, _ = ns_stats "summary" in
-      Alcotest.(check bool) "f's summary replayed" true (s1 > s0);
+      let edited, hits, misses =
+        parse_delta (fun () -> Phpsafe.analyze_project ~opts:flow p2)
+      in
+      Alcotest.(check (pair int int)) "lib.php's parse reused" (1, 1)
+        (hits, misses);
       check_exhausted "edited" edited;
       Store.set_root None;
       let uncached = Phpsafe.analyze_project ~opts:flow p2 in
@@ -296,8 +303,8 @@ let cold_edit_warm ~expect before after =
   Alcotest.(check string) "warm report = uncached report"
     (Secflow.Report.to_json uncached) (Secflow.Report.to_json warm)
 
-(* A replayed file entry must not decide which of its functions count as
-   called: that depends on every other file's walk. *)
+(* Which functions count as called depends on every file's walk, not only
+   on the edited one. *)
 let uncalled_status_case =
   case "a function that loses its only caller is analyzed as uncalled" `Quick
     (fun () ->
@@ -306,9 +313,8 @@ let uncalled_status_case =
         [ a; ("b.php", "<?php\nf(1);\n") ]
         [ a; ("b.php", "<?php\necho 1;\n") ])
 
-(* A replayed entry must re-emit what its walk reported before
-   de-duplication: a finding an earlier file reported first still belongs
-   to it once that file stops reporting it. *)
+(* A finding an earlier file reported first still belongs to the later
+   file once the earlier one stops reporting it. *)
 let pre_dedup_case =
   case "a finding two files share survives the first one's edit" `Quick
     (fun () ->
@@ -325,11 +331,11 @@ let pre_dedup_case =
         [ ("a.php", includer); ("b.php", includer); lib ]
         [ ("a.php", "<?php\necho 1;\n"); ("b.php", includer); lib ])
 
-(* A replayed entry must not hand a live walk a summary that is no longer
-   current: b.php's walk built foo's summary, but b.php's key covers only
-   b.php, so b.php replays after foo's edit. *)
+(* A summary built against one version of a function must not survive
+   the function's edit: b.php's walk builds foo's summary, and b.php does
+   not include a.php, where foo is defined. *)
 let stale_summary_case =
-  case "a replayed entry does not publish a stale summary" `Quick (fun () ->
+  case "a summary does not outlive its function's edit" `Quick (fun () ->
       let a echo =
         ("a.php", Printf.sprintf "<?php\nfunction foo($x) { echo %s; }\n" echo)
       in
@@ -344,10 +350,6 @@ let stale_summary_case =
       Store.set_root None;
       let uncached = run final in
       Store.set_root (Some dir);
-      (* b.php's own call still replays the old walk, so the one finding
-         comes from c.php's call rather than b.php's (DESIGN.md
-         "Incremental analysis", case b1): compare occurrences, not
-         traces *)
       let occurrences (r : Secflow.Report.result) =
         List.map
           (fun (f : Secflow.Report.finding) ->
@@ -358,8 +360,28 @@ let stale_summary_case =
       in
       Alcotest.(check (list string)) "uncached occurrences" [ "a.php:2 echo($x)" ]
         (occurrences uncached);
-      Alcotest.(check (list string)) "warm occurrences = uncached"
-        (occurrences uncached) (occurrences warm))
+      Alcotest.(check string) "warm report = uncached report"
+        (Secflow.Report.to_json uncached) (Secflow.Report.to_json warm))
+
+(* Two cross-file edits that a warm run must see although neither file
+   includes the other: a call into the edited file, and a global it
+   writes. *)
+let cross_file_cases =
+  [
+    case "a call into an un-included file sees the edited callee" `Quick
+      (fun () ->
+        let a echo =
+          ("a.php", Printf.sprintf "<?php\nfunction foo($x) { echo %s; }\n" echo)
+        in
+        let b = ("b.php", "<?php\nfoo($_GET[\"q\"]);\n") in
+        cold_edit_warm ~expect:1 [ a "htmlspecialchars($x)"; b ] [ a "$x"; b ]);
+    case "a global read across files sees the edited write" `Quick
+      (fun () ->
+        let b = ("b.php", "<?php\necho $g;\n") in
+        cold_edit_warm ~expect:1
+          [ ("a.php", "<?php\n$g = \"safe\";\n"); b ]
+          [ ("a.php", "<?php\n$g = $_GET[\"x\"];\n"); b ]);
+  ]
 
 (* --budget-* invalidation is per analyzer: only the tools whose key covers
    the changed Budget slice may miss. *)
@@ -371,7 +393,9 @@ let budget_case =
       let d = Secflow.Budget.default in
       Fun.protect ~finally:Secflow.Budget.reset @@ fun () ->
       Secflow.Budget.set d;
-      List.iter (fun (t : Secflow.Tool.t) -> ignore (t.Secflow.Tool.analyze_project p)) tools;
+      List.iter
+        (fun (t : Secflow.Tool.t) -> ignore (t.Secflow.Tool.analyze_project p))
+        [ Rips.tool; Pixy.tool ];
       let hits_for tool =
         let _, hits, _ =
           result_delta (fun () ->
@@ -382,16 +406,12 @@ let budget_case =
       (* fixpoint passes: Pixy's slice only *)
       Secflow.Budget.set
         { d with Secflow.Budget.fixpoint_passes = d.Secflow.Budget.fixpoint_passes + 1 };
-      Alcotest.(check bool) "phpSAFE unaffected by fixpoint cap" true
-        (hits_for Phpsafe.tool > 0);
       Alcotest.(check bool) "RIPS unaffected by fixpoint cap" true
         (hits_for Rips.tool > 0);
       Alcotest.(check int) "Pixy misses on fixpoint cap" 0 (hits_for Pixy.tool);
-      (* include caps: phpSAFE's slice only *)
+      (* include caps: neither RIPS's slice nor Pixy's *)
       Secflow.Budget.set
         { d with Secflow.Budget.include_depth = d.Secflow.Budget.include_depth + 1 };
-      Alcotest.(check int) "phpSAFE misses on include cap" 0
-        (hits_for Phpsafe.tool);
       Alcotest.(check bool) "RIPS unaffected by include cap" true
         (hits_for Rips.tool > 0);
       Alcotest.(check bool) "Pixy unaffected by include cap" true
@@ -419,20 +439,20 @@ let corruption_cases =
       (fun () ->
         with_cache_dir @@ fun dir ->
         let p = project "corrupt" [ vuln_file "a.php"; vuln_file "b.php" ] in
-        let cold = Phpsafe.tool.Secflow.Tool.analyze_project p in
+        let cold = Rips.tool.Secflow.Tool.analyze_project p in
         let files = walk_files dir [] in
         Alcotest.(check bool) "cold run persisted entries" true (files <> []);
         List.iteri
           (fun i f -> overwrite f (if i mod 2 = 0 then "garbage" else ""))
           files;
         let rebuilt, hits, _ =
-          result_delta (fun () -> Phpsafe.tool.Secflow.Tool.analyze_project p)
+          result_delta (fun () -> Rips.tool.Secflow.Tool.analyze_project p)
         in
         Alcotest.(check int) "nothing replays from garbage" 0 hits;
         Alcotest.check check_result "re-analysis reproduces cold results" cold
           rebuilt;
         let warm, warm_hits, _ =
-          result_delta (fun () -> Phpsafe.tool.Secflow.Tool.analyze_project p)
+          result_delta (fun () -> Rips.tool.Secflow.Tool.analyze_project p)
         in
         Alcotest.check check_result "repopulated entries replay" cold warm;
         Alcotest.(check bool) "warm again after repopulation" true
@@ -703,65 +723,27 @@ let disk_cases =
 (* Counter views                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* a -> b -> c across two files, plus a sibling d next to c *)
-let chain_project c_body =
-  project "chain"
-    [ ("main.php",
-       "<?php\nfunction a($x) { return b($x); }\n\
-        function b($x) { return c($x); }\n");
-      ("lib.php",
-       Printf.sprintf
-         "<?php\nfunction c($x) { %s }\nfunction d($x) { return $x; }\n"
-         c_body) ]
-
-(* summary-cache (hits, misses) attributable to one run *)
-let summary_delta ?opts p =
-  let h0, m0 = ns_stats "summary" in
-  ignore (Phpsafe.analyze_project ?opts p : Secflow.Report.result);
-  let h1, m1 = ns_stats "summary" in
-  (h1 - h0, m1 - m0)
-
 let counter_cases =
   [
-    case "summary-cache counters track edits along the call chain" `Quick
-      (fun () ->
-        with_cache_dir @@ fun _dir ->
-        let check ?opts what expect p =
-          Alcotest.(check (pair int int)) what expect (summary_delta ?opts p)
-        in
-        (* every function is uncalled: a builds b and c on the way (three
-           misses), then b and c hit as entry points of their own, d misses *)
-        check "first run builds every summary" (2, 4)
-          (chain_project "return $x;");
-        (* lib.php is walked again: c rebuilds and d hits, while a's and
-           b's uncalled records replay from main.php's unchanged entry —
-           the per-file key covers only the include closure (DESIGN.md
-           "Incremental analysis") *)
-        check "editing c rebuilds c and replays the rest" (1, 1)
-          (chain_project "return $x . 'y';");
-        check "whitespace inside a line rebuilds nothing" (2, 0)
-          (chain_project "return  $x . 'y';");
-        check "a configuration change starts afresh" (2, 4)
-          ~opts:{ Phpsafe.default_options with Phpsafe.infer_contexts = true }
-          (chain_project "return  $x . 'y';"));
     case "namespaces split at the last dot" `Quick (fun () ->
         with_cache_dir @@ fun _dir ->
         let tenant_project = project "dots" [ vuln_file "x.php" ] in
-        Store.with_tenant (Some "a.b") (fun () ->
-            ignore
-              (Phpsafe.analyze_project tenant_project : Secflow.Report.result));
+        let rips p =
+          ignore (Rips.tool.Secflow.Tool.analyze_project p : Secflow.Report.result)
+        in
+        Store.with_tenant (Some "a.b") (fun () -> rips tenant_project);
         (* a tenant-less warm run replays, bumping
-           cache.result.replayed.phpSAFE *)
+           cache.result.replayed.RIPS *)
         let p = project "replay" [ vuln_file "y.php" ] in
-        ignore (Phpsafe.analyze_project p : Secflow.Report.result);
-        ignore (Phpsafe.analyze_project p : Secflow.Report.result);
+        rips p;
+        rips p;
         let namespaces =
           List.map (fun (s : Store.stats) -> s.Store.ns) (Store.counters ())
         in
         Alcotest.(check bool) "tenant namespace a.b/result" true
           (List.mem "a.b/result" namespaces);
         Alcotest.(check bool) "replay counted" true
-          (Obs.counter "cache.result.replayed.phpSAFE" > 0);
+          (Obs.counter "cache.result.replayed.RIPS" > 0);
         List.iter
           (fun ns ->
             if List.mem ns [ "result.replayed"; "a"; "a.b"; "" ] then
@@ -775,7 +757,8 @@ let () =
       ("exact invalidation",
        (edited_file_case :: edited_callee_case :: opts_cases)
        @ [ budget_case; exhaustion_case; uncalled_status_case; pre_dedup_case;
-           stale_summary_case ]);
+           stale_summary_case ]
+       @ cross_file_cases);
       ("corruption safety", corruption_cases);
       ("disk faults and fsck", fault_cases);
       ("pool transparency", [ jobs_case ]);
