@@ -5,11 +5,6 @@
     each finding — the CLI counterpart of the web interface described in
     paper §III. *)
 
-let kind_filter kinds =
-  match Serve.Scan.kind_of_string kinds with
-  | Ok k -> k
-  | Error msg -> failwith msg
-
 (* --watch: poll the target, re-analyze incrementally on every change and
    print the finding delta.  Reports stay byte-identical to a cold scan of
    the same bytes; only the re-parse work shrinks to the damaged regions
@@ -68,7 +63,7 @@ let watch_loop target opts ~poll_ms ~max_events =
      last delivered event, 0 on a clean final state *)
   if !remaining > 0 then 1 else 0
 
-let run target kinds show_trace tool_name quiet format html_out json_out
+let run target wanted show_trace tool_name quiet format html_out json_out
     config_path show_stats trace_out metrics_out budget contexts flow
     second_order cache_dir no_cache watch watch_poll_ms watch_max_events =
   Secflow.Budget.set budget;
@@ -81,12 +76,9 @@ let run target kinds show_trace tool_name quiet format html_out json_out
     if config_path <> None then
       failwith "--watch does not support --config (use the built-in profiles)";
     let opts =
-      { Serve.Scan.tool = tool_name; kind = kind_filter kinds; contexts;
-        flow; second_order }
+      { Serve.Scan.tool = tool_name; kind = wanted; contexts; flow;
+        second_order }
     in
-    (match Serve.Scan.tool_of opts with
-    | Ok _ -> ()
-    | Error msg -> failwith msg);
     exit (watch_loop target opts ~poll_ms:watch_poll_ms
             ~max_events:watch_max_events)
   end;
@@ -129,7 +121,6 @@ let run target kinds show_trace tool_name quiet format html_out json_out
         | Error msg -> failwith msg)
   in
   let result = tool.Secflow.Tool.analyze_project project in
-  let wanted = kind_filter kinds in
   let findings =
     List.filter
       (fun (f : Secflow.Report.finding) ->
@@ -139,14 +130,14 @@ let run target kinds show_trace tool_name quiet format html_out json_out
       result.Secflow.Report.findings
   in
   (match format with
-  | "json" ->
+  | `Json ->
       (* the shared machine-readable encoding, byte-identical to the
          [report] document in a phpsafe_serve scan reply *)
       print_string
         (Secflow.Report.to_json ~tool:tool.Secflow.Tool.name
            { result with Secflow.Report.findings });
       print_newline ()
-  | "text" ->
+  | `Text ->
       if not quiet then begin
         Format.printf "%s: analyzed %d files of %s@." tool.Secflow.Tool.name
           (List.length result.Secflow.Report.outcomes)
@@ -175,8 +166,7 @@ let run target kinds show_trace tool_name quiet format html_out json_out
           Format.printf "%a@." Secflow.Report.pp_finding f;
           if show_trace then Format.printf "%a" Secflow.Report.pp_trace f)
         findings;
-      Format.printf "%d finding(s)@." (List.length findings)
-  | other -> failwith ("unknown output format: " ^ other));
+      Format.printf "%d finding(s)@." (List.length findings));
   (match json_out with
   | Some path ->
       Obs.write_file path
@@ -213,7 +203,7 @@ open Cmdliner
 
 let target =
   let doc = "PHP file or plugin directory to analyze." in
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"TARGET" ~doc)
+  Arg.(required & pos 0 (some file) None & info [] ~docv:"TARGET" ~doc)
 
 let kinds =
   let doc =
@@ -222,7 +212,12 @@ let kinds =
      inclusion), $(b,ssrf), $(b,so-sqli) (second-order SQLi; see
      $(b,--second-order)) or $(b,all)."
   in
-  Arg.(value & opt string "all" & info [ "k"; "kind"; "kinds" ] ~docv:"KIND" ~doc)
+  let kind =
+    Arg.conv'
+      (Serve.Scan.kind_of_string, fun ppf k ->
+        Format.pp_print_string ppf (Serve.Scan.kind_to_string k))
+  in
+  Arg.(value & opt kind None & info [ "k"; "kind"; "kinds" ] ~docv:"KIND" ~doc)
 
 let trace =
   let doc = "Print the tainted data-flow trace of each finding." in
@@ -244,7 +239,14 @@ let metrics_out =
 
 let tool =
   let doc = "Analyzer to run: phpsafe (default), rips or pixy." in
-  Arg.(value & opt string "phpsafe" & info [ "tool" ] ~docv:"TOOL" ~doc)
+  let tool =
+    Arg.conv'
+      ( (fun name ->
+          Result.map (fun _ -> name)
+            (Serve.Scan.tool_of { Serve.Scan.default with tool = name })),
+        Format.pp_print_string )
+  in
+  Arg.(value & opt tool "phpsafe" & info [ "tool" ] ~docv:"TOOL" ~doc)
 
 let quiet =
   let doc = "Only print findings." in
@@ -256,7 +258,10 @@ let format =
      machine-readable phpsafe-report/1 document, byte-identical to the
      report in a $(b,phpsafe_serve) scan reply for the same inputs."
   in
-  Arg.(value & opt string "text" & info [ "format" ] ~docv:"FORMAT" ~doc)
+  Arg.(
+    value
+    & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
+    & info [ "format" ] ~docv:"FORMAT" ~doc)
 
 let html_out =
   let doc = "Also write an HTML review page (the paper's web output) to $(docv)." in
@@ -340,7 +345,7 @@ let config_path =
   let doc =
     "Extend the phpSAFE configuration with a spec file (see      Phpsafe.Config_spec); only meaningful with --tool phpsafe."
   in
-  Arg.(value & opt (some string) None & info [ "config" ] ~docv:"FILE" ~doc)
+  Arg.(value & opt (some non_dir_file) None & info [ "config" ] ~docv:"FILE" ~doc)
 
 (* Resource budgets (Secflow.Budget): every exhaustion degrades the file to
    a Failed (Budget_exhausted _) outcome instead of crashing or hanging. *)

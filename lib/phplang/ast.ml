@@ -145,6 +145,110 @@ type program = stmt list
 let mk_e ?(pos = dummy_pos) e = { e; epos = pos }
 let mk_s ?(pos = dummy_pos) s = { s; spos = pos }
 
+(** {2 Children}
+
+    [iter_expr ~expr ~stmt e] and [iter_stmt ~expr ~stmt s] visit one
+    level of the tree: they call [expr] on each direct sub-expression and
+    [stmt] on each direct sub-statement, in source order, and recurse no
+    further.  A closure's parameter defaults and body are children of its
+    [Closure] expression; a function yields its parameter defaults, then
+    its body; a class yields its constant values, then its property
+    defaults, then each method as a function.  A walker recurses by calling
+    these from its own callbacks.  The two matches are the only
+    constructor-by-constructor list of children, so a new constructor is
+    added here once and every walker built on them sees it. *)
+
+let iter_params_body ~expr ~stmt params body =
+  List.iter (fun p -> Option.iter expr p.p_default) params;
+  List.iter stmt body
+
+let iter_expr ~expr ~stmt (x : expr) =
+  match x.e with
+  | Null | True | False | Int _ | Float _ | Str _ | Var _ | StaticProp _
+  | ClassConst _ | Const _ ->
+      ()
+  | Interp parts -> List.iter (function IExpr e -> expr e | ILit _ -> ()) parts
+  | ArrayGet (a, i) ->
+      expr a;
+      Option.iter expr i
+  | Prop (e, _) | Un (_, e) | CastE (_, e) | EmptyE e | PrintE e
+  | IncludeE (_, e) ->
+      expr e
+  | ArrayLit items ->
+      List.iter
+        (fun (k, v) ->
+          Option.iter expr k;
+          expr v)
+        items
+  | Call (_, args) | StaticCall (_, _, args) | New (_, args) | Isset args ->
+      List.iter expr args
+  | MethodCall (o, _, args) ->
+      expr o;
+      List.iter expr args
+  | Assign (l, r) | AssignRef (l, r) | OpAssign (_, l, r) | Bin (_, l, r) ->
+      expr l;
+      expr r
+  | Ternary (c, t, e) ->
+      expr c;
+      Option.iter expr t;
+      expr e
+  | Exit e -> Option.iter expr e
+  | Closure c -> iter_params_body ~expr ~stmt c.cl_params c.cl_body
+  | ListAssign (slots, rhs) ->
+      List.iter (Option.iter expr) slots;
+      expr rhs
+
+let iter_stmt ~expr ~stmt (x : stmt) =
+  let func f = iter_params_body ~expr ~stmt f.f_params f.f_body in
+  match x.s with
+  | Break | Continue | Global _ | InlineHtml _ | Nop -> ()
+  | Expr e | Throw e -> expr e
+  | Echo es | Unset es -> List.iter expr es
+  | Return e -> Option.iter expr e
+  | If (branches, els) ->
+      List.iter
+        (fun (c, b) ->
+          expr c;
+          List.iter stmt b)
+        branches;
+      Option.iter (List.iter stmt) els
+  | While (c, b) ->
+      expr c;
+      List.iter stmt b
+  | DoWhile (b, c) ->
+      List.iter stmt b;
+      expr c
+  | For (i, c, u, b) ->
+      List.iter expr i;
+      List.iter expr c;
+      List.iter expr u;
+      List.iter stmt b
+  | Foreach (subject, binding, b) ->
+      expr subject;
+      (match binding with
+      | ForeachValue v -> expr v
+      | ForeachKeyValue (k, v) ->
+          expr k;
+          expr v);
+      List.iter stmt b
+  | Switch (subject, cases) ->
+      expr subject;
+      List.iter
+        (fun c ->
+          Option.iter expr c.case_guard;
+          List.iter stmt c.case_body)
+        cases
+  | StaticVar vars -> List.iter (fun (_, d) -> Option.iter expr d) vars
+  | Block b -> List.iter stmt b
+  | FuncDef f -> func f
+  | ClassDef c ->
+      List.iter (fun (_, v) -> expr v) c.c_consts;
+      List.iter (fun p -> Option.iter expr p.pr_default) c.c_props;
+      List.iter (fun m -> func m.m_func) c.c_methods
+  | TryCatch (b, catches) ->
+      List.iter stmt b;
+      List.iter (fun c -> List.iter stmt c.catch_body) catches
+
 (** Structural equality ignoring positions — used by the parse/print
     round-trip property tests. *)
 let rec equal_expr (a : expr) (b : expr) =
@@ -428,31 +532,13 @@ and shift_cls d (c : cls) =
 let shift_lines delta (p : program) =
   if delta = 0 then p else List.map (shift_stmt delta) p
 
-(** Number of statements in a program, counting nested bodies — a cheap
-    complexity proxy used by tests and the corpus generator. *)
-let rec program_size (p : program) =
-  List.fold_left (fun acc s -> acc + stmt_size s) 0 p
+(** Number of statements in a program, counting nested bodies (function,
+    method and control-flow bodies, not closure bodies) — a cheap
+    complexity proxy used by tests. *)
+let rec stmt_size (s : stmt) =
+  let n = ref 1 in
+  iter_stmt ~expr:ignore ~stmt:(fun c -> n := !n + stmt_size c) s;
+  !n
 
-and stmt_size (s : stmt) =
-  1
-  +
-  match s.s with
-  | Expr _ | Echo _ | Break | Continue | Return _ | Global _ | StaticVar _
-  | Unset _ | InlineHtml _ | Throw _ | Nop ->
-      0
-  | If (branches, els) ->
-      List.fold_left (fun acc (_, b) -> acc + program_size b) 0 branches
-      + (match els with Some b -> program_size b | None -> 0)
-  | While (_, b) | DoWhile (b, _) | Foreach (_, _, b) | Block b ->
-      program_size b
-  | For (_, _, _, b) -> program_size b
-  | Switch (_, cases) ->
-      List.fold_left (fun acc c -> acc + program_size c.case_body) 0 cases
-  | FuncDef f -> program_size f.f_body
-  | ClassDef c ->
-      List.fold_left
-        (fun acc m -> acc + program_size m.m_func.f_body)
-        0 c.c_methods
-  | TryCatch (b, catches) ->
-      program_size b
-      + List.fold_left (fun acc c -> acc + program_size c.catch_body) 0 catches
+let program_size (p : program) =
+  List.fold_left (fun acc s -> acc + stmt_size s) 0 p

@@ -11,16 +11,20 @@ let physical_lines src =
     (* trailing newline does not start a new line *)
     if src.[String.length src - 1] = '\n' then !n - 1 else !n
 
-let is_blank line =
-  let n = String.length line in
-  let rec go i = i >= n || ((line.[i] = ' ' || line.[i] = '\t' || line.[i] = '\r') && go (i + 1)) in
-  go 0
-
-(** Non-blank lines in [src] — the LOC measure we report. *)
+(** Non-blank lines in [src] — the LOC measure we report.  A line is blank
+    when it holds only spaces, tabs and carriage returns; one pass, no
+    allocation. *)
 let count src =
-  String.split_on_char '\n' src
-  |> List.filter (fun l -> not (is_blank l))
-  |> List.length
+  let n = ref 0 and blank = ref true in
+  for i = 0 to String.length src - 1 do
+    match src.[i] with
+    | '\n' ->
+        if not !blank then incr n;
+        blank := true
+    | ' ' | '\t' | '\r' -> ()
+    | _ -> blank := false
+  done;
+  if !blank then !n else !n + 1
 
 (** Total LOC over a project. *)
 let project_loc (p : Project.t) =

@@ -22,89 +22,11 @@ let file_count t = List.length t.files
 let include_targets (prog : Ast.program) : string list =
   let acc = ref [] in
   let rec visit_expr (e : Ast.expr) =
-    match e.Ast.e with
+    (match e.Ast.e with
     | Ast.IncludeE (_, { Ast.e = Ast.Str path; _ }) -> acc := path :: !acc
-    | Ast.IncludeE (_, arg) -> visit_expr arg
-    | Ast.Assign (l, r) | Ast.AssignRef (l, r) | Ast.OpAssign (_, l, r)
-    | Ast.Bin (_, l, r) ->
-        visit_expr l;
-        visit_expr r
-    | Ast.Un (_, x) | Ast.CastE (_, x) | Ast.EmptyE x | Ast.PrintE x
-    | Ast.Prop (x, _) ->
-        visit_expr x
-    | Ast.Ternary (c, t, e2) ->
-        visit_expr c;
-        Option.iter visit_expr t;
-        visit_expr e2
-    | Ast.ArrayGet (a, i) ->
-        visit_expr a;
-        Option.iter visit_expr i
-    | Ast.ArrayLit items ->
-        List.iter
-          (fun (k, v) ->
-            Option.iter visit_expr k;
-            visit_expr v)
-          items
-    | Ast.Call (_, args) | Ast.New (_, args) | Ast.StaticCall (_, _, args) ->
-        List.iter visit_expr args
-    | Ast.MethodCall (o, _, args) ->
-        visit_expr o;
-        List.iter visit_expr args
-    | Ast.Isset es -> List.iter visit_expr es
-    | Ast.Exit e -> Option.iter visit_expr e
-    | Ast.Closure c -> List.iter visit_stmt c.Ast.cl_body
-    | Ast.ListAssign (slots, rhs) ->
-        List.iter (Option.iter visit_expr) slots;
-        visit_expr rhs
-    | Ast.Null | Ast.True | Ast.False | Ast.Int _ | Ast.Float _ | Ast.Str _
-    | Ast.Var _ | Ast.StaticProp _ | Ast.ClassConst _ | Ast.Const _ ->
-        ()
-    | Ast.Interp parts ->
-        List.iter (function Ast.IExpr e -> visit_expr e | Ast.ILit _ -> ()) parts
-  and visit_stmt (s : Ast.stmt) =
-    match s.Ast.s with
-    | Ast.Expr e | Ast.Throw e -> visit_expr e
-    | Ast.Echo es | Ast.Unset es -> List.iter visit_expr es
-    | Ast.If (branches, els) ->
-        List.iter
-          (fun (c, b) ->
-            visit_expr c;
-            List.iter visit_stmt b)
-          branches;
-        Option.iter (List.iter visit_stmt) els
-    | Ast.While (c, b) ->
-        visit_expr c;
-        List.iter visit_stmt b
-    | Ast.DoWhile (b, c) ->
-        List.iter visit_stmt b;
-        visit_expr c
-    | Ast.For (i, c, u, b) ->
-        List.iter visit_expr i;
-        List.iter visit_expr c;
-        List.iter visit_expr u;
-        List.iter visit_stmt b
-    | Ast.Foreach (subject, binding, b) ->
-        visit_expr subject;
-        (match binding with
-        | Ast.ForeachValue v -> visit_expr v
-        | Ast.ForeachKeyValue (k, v) ->
-            visit_expr k;
-            visit_expr v);
-        List.iter visit_stmt b
-    | Ast.Switch (subject, cases) ->
-        visit_expr subject;
-        List.iter (fun c -> List.iter visit_stmt c.Ast.case_body) cases
-    | Ast.Return e -> Option.iter visit_expr e
-    | Ast.StaticVar vars -> List.iter (fun (_, d) -> Option.iter visit_expr d) vars
-    | Ast.Block b -> List.iter visit_stmt b
-    | Ast.FuncDef f -> List.iter visit_stmt f.Ast.f_body
-    | Ast.ClassDef c ->
-        List.iter (fun m -> List.iter visit_stmt m.Ast.m_func.Ast.f_body) c.Ast.c_methods
-    | Ast.TryCatch (b, catches) ->
-        List.iter visit_stmt b;
-        List.iter (fun c -> List.iter visit_stmt c.Ast.catch_body) catches
-    | Ast.Break | Ast.Continue | Ast.Global _ | Ast.InlineHtml _ | Ast.Nop -> ()
-  in
+    | _ -> ());
+    Ast.iter_expr ~expr:visit_expr ~stmt:visit_stmt e
+  and visit_stmt s = Ast.iter_stmt ~expr:visit_expr ~stmt:visit_stmt s in
   List.iter visit_stmt prog;
   List.rev !acc
 

@@ -40,7 +40,10 @@
    summary keys); the "defdigest" namespace is gone.  phpSAFE has since
    stopped caching analysis: its v8 "summary" and "result" entries are
    unreachable, and [prune] reclaims them. *)
-let format_version = 8
+(* v9: Pixy's OOP gate also inspects switch case guards and parameter
+   defaults, so a v8 Pixy result for a file whose only OOP construct sits
+   there is stale. *)
+let format_version = 9
 
 let magic = "phpsafe-store"
 

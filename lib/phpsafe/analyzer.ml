@@ -1189,45 +1189,30 @@ and block_terminates (body : Phplang.Ast.stmt list) =
 (* Model construction (paper §III.B)                                  *)
 (* ------------------------------------------------------------------ *)
 
+let register_func ctx ~file key fi_func fi_class =
+  if not (Hashtbl.mem ctx.funcs key) then
+    Hashtbl.replace ctx.funcs key
+      { fi_key = key; fi_func; fi_class; fi_file = file }
+
+(* Functions, classes and methods are hoisted from any nesting, class
+   bodies included, but not from closure bodies (expressions are not
+   entered); the first definition of a name wins. *)
 let rec register_stmt ctx ~file (s : Phplang.Ast.stmt) =
-  match s.Phplang.Ast.s with
+  (match s.Phplang.Ast.s with
   | Phplang.Ast.FuncDef f ->
-      let key = lc f.Phplang.Ast.f_name in
-      if not (Hashtbl.mem ctx.funcs key) then
-        Hashtbl.replace ctx.funcs key
-          { fi_key = key; fi_func = f; fi_class = None; fi_file = file };
-      List.iter (register_stmt ctx ~file) f.Phplang.Ast.f_body
+      register_func ctx ~file (lc f.Phplang.Ast.f_name) f None
   | Phplang.Ast.ClassDef cls ->
-      if not (Hashtbl.mem ctx.classes (lc cls.Phplang.Ast.c_name)) then
-        Hashtbl.replace ctx.classes (lc cls.Phplang.Ast.c_name) cls;
+      let name = cls.Phplang.Ast.c_name in
+      if not (Hashtbl.mem ctx.classes (lc name)) then
+        Hashtbl.replace ctx.classes (lc name) cls;
       List.iter
         (fun (m : Phplang.Ast.method_def) ->
-          let key = method_key cls.Phplang.Ast.c_name m.Phplang.Ast.m_func.Phplang.Ast.f_name in
-          if not (Hashtbl.mem ctx.funcs key) then
-            Hashtbl.replace ctx.funcs key
-              { fi_key = key; fi_func = m.Phplang.Ast.m_func;
-                fi_class = Some cls.Phplang.Ast.c_name; fi_file = file };
-          List.iter (register_stmt ctx ~file) m.Phplang.Ast.m_func.Phplang.Ast.f_body)
+          let f = m.Phplang.Ast.m_func in
+          register_func ctx ~file (method_key name f.Phplang.Ast.f_name) f
+            (Some name))
         cls.Phplang.Ast.c_methods
-  | Phplang.Ast.If (branches, els) ->
-      List.iter (fun (_, b) -> List.iter (register_stmt ctx ~file) b) branches;
-      Option.iter (List.iter (register_stmt ctx ~file)) els
-  | Phplang.Ast.While (_, b) | Phplang.Ast.DoWhile (b, _)
-  | Phplang.Ast.Foreach (_, _, b) | Phplang.Ast.Block b
-  | Phplang.Ast.For (_, _, _, b) ->
-      List.iter (register_stmt ctx ~file) b
-  | Phplang.Ast.Switch (_, cases) ->
-      List.iter
-        (fun (c : Phplang.Ast.case) ->
-          List.iter (register_stmt ctx ~file) c.Phplang.Ast.case_body)
-        cases
-  | Phplang.Ast.TryCatch (b, catches) ->
-      List.iter (register_stmt ctx ~file) b;
-      List.iter
-        (fun (c : Phplang.Ast.catch) ->
-          List.iter (register_stmt ctx ~file) c.Phplang.Ast.catch_body)
-        catches
-  | _ -> ()
+  | _ -> ());
+  Phplang.Ast.iter_stmt ~expr:ignore ~stmt:(register_stmt ctx ~file) s
 
 (* ------------------------------------------------------------------ *)
 (* Project driver                                                     *)

@@ -25,139 +25,38 @@ let empty =
     st_methods = 0; st_variables = 0; st_superglobal_reads = 0;
     st_echo_sinks = 0; st_includes = 0 }
 
-type acc = {
-  mutable functions : int;
-  mutable classes : int;
-  mutable methods : int;
-  mutable vars : S.t;
-  mutable sg_reads : int;
-  mutable echoes : int;
-  mutable includes : int;
-}
-
 let superglobals =
   [ "$_GET"; "$_POST"; "$_COOKIE"; "$_REQUEST"; "$_SERVER"; "$_FILES" ]
-
-let rec visit_expr acc (e : A.expr) =
-  (match e.A.e with
-  | A.Var v ->
-      acc.vars <- S.add v acc.vars;
-      if List.mem v superglobals then acc.sg_reads <- acc.sg_reads + 1
-  | A.PrintE _ -> acc.echoes <- acc.echoes + 1
-  | A.IncludeE _ -> acc.includes <- acc.includes + 1
-  | A.Closure c -> List.iter (visit_stmt acc) c.A.cl_body
-  | _ -> ());
-  iter_sub_exprs acc e
-
-and iter_sub_exprs acc (e : A.expr) =
-  let ve = visit_expr acc in
-  match e.A.e with
-  | A.Assign (l, r) | A.AssignRef (l, r) | A.OpAssign (_, l, r) | A.Bin (_, l, r)
-    ->
-      ve l;
-      ve r
-  | A.Un (_, x) | A.CastE (_, x) | A.EmptyE x | A.PrintE x | A.Prop (x, _)
-  | A.IncludeE (_, x) ->
-      ve x
-  | A.Ternary (c, t, e2) ->
-      ve c;
-      Option.iter ve t;
-      ve e2
-  | A.ArrayGet (b, i) ->
-      ve b;
-      Option.iter ve i
-  | A.ArrayLit items ->
-      List.iter
-        (fun (k, v) ->
-          Option.iter ve k;
-          ve v)
-        items
-  | A.Call (_, args) | A.New (_, args) | A.StaticCall (_, _, args) ->
-      List.iter ve args
-  | A.MethodCall (o, _, args) ->
-      ve o;
-      List.iter ve args
-  | A.Isset es -> List.iter ve es
-  | A.Exit x -> Option.iter ve x
-  | A.Interp parts ->
-      List.iter (function A.IExpr x -> ve x | A.ILit _ -> ()) parts
-  | A.ListAssign (slots, rhs) ->
-      List.iter (Option.iter ve) slots;
-      ve rhs
-  | A.Null | A.True | A.False | A.Int _ | A.Float _ | A.Str _ | A.Var _
-  | A.StaticProp _ | A.ClassConst _ | A.Const _ | A.Closure _ ->
-      ()
-
-and visit_stmt acc (s : A.stmt) =
-  match s.A.s with
-  | A.Expr e | A.Throw e -> visit_expr acc e
-  | A.Echo es ->
-      acc.echoes <- acc.echoes + 1;
-      List.iter (visit_expr acc) es
-  | A.If (branches, els) ->
-      List.iter
-        (fun (c, b) ->
-          visit_expr acc c;
-          List.iter (visit_stmt acc) b)
-        branches;
-      Option.iter (List.iter (visit_stmt acc)) els
-  | A.While (c, b) ->
-      visit_expr acc c;
-      List.iter (visit_stmt acc) b
-  | A.DoWhile (b, c) ->
-      List.iter (visit_stmt acc) b;
-      visit_expr acc c
-  | A.For (i, c, u, b) ->
-      List.iter (visit_expr acc) i;
-      List.iter (visit_expr acc) c;
-      List.iter (visit_expr acc) u;
-      List.iter (visit_stmt acc) b
-  | A.Foreach (subject, binding, b) ->
-      visit_expr acc subject;
-      (match binding with
-      | A.ForeachValue v -> visit_expr acc v
-      | A.ForeachKeyValue (k, v) ->
-          visit_expr acc k;
-          visit_expr acc v);
-      List.iter (visit_stmt acc) b
-  | A.Switch (subject, cases) ->
-      visit_expr acc subject;
-      List.iter (fun (c : A.case) -> List.iter (visit_stmt acc) c.A.case_body) cases
-  | A.Return e -> Option.iter (visit_expr acc) e
-  | A.Global names -> List.iter (fun v -> acc.vars <- S.add v acc.vars) names
-  | A.StaticVar vars ->
-      List.iter
-        (fun (v, init) ->
-          acc.vars <- S.add v acc.vars;
-          Option.iter (visit_expr acc) init)
-        vars
-  | A.Unset es -> List.iter (visit_expr acc) es
-  | A.Block b -> List.iter (visit_stmt acc) b
-  | A.FuncDef f ->
-      acc.functions <- acc.functions + 1;
-      List.iter
-        (fun (p : A.param) -> acc.vars <- S.add p.A.p_name acc.vars)
-        f.A.f_params;
-      List.iter (visit_stmt acc) f.A.f_body
-  | A.ClassDef c ->
-      acc.classes <- acc.classes + 1;
-      acc.methods <- acc.methods + List.length c.A.c_methods;
-      List.iter
-        (fun (m : A.method_def) -> List.iter (visit_stmt acc) m.A.m_func.A.f_body)
-        c.A.c_methods
-  | A.TryCatch (b, catches) ->
-      List.iter (visit_stmt acc) b;
-      List.iter
-        (fun (c : A.catch) -> List.iter (visit_stmt acc) c.A.catch_body)
-        catches
-  | A.InlineHtml _ | A.Nop | A.Break | A.Continue -> ()
 
 (** Gather the §III.D resource statistics over a whole project.  Files that
     fail to parse contribute their token and LOC counts only. *)
 let of_project (project : Phplang.Project.t) : t =
-  let acc =
-    { functions = 0; classes = 0; methods = 0; vars = S.empty; sg_reads = 0;
-      echoes = 0; includes = 0 }
+  let functions = ref 0 and classes = ref 0 and methods = ref 0 in
+  let vars = ref S.empty and sg_reads = ref 0 and echoes = ref 0 in
+  let includes = ref 0 in
+  let add_var v = vars := S.add v !vars in
+  let rec visit_expr (e : A.expr) =
+    (match e.A.e with
+    | A.Var v ->
+        add_var v;
+        if List.mem v superglobals then incr sg_reads
+    | A.PrintE _ -> incr echoes
+    | A.IncludeE _ -> incr includes
+    | _ -> ());
+    A.iter_expr ~expr:visit_expr ~stmt:visit_stmt e
+  and visit_stmt (s : A.stmt) =
+    (match s.A.s with
+    | A.Echo _ -> incr echoes
+    | A.Global names -> List.iter add_var names
+    | A.StaticVar vs -> List.iter (fun (v, _) -> add_var v) vs
+    | A.FuncDef f ->
+        incr functions;
+        List.iter (fun (p : A.param) -> add_var p.A.p_name) f.A.f_params
+    | A.ClassDef c ->
+        incr classes;
+        methods := !methods + List.length c.A.c_methods
+    | _ -> ());
+    A.iter_stmt ~expr:visit_expr ~stmt:visit_stmt s
   in
   let tokens = ref 0 and loc = ref 0 in
   List.iter
@@ -166,24 +65,21 @@ let of_project (project : Phplang.Project.t) : t =
       (match Phplang.Lexer.tokenize_significant f.Phplang.Project.source with
       | toks -> tokens := !tokens + List.length toks
       | exception Phplang.Lexer.Error _ -> ());
-      match
-        Phplang.Parser.parse_source ~file:f.Phplang.Project.path
-          f.Phplang.Project.source
-      with
-      | prog -> List.iter (visit_stmt acc) prog
-      | exception Phplang.Parser.Parse_error _ -> ())
+      match Phplang.Project.parse_file f with
+      | Ok prog -> List.iter visit_stmt prog
+      | Error _ -> ())
     project.Phplang.Project.files;
   {
     st_files = Phplang.Project.file_count project;
     st_tokens = !tokens;
     st_loc = !loc;
-    st_functions = acc.functions;
-    st_classes = acc.classes;
-    st_methods = acc.methods;
-    st_variables = S.cardinal acc.vars;
-    st_superglobal_reads = acc.sg_reads;
-    st_echo_sinks = acc.echoes;
-    st_includes = acc.includes;
+    st_functions = !functions;
+    st_classes = !classes;
+    st_methods = !methods;
+    st_variables = S.cardinal !vars;
+    st_superglobal_reads = !sg_reads;
+    st_echo_sinks = !echoes;
+    st_includes = !includes;
   }
 
 let pp ppf t =

@@ -28,88 +28,21 @@ module Cfg = Dataflow.Cfg
 
 exception Oop of string
 
+(* Pre-order: a node is checked before its children, so the reported
+   construct is the first OOP one in source order. *)
 let rec oop_expr (e : A.expr) =
-  match e.A.e with
+  (match e.A.e with
   | A.MethodCall _ -> raise (Oop "method call")
   | A.New _ -> raise (Oop "object instantiation")
   | A.Prop _ -> raise (Oop "property access")
   | A.StaticCall _ | A.StaticProp _ | A.ClassConst _ ->
       raise (Oop "static member access")
-  | A.Assign (l, r) | A.AssignRef (l, r) | A.OpAssign (_, l, r)
-  | A.Bin (_, l, r) ->
-      oop_expr l;
-      oop_expr r
-  | A.Un (_, x) | A.CastE (_, x) | A.EmptyE x | A.PrintE x
-  | A.IncludeE (_, x) ->
-      oop_expr x
-  | A.Ternary (c, t, e2) ->
-      oop_expr c;
-      Option.iter oop_expr t;
-      oop_expr e2
-  | A.ArrayGet (b, i) ->
-      oop_expr b;
-      Option.iter oop_expr i
-  | A.ArrayLit items ->
-      List.iter
-        (fun (k, v) ->
-          Option.iter oop_expr k;
-          oop_expr v)
-        items
-  | A.Call (_, args) -> List.iter oop_expr args
-  | A.Isset es -> List.iter oop_expr es
-  | A.Exit x -> Option.iter oop_expr x
-  | A.Interp parts ->
-      List.iter (function A.IExpr x -> oop_expr x | A.ILit _ -> ()) parts
-  | A.Closure c -> List.iter oop_stmt c.A.cl_body
-  | A.ListAssign (slots, rhs) ->
-      List.iter (Option.iter oop_expr) slots;
-      oop_expr rhs
-  | A.Null | A.True | A.False | A.Int _ | A.Float _ | A.Str _ | A.Var _
-  | A.Const _ ->
-      ()
+  | _ -> ());
+  A.iter_expr ~expr:oop_expr ~stmt:oop_stmt e
 
 and oop_stmt (s : A.stmt) =
-  match s.A.s with
-  | A.ClassDef _ -> raise (Oop "class declaration")
-  | A.Expr e | A.Throw e -> oop_expr e
-  | A.Echo es | A.Unset es -> List.iter oop_expr es
-  | A.If (branches, els) ->
-      List.iter
-        (fun (c, b) ->
-          oop_expr c;
-          List.iter oop_stmt b)
-        branches;
-      Option.iter (List.iter oop_stmt) els
-  | A.While (c, b) ->
-      oop_expr c;
-      List.iter oop_stmt b
-  | A.DoWhile (b, c) ->
-      List.iter oop_stmt b;
-      oop_expr c
-  | A.For (i, c, u, b) ->
-      List.iter oop_expr i;
-      List.iter oop_expr c;
-      List.iter oop_expr u;
-      List.iter oop_stmt b
-  | A.Foreach (subject, binding, b) ->
-      oop_expr subject;
-      (match binding with
-      | A.ForeachValue v -> oop_expr v
-      | A.ForeachKeyValue (k, v) ->
-          oop_expr k;
-          oop_expr v);
-      List.iter oop_stmt b
-  | A.Switch (subject, cases) ->
-      oop_expr subject;
-      List.iter (fun (c : A.case) -> List.iter oop_stmt c.A.case_body) cases
-  | A.Return e -> Option.iter oop_expr e
-  | A.StaticVar vars -> List.iter (fun (_, d) -> Option.iter oop_expr d) vars
-  | A.Block b -> List.iter oop_stmt b
-  | A.FuncDef f -> List.iter oop_stmt f.A.f_body
-  | A.TryCatch (b, catches) ->
-      List.iter oop_stmt b;
-      List.iter (fun (c : A.catch) -> List.iter oop_stmt c.A.catch_body) catches
-  | A.InlineHtml _ | A.Nop | A.Break | A.Continue | A.Global _ -> ()
+  (match s.A.s with A.ClassDef _ -> raise (Oop "class declaration") | _ -> ());
+  A.iter_stmt ~expr:oop_expr ~stmt:oop_stmt s
 
 (* ------------------------------------------------------------------ *)
 (* Analysis context                                                   *)
@@ -465,27 +398,16 @@ and run_dataflow sc (stmts : A.stmt list) (init : T.state) : T.state =
 (* Driver                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let rec collect_funcs tbl (stmts : A.stmt list) =
-  List.iter
-    (fun (s : A.stmt) ->
-      match s.A.s with
-      | A.FuncDef f ->
-          let key = String.lowercase_ascii f.A.f_name in
-          if not (Hashtbl.mem tbl key) then Hashtbl.replace tbl key f;
-          collect_funcs tbl f.A.f_body
-      | A.If (branches, els) ->
-          List.iter (fun (_, b) -> collect_funcs tbl b) branches;
-          Option.iter (collect_funcs tbl) els
-      | A.While (_, b) | A.DoWhile (b, _) | A.Foreach (_, _, b) | A.Block b
-      | A.For (_, _, _, b) ->
-          collect_funcs tbl b
-      | A.Switch (_, cases) ->
-          List.iter (fun (c : A.case) -> collect_funcs tbl c.A.case_body) cases
-      | A.TryCatch (b, catches) ->
-          collect_funcs tbl b;
-          List.iter (fun (c : A.catch) -> collect_funcs tbl c.A.catch_body) catches
-      | _ -> ())
-    stmts
+(* Functions are hoisted from any statement nesting, but not from closure
+   bodies (expressions are not entered); the OOP gate has already refused
+   any file with a class. *)
+let rec collect_funcs tbl (s : A.stmt) =
+  (match s.A.s with
+  | A.FuncDef f ->
+      let key = String.lowercase_ascii f.A.f_name in
+      if not (Hashtbl.mem tbl key) then Hashtbl.replace tbl key f
+  | _ -> ());
+  A.iter_stmt ~expr:ignore ~stmt:(collect_funcs tbl) s
 
 let analyze_file_exn ~file source :
     Report.finding list * Report.file_outcome * int =
@@ -500,7 +422,7 @@ let analyze_file_exn ~file source :
         Obs.span "pixy.model" (fun () ->
             List.iter oop_stmt prog;
             let funcs = Hashtbl.create 16 in
-            collect_funcs funcs prog;
+            List.iter (collect_funcs funcs) prog;
             funcs)
       with
       | exception Oop what ->

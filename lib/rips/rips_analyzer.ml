@@ -258,37 +258,25 @@ let build_fstate ~file (prog : A.program) : fstate =
     incr next_id;
     id
   in
-  let rec collect_funcs (stmts : A.stmt list) =
-    List.iter
-      (fun (s : A.stmt) ->
-        match s.A.s with
-        | A.FuncDef f ->
-            let id = fresh () in
-            let key = String.lowercase_ascii f.A.f_name in
-            if not (Hashtbl.mem st.funcs key) then Hashtbl.replace st.funcs key id;
-            let sc =
-              { sc_id = id; sc_fname = Some key;
-                sc_params = List.map (fun (p : A.param) -> p.A.p_name) f.A.f_params;
-                sc_events = [||] }
-            in
-            st.scopes <- sc :: st.scopes;
-            let l = { events = []; count = 0; st; scope_id = id } in
-            List.iter (lin_stmt l) f.A.f_body;
-            sc.sc_events <- Array.of_list (List.rev l.events);
-            collect_funcs f.A.f_body
-        | A.If (branches, els) ->
-            List.iter (fun (_, b) -> collect_funcs b) branches;
-            Option.iter collect_funcs els
-        | A.While (_, b) | A.DoWhile (b, _) | A.Foreach (_, _, b)
-        | A.Block b | A.For (_, _, _, b) ->
-            collect_funcs b
-        | A.Switch (_, cases) ->
-            List.iter (fun (c : A.case) -> collect_funcs c.A.case_body) cases
-        | A.TryCatch (b, catches) ->
-            collect_funcs b;
-            List.iter (fun (c : A.catch) -> collect_funcs c.A.catch_body) catches
-        | _ -> ())
-      stmts
+  (* class bodies and closure bodies are not entered: RIPS's blind spot *)
+  let rec collect_funcs (s : A.stmt) =
+    match s.A.s with
+    | A.ClassDef _ -> ()
+    | A.FuncDef f ->
+        let id = fresh () in
+        let key = String.lowercase_ascii f.A.f_name in
+        if not (Hashtbl.mem st.funcs key) then Hashtbl.replace st.funcs key id;
+        let sc =
+          { sc_id = id; sc_fname = Some key;
+            sc_params = List.map (fun (p : A.param) -> p.A.p_name) f.A.f_params;
+            sc_events = [||] }
+        in
+        st.scopes <- sc :: st.scopes;
+        let l = { events = []; count = 0; st; scope_id = id } in
+        List.iter (lin_stmt l) f.A.f_body;
+        sc.sc_events <- Array.of_list (List.rev l.events);
+        List.iter collect_funcs f.A.f_body
+    | _ -> A.iter_stmt ~expr:ignore ~stmt:collect_funcs s
   in
   (* top level first so its scope id is deterministic *)
   let top_id = fresh () in
@@ -296,7 +284,7 @@ let build_fstate ~file (prog : A.program) : fstate =
     { sc_id = top_id; sc_fname = None; sc_params = []; sc_events = [||] }
   in
   st.scopes <- [ top ];
-  collect_funcs prog;
+  List.iter collect_funcs prog;
   let l = { events = []; count = 0; st; scope_id = top_id } in
   List.iter (lin_stmt l) prog;
   top.sc_events <- Array.of_list (List.rev l.events);

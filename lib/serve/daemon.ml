@@ -125,7 +125,7 @@ type t = {
   mutable conn_seq : int;
   mutable threads : Thread.t list;
   listen_fd : Unix.file_descr;
-  (* per-(tenant, project, opts) incremental parse sessions, under [wm]:
+  (* per-(tenant, project) incremental parse sessions, under [wm]:
      a client re-scanning an edited project re-parses only the damaged
      regions (see {!Watch}), and the seeded parse caches make the analysis
      itself warm.  Bounded: the table is dropped wholesale past
@@ -138,16 +138,9 @@ type t = {
 let max_watch_sessions = 64
 
 let watch_session_of t (req : Protocol.scan_request) =
-  let o = req.Protocol.sr_opts in
   let key =
-    String.concat "\x00"
-      [ Option.value ~default:"" req.Protocol.sr_tenant;
-        req.Protocol.sr_project.Phplang.Project.name;
-        String.lowercase_ascii o.Scan.tool;
-        Scan.kind_to_string o.Scan.kind;
-        string_of_bool o.Scan.contexts;
-        string_of_bool o.Scan.flow;
-        string_of_bool o.Scan.second_order ]
+    Option.value ~default:"" req.Protocol.sr_tenant
+    ^ "\x00" ^ req.Protocol.sr_project.Phplang.Project.name
   in
   Mutex.lock t.wm;
   let session =
@@ -156,7 +149,9 @@ let watch_session_of t (req : Protocol.scan_request) =
     | None ->
         if Hashtbl.length t.watch_sessions >= max_watch_sessions then
           Hashtbl.reset t.watch_sessions;
-        let s = Watch.create o in
+        (* the daemon only refreshes sources through the session, which
+           reads no analysis option: every option set shares one parse *)
+        let s = Watch.create Scan.default in
         Hashtbl.replace t.watch_sessions key s;
         s
   in

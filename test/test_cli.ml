@@ -191,7 +191,78 @@ let config_cases =
                   shadowed by generic-php (first entry wins)")));
   ]
 
+let run_capture dir args =
+  let out = Filename.concat dir "out.txt" and err = Filename.concat dir "err.txt" in
+  let status =
+    Sys.command
+      (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote exe) args
+         (Filename.quote out) (Filename.quote err))
+  in
+  (status, read_file out, read_file err)
+
+(* A bad flag value or a missing path is a usage error: cmdliner's exit
+   124 with a message naming the flag, raised before the project is even
+   loaded — [--stats], which prints ahead of the analysis, prints
+   nothing. *)
+let usage_cases =
+  let usage name args ~message =
+    case name `Quick (fun () ->
+        in_temp_dir (fun dir ->
+            let f = Filename.concat dir "vuln.php" in
+            write f "<?php echo $_GET['x'];\n";
+            let status, out, err =
+              run_capture dir
+                (Printf.sprintf "%s --stats %s" (Filename.quote f) args)
+            in
+            Alcotest.(check int) "usage-error status" 124 status;
+            Alcotest.(check bool) ("stderr names: " ^ message) true
+              (contains err message);
+            Alcotest.(check string) "nothing ran" "" out))
+  in
+  [
+    usage "unknown --format" "--format xml" ~message:"'--format'";
+    usage "unknown --tool" "--tool foo" ~message:"unknown tool: foo";
+    usage "unknown --kind" "--kind bogus"
+      ~message:"unknown vulnerability kind: bogus";
+    usage "missing --config file" "--config no-such.spec"
+      ~message:"no-such.spec";
+    case "missing target" `Quick (fun () ->
+        in_temp_dir (fun dir ->
+            let status, _, err =
+              run_capture dir
+                (Filename.quote (Filename.concat dir "no-such-plugin"))
+            in
+            Alcotest.(check int) "usage-error status" 124 status;
+            Alcotest.(check bool) "stderr names the target" true
+              (contains err "no-such-plugin")));
+  ]
+
+(* Children the per-walker traversals used to skip: switch case guards
+   (--stats) and parameter defaults (Pixy's OOP gate). *)
+let children_cases =
+  [
+    case "--stats counts a case guard's variables" `Quick (fun () ->
+        in_temp_dir (fun dir ->
+            let f = Filename.concat dir "sw.php" in
+            write f "<?php\nswitch ($m) { case $_GET[\"a\"]: echo 1; }\n";
+            let _, out, _ = run_capture dir (Filename.quote f ^ " --stats") in
+            Alcotest.(check bool) "superglobal read and both variables" true
+              (contains out "variables=2 superglobal-reads=1")));
+    case "Pixy refuses a static member in a parameter default" `Quick
+      (fun () ->
+        in_temp_dir (fun dir ->
+            let f = Filename.concat dir "pd.php" in
+            write f "<?php\nfunction f($a = Foo::BAR) {}\n";
+            let status, out, _ =
+              run_capture dir (Filename.quote f ^ " --tool pixy")
+            in
+            Alcotest.(check int) "failed file" 2 status;
+            Alcotest.(check bool) "the failure reason" true
+              (contains out "unsupported: static member access")));
+  ]
+
 let () =
   Alcotest.run "phpsafe_cli"
     [ ("exit status", exit_cases); ("exporters", export_cases);
-      ("custom profile", config_cases) ]
+      ("custom profile", config_cases); ("usage errors", usage_cases);
+      ("AST children", children_cases) ]

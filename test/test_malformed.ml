@@ -154,6 +154,24 @@ let budget_outcome_cases =
               | _ -> false)));
   ]
 
+(* --stats reads every file: a file that fails to lex or parse, or nests
+   past the fuel, contributes its token and LOC counts only. *)
+let stats_cases =
+  List.map
+    (fun (name, src) ->
+      case ("stats: " ^ name) `Quick (fun () ->
+          let project = Project.make ~name:"m" [ file "m.php" src ] in
+          match Phpsafe.Stats.of_project project with
+          | st ->
+              Alcotest.(check int) "one file" 1 st.Phpsafe.Stats.st_files;
+              Alcotest.(check int) "LOC" (Loc.count src)
+                st.Phpsafe.Stats.st_loc
+          | exception exn ->
+              Alcotest.failf "Stats escaped with %s" (Printexc.to_string exn)))
+    (("deep nesting past the fuel limit",
+      nested_expr (Parser.nesting_limit () + 64))
+    :: malformed_sources)
+
 let () =
   Alcotest.run "malformed"
     [
@@ -162,4 +180,5 @@ let () =
       ("nesting fuel", fuel_cases);
       ("analyzers", analyzer_cases);
       ("budget outcomes", budget_outcome_cases);
+      ("stats", stats_cases);
     ]

@@ -297,6 +297,162 @@ let frontend_cases =
         | _ -> Alcotest.fail "expected html / echo / html");
   ]
 
+(* The shared child iterators: one program holding every [expr_desc] and
+   [stmt_desc] constructor, walked in pre-order through [Ast.iter_expr] /
+   [Ast.iter_stmt].  Include-target order and Pixy's first-construct
+   failure reason both follow this sequence. *)
+let every_constructor =
+  "<?php\n\
+   function f($p = C::K) { global $g; static $s = 1; return $p; }\n\
+   class K { const C = 2; public $q = false; function m($r = null) { throw $r; } }\n\
+   if ($a) { echo \"x{$b}\"; } elseif (true) { ; } else { { unset($c[0]); } }\n\
+   while ($w) { break; }\n\
+   do { continue; } while (0.5);\n\
+   for ($i = 0; $i < 3; $i++) { print g(1); }\n\
+   foreach ($arr as $k => $v) { $v =& $k; }\n\
+   switch ($m) { case $_GET['a']: exit(1); default: $o->p; }\n\
+   try { $x .= $o->m(new D()); } catch (E $e) { list($l, , $n) = array(1 => 'z', -$y); }\n\
+   $t = isset($u) ? (int) D::$sp : (empty($z) ?: PHP_EOL);\n\
+   include 'inc.php';\n\
+   $cl = function ($cp = 3) use ($a) { return S::call(); };\n\
+   ?>html"
+
+let expr_label (e : Ast.expr) =
+  match e.Ast.e with
+  | Ast.Null -> "Null"
+  | Ast.True -> "True"
+  | Ast.False -> "False"
+  | Ast.Int n -> Printf.sprintf "Int %d" n
+  | Ast.Float f -> Printf.sprintf "Float %g" f
+  | Ast.Str s -> "Str " ^ s
+  | Ast.Interp _ -> "Interp"
+  | Ast.Var v -> "Var " ^ v
+  | Ast.ArrayGet _ -> "ArrayGet"
+  | Ast.Prop (_, p) -> "Prop " ^ p
+  | Ast.StaticProp (c, p) -> Printf.sprintf "StaticProp %s::%s" c p
+  | Ast.ClassConst (c, k) -> Printf.sprintf "ClassConst %s::%s" c k
+  | Ast.Const c -> "Const " ^ c
+  | Ast.ArrayLit _ -> "ArrayLit"
+  | Ast.Call (f, _) -> "Call " ^ f
+  | Ast.MethodCall (_, m, _) -> "MethodCall " ^ m
+  | Ast.StaticCall (c, m, _) -> Printf.sprintf "StaticCall %s::%s" c m
+  | Ast.New (c, _) -> "New " ^ c
+  | Ast.Assign _ -> "Assign"
+  | Ast.AssignRef _ -> "AssignRef"
+  | Ast.OpAssign _ -> "OpAssign"
+  | Ast.Bin _ -> "Bin"
+  | Ast.Un _ -> "Un"
+  | Ast.Ternary _ -> "Ternary"
+  | Ast.CastE _ -> "CastE"
+  | Ast.Isset _ -> "Isset"
+  | Ast.EmptyE _ -> "EmptyE"
+  | Ast.PrintE _ -> "PrintE"
+  | Ast.Exit _ -> "Exit"
+  | Ast.IncludeE _ -> "IncludeE"
+  | Ast.Closure _ -> "Closure"
+  | Ast.ListAssign _ -> "ListAssign"
+
+let stmt_label (s : Ast.stmt) =
+  match s.Ast.s with
+  | Ast.Expr _ -> "Expr"
+  | Ast.Echo _ -> "Echo"
+  | Ast.If _ -> "If"
+  | Ast.While _ -> "While"
+  | Ast.DoWhile _ -> "DoWhile"
+  | Ast.For _ -> "For"
+  | Ast.Foreach _ -> "Foreach"
+  | Ast.Switch _ -> "Switch"
+  | Ast.Break -> "Break"
+  | Ast.Continue -> "Continue"
+  | Ast.Return _ -> "Return"
+  | Ast.Global _ -> "Global"
+  | Ast.StaticVar _ -> "StaticVar"
+  | Ast.Unset _ -> "Unset"
+  | Ast.Block _ -> "Block"
+  | Ast.FuncDef f -> "FuncDef " ^ f.Ast.f_name
+  | Ast.ClassDef c -> "ClassDef " ^ c.Ast.c_name
+  | Ast.InlineHtml _ -> "InlineHtml"
+  | Ast.Throw _ -> "Throw"
+  | Ast.TryCatch _ -> "TryCatch"
+  | Ast.Nop -> "Nop"
+
+let pre_order prog =
+  let acc = ref [] in
+  let rec expr e =
+    acc := expr_label e :: !acc;
+    Ast.iter_expr ~expr ~stmt e
+  and stmt s =
+    acc := ("S " ^ stmt_label s) :: !acc;
+    Ast.iter_stmt ~expr ~stmt s
+  in
+  List.iter stmt prog;
+  List.rev !acc
+
+let expected_pre_order =
+  [ "S FuncDef f"; "ClassConst C::K"; "S Global"; "S StaticVar"; "Int 1";
+    "S Return"; "Var $p";
+    "S ClassDef K"; "Int 2"; "False"; "Null"; "S Throw"; "Var $r";
+    "S If"; "Var $a"; "S Echo"; "Interp"; "Var $b"; "True"; "S Nop";
+    "S Block"; "S Unset"; "ArrayGet"; "Var $c"; "Int 0";
+    "S While"; "Var $w"; "S Break";
+    "S DoWhile"; "S Continue"; "Float 0.5";
+    "S For"; "Assign"; "Var $i"; "Int 0"; "Bin"; "Var $i"; "Int 3"; "Un";
+    "Var $i"; "S Expr"; "PrintE"; "Call g"; "Int 1";
+    "S Foreach"; "Var $arr"; "Var $k"; "Var $v"; "S Expr"; "AssignRef";
+    "Var $v"; "Var $k";
+    "S Switch"; "Var $m"; "ArrayGet"; "Var $_GET"; "Str a"; "S Expr"; "Exit";
+    "Int 1"; "S Expr"; "Prop p"; "Var $o";
+    "S TryCatch"; "S Expr"; "OpAssign"; "Var $x"; "MethodCall m"; "Var $o";
+    "New D"; "S Expr"; "ListAssign"; "Var $l"; "Var $n"; "ArrayLit"; "Int 1";
+    "Str z"; "Un"; "Var $y";
+    "S Expr"; "Assign"; "Var $t"; "Ternary"; "Isset"; "Var $u"; "CastE";
+    "StaticProp D::$sp"; "Ternary"; "EmptyE"; "Var $z"; "Const PHP_EOL";
+    "S Expr"; "IncludeE"; "Str inc.php";
+    "S Expr"; "Assign"; "Var $cl"; "Closure"; "Int 3"; "S Return";
+    "StaticCall S::call";
+    "S InlineHtml" ]
+
+let all_constructors =
+  [ "Null"; "True"; "False"; "Int"; "Float"; "Str"; "Interp"; "Var";
+    "ArrayGet"; "Prop"; "StaticProp"; "ClassConst"; "Const"; "ArrayLit";
+    "Call"; "MethodCall"; "StaticCall"; "New"; "Assign"; "AssignRef";
+    "OpAssign"; "Bin"; "Un"; "Ternary"; "CastE"; "Isset"; "EmptyE"; "PrintE";
+    "Exit"; "IncludeE"; "Closure"; "ListAssign";
+    "S Expr"; "S Echo"; "S If"; "S While"; "S DoWhile"; "S For"; "S Foreach";
+    "S Switch"; "S Break"; "S Continue"; "S Return"; "S Global";
+    "S StaticVar"; "S Unset"; "S Block"; "S FuncDef"; "S ClassDef";
+    "S InlineHtml"; "S Throw"; "S TryCatch"; "S Nop" ]
+
+let children_cases =
+  [
+    Alcotest.test_case "pre-order over every constructor" `Quick (fun () ->
+        Alcotest.(check (list string)) "sequence" expected_pre_order
+          (pre_order (parse every_constructor)));
+    Alcotest.test_case "the program holds every constructor" `Quick
+      (fun () ->
+        let labels = pre_order (parse every_constructor) in
+        let constructor l =
+          (* the label up to its detail: "Var $x" -> "Var", "S FuncDef f"
+             -> "S FuncDef" *)
+          match String.split_on_char ' ' l with
+          | "S" :: c :: _ -> "S " ^ c
+          | c :: _ -> c
+          | [] -> l
+        in
+        List.iter
+          (fun c ->
+            if not (List.exists (fun l -> constructor l = c) labels) then
+              Alcotest.failf "no %s in the program" c)
+          all_constructors);
+    Alcotest.test_case "program_size counts bodies, not closure bodies"
+      `Quick (fun () ->
+        Alcotest.(check int) "statements" 5
+          (Ast.program_size
+             (parse
+                "<?php if ($a) { echo 1; } function f() { return 1; }\n\
+                 $c = function () { return 2; };")));
+  ]
+
 let () =
   Alcotest.run "parser"
     [ ("precedence", precedence_cases);
@@ -304,4 +460,5 @@ let () =
       ("interpolation", interp_cases);
       ("classes", class_cases);
       ("errors and positions", error_cases);
-      ("front-end gaps (heredoc, <?=, ??)", frontend_cases) ]
+      ("front-end gaps (heredoc, <?=, ??)", frontend_cases);
+      ("children", children_cases) ]

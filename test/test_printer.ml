@@ -181,9 +181,31 @@ let prop_size_positive =
     ~print:print_program gen_program (fun prog ->
       Ast.program_size prog >= List.length prog)
 
+(* [Loc.count] against its definition: split at newlines, drop the lines
+   made only of spaces, tabs and carriage returns, count the rest *)
+let loc_reference src =
+  let is_blank line =
+    String.for_all (fun c -> c = ' ' || c = '\t' || c = '\r') line
+  in
+  String.split_on_char '\n' src
+  |> List.filter (fun l -> not (is_blank l))
+  |> List.length
+
+let prop_loc_count =
+  Test.make ~name:"Loc.count matches the split-based definition" ~count:500
+    ~print:String.escaped
+    Gen.(
+      oneof
+        [ oneofl [ ""; "\n"; "\r"; "\t"; "\r\n"; " \t\r\n"; "a"; "a\nb";
+                   "a\n"; "\n\na" ];
+          string_size ~gen:(oneofl [ 'a'; ' '; '\t'; '\r'; '\n' ])
+            (int_range 0 40) ])
+    (fun src -> Loc.count src = loc_reference src)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_roundtrip; prop_fixpoint; prop_expr_roundtrip; prop_size_positive ]
+    [ prop_roundtrip; prop_fixpoint; prop_expr_roundtrip; prop_size_positive;
+      prop_loc_count ]
 
 let () =
   Alcotest.run "printer"

@@ -614,6 +614,38 @@ let daemon_cases =
                   (scan_via sock mutant))
               (Evalkit.Faults.mutants ~seed:42 ~count:8 vuln_project)))
     ;
+    case "option sets share one parse session per project" `Quick (fun () ->
+        (* The session is refreshed to v2 by the default-option scan; a
+           flow scan of the same v2 bytes then has nothing left to parse.
+           A session per option set would re-parse both edited files. *)
+        with_daemon (fun sock ->
+            let v1 = vuln_project in
+            let v2 =
+              project "demo"
+                (List.map
+                   (fun (f : Phplang.Project.file) ->
+                     (f.Phplang.Project.path,
+                      f.Phplang.Project.source ^ "echo 'more';\n"))
+                   v1.Phplang.Project.files)
+            in
+            let flow = { Scan.default with Scan.flow = true } in
+            let parses () =
+              Obs.counter "parser.region.reparse"
+              + Obs.counter "parser.region.fallback"
+            in
+            ignore (scan_via sock v1 : string);
+            ignore (scan_via sock ~opts:flow v1 : string);
+            let before = parses () in
+            ignore (scan_via sock v2 : string);
+            Alcotest.(check int) "the edit re-parses each file once" 2
+              (parses () - before);
+            let before = parses () in
+            Alcotest.(check string) "flow report unchanged"
+              (Scan.run_json flow v2)
+              (scan_via sock ~opts:flow v2);
+            Alcotest.(check int) "no parse for another option set" 0
+              (parses () - before)))
+    ;
   ]
 
 (* ------------------------------------------------------------------ *)
