@@ -73,8 +73,6 @@ let run target wanted show_trace tool_name quiet format html_out json_out
   else Option.iter (fun d -> Phplang.Store.set_root (Some d)) cache_dir;
   if trace_out <> None || metrics_out <> None then Obs.set_enabled true;
   if watch then begin
-    if config_path <> None then
-      failwith "--watch does not support --config (use the built-in profiles)";
     let opts =
       { Serve.Scan.tool = tool_name; kind = wanted; contexts; flow;
         second_order }
@@ -317,7 +315,7 @@ let no_cache =
   let doc = "Ignore $(b,PHPSAFE_CACHE_DIR) and run without the disk cache." in
   Arg.(value & flag & info [ "no-cache" ] ~doc)
 
-let watch =
+let watch_flag =
   let doc =
     "Keep running: poll $(b,TARGET) for changes and re-analyze
      incrementally on every edit (checkpointed re-lexing + region
@@ -346,6 +344,16 @@ let config_path =
     "Extend the phpSAFE configuration with a spec file (see      Phpsafe.Config_spec); only meaningful with --tool phpsafe."
   in
   Arg.(value & opt (some non_dir_file) None & info [ "config" ] ~docv:"FILE" ~doc)
+
+(* --watch builds its scans from the built-in profiles (Serve.Scan), so
+   --config with it is a usage error, refused before anything loads. *)
+let watch =
+  let builtin_only watch config =
+    if watch && config <> None then
+      `Error (true, "--watch does not support --config (use the built-in profiles)")
+    else `Ok watch
+  in
+  Term.(ret (const builtin_only $ watch_flag $ config_path))
 
 (* Resource budgets (Secflow.Budget): every exhaustion degrades the file to
    a Failed (Budget_exhausted _) outcome instead of crashing or hanging. *)

@@ -27,9 +27,24 @@ type state = {
   mutable cur : int;
   mutable depth : int;
   file : string;
+  mutable line_pos : Ast.pos;  (* the last position built *)
 }
 
-let pos_of st (t : Token.t) : Ast.pos = { file = st.file; line = t.Token.line }
+let init ~file tokens =
+  { tokens; cur = 0; depth = 0; file; line_pos = { Ast.file; line = 0 } }
+
+(* Nodes from one line share one position record. *)
+let pos_of st (t : Token.t) : Ast.pos =
+  let p = st.line_pos in
+  if p.Ast.line = t.Token.line then p
+  else begin
+    let p = { Ast.file = st.file; line = t.Token.line } in
+    st.line_pos <- p;
+    p
+  end
+
+let expr_at pos e : Ast.expr = { Ast.e; epos = pos }
+let stmt_at pos s : Ast.stmt = { Ast.s; spos = pos }
 let peek st = st.tokens.(st.cur)
 let peek2 st =
   if st.cur + 1 < Array.length st.tokens then Some st.tokens.(st.cur + 1)
@@ -121,6 +136,76 @@ let is_ident_start c =
 
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 
+(* [Punct] lexemes are one byte long. *)
+let punct_char (t : Token.t) = String.unsafe_get t.Token.lexeme 0
+
+(* Operator tables, one per precedence level: the operator [t] spells at
+   that level, if any. *)
+
+let logical_low_op (t : Token.t) =
+  match t.Token.kind with
+  | Token.T_LOGICAL_OR -> Some Ast.BoolOr
+  | Token.T_LOGICAL_XOR -> Some Ast.NotIdentical
+  | _ -> None
+
+let logical_and_low_op (t : Token.t) =
+  if t.Token.kind = Token.T_LOGICAL_AND then Some Ast.BoolAnd else None
+
+let bool_or_op (t : Token.t) =
+  if t.Token.kind = Token.T_BOOLEAN_OR then Some Ast.BoolOr else None
+
+let bool_and_op (t : Token.t) =
+  if t.Token.kind = Token.T_BOOLEAN_AND then Some Ast.BoolAnd else None
+
+let equality_op (t : Token.t) =
+  match t.Token.kind with
+  | Token.T_IS_EQUAL -> Some Ast.Eq
+  | Token.T_IS_NOT_EQUAL -> Some Ast.Neq
+  | Token.T_IS_IDENTICAL -> Some Ast.Identical
+  | Token.T_IS_NOT_IDENTICAL -> Some Ast.NotIdentical
+  | _ -> None
+
+let relational_op (t : Token.t) =
+  match t.Token.kind with
+  | Token.Punct -> (
+      match punct_char t with
+      | '<' -> Some Ast.Lt
+      | '>' -> Some Ast.Gt
+      | _ -> None)
+  | Token.T_IS_SMALLER_OR_EQUAL -> Some Ast.Le
+  | Token.T_IS_GREATER_OR_EQUAL -> Some Ast.Ge
+  | _ -> None
+
+let additive_op (t : Token.t) =
+  match t.Token.kind with
+  | Token.Punct -> (
+      match punct_char t with
+      | '+' -> Some Ast.Plus
+      | '-' -> Some Ast.Minus
+      | '.' -> Some Ast.Concat
+      | _ -> None)
+  | _ -> None
+
+let multiplicative_op (t : Token.t) =
+  match t.Token.kind with
+  | Token.Punct -> (
+      match punct_char t with
+      | '*' -> Some Ast.Mul
+      | '/' -> Some Ast.Div
+      | '%' -> Some Ast.Mod
+      | _ -> None)
+  | _ -> None
+
+let compound_assign_op (t : Token.t) =
+  match t.Token.kind with
+  | Token.T_CONCAT_EQUAL -> Some Ast.Concat
+  | Token.T_PLUS_EQUAL -> Some Ast.Plus
+  | Token.T_MINUS_EQUAL -> Some Ast.Minus
+  | Token.T_MUL_EQUAL -> Some Ast.Mul
+  | Token.T_DIV_EQUAL -> Some Ast.Div
+  | Token.T_MOD_EQUAL -> Some Ast.Mod
+  | _ -> None
+
 (* ------------------------------------------------------------------ *)
 (* Expressions                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -131,82 +216,57 @@ let rec parse_expr st : Ast.expr =
   st.depth <- st.depth - 1;
   e
 
+(* One left-associative level: [lhs], then any number of ([op_of]
+   operator, [operand]) pairs.  The level's functions are passed in, so
+   the loop allocates nothing but the nodes it builds. *)
+and binary_rest st op_of operand lhs =
+  let t = peek st in
+  match op_of t with
+  | Some op ->
+      ignore (advance st);
+      let pos = pos_of st t in
+      binary_rest st op_of operand (expr_at pos (Ast.Bin (op, lhs, operand st)))
+  | None -> lhs
+
 (* or / xor — lowest precedence *)
 and parse_logical_low st =
-  let lhs = parse_logical_and_low st in
-  let rec loop lhs =
-    match (peek st).Token.kind with
-    | Token.T_LOGICAL_OR ->
-        let t = advance st in
-        let rhs = parse_logical_and_low st in
-        loop (Ast.mk_e ~pos:(pos_of st t) (Ast.Bin (Ast.BoolOr, lhs, rhs)))
-    | Token.T_LOGICAL_XOR ->
-        let t = advance st in
-        let rhs = parse_logical_and_low st in
-        loop (Ast.mk_e ~pos:(pos_of st t) (Ast.Bin (Ast.NotIdentical, lhs, rhs)))
-    | _ -> lhs
-  in
-  loop lhs
+  binary_rest st logical_low_op parse_logical_and_low (parse_logical_and_low st)
 
 and parse_logical_and_low st =
-  let lhs = parse_assignment st in
-  let rec loop lhs =
-    if check st Token.T_LOGICAL_AND then begin
-      let t = advance st in
-      let rhs = parse_assignment st in
-      loop (Ast.mk_e ~pos:(pos_of st t) (Ast.Bin (Ast.BoolAnd, lhs, rhs)))
-    end
-    else lhs
-  in
-  loop lhs
+  binary_rest st logical_and_low_op parse_assignment (parse_assignment st)
 
 and parse_assignment st =
   let lhs = parse_ternary st in
   let t = peek st in
-  let mk desc = Ast.mk_e ~pos:(pos_of st t) desc in
-  match t.Token.kind with
-  | Token.Punct when t.Token.lexeme = "=" ->
+  if t.Token.kind = Token.Punct && punct_char t = '=' then begin
+    ignore (advance st);
+    let pos = pos_of st t in
+    if check_punct st '&' then begin
       ignore (advance st);
-      if check_punct st '&' then begin
+      expr_at pos (Ast.AssignRef (lhs, parse_assignment st))
+    end
+    else expr_at pos (Ast.Assign (lhs, parse_assignment st))
+  end
+  else
+    match compound_assign_op t with
+    | Some op ->
         ignore (advance st);
-        let rhs = parse_assignment st in
-        mk (Ast.AssignRef (lhs, rhs))
-      end
-      else
-        let rhs = parse_assignment st in
-        mk (Ast.Assign (lhs, rhs))
-  | Token.T_CONCAT_EQUAL ->
-      ignore (advance st);
-      mk (Ast.OpAssign (Ast.Concat, lhs, parse_assignment st))
-  | Token.T_PLUS_EQUAL ->
-      ignore (advance st);
-      mk (Ast.OpAssign (Ast.Plus, lhs, parse_assignment st))
-  | Token.T_MINUS_EQUAL ->
-      ignore (advance st);
-      mk (Ast.OpAssign (Ast.Minus, lhs, parse_assignment st))
-  | Token.T_MUL_EQUAL ->
-      ignore (advance st);
-      mk (Ast.OpAssign (Ast.Mul, lhs, parse_assignment st))
-  | Token.T_DIV_EQUAL ->
-      ignore (advance st);
-      mk (Ast.OpAssign (Ast.Div, lhs, parse_assignment st))
-  | Token.T_MOD_EQUAL ->
-      ignore (advance st);
-      mk (Ast.OpAssign (Ast.Mod, lhs, parse_assignment st))
-  | _ -> lhs
+        let pos = pos_of st t in
+        expr_at pos (Ast.OpAssign (op, lhs, parse_assignment st))
+    | None -> lhs
 
 and parse_ternary st =
   let cond = parse_coalesce st in
   if check_punct st '?' then begin
-    let t = advance st in
+    let pos = pos_of st (advance st) in
     if skip_punct_if st ':' then
       let els = parse_ternary st in
-      Ast.mk_e ~pos:(pos_of st t) (Ast.Ternary (cond, None, els))
+      expr_at pos (Ast.Ternary (cond, None, els))
     else
       let thn = parse_expr st in
       ignore (eat_punct st ':');
       let els = parse_ternary st in
-      Ast.mk_e ~pos:(pos_of st t) (Ast.Ternary (cond, Some thn, els))
+      expr_at pos (Ast.Ternary (cond, Some thn, els))
   end
   else cond
 
@@ -214,111 +274,29 @@ and parse_ternary st =
 and parse_coalesce st =
   let lhs = parse_bool_or st in
   if check st Token.T_COALESCE then begin
-    let t = advance st in
+    let pos = pos_of st (advance st) in
     let rhs = parse_coalesce st in
-    Ast.mk_e ~pos:(pos_of st t) (Ast.Bin (Ast.Coalesce, lhs, rhs))
+    expr_at pos (Ast.Bin (Ast.Coalesce, lhs, rhs))
   end
   else lhs
 
 and parse_bool_or st =
-  let lhs = parse_bool_and st in
-  let rec loop lhs =
-    if check st Token.T_BOOLEAN_OR then begin
-      let t = advance st in
-      loop (Ast.mk_e ~pos:(pos_of st t) (Ast.Bin (Ast.BoolOr, lhs, parse_bool_and st)))
-    end
-    else lhs
-  in
-  loop lhs
+  binary_rest st bool_or_op parse_bool_and (parse_bool_and st)
 
 and parse_bool_and st =
-  let lhs = parse_equality st in
-  let rec loop lhs =
-    if check st Token.T_BOOLEAN_AND then begin
-      let t = advance st in
-      loop (Ast.mk_e ~pos:(pos_of st t) (Ast.Bin (Ast.BoolAnd, lhs, parse_equality st)))
-    end
-    else lhs
-  in
-  loop lhs
+  binary_rest st bool_and_op parse_equality (parse_equality st)
 
 and parse_equality st =
-  let lhs = parse_relational st in
-  let rec loop lhs =
-    let t = peek st in
-    let op =
-      match t.Token.kind with
-      | Token.T_IS_EQUAL -> Some Ast.Eq
-      | Token.T_IS_NOT_EQUAL -> Some Ast.Neq
-      | Token.T_IS_IDENTICAL -> Some Ast.Identical
-      | Token.T_IS_NOT_IDENTICAL -> Some Ast.NotIdentical
-      | _ -> None
-    in
-    match op with
-    | Some op ->
-        ignore (advance st);
-        loop (Ast.mk_e ~pos:(pos_of st t) (Ast.Bin (op, lhs, parse_relational st)))
-    | None -> lhs
-  in
-  loop lhs
+  binary_rest st equality_op parse_relational (parse_relational st)
 
 and parse_relational st =
-  let lhs = parse_additive st in
-  let rec loop lhs =
-    let t = peek st in
-    let op =
-      match t.Token.kind with
-      | Token.Punct when t.Token.lexeme = "<" -> Some Ast.Lt
-      | Token.Punct when t.Token.lexeme = ">" -> Some Ast.Gt
-      | Token.T_IS_SMALLER_OR_EQUAL -> Some Ast.Le
-      | Token.T_IS_GREATER_OR_EQUAL -> Some Ast.Ge
-      | _ -> None
-    in
-    match op with
-    | Some op ->
-        ignore (advance st);
-        loop (Ast.mk_e ~pos:(pos_of st t) (Ast.Bin (op, lhs, parse_additive st)))
-    | None -> lhs
-  in
-  loop lhs
+  binary_rest st relational_op parse_additive (parse_additive st)
 
 and parse_additive st =
-  let lhs = parse_multiplicative st in
-  let rec loop lhs =
-    let t = peek st in
-    let op =
-      match t.Token.kind with
-      | Token.Punct when t.Token.lexeme = "+" -> Some Ast.Plus
-      | Token.Punct when t.Token.lexeme = "-" -> Some Ast.Minus
-      | Token.Punct when t.Token.lexeme = "." -> Some Ast.Concat
-      | _ -> None
-    in
-    match op with
-    | Some op ->
-        ignore (advance st);
-        loop (Ast.mk_e ~pos:(pos_of st t) (Ast.Bin (op, lhs, parse_multiplicative st)))
-    | None -> lhs
-  in
-  loop lhs
+  binary_rest st additive_op parse_multiplicative (parse_multiplicative st)
 
 and parse_multiplicative st =
-  let lhs = parse_unary st in
-  let rec loop lhs =
-    let t = peek st in
-    let op =
-      match t.Token.kind with
-      | Token.Punct when t.Token.lexeme = "*" -> Some Ast.Mul
-      | Token.Punct when t.Token.lexeme = "/" -> Some Ast.Div
-      | Token.Punct when t.Token.lexeme = "%" -> Some Ast.Mod
-      | _ -> None
-    in
-    match op with
-    | Some op ->
-        ignore (advance st);
-        loop (Ast.mk_e ~pos:(pos_of st t) (Ast.Bin (op, lhs, parse_unary st)))
-    | None -> lhs
-  in
-  loop lhs
+  binary_rest st multiplicative_op parse_unary (parse_unary st)
 
 and parse_unary st =
   (* guarded separately from [parse_expr]: prefix-operator chains recurse
@@ -332,53 +310,53 @@ and parse_unary_body st =
   let t = peek st in
   let pos = pos_of st t in
   match t.Token.kind with
-  | Token.Punct when t.Token.lexeme = "!" ->
+  | Token.Punct when punct_char t = '!' ->
       ignore (advance st);
-      Ast.mk_e ~pos (Ast.Un (Ast.Not, parse_unary st))
-  | Token.Punct when t.Token.lexeme = "-" ->
+      expr_at pos (Ast.Un (Ast.Not, parse_unary st))
+  | Token.Punct when punct_char t = '-' ->
       ignore (advance st);
-      Ast.mk_e ~pos (Ast.Un (Ast.Neg, parse_unary st))
-  | Token.Punct when t.Token.lexeme = "@" ->
+      expr_at pos (Ast.Un (Ast.Neg, parse_unary st))
+  | Token.Punct when punct_char t = '@' ->
       ignore (advance st);
-      Ast.mk_e ~pos (Ast.Un (Ast.Silence, parse_unary st))
+      expr_at pos (Ast.Un (Ast.Silence, parse_unary st))
   | Token.T_INC ->
       ignore (advance st);
-      Ast.mk_e ~pos (Ast.Un (Ast.PreInc, parse_unary st))
+      expr_at pos (Ast.Un (Ast.PreInc, parse_unary st))
   | Token.T_DEC ->
       ignore (advance st);
-      Ast.mk_e ~pos (Ast.Un (Ast.PreDec, parse_unary st))
+      expr_at pos (Ast.Un (Ast.PreDec, parse_unary st))
   | Token.T_INT_CAST ->
       ignore (advance st);
-      Ast.mk_e ~pos (Ast.CastE (Ast.CastInt, parse_unary st))
+      expr_at pos (Ast.CastE (Ast.CastInt, parse_unary st))
   | Token.T_FLOAT_CAST ->
       ignore (advance st);
-      Ast.mk_e ~pos (Ast.CastE (Ast.CastFloat, parse_unary st))
+      expr_at pos (Ast.CastE (Ast.CastFloat, parse_unary st))
   | Token.T_STRING_CAST ->
       ignore (advance st);
-      Ast.mk_e ~pos (Ast.CastE (Ast.CastString, parse_unary st))
+      expr_at pos (Ast.CastE (Ast.CastString, parse_unary st))
   | Token.T_ARRAY_CAST ->
       ignore (advance st);
-      Ast.mk_e ~pos (Ast.CastE (Ast.CastArray, parse_unary st))
+      expr_at pos (Ast.CastE (Ast.CastArray, parse_unary st))
   | Token.T_BOOL_CAST ->
       ignore (advance st);
-      Ast.mk_e ~pos (Ast.CastE (Ast.CastBool, parse_unary st))
+      expr_at pos (Ast.CastE (Ast.CastBool, parse_unary st))
   | Token.T_NEW ->
       ignore (advance st);
       let name = (eat st Token.T_STRING).Token.lexeme in
       let args = if check_punct st '(' then parse_args st else [] in
-      parse_postfix st (Ast.mk_e ~pos (Ast.New (name, args)))
+      parse_postfix st (expr_at pos (Ast.New (name, args)))
   | Token.T_PRINT ->
       ignore (advance st);
-      Ast.mk_e ~pos (Ast.PrintE (parse_expr st))
+      expr_at pos (Ast.PrintE (parse_expr st))
   | Token.T_EXIT ->
       ignore (advance st);
       if skip_punct_if st '(' then
-        if skip_punct_if st ')' then Ast.mk_e ~pos (Ast.Exit None)
+        if skip_punct_if st ')' then expr_at pos (Ast.Exit None)
         else
           let e = parse_expr st in
           ignore (eat_punct st ')');
-          Ast.mk_e ~pos (Ast.Exit (Some e))
-      else Ast.mk_e ~pos (Ast.Exit None)
+          expr_at pos (Ast.Exit (Some e))
+      else expr_at pos (Ast.Exit None)
   | Token.T_INCLUDE | Token.T_INCLUDE_ONCE | Token.T_REQUIRE
   | Token.T_REQUIRE_ONCE ->
       let kind =
@@ -390,7 +368,7 @@ and parse_unary_body st =
       in
       ignore (advance st);
       (* Parenthesised or bare operand; either way one expression. *)
-      Ast.mk_e ~pos (Ast.IncludeE (kind, parse_expr st))
+      expr_at pos (Ast.IncludeE (kind, parse_expr st))
   | _ -> parse_postfix_chain st
 
 and parse_args st =
@@ -422,25 +400,25 @@ and parse_postfix st base =
       if check_punct st '(' then
         let args = parse_args st in
         parse_postfix st
-          (Ast.mk_e ~pos:(pos_of st t) (Ast.MethodCall (base, name, args)))
+          (expr_at (pos_of st t) (Ast.MethodCall (base, name, args)))
       else
-        parse_postfix st (Ast.mk_e ~pos:(pos_of st t) (Ast.Prop (base, name)))
-  | Token.Punct when t.Token.lexeme = "[" ->
+        parse_postfix st (expr_at (pos_of st t) (Ast.Prop (base, name)))
+  | Token.Punct when punct_char t = '[' ->
       ignore (advance st);
       if skip_punct_if st ']' then
-        parse_postfix st (Ast.mk_e ~pos:(pos_of st t) (Ast.ArrayGet (base, None)))
+        parse_postfix st (expr_at (pos_of st t) (Ast.ArrayGet (base, None)))
       else begin
         let idx = parse_expr st in
         ignore (eat_punct st ']');
         parse_postfix st
-          (Ast.mk_e ~pos:(pos_of st t) (Ast.ArrayGet (base, Some idx)))
+          (expr_at (pos_of st t) (Ast.ArrayGet (base, Some idx)))
       end
   | Token.T_INC ->
       ignore (advance st);
-      parse_postfix st (Ast.mk_e ~pos:(pos_of st t) (Ast.Un (Ast.PostInc, base)))
+      parse_postfix st (expr_at (pos_of st t) (Ast.Un (Ast.PostInc, base)))
   | Token.T_DEC ->
       ignore (advance st);
-      parse_postfix st (Ast.mk_e ~pos:(pos_of st t) (Ast.Un (Ast.PostDec, base)))
+      parse_postfix st (expr_at (pos_of st t) (Ast.Un (Ast.PostDec, base)))
   | _ -> base
 
 and parse_primary st =
@@ -449,36 +427,36 @@ and parse_primary st =
   match t.Token.kind with
   | Token.T_LNUMBER ->
       ignore (advance st);
-      Ast.mk_e ~pos (Ast.Int (int_of_lnumber t.Token.lexeme))
+      expr_at pos (Ast.Int (int_of_lnumber t.Token.lexeme))
   | Token.T_DNUMBER ->
       ignore (advance st);
-      Ast.mk_e ~pos (Ast.Float (float_of_string t.Token.lexeme))
+      expr_at pos (Ast.Float (float_of_string t.Token.lexeme))
   | Token.T_CONSTANT_STRING ->
       ignore (advance st);
-      Ast.mk_e ~pos (Ast.Str (decode_single t.Token.lexeme))
+      expr_at pos (Ast.Str (decode_single t.Token.lexeme))
   | Token.T_ENCAPSED_STRING ->
       ignore (advance st);
       parse_interp st t
   | Token.T_NOWDOC ->
       (* <<<'EOT': no interpolation, the raw body is the literal *)
       ignore (advance st);
-      Ast.mk_e ~pos (Ast.Str t.Token.lexeme)
+      expr_at pos (Ast.Str t.Token.lexeme)
   | Token.T_HEREDOC ->
       (* <<<EOT: interpolates exactly like a double-quoted body *)
       ignore (advance st);
       parse_interp_body st ~pos t.Token.lexeme
   | Token.T_NULL ->
       ignore (advance st);
-      Ast.mk_e ~pos Ast.Null
+      expr_at pos Ast.Null
   | Token.T_TRUE ->
       ignore (advance st);
-      Ast.mk_e ~pos Ast.True
+      expr_at pos Ast.True
   | Token.T_FALSE ->
       ignore (advance st);
-      Ast.mk_e ~pos Ast.False
+      expr_at pos Ast.False
   | Token.T_VARIABLE ->
       ignore (advance st);
-      Ast.mk_e ~pos (Ast.Var t.Token.lexeme)
+      expr_at pos (Ast.Var t.Token.lexeme)
   | Token.T_ISSET ->
       ignore (advance st);
       ignore (eat_punct st '(');
@@ -490,13 +468,13 @@ and parse_primary st =
           List.rev (e :: acc)
         end
       in
-      Ast.mk_e ~pos (Ast.Isset (loop []))
+      expr_at pos (Ast.Isset (loop []))
   | Token.T_EMPTY ->
       ignore (advance st);
       ignore (eat_punct st '(');
       let e = parse_expr st in
       ignore (eat_punct st ')');
-      Ast.mk_e ~pos (Ast.EmptyE e)
+      expr_at pos (Ast.EmptyE e)
   | Token.T_LIST ->
       ignore (advance st);
       ignore (eat_punct st '(');
@@ -515,13 +493,13 @@ and parse_primary st =
       ignore (eat_punct st ')');
       ignore (eat_punct st '=');
       let rhs = parse_expr st in
-      Ast.mk_e ~pos (Ast.ListAssign (slots, rhs))
+      expr_at pos (Ast.ListAssign (slots, rhs))
   | Token.T_ARRAY ->
       ignore (advance st);
-      Ast.mk_e ~pos (Ast.ArrayLit (parse_array_items st '(' ')'))
-  | Token.Punct when t.Token.lexeme = "[" ->
-      Ast.mk_e ~pos (Ast.ArrayLit (parse_array_items st '[' ']'))
-  | Token.Punct when t.Token.lexeme = "(" ->
+      expr_at pos (Ast.ArrayLit (parse_array_items st '(' ')'))
+  | Token.Punct when punct_char t = '[' ->
+      expr_at pos (Ast.ArrayLit (parse_array_items st '[' ']'))
+  | Token.Punct when punct_char t = '(' ->
       ignore (advance st);
       let e = parse_expr st in
       ignore (eat_punct st ')');
@@ -547,30 +525,30 @@ and parse_primary st =
         else []
       in
       let body = parse_braced_block st in
-      Ast.mk_e ~pos
+      expr_at pos
         (Ast.Closure { Ast.cl_params = params; cl_uses = uses; cl_body = body })
   | Token.T_STRING -> (
       let name = t.Token.lexeme in
       ignore (advance st);
       match (peek st).Token.kind with
-      | Token.Punct when (peek st).Token.lexeme = "(" ->
+      | Token.Punct when punct_char (peek st) = '(' ->
           let args = parse_args st in
-          Ast.mk_e ~pos (Ast.Call (name, args))
+          expr_at pos (Ast.Call (name, args))
       | Token.T_DOUBLE_COLON -> (
           ignore (advance st);
           let nt = peek st in
           match nt.Token.kind with
           | Token.T_VARIABLE ->
               ignore (advance st);
-              Ast.mk_e ~pos (Ast.StaticProp (name, nt.Token.lexeme))
+              expr_at pos (Ast.StaticProp (name, nt.Token.lexeme))
           | Token.T_STRING ->
               ignore (advance st);
               if check_punct st '(' then
                 let args = parse_args st in
-                Ast.mk_e ~pos (Ast.StaticCall (name, nt.Token.lexeme, args))
-              else Ast.mk_e ~pos (Ast.ClassConst (name, nt.Token.lexeme))
+                expr_at pos (Ast.StaticCall (name, nt.Token.lexeme, args))
+              else expr_at pos (Ast.ClassConst (name, nt.Token.lexeme))
           | _ -> fail st "expected member after ::")
-      | _ -> Ast.mk_e ~pos (Ast.Const name))
+      | _ -> expr_at pos (Ast.Const name))
   | _ -> fail st "unexpected token in expression"
 
 and parse_array_items st opener closer =
@@ -619,7 +597,6 @@ and parse_interp_body st ~pos body : Ast.expr =
       Buffer.clear lit
     end
   in
-  let mk desc = Ast.mk_e ~pos desc in
   let i = ref 0 in
   while !i < n do
     let c = body.[!i] in
@@ -642,7 +619,7 @@ and parse_interp_body st ~pos body : Ast.expr =
       flush_lit ();
       let j = ref (!i + 1) in
       while !j < n && is_ident_char body.[!j] do incr j done;
-      let var = mk (Ast.Var (String.sub body !i (!j - !i))) in
+      let var = expr_at pos (Ast.Var (String.sub body !i (!j - !i))) in
       i := !j;
       (* optional one-level suffix: ->prop or [key] *)
       if !i + 2 < n && body.[!i] = '-' && body.[!i + 1] = '>'
@@ -651,7 +628,7 @@ and parse_interp_body st ~pos body : Ast.expr =
         let k = ref (!i + 2) in
         while !k < n && is_ident_char body.[!k] do incr k done;
         let prop = String.sub body (!i + 2) (!k - (!i + 2)) in
-        parts := Ast.IExpr (mk (Ast.Prop (var, prop))) :: !parts;
+        parts := Ast.IExpr (expr_at pos (Ast.Prop (var, prop))) :: !parts;
         i := !k
       end
       else if !i < n && body.[!i] = '[' then begin
@@ -662,10 +639,10 @@ and parse_interp_body st ~pos body : Ast.expr =
         in
         let key = String.sub body (!i + 1) (close - !i - 1) in
         let key_expr =
-          if String.length key > 0 && key.[0] = '$' then mk (Ast.Var key)
+          if String.length key > 0 && key.[0] = '$' then expr_at pos (Ast.Var key)
           else
             match int_of_string_opt key with
-            | Some v -> mk (Ast.Int v)
+            | Some v -> expr_at pos (Ast.Int v)
             | None ->
                 (* bare or quoted word key *)
                 let key =
@@ -674,9 +651,9 @@ and parse_interp_body st ~pos body : Ast.expr =
                   then String.sub key 1 (String.length key - 2)
                   else key
                 in
-                mk (Ast.Str key)
+                expr_at pos (Ast.Str key)
         in
-        parts := Ast.IExpr (mk (Ast.ArrayGet (var, Some key_expr))) :: !parts;
+        parts := Ast.IExpr (expr_at pos (Ast.ArrayGet (var, Some key_expr))) :: !parts;
         i := close + 1
       end
       else parts := Ast.IExpr var :: !parts
@@ -706,9 +683,9 @@ and parse_interp_body st ~pos body : Ast.expr =
   done;
   flush_lit ();
   match List.rev !parts with
-  | [ Ast.ILit s ] -> mk (Ast.Str s)
-  | [] -> mk (Ast.Str "")
-  | parts -> mk (Ast.Interp parts)
+  | [ Ast.ILit s ] -> expr_at pos (Ast.Str s)
+  | [] -> expr_at pos (Ast.Str "")
+  | parts -> expr_at pos (Ast.Interp parts)
 
 (* ------------------------------------------------------------------ *)
 (* Statements                                                         *)
@@ -766,12 +743,11 @@ and parse_stmt st : Ast.stmt =
 and parse_stmt_body st : Ast.stmt =
   let t = peek st in
   let pos = pos_of st t in
-  let mk desc = Ast.mk_s ~pos desc in
   match t.Token.kind with
-  | Token.Punct when t.Token.lexeme = ";" ->
+  | Token.Punct when punct_char t = ';' ->
       ignore (advance st);
-      mk Ast.Nop
-  | Token.Punct when t.Token.lexeme = "{" -> mk (Ast.Block (parse_braced_block st))
+      stmt_at pos Ast.Nop
+  | Token.Punct when punct_char t = '{' -> stmt_at pos (Ast.Block (parse_braced_block st))
   | Token.T_ECHO | Token.T_OPEN_TAG_WITH_ECHO ->
       (* <?= is an open-tag + echo in one token *)
       ignore (advance st);
@@ -783,14 +759,14 @@ and parse_stmt_body st : Ast.stmt =
           List.rev (e :: acc)
         end
       in
-      mk (Ast.Echo (loop []))
+      stmt_at pos (Ast.Echo (loop []))
   | Token.T_IF -> parse_if st pos
   | Token.T_WHILE ->
       ignore (advance st);
       ignore (eat_punct st '(');
       let cond = parse_expr st in
       ignore (eat_punct st ')');
-      mk (Ast.While (cond, parse_body st))
+      stmt_at pos (Ast.While (cond, parse_body st))
   | Token.T_DO ->
       ignore (advance st);
       let body = parse_body st in
@@ -799,14 +775,14 @@ and parse_stmt_body st : Ast.stmt =
       let cond = parse_expr st in
       ignore (eat_punct st ')');
       end_stmt st;
-      mk (Ast.DoWhile (body, cond))
+      stmt_at pos (Ast.DoWhile (body, cond))
   | Token.T_FOR ->
       ignore (advance st);
       ignore (eat_punct st '(');
       let init = parse_expr_list_until st ';' in
       let cond = parse_expr_list_until st ';' in
       let update = parse_expr_list_until st ')' in
-      mk (Ast.For (init, cond, update, parse_body st))
+      stmt_at pos (Ast.For (init, cond, update, parse_body st))
   | Token.T_FOREACH ->
       ignore (advance st);
       ignore (eat_punct st '(');
@@ -822,7 +798,7 @@ and parse_stmt_body st : Ast.stmt =
         else Ast.ForeachValue first
       in
       ignore (eat_punct st ')');
-      mk (Ast.Foreach (subject, binding, parse_body st))
+      stmt_at pos (Ast.Foreach (subject, binding, parse_body st))
   | Token.T_SWITCH ->
       ignore (advance st);
       ignore (eat_punct st '(');
@@ -844,28 +820,28 @@ and parse_stmt_body st : Ast.stmt =
         end
         else fail st "expected case/default/}"
       in
-      mk (Ast.Switch (subject, cases []))
+      stmt_at pos (Ast.Switch (subject, cases []))
   | Token.T_BREAK ->
       ignore (advance st);
       (* optional break level, ignored *)
       if check st Token.T_LNUMBER then ignore (advance st);
       end_stmt st;
-      mk Ast.Break
+      stmt_at pos Ast.Break
   | Token.T_CONTINUE ->
       ignore (advance st);
       if check st Token.T_LNUMBER then ignore (advance st);
       end_stmt st;
-      mk Ast.Continue
+      stmt_at pos Ast.Continue
   | Token.T_RETURN ->
       ignore (advance st);
       if check_punct st ';' || check st Token.T_CLOSE_TAG then begin
         end_stmt st;
-        mk (Ast.Return None)
+        stmt_at pos (Ast.Return None)
       end
       else begin
         let e = parse_expr st in
         end_stmt st;
-        mk (Ast.Return (Some e))
+        stmt_at pos (Ast.Return (Some e))
       end
   | Token.T_GLOBAL ->
       ignore (advance st);
@@ -877,7 +853,7 @@ and parse_stmt_body st : Ast.stmt =
           List.rev (v :: acc)
         end
       in
-      mk (Ast.Global (loop []))
+      stmt_at pos (Ast.Global (loop []))
   | Token.T_STATIC when (match peek2 st with
                          | Some t2 -> t2.Token.kind = Token.T_VARIABLE
                          | None -> false) ->
@@ -891,7 +867,7 @@ and parse_stmt_body st : Ast.stmt =
           List.rev ((v, init) :: acc)
         end
       in
-      mk (Ast.StaticVar (loop []))
+      stmt_at pos (Ast.StaticVar (loop []))
   | Token.T_UNSET ->
       ignore (advance st);
       ignore (eat_punct st '(');
@@ -904,7 +880,7 @@ and parse_stmt_body st : Ast.stmt =
           List.rev (e :: acc)
         end
       in
-      mk (Ast.Unset (loop []))
+      stmt_at pos (Ast.Unset (loop []))
   | Token.T_FUNCTION when (match peek2 st with
                            | Some t2 -> t2.Token.kind = Token.T_STRING
                            | None -> false) ->
@@ -912,7 +888,7 @@ and parse_stmt_body st : Ast.stmt =
       let name = (eat st Token.T_STRING).Token.lexeme in
       let params = parse_params st in
       let body = parse_braced_block st in
-      mk (Ast.FuncDef { Ast.f_name = name; f_params = params; f_body = body; f_pos = pos })
+      stmt_at pos (Ast.FuncDef { Ast.f_name = name; f_params = params; f_body = body; f_pos = pos })
   | Token.T_CLASS -> parse_class st pos false
   | Token.T_INTERFACE -> parse_class st pos true
   | Token.T_TRY ->
@@ -929,12 +905,12 @@ and parse_stmt_body st : Ast.stmt =
         end
         else List.rev acc
       in
-      mk (Ast.TryCatch (body, catches []))
+      stmt_at pos (Ast.TryCatch (body, catches []))
   | Token.T_THROW ->
       ignore (advance st);
       let e = parse_expr st in
       end_stmt st;
-      mk (Ast.Throw e)
+      stmt_at pos (Ast.Throw e)
   | Token.T_CLOSE_TAG ->
       ignore (advance st);
       let buf = Buffer.create 64 in
@@ -946,17 +922,17 @@ and parse_stmt_body st : Ast.stmt =
       in
       gather ();
       (if check st Token.T_OPEN_TAG then ignore (advance st));
-      mk (Ast.InlineHtml (Buffer.contents buf))
+      stmt_at pos (Ast.InlineHtml (Buffer.contents buf))
   | Token.T_INLINE_HTML ->
       ignore (advance st);
-      mk (Ast.InlineHtml t.Token.lexeme)
+      stmt_at pos (Ast.InlineHtml t.Token.lexeme)
   | Token.T_OPEN_TAG ->
       ignore (advance st);
       parse_stmt st
   | _ ->
       let e = parse_expr st in
       end_stmt st;
-      mk (Ast.Expr e)
+      stmt_at pos (Ast.Expr e)
 
 (* Statement terminator: ';', or a close tag (which PHP accepts in place of
    the final semicolon). The close tag itself is left for parse_stmt. *)
@@ -1021,7 +997,7 @@ and parse_if st pos =
   in
   let branches = (cond, body) :: elifs [] in
   let els = if skip_if st Token.T_ELSE then Some (parse_body st) else None in
-  Ast.mk_s ~pos (Ast.If (branches, els))
+  stmt_at pos (Ast.If (branches, els))
 
 and parse_class st pos is_interface =
   ignore (advance st);
@@ -1110,7 +1086,7 @@ and parse_class st pos is_interface =
     end
   in
   members ();
-  Ast.mk_s ~pos
+  stmt_at pos
     (Ast.ClassDef
        { Ast.c_name = name; c_parent = parent; c_implements = implements;
          c_consts = List.rev !consts; c_props = List.rev !props;
@@ -1123,7 +1099,7 @@ and parse_class st pos is_interface =
 (** Parse a single expression given as PHP text (no [<?php] tag). *)
 and expr_of_string ?(file = "<expr>") src : Ast.expr =
   let tokens = Lexer.significant (Lexer.tokenize ("<?php " ^ src ^ ";")) in
-  let st = { tokens = Array.of_list tokens; cur = 0; depth = 0; file } in
+  let st = init ~file (Array.of_list tokens) in
   ignore (eat st Token.T_OPEN_TAG);
   let e = parse_expr st in
   e
@@ -1139,7 +1115,7 @@ type top_span = { sp_start : int; sp_stop : int }
    nesting depth 0, so a statement's parse depends only on its own tokens
    and the one token after it. *)
 let parse_program ?reuse ~file tokens : Ast.program * top_span array =
-  let st = { tokens; cur = 0; depth = 0; file } in
+  let st = init ~file tokens in
   let rec loop acc spans =
     if check st Token.T_EOF then (List.rev acc, Array.of_list (List.rev spans))
     else if check st Token.T_OPEN_TAG then begin

@@ -250,9 +250,10 @@ let include_closure ?(max_depth = max_int) ?(max_files = max_int) ~parse t
     wherever its tokens and the one token after them reappear, every line
     moved by the same delta; only the other statements are parsed.  So a
     diff touching k statements re-parses those k, wherever they are.  Such
-    updates count in [parser.region.reparse].  With no previous [Ok] parse,
-    or under a changed nesting limit, the update is a whole-file parse,
-    counted in [parser.region.fallback].
+    updates count in [parser.region.reparse].  Every other update is a
+    whole-file parse: a path's first update in the session counts in
+    [parser.region.initial]; one after a failed parse, or under a changed
+    nesting limit, counts in [parser.region.fallback].
 
     Every update publishes its result into {!Parse_cache.shared} and the
     disk {!Store} under exactly the keys {!parse_file} uses, so the
@@ -360,7 +361,9 @@ module Increment = struct
      under the same nesting limit, else a whole-file parse. *)
   let compute (prev : entry option) ~path ~source : entry =
     match prev with
-    | None -> build ~path ~source Lexer.lex_all
+    | None ->
+        Obs.incr "parser.region.initial";
+        build ~path ~source Lexer.lex_all
     | Some ({ ie_lexed = Some oldlx; ie_result = Ok oldprog; _ } as e)
       when e.ie_limit = Parser.nesting_limit () ->
         build ~reuse:(reuser e oldprog) ~path ~source (Lexer.relex oldlx)

@@ -117,9 +117,10 @@ val include_closure :
     is reused, lines shifted, wherever its tokens and the one token after
     them reappear with every line moved by one delta.  A diff touching k
     statements re-parses those k, wherever they are; such updates count
-    in [parser.region.reparse].  With no previous [Ok] parse, or under a
-    changed nesting limit, the update is a whole-file parse, counted in
-    [parser.region.fallback].  Results are byte-identical to {!parse_file}
+    in [parser.region.reparse].  Every other update is a whole-file parse,
+    counted in [parser.region.initial] for a path's first update in the
+    session and in [parser.region.fallback] after a failed parse or under
+    a changed nesting limit.  Results are byte-identical to {!parse_file}
     on the same input and are published into {!Parse_cache.shared} and
     the disk {!Store} under {!parse_file}'s keys, so downstream analyzers
     hit transparently. *)

@@ -35,6 +35,7 @@ let of_project (project : Phplang.Project.t) : t =
   let vars = ref S.empty and sg_reads = ref 0 and echoes = ref 0 in
   let includes = ref 0 in
   let add_var v = vars := S.add v !vars in
+  let add_params = List.iter (fun (p : A.param) -> add_var p.A.p_name) in
   let rec visit_expr (e : A.expr) =
     (match e.A.e with
     | A.Var v ->
@@ -42,6 +43,7 @@ let of_project (project : Phplang.Project.t) : t =
         if List.mem v superglobals then incr sg_reads
     | A.PrintE _ -> incr echoes
     | A.IncludeE _ -> incr includes
+    | A.Closure cl -> add_params cl.A.cl_params
     | _ -> ());
     A.iter_expr ~expr:visit_expr ~stmt:visit_stmt e
   and visit_stmt (s : A.stmt) =
@@ -51,10 +53,12 @@ let of_project (project : Phplang.Project.t) : t =
     | A.StaticVar vs -> List.iter (fun (v, _) -> add_var v) vs
     | A.FuncDef f ->
         incr functions;
-        List.iter (fun (p : A.param) -> add_var p.A.p_name) f.A.f_params
+        add_params f.A.f_params
     | A.ClassDef c ->
         incr classes;
-        methods := !methods + List.length c.A.c_methods
+        methods := !methods + List.length c.A.c_methods;
+        List.iter (fun (m : A.method_def) -> add_params m.A.m_func.A.f_params)
+          c.A.c_methods
     | _ -> ());
     A.iter_stmt ~expr:visit_expr ~stmt:visit_stmt s
   in

@@ -12,10 +12,12 @@ let default_max_frame_bytes = 64 * 1024 * 1024
 
 exception Closed
 
+(* [buf] is written straight from the string: a frame payload is never
+   copied into a fresh [bytes] first. *)
 let write_all fd buf ofs len =
   let rec go ofs len =
     if len > 0 then begin
-      match Unix.write fd buf ofs len with
+      match Unix.write_substring fd buf ofs len with
       | n -> go (ofs + n) (len - n)
       | exception Unix.Unix_error (Unix.EINTR, _, _) ->
           (* a signal mid-write is a retry, not a dead peer — same
@@ -41,8 +43,8 @@ let write_frame fd payload =
   Bytes.set_uint8 header 1 ((len lsr 16) land 0xff);
   Bytes.set_uint8 header 2 ((len lsr 8) land 0xff);
   Bytes.set_uint8 header 3 (len land 0xff);
-  write_all fd header 0 4;
-  write_all fd (Bytes.of_string payload) 0 len
+  write_all fd (Bytes.unsafe_to_string header) 0 4;
+  write_all fd payload 0 len
 
 type read_result =
   | Frame of string

@@ -226,6 +226,21 @@ let usage_cases =
       ~message:"unknown vulnerability kind: bogus";
     usage "missing --config file" "--config no-such.spec"
       ~message:"no-such.spec";
+    case "--watch with --config" `Quick (fun () ->
+        in_temp_dir (fun dir ->
+            let f = Filename.concat dir "vuln.php" in
+            let spec = Filename.concat dir "custom.spec" in
+            write f "<?php echo $_GET['x'];\n";
+            write spec "sanitizer function my_strip xss,sqli\n";
+            let status, out, err =
+              run_capture dir
+                (Printf.sprintf "%s --watch --watch-max-events 1 --config %s"
+                   (Filename.quote f) (Filename.quote spec))
+            in
+            Alcotest.(check int) "usage-error status" 124 status;
+            Alcotest.(check bool) "stderr names the conflict" true
+              (contains err "--watch does not support --config");
+            Alcotest.(check string) "nothing ran" "" out));
     case "missing target" `Quick (fun () ->
         in_temp_dir (fun dir ->
             let status, _, err =
@@ -248,6 +263,15 @@ let children_cases =
             let _, out, _ = run_capture dir (Filename.quote f ^ " --stats") in
             Alcotest.(check bool) "superglobal read and both variables" true
               (contains out "variables=2 superglobal-reads=1")));
+    case "--stats counts method and closure parameters" `Quick (fun () ->
+        in_temp_dir (fun dir ->
+            let f = Filename.concat dir "params.php" in
+            write f
+              "<?php\nclass A { function m($p) {} }\n\
+               $f = function ($q) {};\nfunction g($r) {}\n";
+            let _, out, _ = run_capture dir (Filename.quote f ^ " --stats") in
+            Alcotest.(check bool) "$f, $p, $q and $r" true
+              (contains out "variables=4 ")));
     case "Pixy refuses a static member in a parameter default" `Quick
       (fun () ->
         in_temp_dir (fun dir ->

@@ -522,6 +522,19 @@ let valid_storm =
       if List.hd deltas < 60 then
         Alcotest.failf "only %d reuse updates" (List.hd deltas))
 
+let initial_counted =
+  Alcotest.test_case "a path's first update counts as initial" `Quick
+    (fun () ->
+      let names =
+        [ "parser.region.initial"; "parser.region.reparse";
+          "parser.region.fallback" ]
+      in
+      let before = List.map Obs.counter names in
+      let session = Project.Increment.create () in
+      check_equivalent session ~path:"first.php" (three_defs "return $b;");
+      Alcotest.(check (list int)) "initial, reparse, fallback" [ 1; 0; 0 ]
+        (List.map2 (fun c b -> Obs.counter c - b) names before))
+
 let () =
   Alcotest.run "increment"
     [
@@ -530,6 +543,6 @@ let () =
       ("equivalence", seq_cases);
       ("reuse", reuse_cases);
       ("budget", budget_cases);
-      ("counters", [ resume_counted ]);
+      ("counters", [ resume_counted; initial_counted ]);
       ("storm", [ storm; valid_storm ]);
     ]
