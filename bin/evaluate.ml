@@ -23,70 +23,10 @@
     vulnerability classes (cmdi, lfi, ssrf, so-sqli) over the dedicated
     class suite.  Without the flags the output is unchanged. *)
 
-let jobs_from_argv () =
-  let rec scan = function
-    | ("--jobs" | "-j") :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some n when n >= 1 -> Some n
-        | _ -> scan rest)
-    | _ :: rest -> scan rest
-    | [] -> None
-  in
-  scan (Array.to_list Sys.argv)
-
-let path_opt_from_argv flag =
-  let rec scan = function
-    | f :: path :: _ when String.equal f flag -> Some path
-    | _ :: rest -> scan rest
-    | [] -> None
-  in
-  scan (Array.to_list Sys.argv)
-
-let int_opt_from_argv flag =
-  match path_opt_from_argv flag with
-  | None -> None
-  | Some v -> (
-      match int_of_string_opt v with
-      | Some n when n >= 1 -> Some n
-      | _ ->
-          Printf.eprintf "evaluate: ignoring invalid %s=%S\n%!" flag v;
-          None)
-
-(* Resource budgets (Secflow.Budget): parser nesting fuel, the fixpoint
-   pass cap (Pixy, phpSAFE --flow), include-closure caps.  Exhaustion degrades the affected file
-   to a Failed (Budget_exhausted _) row in the §V.E table. *)
-let budget_from_argv () =
-  let d = Secflow.Budget.default in
-  let get flag default = Option.value (int_opt_from_argv flag) ~default in
-  {
-    Secflow.Budget.parse_depth =
-      get "--budget-parse-depth" d.Secflow.Budget.parse_depth;
-    fixpoint_passes =
-      get "--budget-fixpoint-passes" d.Secflow.Budget.fixpoint_passes;
-    include_depth = get "--budget-include-depth" d.Secflow.Budget.include_depth;
-    include_files = get "--budget-include-files" d.Secflow.Budget.include_files;
-  }
-
-(* Persistent cache root: [--cache-dir DIR] overrides [PHPSAFE_CACHE_DIR];
-   [--no-cache] disables the disk tier entirely.  The tables on stdout are
-   byte-identical with or without a cache — only wall time and the cache
-   counters on stderr change. *)
-let cache_setup () =
-  if Array.exists (String.equal "--no-cache") Sys.argv then
-    Phplang.Store.set_root None
-  else
-    match path_opt_from_argv "--cache-dir" with
-    | Some dir -> Phplang.Store.set_root (Some dir)
-    | None -> ()
-
-let () =
-  Secflow.Budget.set (budget_from_argv ());
-  cache_setup ();
-  let trace_out = path_opt_from_argv "--trace" in
-  let metrics_out = path_opt_from_argv "--metrics" in
-  if trace_out <> None || metrics_out <> None then Obs.set_enabled true;
+let run jobs export budget () with_contexts with_flow with_classes =
+  Secflow.Budget.set budget;
   let pool =
-    match jobs_from_argv () with
+    match jobs with
     | Some size -> Sched.create ~size ()
     | None -> Sched.create ()
   in
@@ -109,13 +49,52 @@ let () =
   (* E11, E13 and E16 are opt-in so the default stdout stays
      byte-identical; each delta runs sequentially, so its table does not
      depend on --jobs *)
-  let flag f = Array.exists (String.equal f) Sys.argv in
   let ppf = Format.std_formatter in
-  if flag "--contexts" then Evalkit.Delta.(print_contexts ppf (contexts ()));
-  if flag "--flow" then Evalkit.Delta.(print_flow ppf (flow ()));
-  if flag "--classes" then Evalkit.Delta.(print_classes ppf (classes ()));
+  if with_contexts then Evalkit.Delta.(print_contexts ppf (contexts ()));
+  if with_flow then Evalkit.Delta.(print_flow ppf (flow ()));
+  if with_classes then Evalkit.Delta.(print_classes ppf (classes ()));
   (* cache counters go to stderr: stdout must stay byte-identical whether
      the run was cold, warm or uncached *)
   if Phplang.Store.enabled () then
     Format.eprintf "%a" Phplang.Store.pp_counters ();
-  Obs.export ~summary:true ?trace:trace_out ?metrics:metrics_out ()
+  export ()
+
+open Cmdliner
+
+let jobs =
+  let doc =
+    "Domain-pool size for the (tool × plugin) grid; defaults to
+     $(b,PHPSAFE_JOBS), else the machine's recommended domain count."
+  in
+  let positive =
+    Arg.conv'
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some n when n >= 1 -> Ok n
+          | _ -> Error ("expected a positive pool size, got: " ^ s)),
+        Format.pp_print_int )
+  in
+  Arg.(value & opt (some positive) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+
+let experiment name what =
+  let doc = Printf.sprintf "Append experiment %s." what in
+  Arg.(value & flag & info [ name ] ~doc)
+
+let cmd =
+  let doc = "run the paper's full evaluation and print every table of §V" in
+  Cmd.v
+    (Cmd.info "evaluate" ~doc)
+    Term.(
+      const run $ jobs $ Serve.Cli.obs ~summary:true $ Serve.Cli.budget
+      $ Serve.Cli.cache
+      $ experiment "contexts"
+          "E11: the precision delta of phpSAFE's sink-context-sensitive \
+           sanitization over the context suite"
+      $ experiment "flow"
+          "E13: the precision delta of the flow-sensitive body walk over \
+           the flow suite"
+      $ experiment "classes"
+          "E16: per-class precision/recall of cmdi, lfi, ssrf and so-sqli \
+           over the class suite")
+
+let () = exit (Cmd.eval cmd)

@@ -8,67 +8,48 @@
 
 module Json = Secflow.Json
 
-let default_socket = "/tmp/phpsafe-serve.sock"
-
-let parse_tcp spec =
-  match String.rindex_opt spec ':' with
-  | None -> failwith ("--tcp expects HOST:PORT, got: " ^ spec)
-  | Some i -> (
-      let host = String.sub spec 0 i in
-      let port = String.sub spec (i + 1) (String.length spec - i - 1) in
-      match int_of_string_opt port with
-      | Some p when p > 0 && p < 65536 -> Serve.Daemon.Tcp (host, p)
-      | _ -> failwith ("--tcp expects HOST:PORT, got: " ^ spec))
-
-let listen_of socket tcp =
-  match tcp with
-  | Some spec -> parse_tcp spec
-  | None -> Serve.Daemon.Unix_sock socket
-
 (* ------------------------------------------------------------------ *)
 (* Client side                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Transport failures come back as [Error msg] rather than exiting so the
-   retry layer can decide; the simple ops still exit 3 at their callers. *)
-let roundtrip_result listen payload =
-  let fd, addr =
-    match listen with
-    | Serve.Daemon.Unix_sock path ->
-        ( Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0,
-          Unix.ADDR_UNIX path )
-    | Serve.Daemon.Tcp (host, port) ->
-        ( Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0,
-          Unix.ADDR_INET ((Unix.gethostbyname host).Unix.h_addr_list.(0), port)
-        )
-  in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      match Unix.connect fd addr with
-      | exception Unix.Unix_error (err, _, _) ->
-          Error (Printf.sprintf "cannot connect: %s" (Unix.error_message err))
-      | () -> (
-          match
-            Serve.Protocol.write_frame fd payload;
-            Serve.Protocol.read_frame fd
-          with
-          | Serve.Protocol.Frame reply -> Ok reply
-          | Serve.Protocol.Eof -> Error "server closed the connection"
-          | Serve.Protocol.Timed_out -> Error "server stopped responding"
-          | Serve.Protocol.Oversized n ->
-              Error (Printf.sprintf "oversized reply (%d bytes)" n)
-          | exception Serve.Protocol.Closed ->
-              Error "server closed the connection"
-          | exception Unix.Unix_error (err, _, _) ->
-              Error (Unix.error_message err)))
-
+(* Transport failures, an unresolvable host included, come back as
+   [Error msg] rather than exiting so the retry layer can decide. *)
 let roundtrip listen payload =
-  match roundtrip_result listen payload with
-  | Ok reply -> reply
-  | Error msg ->
-      prerr_endline ("phpsafe_serve: " ^ msg);
-      exit 3
+  let exchange domain addr =
+    let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (fun () ->
+        match Unix.connect fd addr with
+        | exception Unix.Unix_error (err, _, _) ->
+            Error (Printf.sprintf "cannot connect: %s" (Unix.error_message err))
+        | () -> (
+            match
+              Serve.Protocol.write_frame fd payload;
+              Serve.Protocol.read_frame fd
+            with
+            | Serve.Protocol.Frame reply -> Ok reply
+            | Serve.Protocol.Eof -> Error "server closed the connection"
+            | Serve.Protocol.Timed_out -> Error "server stopped responding"
+            | Serve.Protocol.Oversized n ->
+                Error (Printf.sprintf "oversized reply (%d bytes)" n)
+            | exception Serve.Protocol.Closed ->
+                Error "server closed the connection"
+            | exception Unix.Unix_error (err, _, _) ->
+                Error (Unix.error_message err)))
+  in
+  match listen with
+  | Serve.Daemon.Unix_sock path -> exchange Unix.PF_UNIX (Unix.ADDR_UNIX path)
+  | Serve.Daemon.Tcp (host, port) -> (
+      match Unix.gethostbyname host with
+      | exception Not_found -> Error ("cannot resolve host " ^ host)
+      | h ->
+          exchange Unix.PF_INET (Unix.ADDR_INET (h.Unix.h_addr_list.(0), port)))
+
+(* exit status 3: a transport failure or a server error reply *)
+let fail msg =
+  prerr_endline ("phpsafe_serve: " ^ msg);
+  3
 
 (* A delivered reply is only retried when the server explicitly said "try
    again later" — [overloaded] or [shutting_down].  Anything else (a
@@ -95,7 +76,7 @@ let retryable_code reply =
 let retry_roundtrip ~retries ~retry_max_delay listen payload =
   let base = 0.05 in
   let rec go attempt prev_sleep =
-    let result = roundtrip_result listen payload in
+    let result = roundtrip listen payload in
     let retry reason =
       let hi = Float.max (base +. 1e-9) (prev_sleep *. 3.) in
       let sleep =
@@ -118,36 +99,13 @@ let retry_roundtrip ~retries ~retry_max_delay listen payload =
   if retries > 0 then Random.self_init ();
   go 0 base
 
-(* Mirror phpsafe_cli's exit-code contract from the report document:
-   2 = some file failed, 1 = findings present, 0 = clean. *)
-let exit_code_of_report raw =
-  match Json.parse raw with
-  | Error _ -> 0
-  | Ok doc ->
-      let failed =
-        Option.bind (Json.member "summary" doc) (Json.member "failedFiles")
-        |> fun o -> Option.bind o Json.to_int_opt |> Option.value ~default:0
-      in
-      let findings =
-        Option.bind (Json.member "findings" doc) Json.to_list_opt
-        |> Option.value ~default:[]
-      in
-      if failed > 0 then 2 else if findings <> [] then 1 else 0
-
-let run_scan socket tcp target tool_name kinds contexts flow second_order
-    tenant id budget deadline retries retry_max_delay =
-  let listen = listen_of socket tcp in
-  let kind =
-    match Serve.Scan.kind_of_string kinds with
-    | Ok k -> k
-    | Error msg -> failwith msg
-  in
+let run_scan listen target opts tenant id budget deadline retries
+    retry_max_delay =
   let req =
     { Serve.Protocol.sr_id = id;
       sr_tenant = tenant;
       sr_project = Phplang.Project.load target;
-      sr_opts =
-        { Serve.Scan.tool = tool_name; kind; contexts; flow; second_order };
+      sr_opts = opts;
       sr_budget = budget;
       sr_deadline_ms = deadline }
   in
@@ -157,38 +115,31 @@ let run_scan socket tcp target tool_name kinds contexts flow second_order
       listen
       (Serve.Protocol.encode_scan_request req)
   with
-  | Error msg ->
-      prerr_endline ("phpsafe_serve: " ^ msg);
-      3
+  | Error msg -> fail msg
   | Ok reply -> (
       match Serve.Protocol.scan_report_of_reply reply with
       | Ok report ->
           print_string report;
           print_newline ();
-          exit_code_of_report report
-      | Error msg ->
-          prerr_endline ("phpsafe_serve: " ^ msg);
-          3)
+          Serve.Scan.exit_code_of_report report
+      | Error msg -> fail msg)
 
-let run_simple op socket tcp id =
-  let listen = listen_of socket tcp in
-  let reply =
-    roundtrip listen (Serve.Protocol.encode_simple_request ~op ?id ())
-  in
-  print_string reply;
-  print_newline ();
-  0
+let run_simple op listen id =
+  match roundtrip listen (Serve.Protocol.encode_simple_request ~op ?id ()) with
+  | Ok reply ->
+      print_string reply;
+      print_newline ();
+      0
+  | Error msg -> fail msg
 
 (* ------------------------------------------------------------------ *)
 (* Server side                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let run_serve socket tcp jobs max_queue max_inflight max_frame_bytes prune_age
-    cache_dir no_cache io_timeout =
-  if no_cache then Phplang.Store.set_root None
-  else Option.iter (fun d -> Phplang.Store.set_root (Some d)) cache_dir;
+let run_serve listen jobs max_queue max_inflight max_frame_bytes prune_age ()
+    io_timeout =
   let cfg =
-    { (Serve.Daemon.default_config (listen_of socket tcp)) with
+    { (Serve.Daemon.default_config listen) with
       Serve.Daemon.jobs;
       max_queue;
       max_inflight;
@@ -199,13 +150,9 @@ let run_serve socket tcp jobs max_queue max_inflight max_frame_bytes prune_age
   Serve.Daemon.run cfg;
   0
 
-let run_fsck cache_dir =
-  Option.iter (fun d -> Phplang.Store.set_root (Some d)) cache_dir;
+let run_fsck () =
   match Phplang.Store.root () with
-  | None ->
-      prerr_endline
-        "phpsafe_serve: fsck needs --cache-dir DIR (or PHPSAFE_CACHE_DIR)";
-      3
+  | None -> fail "fsck needs --cache-dir DIR (or PHPSAFE_CACHE_DIR)"
   | Some root ->
       let r = Phplang.Store.fsck () in
       Printf.printf "fsck %s: %d entries scanned, %d ok, %d quarantined\n"
@@ -219,55 +166,43 @@ let run_fsck cache_dir =
 
 open Cmdliner
 
-let socket =
-  let doc = "Unix socket path of the daemon." in
-  Arg.(
-    value & opt string default_socket & info [ "socket" ] ~docv:"PATH" ~doc)
-
-let tcp =
-  let doc = "Use TCP at $(docv) instead of a Unix socket." in
-  Arg.(value & opt (some string) None & info [ "tcp" ] ~docv:"HOST:PORT" ~doc)
+(* Where the daemon listens, and where the client connects: a Unix socket
+   path, or TCP when --tcp HOST:PORT is given. *)
+let listen =
+  let socket =
+    let doc = "Unix socket path of the daemon." in
+    Arg.(
+      value
+      & opt string "/tmp/phpsafe-serve.sock"
+      & info [ "socket" ] ~docv:"PATH" ~doc)
+  in
+  let host_port =
+    let parse spec =
+      let bad = Error ("expected HOST:PORT, got: " ^ spec) in
+      match String.rindex_opt spec ':' with
+      | None -> bad
+      | Some i -> (
+          let port = String.sub spec (i + 1) (String.length spec - i - 1) in
+          match int_of_string_opt port with
+          | Some p when p > 0 && p < 65536 -> Ok (String.sub spec 0 i, p)
+          | _ -> bad)
+    in
+    Arg.conv' (parse, fun ppf (h, p) -> Format.fprintf ppf "%s:%d" h p)
+  in
+  let tcp =
+    let doc = "Use TCP at $(docv) instead of a Unix socket." in
+    Arg.(
+      value & opt (some host_port) None & info [ "tcp" ] ~docv:"HOST:PORT" ~doc)
+  in
+  let pick socket = function
+    | Some (host, port) -> Serve.Daemon.Tcp (host, port)
+    | None -> Serve.Daemon.Unix_sock socket
+  in
+  Term.(const pick $ socket $ tcp)
 
 let id =
   let doc = "Request id, echoed verbatim in the reply." in
   Arg.(value & opt (some string) None & info [ "id" ] ~docv:"ID" ~doc)
-
-let budget =
-  let default = Secflow.Budget.default in
-  let parse_depth =
-    let doc = "Parser nesting-depth fuel for this request." in
-    Arg.(
-      value
-      & opt int default.Secflow.Budget.parse_depth
-      & info [ "budget-parse-depth" ] ~docv:"N" ~doc)
-  in
-  let fixpoint_passes =
-    let doc = "Cap on dataflow fixpoint passes (Pixy, phpSAFE --flow) for this request." in
-    Arg.(
-      value
-      & opt int default.Secflow.Budget.fixpoint_passes
-      & info [ "budget-fixpoint-passes" ] ~docv:"N" ~doc)
-  in
-  let include_depth =
-    let doc = "Include-closure chain-depth safety cap." in
-    Arg.(
-      value
-      & opt int default.Secflow.Budget.include_depth
-      & info [ "budget-include-depth" ] ~docv:"N" ~doc)
-  in
-  let include_files =
-    let doc = "Include-closure size safety cap (files per closure)." in
-    Arg.(
-      value
-      & opt int default.Secflow.Budget.include_files
-      & info [ "budget-include-files" ] ~docv:"N" ~doc)
-  in
-  let mk parse_depth fixpoint_passes include_depth include_files =
-    { Secflow.Budget.parse_depth; fixpoint_passes; include_depth;
-      include_files }
-  in
-  Term.(
-    const mk $ parse_depth $ fixpoint_passes $ include_depth $ include_files)
 
 let serve_cmd =
   let doc = "run the analysis daemon until a shutdown request arrives" in
@@ -301,17 +236,6 @@ let serve_cmd =
     Arg.(
       value & opt (some float) None & info [ "prune-age" ] ~docv:"SECONDS" ~doc)
   in
-  let cache_dir =
-    let doc =
-      "Persistent analysis cache directory (defaults to
-       $(b,PHPSAFE_CACHE_DIR) when set)."
-    in
-    Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
-  in
-  let no_cache =
-    let doc = "Run without the persistent disk cache." in
-    Arg.(value & flag & info [ "no-cache" ] ~doc)
-  in
   let io_timeout =
     let doc =
       "Per-syscall socket receive/send timeout in seconds; a peer silent
@@ -326,44 +250,14 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~doc)
     Term.(
-      const run_serve $ socket $ tcp $ jobs $ max_queue $ max_inflight
-      $ max_frame_bytes $ prune_age $ cache_dir $ no_cache $ io_timeout)
+      const run_serve $ listen $ jobs $ max_queue $ max_inflight
+      $ max_frame_bytes $ prune_age $ Serve.Cli.cache $ io_timeout)
 
 let scan_cmd =
   let doc =
     "scan a PHP file or plugin directory through the daemon; prints the
      phpsafe-report/1 document (byte-identical to
      $(b,phpsafe_cli --format json)) and exits 0/1/2 like phpsafe_cli"
-  in
-  let target =
-    let doc = "PHP file or plugin directory to analyze." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"TARGET" ~doc)
-  in
-  let tool =
-    let doc = "Analyzer to run: phpsafe (default), rips or pixy." in
-    Arg.(value & opt string "phpsafe" & info [ "tool" ] ~docv:"TOOL" ~doc)
-  in
-  let kinds =
-    let doc =
-      "Vulnerability kinds to report: xss, sqli, cmdi, lfi, ssrf,
-       so-sqli or all."
-    in
-    Arg.(value & opt string "all" & info [ "k"; "kind"; "kinds" ] ~docv:"KIND" ~doc)
-  in
-  let contexts =
-    let doc = "Sink-context-sensitive sanitizer verification." in
-    Arg.(value & flag & info [ "contexts" ] ~doc)
-  in
-  let flow =
-    let doc = "Flow-sensitive body walks over a control-flow graph." in
-    Arg.(value & flag & info [ "flow" ] ~doc)
-  in
-  let second_order =
-    let doc =
-      "Two-phase second-order SQLi analysis (kind $(b,so-sqli)); only
-       meaningful with --tool phpsafe."
-    in
-    Arg.(value & flag & info [ "second-order" ] ~doc)
   in
   let tenant =
     let doc =
@@ -395,22 +289,19 @@ let scan_cmd =
       value & opt float 2.0 & info [ "retry-max-delay" ] ~docv:"SECONDS" ~doc)
   in
   let exits =
-    Cmd.Exit.info 0 ~doc:"on a clean scan."
-    :: Cmd.Exit.info 1 ~doc:"when findings remain after the $(b,--kind) filter."
-    :: Cmd.Exit.info 2 ~doc:"when any file's analysis outcome is a failure."
-    :: Cmd.Exit.info 3 ~doc:"on a transport failure or a server error reply."
-    :: Cmd.Exit.defaults
+    Serve.Cli.exits
+    @ Cmd.Exit.info 3 ~doc:"on a transport failure or a server error reply."
+      :: Cmd.Exit.defaults
   in
   Cmd.v
     (Cmd.info "scan" ~doc ~exits)
     Term.(
-      const run_scan $ socket $ tcp $ target $ tool $ kinds $ contexts $ flow
-      $ second_order $ tenant $ id $ budget $ deadline $ retries
-      $ retry_max_delay)
+      const run_scan $ listen $ Serve.Cli.target $ Serve.Cli.scan_opts
+      $ tenant $ id $ Serve.Cli.budget $ deadline $ retries $ retry_max_delay)
 
 let simple_cmd name doc =
   let runner = run_simple name in
-  Cmd.v (Cmd.info name ~doc) Term.(const runner $ socket $ tcp $ id)
+  Cmd.v (Cmd.info name ~doc) Term.(const runner $ listen $ id)
 
 let fsck_cmd =
   let doc =
@@ -418,13 +309,7 @@ let fsck_cmd =
      corrupt ones to $(b,<cache-dir>/quarantine) for inspection; exits 1
      when anything was quarantined"
   in
-  let cache_dir =
-    let doc =
-      "Cache directory to verify (defaults to $(b,PHPSAFE_CACHE_DIR))."
-    in
-    Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
-  in
-  Cmd.v (Cmd.info "fsck" ~doc) Term.(const run_fsck $ cache_dir)
+  Cmd.v (Cmd.info "fsck" ~doc) Term.(const run_fsck $ Serve.Cli.cache_dir)
 
 let cmd =
   let doc = "phpSAFE analysis-as-a-service daemon and client" in

@@ -41,12 +41,18 @@ let plain_project = project "e15-plain" [ ("ok.php", "<?php echo 'ok';\n") ]
 let slow_project = project "e15-slow" [ ("s.php", "<?php echo 's';\n") ]
 let disk_project = project "e15-disk" [ ("d.php", "<?php\necho $_GET['d'];\n") ]
 
-let scan_payload ?deadline_ms ~id proj =
+(* RIPS writes its per-file result to the Store on every scan that misses
+   it, and under the fault hook nothing is ever stored, so every round's
+   disk-fault scan meets a failing write.  (phpSAFE scans write nothing:
+   the daemon's parses come from its in-process memo.) *)
+let disk_opts = { Serve.Scan.default with Serve.Scan.tool = "rips" }
+
+let scan_payload ?deadline_ms ?(opts = Serve.Scan.default) ~id proj =
   Serve.Protocol.encode_scan_request
     { Serve.Protocol.sr_id = Some id;
       sr_tenant = None;
       sr_project = proj;
-      sr_opts = Serve.Scan.default;
+      sr_opts = opts;
       sr_budget = Secflow.Budget.default;
       sr_deadline_ms = deadline_ms }
 
@@ -170,7 +176,7 @@ let run ?(seed = 1105) ?(rounds = 4) ~jobs () : report =
   let expected_vuln = Serve.Scan.run_json Serve.Scan.default vuln_project in
   let expected_plain = Serve.Scan.run_json Serve.Scan.default plain_project in
   let expected_slow = Serve.Scan.run_json Serve.Scan.default slow_project in
-  let expected_disk = Serve.Scan.run_json Serve.Scan.default disk_project in
+  let expected_disk = Serve.Scan.run_json disk_opts disk_project in
   Scratch.with_store "e15-cache" @@ fun _ ->
   Scratch.with_dir "e15-sock" @@ fun sock_dir ->
   let sock_a = Filename.concat sock_dir "e15-a.sock" in
@@ -261,7 +267,7 @@ let run ?(seed = 1105) ?(rounds = 4) ~jobs () : report =
            record "disk-fault"
              (exchange ~sock:sock_a ~expected:expected_disk (fun fd ->
                   Serve.Protocol.write_frame fd
-                    (scan_payload ~id:"disk" disk_project))));
+                    (scan_payload ~opts:disk_opts ~id:"disk" disk_project))));
        if not (alive sock_a) then incr crashes
      done);
 

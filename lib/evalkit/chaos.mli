@@ -7,7 +7,8 @@
       connection cut mid-frame, a peer that stalls past the daemon's I/O
       timeout;
     - {b disk faults}: the {!Phplang.Store} fault hook raising [ENOSPC]
-      on every cache write during a scan;
+      on every cache write during a RIPS scan, whose per-file result
+      write then fails in every round;
     - {b time faults}: artificially slow scans (a
       {!Serve.Scan.set_before_analyze_hook} that burns wall-clock while
       honouring {!Secflow.Deadline} checks) against tight [deadline_ms]

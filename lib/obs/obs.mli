@@ -38,8 +38,6 @@ val set_enabled : bool -> unit
     export are relative to the [set_enabled true] call.  Flip only from a
     quiescent main domain. *)
 
-val enabled : unit -> bool
-
 val reset : unit -> unit
 (** Drop all recorded events, counters, span aggregates and gauges (the
     enabled flag is untouched).  Quiescent main domain only. *)

@@ -30,7 +30,7 @@ val tokenize_significant : string -> Token.t list
     The lexer's complete inter-token state is (byte position, line,
     in-PHP flag): heredocs, strings and comments are consumed whole within
     a single token, so there is no extra mode stack.  {!lex_all} records a
-    checkpoint of that state every {!checkpoint_interval} tokens; {!relex}
+    checkpoint of that state every 32 tokens; {!relex}
     resumes from the nearest checkpoint safely before an edit's damage
     region and stops as soon as the fresh tokens re-synchronize with the
     old stream, reusing the unchanged prefix and suffix.  Counters:
@@ -52,8 +52,6 @@ type lexed = {
   lx_php : bool array;  (** in-PHP flag at each token's start *)
   lx_ckpts : checkpoint array;
 }
-
-val checkpoint_interval : int
 
 val lex_all : string -> lexed
 (** Full tokenization with checkpoints; token-for-token identical to

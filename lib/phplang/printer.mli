@@ -12,9 +12,3 @@ val expr_to_string : Ast.expr -> string
 
 val stmt_to_string : Ast.stmt -> string
 (** Render one statement at indentation depth 0, without tags. *)
-
-val interpolatable : Ast.expr -> bool
-(** Whether an expression may appear inside a double-quoted string as
-    [{$...}] — PHP only interpolates expressions rooted at a variable.
-    Non-interpolatable {!Ast.IExpr} parts are printed as spliced
-    concatenations instead. *)

@@ -371,13 +371,13 @@ module Increment = struct
         Obs.incr "parser.region.fallback";
         build ~path ~source Lexer.lex_all
 
-  (* Publish into the same two cache tiers [parse_file] reads, under its
-     exact keys, so downstream analyzers hit without code changes. *)
-  let seed_caches ~path ~source result =
+  (* Publish into the in-memory memo [parse_file] reads first, under its
+     exact key, so downstream analyzers hit without code changes.  The
+     disk tier is not written: in this process the memo always answers
+     before it. *)
+  let seed_cache ~path ~source result =
     if Parse_cache.enabled () then
-      Parse_cache.seed Parse_cache.shared (path, Digest.string source) result;
-    if Store.enabled () then
-      Store.put ~ns:"parse" ~key:(parse_store_key ~path ~source) result
+      Parse_cache.seed Parse_cache.shared (path, Digest.string source) result
 
   let update session ~path ~source : (Ast.program, parse_error) result =
     match Hashtbl.find_opt session.ses_files path with
@@ -388,7 +388,7 @@ module Increment = struct
     | prev ->
         let e = compute prev ~path ~source in
         Hashtbl.replace session.ses_files path e;
-        seed_caches ~path ~source e.ie_result;
+        seed_cache ~path ~source e.ie_result;
         e.ie_result
 
   let forget session path = Hashtbl.remove session.ses_files path

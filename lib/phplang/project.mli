@@ -121,9 +121,9 @@ val include_closure :
     counted in [parser.region.initial] for a path's first update in the
     session and in [parser.region.fallback] after a failed parse or under
     a changed nesting limit.  Results are byte-identical to {!parse_file}
-    on the same input and are published into {!Parse_cache.shared} and
-    the disk {!Store} under {!parse_file}'s keys, so downstream analyzers
-    hit transparently. *)
+    on the same input and are published into {!Parse_cache.shared} under
+    {!parse_file}'s key, so downstream analyzers hit transparently; the
+    disk {!Store} is not written, since the memo answers first. *)
 module Increment : sig
   type session
 
@@ -132,7 +132,7 @@ module Increment : sig
   val update :
     session -> path:string -> source:string -> (Ast.program, parse_error) result
   (** Bring [path] up to date with [source], incrementally when the
-      session has seen the file before, and seed the process parse caches.
+      session has seen the file before, and seed the process parse memo.
       Returns exactly what {!parse_file} would for the same input, under
       the current nesting limit. *)
 

@@ -47,9 +47,6 @@ val default_options : options
 (** WordPress profile, paper budget, uncalled analysis and include
     resolution on, guard and context extensions off. *)
 
-val guard_functions : string list
-(** Validation functions recognised under [respect_guards]. *)
-
 val set_dag_tracking : bool -> unit
 (** Does nothing; a no-op kept for [perfbench/]. *)
 

@@ -513,8 +513,5 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(** Load a spec file from disk. *)
-let load path : Config.t = of_string (read_file path)
-
 let load_with_warnings path : Config.t * string list =
   of_string_with_warnings (read_file path)

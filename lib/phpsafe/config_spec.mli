@@ -28,9 +28,6 @@ val validate : ?base:Config.t -> Config.t -> string list
     coherent profile (all builtin profiles validate cleanly, and the
     shipped extensions shadow nothing in [generic-php]). *)
 
-val load : string -> Config.t
-(** Load a spec file from disk. *)
-
 val load_with_warnings : string -> Config.t * string list
 (** {!load} with the lenient unknown-kind policy of
     {!of_string_with_warnings}. *)

@@ -84,10 +84,6 @@ let get t name =
   let name = representative t name in
   find (table_for t name) name
 
-let mem t name =
-  let name = representative t name in
-  SMap.mem name (table_for t name).vars
-
 let set t name taint =
   let name = representative t name in
   let tbl = table_for t name in

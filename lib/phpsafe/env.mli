@@ -34,14 +34,10 @@ val create_scope : ?current_class:string -> table -> t
 
 val declare_global : t -> string -> unit
 
-val representative : t -> string -> string
-(** Follow the reference chain to the variable actually holding the cell. *)
-
 val alias : t -> string -> string -> unit
 (** [alias t a b] makes [$a] a reference to [$b]'s cell. *)
 
 val get : t -> string -> Taint.t
-val mem : t -> string -> bool
 val set : t -> string -> Taint.t -> unit
 
 val set_join : t -> string -> Taint.t -> unit

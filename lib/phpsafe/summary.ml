@@ -30,8 +30,6 @@ type t = {
   cond_sinks : cond_sink list;
 }
 
-let empty = { ret = Taint.untainted; cond_sinks = [] }
-
 (* Restrict a taint value to one kind's live component: the concrete flag,
    the parameter dependencies and the provenance, but nothing of the other
    kinds.  Needed because a function may pass a parameter through for one

@@ -22,8 +22,6 @@ type t = {
   cond_sinks : cond_sink list;
 }
 
-val empty : t
-
 val restrict_kind : Vuln.kind -> Taint.t -> Taint.t
 (** One kind's live component of a taint value (flag, dependencies,
     provenance) with the other kind removed. *)

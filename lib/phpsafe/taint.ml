@@ -348,12 +348,3 @@ let source_of t =
   match t.source with
   | Some (s, pos) -> (s, pos)
   | None -> (Vuln.Unknown_source, Phplang.Ast.dummy_pos)
-
-let pp ppf t =
-  let pp_comp k c =
-    Format.fprintf ppf " %s{live=%b; was=%b; deps=%d}"
-      (Vuln.kind_to_string k) c.live c.was (Int_set.cardinal c.deps)
-  in
-  Format.pp_print_string ppf "{";
-  Kmap.iter pp_comp t.comps;
-  Format.pp_print_string ppf " }"

@@ -61,7 +61,6 @@ val comp : Vuln.kind -> t -> comp
 val is_tainted : Vuln.kind -> t -> bool
 val deps : Vuln.kind -> t -> Int_set.t
 val was : Vuln.kind -> t -> bool
-val has_deps : t -> bool
 val any_tainted : t -> bool
 
 val any_was : t -> bool
@@ -130,5 +129,3 @@ val push_step : var:string -> pos:Phplang.Ast.pos -> note:string -> t -> t
 
 val source_of : t -> Vuln.source * Phplang.Ast.pos
 (** The recorded source, or [Unknown_source] with a dummy position. *)
-
-val pp : Format.formatter -> t -> unit

@@ -63,6 +63,7 @@ type fctx = {
           budget-exhausted *)
 }
 
+(* nesting cap on inlined calls of user functions *)
 let max_inline_depth = 8
 
 let report fx ~kind ~pos ~sink_name ~var (t : T.taint) =

@@ -5,17 +5,6 @@
 
 val name : string
 
-val max_work : int
-(** Per-sink resolution budget; beyond it the value resolves to clean. *)
-
-val analyze_file :
-  file:string ->
-  string ->
-  Secflow.Report.finding list * Secflow.Report.file_outcome * int
-(** Analyze one file in isolation: findings, outcome, error count.  Parse
-    problems are reported as a failed outcome but never abort (robustness,
-    §V.E). *)
-
 val analyze_project : Phplang.Project.t -> Secflow.Report.result
 (** File-by-file analysis of a plugin, findings de-duplicated per
     (kind, file, line). *)

@@ -29,7 +29,6 @@ let of_source kinds source pos =
     source_pos = Some pos }
 
 let is_tainted kind t = Kset.mem kind t.live
-let any t = not (Kset.is_empty t.live)
 
 let join a b =
   { live = Kset.union a.live b.live;

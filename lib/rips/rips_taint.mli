@@ -16,7 +16,6 @@ type t = {
 val clean : t
 val of_source : Vuln.kind list -> Vuln.source -> Phplang.Ast.pos -> t
 val is_tainted : Vuln.kind -> t -> bool
-val any : t -> bool
 val join : t -> t -> t
 val join_all : t list -> t
 val sanitize : Vuln.kind list -> t -> t

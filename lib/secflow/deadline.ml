@@ -8,8 +8,6 @@ exception Exceeded = Sched.Cancel
    wraps each scan in [with_deadline] on the worker domain that runs it. *)
 let key : float option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let get () = Domain.DLS.get key
-
 let with_deadline at f =
   let old = Domain.DLS.get key in
   Domain.DLS.set key at;

@@ -29,12 +29,6 @@ val with_deadline : float option -> (unit -> 'a) -> 'a
     restoring the previous deadline on exit (normal or exceptional).
     [None] means unbounded. *)
 
-val get : unit -> float option
-(** The absolute deadline in force on this domain, if any. *)
-
-val expired : unit -> bool
-(** [true] once the deadline in force has passed. *)
-
 val check : unit -> unit
 (** Raise {!Exceeded} (bumping the [deadline.exceeded] counter) if the
     deadline in force has passed; no-op otherwise.  Called at file

@@ -57,7 +57,6 @@ let vector_to_string = function
   | Db -> "DB"
   | File_function_array -> "File/Function/Array"
 
-let pp_vector ppf v = Format.pp_print_string ppf (vector_to_string v)
 
 (** Directly-manipulable vectors — the "very easy to exploit" class used by
     the §V.D inertia analysis (GET, POST or COOKIE manipulation). *)

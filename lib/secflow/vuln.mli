@@ -38,7 +38,6 @@ type vector =
 
 val all_vectors : vector list
 val vector_to_string : vector -> string
-val pp_vector : Format.formatter -> vector -> unit
 
 val vector_is_direct : vector -> bool
 (** Directly manipulable (GET/POST/COOKIE) — the "very easy to exploit"

@@ -23,11 +23,16 @@ let kind_to_string = function
   | None -> "all"
   | Some k -> Secflow.Vuln.kind_spec_name k
 
-let tool_of opts =
+let tool_of ?config opts =
   match String.lowercase_ascii opts.tool with
   | "phpsafe" ->
+      let base = Phpsafe.default_options in
       let phpsafe_opts =
-        { Phpsafe.default_options with
+        { base with
+          Phpsafe.config =
+            (match config with
+            | Some c -> Lazy.force c
+            | None -> base.Phpsafe.config);
           Phpsafe.infer_contexts = opts.contexts;
           Phpsafe.flow_sensitive = opts.flow }
       in
@@ -51,12 +56,12 @@ let before_analyze_hook : (Phplang.Project.t -> unit) option Atomic.t =
 
 let set_before_analyze_hook h = Atomic.set before_analyze_hook h
 
-let run opts project =
+let run ?config opts project =
   (match Atomic.get before_analyze_hook with
   | Some f -> f project
   | None -> ());
   let tool =
-    match tool_of opts with Ok t -> t | Error msg -> failwith msg
+    match tool_of ?config opts with Ok t -> t | Error msg -> failwith msg
   in
   let result = tool.Secflow.Tool.analyze_project project in
   let findings =
@@ -69,6 +74,26 @@ let run opts project =
           result.Secflow.Report.findings
   in
   (tool.Secflow.Tool.name, { result with Secflow.Report.findings })
+
+let exit_code (result : Secflow.Report.result) =
+  if Secflow.Report.failed_files result <> [] then 2
+  else if result.Secflow.Report.findings <> [] then 1
+  else 0
+
+let exit_code_of_report raw =
+  let module Json = Secflow.Json in
+  match Json.parse raw with
+  | Error _ -> 0
+  | Ok doc ->
+      let failed =
+        Option.bind (Json.member "summary" doc) (Json.member "failedFiles")
+        |> fun o -> Option.bind o Json.to_int_opt |> Option.value ~default:0
+      in
+      let findings =
+        Option.bind (Json.member "findings" doc) Json.to_list_opt
+        |> Option.value ~default:[]
+      in
+      if failed > 0 then 2 else if findings <> [] then 1 else 0
 
 let run_json opts project =
   let tool, result = run opts project in

@@ -27,15 +27,33 @@ val kind_of_string : string -> (Secflow.Vuln.kind option, string) result
 
 val kind_to_string : Secflow.Vuln.kind option -> string
 
-val tool_of : opts -> (Secflow.Tool.t, string) result
+val tool_of :
+  ?config:Phpsafe.Config.t Lazy.t -> opts -> (Secflow.Tool.t, string) result
 (** The analyzer the options select, with [contexts]/[flow] applied (they
-    only affect phpSAFE).  [Error] names an unknown tool. *)
+    only affect phpSAFE).  [config] replaces phpSAFE's built-in profile
+    ([phpsafe_cli --config]); it is forced only when the tool is phpSAFE,
+    so the other tools never load it.  [Error] names an unknown tool. *)
 
-val run : opts -> Phplang.Project.t -> string * Secflow.Report.result
+val run :
+  ?config:Phpsafe.Config.t Lazy.t ->
+  opts ->
+  Phplang.Project.t ->
+  string * Secflow.Report.result
 (** Analyze the project and filter findings by [kind] (per-file outcomes
     are never filtered).  Returns the tool's display name and the result.
     Raises [Failure] on an unknown tool — callers are expected to have
     validated [opts] with {!tool_of} first. *)
+
+val exit_code : Secflow.Report.result -> int
+(** The scan exit-code contract shared by [phpsafe_cli], [phpsafe_serve
+    scan] and bounded [--watch] runs: 2 when some file's outcome is a
+    failure, else 1 when findings remain (after the [kind] filter), else
+    0. *)
+
+val exit_code_of_report : string -> int
+(** {!exit_code} read back from a rendered [phpsafe-report/1] document —
+    what the [phpsafe_serve scan] client has in hand; 0 for a document
+    that does not parse. *)
 
 val run_json : opts -> Phplang.Project.t -> string
 (** [Secflow.Report.to_json] of {!run} — the byte-identity currency. *)

@@ -8,6 +8,7 @@ type delta = {
   d_added : Secflow.Report.finding list;
   d_removed : Secflow.Report.finding list;
   d_total : int;
+  d_exit : int;
   d_ms : float;
   d_report : string;
 }
@@ -50,7 +51,7 @@ let unchanged s (f : Phplang.Project.file) =
    with [project], returning the changed and deleted paths (each sorted).
    Each changed file goes through {!Phplang.Project.Increment.update},
    which re-parses sub-file-incrementally and seeds the process parse
-   caches — the analysis that follows hits them transparently. *)
+   memo — the analysis that follows hits it transparently. *)
 let refresh_locked s (project : Phplang.Project.t) =
   let changed = ref [] in
   List.iter
@@ -91,28 +92,17 @@ let diff_findings ~old ~fresh =
       Hashtbl.replace counts k
         (1 + Option.value ~default:0 (Hashtbl.find_opt counts k)))
     old;
-  let added =
-    List.filter
-      (fun f ->
-        let k = finding_key f in
-        match Hashtbl.find_opt counts k with
-        | Some n when n > 0 ->
-            Hashtbl.replace counts k (n - 1);
-            false
-        | _ -> true)
-      fresh
+  (* consume one unmatched copy of [f], if any is left *)
+  let take f =
+    let k = finding_key f in
+    match Hashtbl.find_opt counts k with
+    | Some n when n > 0 ->
+        Hashtbl.replace counts k (n - 1);
+        true
+    | _ -> false
   in
-  let removed =
-    List.filter
-      (fun f ->
-        let k = finding_key f in
-        match Hashtbl.find_opt counts k with
-        | Some n when n > 0 ->
-            Hashtbl.replace counts k (n - 1);
-            true
-        | _ -> false)
-      old
-  in
+  let added = List.filter (fun f -> not (take f)) fresh in
+  let removed = List.filter take old in
   (added, removed)
 
 let scan s project =
@@ -133,6 +123,7 @@ let scan s project =
     d_added = added;
     d_removed = removed;
     d_total = List.length fresh;
+    d_exit = Scan.exit_code result;
     d_ms = ms;
     d_report = Secflow.Report.to_json ~tool result;
   }

@@ -5,8 +5,8 @@
     the previous scan's findings.  Each {!scan} first brings the parse
     session in line with the project — every changed file is re-lexed from
     its edit's damage region and region-re-parsed, with the result seeded
-    into the process parse caches — then runs the ordinary {!Scan.run}
-    (which hits those caches) and diffs the findings against the previous
+    into the process parse memo — then runs the ordinary {!Scan.run}
+    (which hits that memo) and diffs the findings against the previous
     scan.  Reports stay byte-identical to a cold scan of the same bytes:
     incrementality only changes how fast the parse artifacts appear, never
     what they contain. *)
@@ -21,6 +21,7 @@ type delta = {
   d_removed : Secflow.Report.finding list;
       (** previous findings no longer present, in previous-report order *)
   d_total : int;  (** findings after this scan (post [kind] filter) *)
+  d_exit : int;  (** {!Scan.exit_code} of this scan *)
   d_ms : float;  (** analysis wall time, excluding source refresh *)
   d_report : string;
       (** the full {!Scan.run_json} document for this scan — what the
@@ -41,7 +42,7 @@ val refresh_sources :
   session -> Phplang.Project.t -> string list * string list
 (** Update the incremental parse session to [project] without analyzing:
     [(changed, deleted)] paths, each sorted.  Changed files are re-parsed
-    incrementally and seeded into the shared parse caches.  Thread-safe
+    incrementally and seeded into the shared parse memo.  Thread-safe
     (the daemon calls this from worker domains); the analysis itself can
     then run outside the session lock. *)
 

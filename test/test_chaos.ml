@@ -51,19 +51,29 @@ let check_invariants label (r : Chaos.report) =
       | other -> Alcotest.failf "unknown scenario row: %s" other)
     r.Chaos.ch_rows
 
+(* [Chaos.run], also checking that the disk-fault scenario bit: every
+   round's scan met at least one failing cache write. *)
+let run_chaos ~seed ~jobs label =
+  let write_errors () = Obs.counter "cache.result.write_error" in
+  let before = write_errors () in
+  let r = Chaos.run ~seed ~rounds ~jobs () in
+  let grew = write_errors () - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %d failed cache writes >= %d rounds" label grew rounds)
+    true (grew >= rounds);
+  check_invariants label r;
+  r
+
 let cases =
   [
     case "chaos outcomes are invariant across pool sizes" `Slow (fun () ->
-        let seq = Chaos.run ~seed ~rounds ~jobs:1 () in
-        check_invariants "jobs=1" seq;
-        let par = Chaos.run ~seed ~rounds ~jobs:4 () in
-        check_invariants "jobs=4" par;
+        let seq = run_chaos ~seed ~jobs:1 "jobs=1" in
+        let par = run_chaos ~seed ~jobs:4 "jobs=4" in
         Alcotest.(check string) "outcome tables byte-identical"
           (Chaos.outcome_table seq) (Chaos.outcome_table par));
     case "deadline overshoot stays under the stated tolerance" `Slow
       (fun () ->
-        let r = Chaos.run ~seed:7 ~rounds ~jobs:2 () in
-        check_invariants "jobs=2" r;
+        let r = run_chaos ~seed:7 ~jobs:2 "jobs=2" in
         Alcotest.(check bool)
           (Printf.sprintf "p99 %.1fms <= %.0fms" r.Chaos.ch_overshoot_p99_ms
              r.Chaos.ch_tolerance_ms)

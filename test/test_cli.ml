@@ -4,18 +4,20 @@
     exporters.  The binary is a declared dune dependency of this test, so
     the relative path below always resolves inside the build context. *)
 
-let exe =
+let bin name =
   (* cwd is _build/default/test under `dune runtest`, the workspace root
      under `dune exec test/test_cli.exe` *)
   let candidates =
     [
-      Filename.concat ".." (Filename.concat "bin" "phpsafe_cli.exe");
-      List.fold_left Filename.concat "_build" [ "default"; "bin"; "phpsafe_cli.exe" ];
+      Filename.concat ".." (Filename.concat "bin" name);
+      List.fold_left Filename.concat "_build" [ "default"; "bin"; name ];
     ]
   in
   match List.find_opt Sys.file_exists candidates with
   | Some path -> path
   | None -> List.hd candidates
+
+let exe = bin "phpsafe_cli.exe"
 
 let case = Alcotest.test_case
 
@@ -191,7 +193,7 @@ let config_cases =
                   shadowed by generic-php (first entry wins)")));
   ]
 
-let run_capture dir args =
+let run_capture ?(exe = exe) dir args =
   let out = Filename.concat dir "out.txt" and err = Filename.concat dir "err.txt" in
   let status =
     Sys.command
@@ -252,6 +254,65 @@ let usage_cases =
               (contains err "no-such-plugin")));
   ]
 
+(* The other two front ends share phpsafe_cli's flag definitions, so they
+   refuse bad values the same way: exit 124 with the value named on
+   stderr, before any socket, pool or analysis is touched. *)
+let other_usage_cases =
+  (* [args] names the scannable file as TARGET *)
+  let usage name exe args ~message =
+    case name `Quick (fun () ->
+        in_temp_dir (fun dir ->
+            let f = Filename.concat dir "vuln.php" in
+            write f "<?php echo $_GET['x'];\n";
+            let args =
+              String.concat " "
+                (List.map
+                   (fun a -> if a = "TARGET" then Filename.quote f else a)
+                   args)
+            in
+            let status, out, err = run_capture ~exe:(bin exe) dir args in
+            Alcotest.(check int) "usage-error status" 124 status;
+            Alcotest.(check bool) ("stderr names: " ^ message) true
+              (contains err message);
+            Alcotest.(check string) "nothing on stdout" "" out))
+  in
+  let serve = "phpsafe_serve.exe" and evaluate = "evaluate.exe" in
+  [
+    usage "serve scan: unknown --kind" serve [ "scan"; "--kind"; "bogus"; "TARGET" ]
+      ~message:"unknown vulnerability kind: bogus";
+    usage "serve scan: unknown --tool" serve [ "scan"; "--tool"; "bogus"; "TARGET" ]
+      ~message:"unknown tool: bogus";
+    usage "serve scan: missing target" serve [ "scan"; "no-such-target" ]
+      ~message:"no-such-target";
+    usage "serve: --tcp without a port" serve [ "serve"; "--tcp"; "foo" ]
+      ~message:"got: foo";
+    usage "status: --tcp port 0" serve [ "status"; "--tcp"; "foo:0" ]
+      ~message:"got: foo:0";
+    usage "evaluate: --jobs 0" evaluate [ "--jobs"; "0" ] ~message:"got: 0";
+    usage "evaluate: non-numeric budget" evaluate
+      [ "--budget-parse-depth"; "x" ] ~message:"'x'";
+  ]
+
+(* A bounded --watch run exits like a plain scan of its last event, so a
+   failed file is 2 there too, not "no findings". *)
+let watch_cases =
+  [
+    case "--watch-max-events exits 2 on a failed file" `Quick (fun () ->
+        in_temp_dir (fun dir ->
+            write (Filename.concat dir "unterminated.php")
+              "<?php echo \"unterminated;";
+            let status, _, _ = run_capture dir (Filename.quote dir) in
+            Alcotest.(check int) "plain scan" 2 status;
+            let status, out, _ =
+              run_capture dir
+                (Filename.quote dir
+               ^ " --watch --watch-max-events 1 --watch-poll-ms 10")
+            in
+            Alcotest.(check int) "bounded watch" 2 status;
+            Alcotest.(check bool) "initial scan reported" true
+              (contains out "initial scan: 0 finding(s)")));
+  ]
+
 (* Children the per-walker traversals used to skip: switch case guards
    (--stats) and parameter defaults (Pixy's OOP gate). *)
 let children_cases =
@@ -289,4 +350,6 @@ let () =
   Alcotest.run "phpsafe_cli"
     [ ("exit status", exit_cases); ("exporters", export_cases);
       ("custom profile", config_cases); ("usage errors", usage_cases);
+      ("usage errors, other binaries", other_usage_cases);
+      ("watch", watch_cases);
       ("AST children", children_cases) ]

@@ -535,6 +535,29 @@ let initial_counted =
       Alcotest.(check (list int)) "initial, reparse, fallback" [ 1; 0; 0 ]
         (List.map2 (fun c b -> Obs.counter c - b) names before))
 
+(* The in-process memo answers every parse on the incremental path before
+   the disk tier would, so an update writes nothing to the Store. *)
+let no_store_writes =
+  Alcotest.test_case "updates write no parse to the disk store" `Quick
+    (fun () ->
+      let dir = Filename.temp_file "increment-store" "" in
+      Sys.remove dir;
+      let saved = Store.root () in
+      Store.set_root (Some dir);
+      Fun.protect
+        ~finally:(fun () ->
+          Store.set_root saved;
+          ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
+        (fun () ->
+          let before = Obs.counter "cache.parse.store" in
+          let session = Project.Increment.create () in
+          let src = three_defs "return $b;" in
+          check_equivalent session ~path:"stored.php" src;
+          check_equivalent session ~path:"stored.php"
+            (three_defs "return $b . 'x';");
+          Alcotest.(check int) "cache.parse.store" 0
+            (Obs.counter "cache.parse.store" - before)))
+
 let () =
   Alcotest.run "increment"
     [
@@ -543,6 +566,6 @@ let () =
       ("equivalence", seq_cases);
       ("reuse", reuse_cases);
       ("budget", budget_cases);
-      ("counters", [ resume_counted; initial_counted ]);
+      ("counters", [ resume_counted; initial_counted; no_store_writes ]);
       ("storm", [ storm; valid_storm ]);
     ]

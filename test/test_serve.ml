@@ -1035,9 +1035,48 @@ let watch_cases =
                  (List.length es)));
   ]
 
+(* One exit-code contract: what phpsafe_cli returns ([Scan.exit_code] of
+   the result) and what the phpsafe_serve client returns
+   ([Scan.exit_code_of_report] of the rendered document) must agree. *)
+let exit_code_cases =
+  let agree label opts proj =
+    let tool, result = Scan.run opts proj in
+    let code = Scan.exit_code result in
+    Alcotest.(check int) label code
+      (Scan.exit_code_of_report (Secflow.Report.to_json ~tool result));
+    code
+  in
+  [ case "result and report agree on every V.2012 plugin" `Slow (fun () ->
+        let corpus = Corpus.Catalog.generate Corpus.Plan.V2012 in
+        let codes =
+          List.map
+            (fun (p : Corpus.Catalog.plugin_output) ->
+              agree p.Corpus.Catalog.po_name Scan.default
+                p.Corpus.Catalog.po_project)
+            corpus.Corpus.Catalog.plugins
+        in
+        Alcotest.(check bool) "the corpus has findings" true (List.mem 1 codes));
+    case "a failing file is 2, also with findings" `Quick (fun () ->
+        let broken =
+          project "broken"
+            [ ("vuln.php", "<?php echo $_GET['x'];\n");
+              ("broken.php", "<?php if (\n") ]
+        in
+        Alcotest.(check int) "status" 2 (agree "broken" Scan.default broken));
+    case "the kind filter decides between 1 and 0" `Quick (fun () ->
+        Alcotest.(check int) "all kinds" 1
+          (agree "vuln" Scan.default vuln_project);
+        Alcotest.(check int) "cmdi only" 0
+          (agree "vuln, cmdi"
+             { Scan.default with kind = Some Secflow.Vuln.Cmdi }
+             vuln_project);
+        Alcotest.(check int) "clean" 0
+          (agree "clean" Scan.default clean_project)) ]
+
 let () =
   Alcotest.run "serve"
     [ ("frame codec", frame_cases);
+      ("exit codes", exit_code_cases);
       ("request decoding", decode_cases);
       ("watch sessions", watch_cases);
       ("daemon end-to-end", daemon_cases);
