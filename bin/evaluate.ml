@@ -66,15 +66,10 @@ let jobs =
     "Domain-pool size for the (tool × plugin) grid; defaults to
      $(b,PHPSAFE_JOBS), else the machine's recommended domain count."
   in
-  let positive =
-    Arg.conv'
-      ( (fun s ->
-          match int_of_string_opt s with
-          | Some n when n >= 1 -> Ok n
-          | _ -> Error ("expected a positive pool size, got: " ^ s)),
-        Format.pp_print_int )
-  in
-  Arg.(value & opt (some positive) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt (some (Serve.Cli.positive "pool size")) None
+    & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let experiment name what =
   let doc = Printf.sprintf "Append experiment %s." what in

@@ -182,14 +182,15 @@ let watch_poll_ms =
 
 let watch_max_events =
   let doc =
-    "Exit after $(docv) watch events (the initial scan counts as one),
-     with the status a plain scan of the last delivered event would have
-     (2 when a file failed, 1 when findings remain, 0 when clean); for
-     scripted/smoke use.  Unbounded when omitted."
+    "Exit after $(docv) watch events (the initial scan counts as one, so
+     $(docv) is at least 1), with the status a plain scan of the last
+     delivered event would have (2 when a file failed, 1 when findings
+     remain, 0 when clean); for scripted/smoke use.  Unbounded when
+     omitted."
   in
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (Serve.Cli.positive "event count")) None
     & info [ "watch-max-events" ] ~docv:"N" ~doc)
 
 let config_path =

@@ -127,14 +127,17 @@ let intern st start stop =
     e
   end
 
+(* Publishes [st]'s intern counters; each lexing run does so once. *)
+let publish_counters st =
+  if st.intern_hits > 0 then begin
+    Obs.add "lexer.intern.hits" st.intern_hits;
+    Obs.add "lexer.intern.bytes_saved" st.intern_bytes_saved
+  end
+
 (* Runs a lexing loop over [st] and publishes its intern counters, also
    when the loop raises. *)
 let with_counters st loop =
-  Fun.protect loop ~finally:(fun () ->
-      if st.intern_hits > 0 then begin
-        Obs.add "lexer.intern.hits" st.intern_hits;
-        Obs.add "lexer.intern.bytes_saved" st.intern_bytes_saved
-      end)
+  Fun.protect loop ~finally:(fun () -> publish_counters st)
 
 (* ------------------------------------------------------------------ *)
 (* Token lexers                                                        *)
@@ -496,16 +499,51 @@ let is_significant (t : Token.t) =
     comments and extra whitespaces" (§III.B). *)
 let significant tokens = List.filter is_significant tokens
 
-(* [significant (tokenize src)] without building the full list. *)
-let tokenize_significant src =
+(* Where a reader stands: still lexing, past the end (answering its T_EOF
+   for ever), or stopped by a lexical error (raising it again). *)
+type reader_state = Lexing | Ended of Token.t | Failed of exn
+
+(* The significant tokens of [src], pulled one at a time, so a consumer
+   holds only the tokens it keeps.  The intern counters are published
+   once, when the reader reaches the end or raises. *)
+let reader src =
   let st = make_state src in
-  let[@tail_mod_cons] rec loop () =
-    if st.pos >= st.len then [ eof st ]
-    else
-      let t = step st in
-      if is_significant t then t :: loop () else loop ()
+  let state = ref Lexing in
+  let rec next () =
+    match !state with
+    | Lexing ->
+        if st.pos >= st.len then begin
+          let t = eof st in
+          state := Ended t;
+          publish_counters st;
+          t
+        end
+        else begin
+          match step st with
+          | t -> if is_significant t then t else next ()
+          | exception (Error _ as e) ->
+              state := Failed e;
+              publish_counters st;
+              raise e
+        end
+    | Ended t -> t
+    | Failed e -> raise e
   in
-  with_counters st loop
+  next
+
+let drain next =
+  let rec go n =
+    if (next ()).Token.kind = Token.T_EOF then n + 1 else go (n + 1)
+  in
+  go 0
+
+let tokenize_significant src =
+  let next = reader src in
+  let[@tail_mod_cons] rec collect () =
+    let t = next () in
+    if t.Token.kind = Token.T_EOF then [ t ] else t :: collect ()
+  in
+  collect ()
 
 (* ------------------------------------------------------------------ *)
 (* Checkpointed incremental lexing                                    *)

@@ -22,8 +22,21 @@ val significant : Token.t list -> Token.t list
 (** Drop whitespace and comment tokens — phpSAFE "cleans the AST by removing
     comments and extra whitespaces" (§III.B). *)
 
+val reader : string -> unit -> Token.t
+(** [reader src] pulls the significant tokens of [src] one at a time, in
+    [significant (tokenize src)]'s order, and then answers its
+    {!Token.T_EOF} for ever.  A call raises {!Error} where {!tokenize}
+    would, and every later call raises the same error again.  The
+    [lexer.intern.*] counters are published once, when the reader reaches
+    the end or raises. *)
+
+val drain : (unit -> Token.t) -> int
+(** [drain next] pulls from a reader up to its {!Token.T_EOF} and returns
+    how many tokens it pulled, [T_EOF] included.  Raises the reader's
+    {!Error}. *)
+
 val tokenize_significant : string -> Token.t list
-(** [significant (tokenize src)]. *)
+(** [significant (tokenize src)], collected from a {!reader}. *)
 
 (** {1 Checkpointed incremental lexing}
 

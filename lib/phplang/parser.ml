@@ -22,16 +22,30 @@ let nesting_fuel = Atomic.make default_nesting_limit
 let set_nesting_limit n = Atomic.set nesting_fuel (max 16 n)
 let nesting_limit () = Atomic.get nesting_fuel
 
+(* Where the parser's tokens come from: a pull function (a lexer reader,
+   or a list) that is never called again once it has given T_EOF, or a
+   significant-token array, which [parse_program]'s statement reuse can
+   jump through. *)
+type source = Pull of (unit -> Token.t) | Tokens of Token.t array
+
 type state = {
-  tokens : Token.t array;
-  mutable cur : int;
+  source : source;
+  mutable tok : Token.t;  (* the current token *)
+  mutable ahead : Token.t;
+      (* the token after [tok] once [peek2] pulled it, else [no_token];
+         used by [Pull] only *)
+  mutable cur : int;  (* [tok]'s index: the tokens consumed before it *)
   mutable depth : int;
   file : string;
   mutable line_pos : Ast.pos;  (* the last position built *)
 }
 
-let init ~file tokens =
-  { tokens; cur = 0; depth = 0; file; line_pos = { Ast.file; line = 0 } }
+let no_token = Token.make Token.T_EOF "" 0
+
+let init ~file source =
+  let tok = match source with Pull next -> next () | Tokens a -> a.(0) in
+  { source; tok; ahead = no_token; cur = 0; depth = 0; file;
+    line_pos = { Ast.file; line = 0 } }
 
 (* Nodes from one line share one position record. *)
 let pos_of st (t : Token.t) : Ast.pos =
@@ -45,10 +59,18 @@ let pos_of st (t : Token.t) : Ast.pos =
 
 let expr_at pos e : Ast.expr = { Ast.e; epos = pos }
 let stmt_at pos s : Ast.stmt = { Ast.s; spos = pos }
-let peek st = st.tokens.(st.cur)
+let peek st = st.tok
+
+(* The token after the current one; the current T_EOF is its own
+   successor. *)
 let peek2 st =
-  if st.cur + 1 < Array.length st.tokens then Some st.tokens.(st.cur + 1)
-  else None
+  if st.tok.Token.kind = Token.T_EOF then st.tok
+  else
+    match st.source with
+    | Tokens a -> a.(st.cur + 1)
+    | Pull next ->
+        if st.ahead == no_token then st.ahead <- next ();
+        st.ahead
 
 let here st = pos_of st (peek st)
 
@@ -71,9 +93,29 @@ let fail st msg =
        (Printf.sprintf "%s (at %s %S)" msg (Token.name t.Token.kind) t.Token.lexeme,
         here st))
 
+(* Jump to token [i] of an array source. *)
+let seek st i =
+  match st.source with
+  | Tokens a ->
+      st.cur <- i;
+      st.tok <- a.(i)
+  | Pull _ -> invalid_arg "Parser.seek: not an array source"
+
 let advance st =
-  let t = peek st in
-  if t.Token.kind <> Token.T_EOF then st.cur <- st.cur + 1;
+  let t = st.tok in
+  if t.Token.kind <> Token.T_EOF then begin
+    st.cur <- st.cur + 1;
+    st.tok <-
+      (match st.source with
+      | Tokens a -> a.(st.cur)
+      | Pull next ->
+          let t2 = st.ahead in
+          if t2 == no_token then next ()
+          else begin
+            st.ahead <- no_token;
+            t2
+          end)
+  end;
   t
 
 let check st kind = (peek st).Token.kind = kind
@@ -90,6 +132,17 @@ let eat_punct st c =
 let skip_if st kind = if check st kind then (ignore (advance st); true) else false
 let skip_punct_if st c =
   if check_punct st c then (ignore (advance st); true) else false
+
+(* [parse ()] over the reader [next], with the errors of lexing the whole
+   input first: when anything escapes the parse, the rest of the input is
+   lexed, and a lexical error there replaces the parser's exception. *)
+let lexing_first next parse =
+  match parse () with
+  | v -> v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      ignore (Lexer.drain next);
+      Printexc.raise_with_backtrace e bt
 
 (* ------------------------------------------------------------------ *)
 (* String literal decoding                                            *)
@@ -854,9 +907,7 @@ and parse_stmt_body st : Ast.stmt =
         end
       in
       stmt_at pos (Ast.Global (loop []))
-  | Token.T_STATIC when (match peek2 st with
-                         | Some t2 -> t2.Token.kind = Token.T_VARIABLE
-                         | None -> false) ->
+  | Token.T_STATIC when (peek2 st).Token.kind = Token.T_VARIABLE ->
       ignore (advance st);
       let rec loop acc =
         let v = (eat st Token.T_VARIABLE).Token.lexeme in
@@ -881,9 +932,7 @@ and parse_stmt_body st : Ast.stmt =
         end
       in
       stmt_at pos (Ast.Unset (loop []))
-  | Token.T_FUNCTION when (match peek2 st with
-                           | Some t2 -> t2.Token.kind = Token.T_STRING
-                           | None -> false) ->
+  | Token.T_FUNCTION when (peek2 st).Token.kind = Token.T_STRING ->
       ignore (advance st);
       let name = (eat st Token.T_STRING).Token.lexeme in
       let params = parse_params st in
@@ -980,10 +1029,7 @@ and parse_if st pos =
       let b = parse_body st in
       elifs ((c, b) :: acc)
     end
-    else if check st Token.T_ELSE
-            && (match peek2 st with
-               | Some t2 -> t2.Token.kind = Token.T_IF
-               | None -> false)
+    else if check st Token.T_ELSE && (peek2 st).Token.kind = Token.T_IF
     then begin
       ignore (advance st);
       ignore (eat st Token.T_IF);
@@ -1096,13 +1142,17 @@ and parse_class st pos is_interface =
 (* Entry points                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(** Parse a single expression given as PHP text (no [<?php] tag). *)
+(** Parse a single expression given as PHP text (no [<?php] tag).  The
+    whole text is lexed, so a lexical error after the expression still
+    raises. *)
 and expr_of_string ?(file = "<expr>") src : Ast.expr =
-  let tokens = Lexer.significant (Lexer.tokenize ("<?php " ^ src ^ ";")) in
-  let st = init ~file (Array.of_list tokens) in
-  ignore (eat st Token.T_OPEN_TAG);
-  let e = parse_expr st in
-  e
+  let next = Lexer.reader ("<?php " ^ src ^ ";") in
+  lexing_first next (fun () ->
+      let st = init ~file (Pull next) in
+      ignore (eat st Token.T_OPEN_TAG);
+      let e = parse_expr st in
+      ignore (Lexer.drain next);
+      e)
 
 (* A top-level statement's extent in the significant-token array:
    [sp_start, sp_stop).  Skipped T_OPEN_TAG tokens belong to no span (they
@@ -1110,12 +1160,11 @@ and expr_of_string ?(file = "<expr>") src : Ast.expr =
 type top_span = { sp_start : int; sp_stop : int }
 
 (* The one top-level loop.  At each statement start [reuse] may supply a
-   statement already known to span [start, stop) of [tokens]; the loop
-   then jumps to [stop] instead of parsing.  Top-level statements start at
-   nesting depth 0, so a statement's parse depends only on its own tokens
-   and the one token after it. *)
-let parse_program ?reuse ~file tokens : Ast.program * top_span array =
-  let st = init ~file tokens in
+   statement already known to span [start, stop) of the token array; the
+   loop then jumps to [stop] instead of parsing.  Top-level statements
+   start at nesting depth 0, so a statement's parse depends only on its
+   own tokens and the one token after it. *)
+let program ?reuse st : Ast.program * top_span array =
   let rec loop acc spans =
     if check st Token.T_EOF then (List.rev acc, Array.of_list (List.rev spans))
     else if check st Token.T_OPEN_TAG then begin
@@ -1128,7 +1177,7 @@ let parse_program ?reuse ~file tokens : Ast.program * top_span array =
       let s =
         match reused with
         | Some (s, stop) ->
-            st.cur <- stop;
+            seek st stop;
             s
         | None -> parse_stmt st
       in
@@ -1137,10 +1186,23 @@ let parse_program ?reuse ~file tokens : Ast.program * top_span array =
   in
   loop [] []
 
-let parse_tokens ~file tokens : Ast.program =
-  fst (parse_program ~file (Array.of_list tokens))
+let parse_program ?reuse ~file tokens =
+  program ?reuse (init ~file (Tokens tokens))
 
-(** Parse a full PHP source file. *)
+let pull_list tokens =
+  let rest = ref tokens in
+  fun () ->
+    match !rest with
+    | t :: tl ->
+        rest := tl;
+        t
+    | [] -> invalid_arg "Parser.parse_tokens: no T_EOF"
+
+let parse_tokens ~file tokens : Ast.program =
+  fst (program (init ~file (Pull (pull_list tokens))))
+
+(** Parse a full PHP source file, lexing it as the parse pulls tokens. *)
 let parse_source ~file src : Ast.program =
-  let tokens = Obs.span "phplang.lex" (fun () -> Lexer.tokenize_significant src) in
-  Obs.span "phplang.parse" (fun () -> parse_tokens ~file tokens)
+  Obs.span "phplang.parse" (fun () ->
+      let next = Lexer.reader src in
+      lexing_first next (fun () -> fst (program (init ~file (Pull next)))))

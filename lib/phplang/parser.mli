@@ -25,15 +25,20 @@ val nesting_limit : unit -> int
 (** The nesting-depth fuel currently in force. *)
 
 val parse_tokens : file:string -> Token.t list -> Ast.program
-(** Parse a significant-token list (see {!Lexer.significant}); [file] is
-    recorded in every position. *)
+(** Parse a significant-token list terminated by [T_EOF] (see
+    {!Lexer.significant}); [file] is recorded in every position. *)
 
 val parse_source : file:string -> string -> Ast.program
-(** Tokenize and parse a complete PHP source file. *)
+(** Parse a complete PHP source file in one pass: the parser pulls each
+    significant token from a {!Lexer.reader} as it needs it, so no token
+    list or array is built.  The errors are those of lexing the whole
+    file first: when the parse raises, the rest of the file is lexed, and
+    a {!Lexer.Error} there replaces the parser's exception. *)
 
 val expr_of_string : ?file:string -> string -> Ast.expr
 (** Parse a single PHP expression given without [<?php] tags — used for
-    [{$...}] interpolation and convenient in tests. *)
+    [{$...}] interpolation and convenient in tests.  The whole text is
+    lexed, with {!parse_source}'s error precedence. *)
 
 (** {1 Statement reuse}
 

@@ -108,6 +108,15 @@ module Parse_cache = struct
     | _ -> Hashtbl.replace t.table key (Done (Parser.nesting_limit (), v)));
     Mutex.unlock t.lock
 
+  (* Drop a superseded [Done] entry; a live parse's marker stays, so its
+     waiters are still woken by the value it publishes. *)
+  let forget t key =
+    Mutex.lock t.lock;
+    (match Hashtbl.find_opt t.table key with
+    | Some (Done _) -> Hashtbl.remove t.table key
+    | Some In_progress | None -> ());
+    Mutex.unlock t.lock
+
   let memo t key parse =
     let limit = Parser.nesting_limit () in
     Mutex.lock t.lock;
@@ -372,12 +381,19 @@ module Increment = struct
         build ~path ~source Lexer.lex_all
 
   (* Publish into the in-memory memo [parse_file] reads first, under its
-     exact key, so downstream analyzers hit without code changes.  The
-     disk tier is not written: in this process the memo always answers
-     before it. *)
-  let seed_cache ~path ~source result =
-    if Parse_cache.enabled () then
+     exact key, so downstream analyzers hit without code changes, and
+     evict the parse of the source it replaces, which no later lookup of
+     the path asks for.  The disk tier is not written: in this process the
+     memo always answers before it. *)
+  let seed_cache (prev : entry option) ~path ~source result =
+    if Parse_cache.enabled () then begin
+      (match prev with
+      | Some old when not (String.equal old.ie_source source) ->
+          Parse_cache.forget Parse_cache.shared
+            (path, Digest.string old.ie_source)
+      | _ -> ());
       Parse_cache.seed Parse_cache.shared (path, Digest.string source) result
+    end
 
   let update session ~path ~source : (Ast.program, parse_error) result =
     match Hashtbl.find_opt session.ses_files path with
@@ -388,7 +404,7 @@ module Increment = struct
     | prev ->
         let e = compute prev ~path ~source in
         Hashtbl.replace session.ses_files path e;
-        seed_cache ~path ~source e.ie_result;
+        seed_cache prev ~path ~source e.ie_result;
         e.ie_result
 
   let forget session path = Hashtbl.remove session.ses_files path

@@ -55,6 +55,10 @@ module Parse_cache : sig
       being parsed is left alone — the live parse publishes the same
       value. *)
 
+  val forget : t -> string * string -> unit
+  (** Drop the key's cached result.  A key currently being parsed is left
+      alone. *)
+
   val set_enabled : bool -> unit
   (** Globally enable/disable memoization ([true] initially).  Flip only
       from the main domain while no analysis is running. *)
@@ -122,8 +126,10 @@ val include_closure :
     session and in [parser.region.fallback] after a failed parse or under
     a changed nesting limit.  Results are byte-identical to {!parse_file}
     on the same input and are published into {!Parse_cache.shared} under
-    {!parse_file}'s key, so downstream analyzers hit transparently; the
-    disk {!Store} is not written, since the memo answers first. *)
+    {!parse_file}'s key, so downstream analyzers hit transparently, and
+    the memo entry of the source an update replaces is dropped
+    ({!Parse_cache.forget}), so a long session holds one parse per path;
+    the disk {!Store} is not written, since the memo answers first. *)
 module Increment : sig
   type session
 
@@ -133,8 +139,9 @@ module Increment : sig
     session -> path:string -> source:string -> (Ast.program, parse_error) result
   (** Bring [path] up to date with [source], incrementally when the
       session has seen the file before, and seed the process parse memo.
-      Returns exactly what {!parse_file} would for the same input, under
-      the current nesting limit. *)
+      When [source] replaces another one, the memo entry of the old
+      source is dropped.  Returns exactly what {!parse_file} would for the
+      same input, under the current nesting limit. *)
 
   val forget : session -> string -> unit
   (** Drop a file (deleted from the project); the next update re-parses it

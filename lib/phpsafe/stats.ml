@@ -66,8 +66,8 @@ let of_project (project : Phplang.Project.t) : t =
   List.iter
     (fun (f : Phplang.Project.file) ->
       loc := !loc + Phplang.Loc.count f.Phplang.Project.source;
-      (match Phplang.Lexer.tokenize_significant f.Phplang.Project.source with
-      | toks -> tokens := !tokens + List.length toks
+      (match Phplang.Lexer.(drain (reader f.Phplang.Project.source)) with
+      | n -> tokens := !tokens + n
       | exception Phplang.Lexer.Error _ -> ());
       match Phplang.Project.parse_file f with
       | Ok prog -> List.iter visit_stmt prog

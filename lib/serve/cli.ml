@@ -141,6 +141,14 @@ let obs ~summary =
   in
   Term.(const setup $ trace $ metrics)
 
+let positive what =
+  Arg.conv'
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= 1 -> Ok n
+        | _ -> Error (Printf.sprintf "expected a positive %s, got: %s" what s)),
+      Format.pp_print_int )
+
 let target =
   let doc = "PHP file or plugin directory to analyze." in
   Arg.(required & pos 0 (some file) None & info [] ~docv:"TARGET" ~doc)

@@ -33,6 +33,10 @@ val obs : summary:bool -> (unit -> unit) Term.t
     writes the requested files ({!Obs.export}, with the human summary on
     stderr when [summary]). *)
 
+val positive : string -> int Arg.conv
+(** [positive what] reads an integer of at least 1; any other value is
+    the usage error "expected a positive [what], got: VALUE". *)
+
 val target : string Term.t
 (** The required positional [TARGET]: an existing PHP file or plugin
     directory. *)

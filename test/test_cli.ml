@@ -311,6 +311,27 @@ let watch_cases =
             Alcotest.(check int) "bounded watch" 2 status;
             Alcotest.(check bool) "initial scan reported" true
               (contains out "initial scan: 0 finding(s)")));
+    (* The initial scan is event 1, so a bound below 1 would exit 0
+       without scanning a file whose plain scan exits 1. *)
+    case "--watch-max-events below 1 is a usage error" `Quick (fun () ->
+        in_temp_dir (fun dir ->
+            let f = Filename.quote (Filename.concat dir "vuln.php") in
+            write (Filename.concat dir "vuln.php") "<?php echo $_GET['x'];\n";
+            let status, _, _ = run_capture dir f in
+            Alcotest.(check int) "plain scan" 1 status;
+            List.iter
+              (fun (bound, value) ->
+                let status, out, err =
+                  run_capture dir (f ^ " --watch --watch-poll-ms 10 " ^ bound)
+                in
+                Alcotest.(check int) (bound ^ ": status") 124 status;
+                Alcotest.(check bool) (bound ^ ": stderr names the value")
+                  true
+                  (contains err "expected a positive event count"
+                  && contains err value);
+                Alcotest.(check string) (bound ^ ": nothing scanned") "" out)
+              [ ("--watch-max-events 0", "got: 0");
+                ("--watch-max-events=-3", "-3") ]));
   ]
 
 (* Children the per-walker traversals used to skip: switch case guards

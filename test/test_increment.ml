@@ -522,6 +522,28 @@ let valid_storm =
       if List.hd deltas < 60 then
         Alcotest.failf "only %d reuse updates" (List.hd deltas))
 
+(* An update drops the memo entry of the source it replaces, so a long
+   --watch session keeps one parse per path, not one per version. *)
+let evicts_superseded =
+  Alcotest.test_case "an update evicts the replaced source's parse" `Quick
+    (fun () ->
+      let session = Project.Increment.create () and path = "evict.php" in
+      let v1 = three_defs "return $b;" and v2 = three_defs "return $b . 'x';" in
+      ignore (Project.Increment.update session ~path ~source:v1);
+      ignore (Project.Increment.update session ~path ~source:v2);
+      let cached source =
+        let key = (path, Digest.string source) in
+        let parsed = ref false in
+        ignore
+          (Project.Parse_cache.memo Project.Parse_cache.shared key (fun () ->
+               parsed := true;
+               Error (Project.Syntax "re-parsed")));
+        Project.Parse_cache.forget Project.Parse_cache.shared key;
+        not !parsed
+      in
+      Alcotest.(check bool) "v2 still hits" true (cached v2);
+      Alcotest.(check bool) "v1 is a miss" false (cached v1))
+
 let initial_counted =
   Alcotest.test_case "a path's first update counts as initial" `Quick
     (fun () ->
@@ -567,5 +589,6 @@ let () =
       ("reuse", reuse_cases);
       ("budget", budget_cases);
       ("counters", [ resume_counted; initial_counted; no_store_writes ]);
+      ("memo", [ evicts_superseded ]);
       ("storm", [ storm; valid_storm ]);
     ]

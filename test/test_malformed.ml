@@ -172,12 +172,38 @@ let stats_cases =
       nested_expr (Parser.nesting_limit () + 64))
     :: malformed_sources)
 
+(* A lexical error anywhere in a file is its parse error, whatever the
+   parser met first: the front end reports what lexing the whole file
+   first reports, also when it lexes as it parses. *)
+let precedence_cases =
+  let lexical name src expected =
+    case name `Quick (fun () ->
+        match Project.parse_file (file "p.php" src) with
+        | Error (Project.Syntax msg) ->
+            Alcotest.(check string) "message" expected msg
+        | Error (Project.Over_budget msg) ->
+            Alcotest.failf "expected a lexical error, got Over_budget: %s" msg
+        | Ok _ -> Alcotest.fail "unexpectedly parsed")
+  in
+  [
+    lexical "a parse error, then an unterminated string"
+      "<?php\n$x = ;\n$y = \"never closed"
+      "lexical error on line 3: unterminated double-quoted string";
+    lexical "a nesting-budget overrun, then a lexical error"
+      (nested_expr (Parser.nesting_limit () + 64) ^ "\n\n$y = 'open")
+      "lexical error on line 3: unterminated single-quoted string";
+    lexical "an interpolated {$expr} that fails to lex"
+      "<?php\n\necho \"a {$x . '} b\";\n"
+      "lexical error on line 1: unterminated single-quoted string";
+  ]
+
 let () =
   Alcotest.run "malformed"
     [
       ("lexer", lexer_cases);
       ("parser", parser_cases);
       ("nesting fuel", fuel_cases);
+      ("error precedence", precedence_cases);
       ("analyzers", analyzer_cases);
       ("budget outcomes", budget_outcome_cases);
       ("stats", stats_cases);

@@ -212,6 +212,15 @@ let error_cases =
             Alcotest.(check int) "echo line" 2 s1.Ast.spos.Ast.line;
             Alcotest.(check int) "assign line" 3 s2.Ast.spos.Ast.line
         | _ -> Alcotest.fail "expected 2 statements");
+    (* expr_of_string lexes its whole text, as it did when it lexed before
+       parsing, so text after the expression can still fail to lex *)
+    Alcotest.test_case "expr_of_string lexes past the expression" `Quick
+      (fun () ->
+        match pe "$a + 1; 'open" with
+        | _ -> Alcotest.fail "expected Lexer.Error"
+        | exception Lexer.Error (msg, _) ->
+            Alcotest.(check string) "message"
+              "unterminated single-quoted string" msg);
   ]
 
 (* heredoc/nowdoc, <?= and ?? — the PHP front-end gap regressions *)

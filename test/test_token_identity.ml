@@ -68,6 +68,46 @@ let agreement_case name version =
             (lexed (fun s -> Lexer.tokens_of_lexed (Lexer.lex_all s)) src))
         (files version))
 
+(* The parser's entry points build the same program, positions included,
+   and fail with the same error: [parse_source] pulling from the lexer,
+   [parse_tokens] over the significant-token list, and [parse_program]
+   over [lex_all]'s significant tokens. *)
+let ast_agreement_case name version =
+  let parsed f src =
+    match f src with
+    | prog -> Ok prog
+    | exception Lexer.Error (msg, line) -> Error (Printf.sprintf "lex %d: %s" line msg)
+    | exception Parser.Parse_error (msg, p) ->
+        Error (Printf.sprintf "parse %d: %s" p.Ast.line msg)
+    | exception Parser.Depth_exceeded (msg, p) ->
+        Error (Printf.sprintf "depth %d: %s" p.Ast.line msg)
+  in
+  Alcotest.test_case name `Quick (fun () ->
+      List.iter
+        (fun (f : Project.file) ->
+          let file = f.Project.path and src = f.Project.source in
+          let reference = parsed (Parser.parse_source ~file) src in
+          let agree what result =
+            if result <> reference then
+              Alcotest.failf "%s: %s differs from parse_source" file what
+          in
+          agree "parse_tokens"
+            (parsed
+               (fun s -> Parser.parse_tokens ~file (Lexer.tokenize_significant s))
+               src);
+          agree "parse_program"
+            (parsed
+               (fun s ->
+                 let lexed = Lexer.lex_all s in
+                 let sigt =
+                   Array.of_list
+                     (List.filter Lexer.is_significant
+                        (Array.to_list lexed.Lexer.lx_tokens))
+                 in
+                 fst (Parser.parse_program ~file sigt))
+               src))
+        (files version))
+
 let () =
   Alcotest.run "token identity"
     [ ( "digests",
@@ -77,4 +117,7 @@ let () =
             "84113686ac3896b502e999089eaffc4b" ] );
       ( "entry points agree",
         [ agreement_case "V.2012" Corpus.Plan.V2012;
-          agreement_case "V.2014" Corpus.Plan.V2014 ] ) ]
+          agreement_case "V.2014" Corpus.Plan.V2014 ] );
+      ( "parsers agree",
+        [ ast_agreement_case "V.2012" Corpus.Plan.V2012;
+          ast_agreement_case "V.2014" Corpus.Plan.V2014 ] ) ]
