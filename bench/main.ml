@@ -370,13 +370,7 @@ let write_json path ~table3 ~seq_par ~e13 ~e16 ~e12 ~e14 ~e15 ~e17 =
          Obj
            [ ("full_p50_ms", s3 r.es_single_full_p50_ms);
              ("inc_p50_ms", s3 r.es_single_inc_p50_ms);
-             ("speedup", s3 r.es_single_speedup) ]);
-        ("counters",
-         Obj
-           [ ("region_reparse", Int r.es_reparse);
-             ("region_fallback", Int r.es_fallback);
-             ("ckpt_resume", Int r.es_resume);
-             ("resync_tokens", Int r.es_resync_tokens) ]) ]
+             ("speedup", s3 r.es_single_speedup) ]) ]
   in
   Obs.write_file path
     (to_string

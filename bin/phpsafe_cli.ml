@@ -5,24 +5,13 @@
     each finding — the CLI counterpart of the web interface described in
     paper §III. *)
 
-(* --watch: poll the target, re-analyze incrementally on every change and
-   print the finding delta.  Reports stay byte-identical to a cold scan of
-   the same bytes; only the re-parse work shrinks to the damaged regions
-   (see Serve.Watch).  Bounded runs (--watch-max-events) exist for smoke
-   tests; interactive use runs until interrupted. *)
+(* --watch: poll the target, re-analyze on every change and print the
+   finding delta.  Reports stay byte-identical to a cold scan of the same
+   bytes; only the changed files are re-parsed, every other parse comes
+   from the memo (see Serve.Watch).  Bounded runs (--watch-max-events)
+   exist for smoke tests; interactive use runs until interrupted. *)
 let watch_loop target opts ~poll_ms ~max_events =
   let session = Serve.Watch.create opts in
-  let last = ref [] in
-  let counter_deltas () =
-    let now = Serve.Watch.incremental_counters () in
-    let grew (k, v) =
-      let prev = Option.value ~default:0 (List.assoc_opt k !last) in
-      if v > prev then Some (Printf.sprintf "%s+%d" k (v - prev)) else None
-    in
-    let deltas = List.filter_map grew now in
-    last := now;
-    deltas
-  in
   let last_exit = ref 0 in
   let on_event (d : Serve.Watch.delta) =
     let open Serve.Watch in
@@ -42,10 +31,7 @@ let watch_loop target opts ~poll_ms ~max_events =
       List.iter
         (fun f -> Format.printf "  - %a@." Secflow.Report.pp_finding f)
         d.d_removed
-    end;
-    match counter_deltas () with
-    | [] -> ()
-    | ds -> Format.printf "  incremental: %s@." (String.concat " " ds)
+    end
   in
   Format.printf "watch: %s: polling every %d ms@." target poll_ms;
   Serve.Watch.loop session
@@ -169,10 +155,10 @@ let show_stats =
 
 let watch_flag =
   let doc =
-    "Keep running: poll $(b,TARGET) for changes and re-analyze
-     incrementally on every edit (checkpointed re-lexing + region
-     re-parse), printing the finding delta of each change.  Reports stay
-     byte-identical to a fresh scan of the same bytes."
+    "Keep running: poll $(b,TARGET) for changes and re-analyze on every
+     edit, re-parsing only the changed files, and print the finding delta
+     of each change.  Reports stay byte-identical to a fresh scan of the
+     same bytes."
   in
   Arg.(value & flag & info [ "w"; "watch" ] ~doc)
 

@@ -1,5 +1,4 @@
-(** E17 — sub-file incremental re-analysis under an edit storm (beyond
-    the paper).
+(** E17 — incremental re-analysis under an edit storm (beyond the paper).
 
     A deterministic, seeded storm of small edits is applied to the largest
     V.2012 plugin, and after every edit the {e whole corpus} is
@@ -8,21 +7,20 @@
     change:
 
     - {e incremental}: the long-lived warm path — the edited file goes
-      through {!Phplang.Project.Increment.update} (checkpointed re-lexing
-      of the damaged region, re-parse of the changed top-level statements
-      only, the others reused), the persistent {!Phplang.Store} stays on,
-      and every plugin is analyzed live over the warm parse caches;
+      through {!Phplang.Project.Increment.update} (one streaming re-parse
+      of that file, whose previous parse is evicted from the memo), every
+      other file is served by the in-process parse memo, the persistent
+      {!Phplang.Store} stays on, and every plugin is analyzed live;
     - {e full}: the cold path — the store is disabled, the in-memory parse
       memo is bypassed, and every plugin is parsed and analyzed from
       scratch.
 
     The two rendered reports must be byte-identical after every edit —
     incrementality is an accelerator, never an approximation.  Four edit
-    shapes exercise every pipeline path: [single-def] (a statement
-    inserted into one function body — one statement re-parsed),
+    shapes: [single-def] (a statement inserted into one function body),
     [whitespace] (lexically trivial damage), [cross-def] (one update
-    touching two definitions — both re-parsed, no fallback), and
-    [signature] (a parameter added — the def's summary changes shape). *)
+    touching two definitions), and [signature] (a parameter added — the
+    def's summary changes shape). *)
 
 type kind = Single_def | Whitespace | Cross_def | Signature
 
@@ -50,10 +48,6 @@ type report = {
   es_single_full_p50_ms : float;
   es_single_inc_p50_ms : float;
   es_single_speedup : float;  (** full p50 / incremental p50, single-def *)
-  es_reparse : int;  (** parser.region.reparse over the storm *)
-  es_fallback : int;  (** parser.region.fallback over the storm *)
-  es_resume : int;  (** lexer.ckpt.resume over the storm *)
-  es_resync_tokens : int;  (** lexer.ckpt.resync_tokens over the storm *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -198,8 +192,8 @@ let measure ?(seed = default_seed) ?(edits = default_edits) ?corpus () :
   Fun.protect
     ~finally:(fun () -> Phplang.Project.Parse_cache.set_enabled true)
   @@ fun () ->
-  (* warm-up: populate the store (every plugin) and the incremental
-     session (untimed) *)
+  (* warm-up: populate the store (every plugin) and the edit session
+     (untimed) *)
   List.iter
     (fun p ->
       ignore
@@ -212,11 +206,6 @@ let measure ?(seed = default_seed) ?(edits = default_edits) ?corpus () :
       (List.map (fun p -> render (analyze p)) projects)
   in
   ignore (analyze_all (current_corpus ()) : string);
-  let counters =
-    [ "parser.region.reparse"; "parser.region.fallback";
-      "lexer.ckpt.resume"; "lexer.ckpt.resync_tokens" ]
-  in
-  let c0 = List.map Obs.counter counters in
   let rng = Corpus.Prng.create seed in
   let kinds = [| Single_def; Whitespace; Cross_def; Signature |] in
   let editable =
@@ -239,8 +228,8 @@ let measure ?(seed = default_seed) ?(edits = default_edits) ?corpus () :
     | Some src' ->
         Hashtbl.replace sources path src';
         let projects = current_corpus () in
-        (* incremental (warm) pass: statement-reuse re-parse of the edited
-           file, then live analysis of the corpus over warm parse caches *)
+        (* incremental (warm) pass: a streaming re-parse of the edited
+           file, then live analysis of the corpus over the warm memo *)
         let t0 = Obs.Clock.now () in
         ignore
           (Phplang.Project.Increment.update session ~path ~source:src'
@@ -267,8 +256,6 @@ let measure ?(seed = default_seed) ?(edits = default_edits) ?corpus () :
           :: !points
   done;
   let points = List.rev !points in
-  let deltas = List.map2 (fun k v0 -> Obs.counter k - v0) counters c0 in
-  let d i = List.nth deltas i in
   let single = List.filter (fun p -> p.pt_kind = Single_def) points in
   let p50 field = Obs.percentile (List.map field single) 50. in
   let full_p50 = p50 (fun p -> p.pt_full_ms) in
@@ -285,10 +272,6 @@ let measure ?(seed = default_seed) ?(edits = default_edits) ?corpus () :
     es_single_full_p50_ms = full_p50;
     es_single_inc_p50_ms = inc_p50;
     es_single_speedup = (if inc_p50 > 0. then full_p50 /. inc_p50 else nan);
-    es_reparse = d 0;
-    es_fallback = d 1;
-    es_resume = d 2;
-    es_resync_tokens = d 3;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -318,10 +301,6 @@ let print ppf (r : report) =
     "report identity: %d/%d byte-identical (%d violation(s))@."
     (r.es_edits - r.es_violations)
     r.es_edits r.es_violations;
-  Format.fprintf ppf
-    "pipeline: %d region re-parse(s), %d fallback(s), %d checkpoint \
-     resume(s), %d token(s) re-lexed@."
-    r.es_reparse r.es_fallback r.es_resume r.es_resync_tokens;
   Format.fprintf ppf
     "single-def edits: %.2f ms full vs %.2f ms incremental (%.1fx; goal \
      >= 5x)@."

@@ -1,7 +1,7 @@
-(** E17 — sub-file incremental re-analysis under a deterministic edit
-    storm: per-edit wall clock of the warm incremental pipeline
-    (checkpointed re-lexing, statement-reuse re-parse, live analysis over
-    warm parse caches) against a cold full re-analysis of the same bytes, with
+(** E17 — incremental re-analysis under a deterministic edit storm:
+    per-edit wall clock of the warm path (a streaming re-parse of the
+    edited file, every other file served by the parse memo, live analysis)
+    against a cold full re-analysis of the same bytes, with
     byte-identical-report verification after every edit.  See editstorm.ml
     for the edit shapes and what each exercises. *)
 
@@ -29,10 +29,6 @@ type report = {
   es_single_speedup : float;
       (** median full / median incremental, single-definition edits only —
           the headline claim (goal: >= 5x) *)
-  es_reparse : int;
-  es_fallback : int;
-  es_resume : int;
-  es_resync_tokens : int;
 }
 
 val measure : ?seed:int -> ?edits:int -> ?corpus:Corpus.t -> unit -> report

@@ -399,139 +399,6 @@ and equal_list : 'a. ('a -> 'a -> bool) -> 'a list -> 'a list -> bool =
 
 let equal_program = equal_list equal_stmt
 
-(** Rebase every recorded position by [delta] source lines — the reused
-    suffix of an incrementally re-parsed file keeps its subtrees with their
-    lines shifted by the edit's net newline count.  [delta = 0] returns the
-    argument unchanged, sharing the whole tree. *)
-let shift_pos d (p : pos) = { p with line = p.line + d }
-
-let rec shift_expr d (x : expr) =
-  { e = shift_expr_desc d x.e; epos = shift_pos d x.epos }
-
-and shift_expr_desc d = function
-  | ( Null | True | False | Int _ | Float _ | Str _ | Var _ | StaticProp _
-    | ClassConst _ | Const _ ) as e ->
-      e
-  | Interp ps -> Interp (List.map (shift_interp d) ps)
-  | ArrayGet (a, i) -> ArrayGet (shift_expr d a, Option.map (shift_expr d) i)
-  | Prop (o, p) -> Prop (shift_expr d o, p)
-  | ArrayLit kvs ->
-      ArrayLit
-        (List.map
-           (fun (k, v) -> (Option.map (shift_expr d) k, shift_expr d v))
-           kvs)
-  | Call (f, args) -> Call (f, List.map (shift_expr d) args)
-  | MethodCall (o, m, args) ->
-      MethodCall (shift_expr d o, m, List.map (shift_expr d) args)
-  | StaticCall (c, m, args) ->
-      StaticCall (c, m, List.map (shift_expr d) args)
-  | New (c, args) -> New (c, List.map (shift_expr d) args)
-  | Assign (l, r) -> Assign (shift_expr d l, shift_expr d r)
-  | AssignRef (l, r) -> AssignRef (shift_expr d l, shift_expr d r)
-  | OpAssign (o, l, r) -> OpAssign (o, shift_expr d l, shift_expr d r)
-  | Bin (o, l, r) -> Bin (o, shift_expr d l, shift_expr d r)
-  | Un (o, e) -> Un (o, shift_expr d e)
-  | Ternary (c, t, e) ->
-      Ternary (shift_expr d c, Option.map (shift_expr d) t, shift_expr d e)
-  | CastE (c, e) -> CastE (c, shift_expr d e)
-  | Isset es -> Isset (List.map (shift_expr d) es)
-  | EmptyE e -> EmptyE (shift_expr d e)
-  | PrintE e -> PrintE (shift_expr d e)
-  | Exit e -> Exit (Option.map (shift_expr d) e)
-  | IncludeE (k, e) -> IncludeE (k, shift_expr d e)
-  | Closure c ->
-      Closure
-        {
-          c with
-          cl_params = List.map (shift_param d) c.cl_params;
-          cl_body = List.map (shift_stmt d) c.cl_body;
-        }
-  | ListAssign (ls, r) ->
-      ListAssign (List.map (Option.map (shift_expr d)) ls, shift_expr d r)
-
-and shift_interp d = function
-  | ILit _ as p -> p
-  | IExpr e -> IExpr (shift_expr d e)
-
-and shift_param d (p : param) =
-  { p with p_default = Option.map (shift_expr d) p.p_default }
-
-and shift_stmt d (x : stmt) =
-  { s = shift_stmt_desc d x.s; spos = shift_pos d x.spos }
-
-and shift_stmt_desc d = function
-  | Expr e -> Expr (shift_expr d e)
-  | Echo es -> Echo (List.map (shift_expr d) es)
-  | If (branches, els) ->
-      If
-        ( List.map
-            (fun (c, b) -> (shift_expr d c, List.map (shift_stmt d) b))
-            branches,
-          Option.map (List.map (shift_stmt d)) els )
-  | While (c, b) -> While (shift_expr d c, List.map (shift_stmt d) b)
-  | DoWhile (b, c) -> DoWhile (List.map (shift_stmt d) b, shift_expr d c)
-  | For (i, c, u, b) ->
-      For
-        ( List.map (shift_expr d) i,
-          List.map (shift_expr d) c,
-          List.map (shift_expr d) u,
-          List.map (shift_stmt d) b )
-  | Foreach (e, bind, b) ->
-      Foreach (shift_expr d e, shift_binding d bind, List.map (shift_stmt d) b)
-  | Switch (e, cs) ->
-      Switch
-        ( shift_expr d e,
-          List.map
-            (fun c ->
-              {
-                case_guard = Option.map (shift_expr d) c.case_guard;
-                case_body = List.map (shift_stmt d) c.case_body;
-              })
-            cs )
-  | (Break | Continue | Nop | Global _ | InlineHtml _) as s -> s
-  | Return e -> Return (Option.map (shift_expr d) e)
-  | StaticVar vs ->
-      StaticVar (List.map (fun (n, e) -> (n, Option.map (shift_expr d) e)) vs)
-  | Unset es -> Unset (List.map (shift_expr d) es)
-  | Block b -> Block (List.map (shift_stmt d) b)
-  | FuncDef f -> FuncDef (shift_func d f)
-  | ClassDef c -> ClassDef (shift_cls d c)
-  | Throw e -> Throw (shift_expr d e)
-  | TryCatch (b, cs) ->
-      TryCatch
-        ( List.map (shift_stmt d) b,
-          List.map
-            (fun c -> { c with catch_body = List.map (shift_stmt d) c.catch_body })
-            cs )
-
-and shift_binding d = function
-  | ForeachValue e -> ForeachValue (shift_expr d e)
-  | ForeachKeyValue (k, v) -> ForeachKeyValue (shift_expr d k, shift_expr d v)
-
-and shift_func d (f : func) =
-  {
-    f with
-    f_params = List.map (shift_param d) f.f_params;
-    f_body = List.map (shift_stmt d) f.f_body;
-    f_pos = shift_pos d f.f_pos;
-  }
-
-and shift_cls d (c : cls) =
-  {
-    c with
-    c_consts = List.map (fun (n, e) -> (n, shift_expr d e)) c.c_consts;
-    c_props =
-      List.map
-        (fun p -> { p with pr_default = Option.map (shift_expr d) p.pr_default })
-        c.c_props;
-    c_methods =
-      List.map (fun m -> { m with m_func = shift_func d m.m_func }) c.c_methods;
-    c_pos = shift_pos d c.c_pos;
-  }
-
-let shift_lines delta (p : program) =
-  if delta = 0 then p else List.map (shift_stmt delta) p
-
 (** Number of statements in a program, counting nested bodies (function,
     method and control-flow bodies, not closure bodies) — a cheap
     complexity proxy used by tests. *)

@@ -22,9 +22,8 @@ let hex s = Stdlib.Digest.to_hex (Stdlib.Digest.string s)
     [Marshal] bytes.  Structurally equal values — same constructors, same
     strings, same positions — digest equal.  [No_sharing] matters: default
     marshalling encodes repeated physical blocks as back-references, so two
-    structurally equal values with different internal sharing (an
-    incremental AST with reused statements vs. a cold parse, whose interned lexemes share
-    differently) would otherwise digest differently. *)
+    structurally equal values with different internal sharing would
+    otherwise digest differently. *)
 let structural v = hex (Marshal.to_string v [ Marshal.No_sharing ])
 
 (** Digest of a list of digests (or any strings): order-sensitive. *)

@@ -31,8 +31,8 @@ type state = {
   mutable intern_bytes_saved : int;
 }
 
-let make_state ?(pos = 0) ?(line = 1) ?(in_php = false) src =
-  { src; len = String.length src; pos; line; in_php;
+let make_state src =
+  { src; len = String.length src; pos = 0; line = 1; in_php = false;
     interned = Array.make 256 ""; n_interned = 0;
     intern_hits = 0; intern_bytes_saved = 0 }
 
@@ -265,7 +265,7 @@ let cast_kind s i n =
 let is_blank c = c = ' ' || c = '\t'
 
 (* '(' is a cast when it reads '(' blank* typename blank* ')', otherwise
-   punctuation.  The probe is unbounded, which [relex] accounts for. *)
+   punctuation. *)
 let lex_paren st =
   let line = st.line and start = st.pos and s = st.src in
   let i = skip_while is_blank s (start + 1) in
@@ -451,9 +451,7 @@ let lex_php_token st =
 (* One token from the current lexer state.  The precondition is
    [st.pos < String.length st.src]; the caller emits T_EOF itself.  Every
    path captures [st.line] before consuming input, so a token's [line] is
-   always the lexer's line counter at the token's first byte — the
-   incremental machinery below depends on that to reconstruct checkpoints
-   from the token array alone. *)
+   always the lexer's line counter at the token's first byte. *)
 let step st =
   if st.in_php then lex_php_token st
   else if at st 0 '<' && at st 1 '?' then begin
@@ -544,238 +542,3 @@ let tokenize_significant src =
     if t.Token.kind = Token.T_EOF then [ t ] else t :: collect ()
   in
   collect ()
-
-(* ------------------------------------------------------------------ *)
-(* Checkpointed incremental lexing                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* The lexer's complete inter-token state is (pos, line, in_php): [scratch]
-   is cleared by every string lexer and [interned] is semantically
-   transparent, and multi-line constructs (heredocs, block comments,
-   strings) are consumed whole inside a single [step], so there is no
-   heredoc-label stack to snapshot between tokens.  A checkpoint is that
-   triple plus the index of the next token to be produced. *)
-
-type checkpoint = {
-  ck_index : int;  (* tokens [0, ck_index) precede this boundary *)
-  ck_pos : int;
-  ck_line : int;
-  ck_in_php : bool;
-}
-
-type lexed = {
-  lx_src : string;
-  lx_tokens : Token.t array;  (* includes the trailing T_EOF *)
-  lx_starts : int array;
-      (* lx_starts.(i) = byte offset of token i's first byte; the trailing
-         T_EOF entry is String.length lx_src.  Strictly increasing: tokens
-         tile the source with no gaps. *)
-  lx_php : bool array;  (* in_php at each token's start, same length *)
-  lx_ckpts : checkpoint array;  (* ascending ck_index, first is index 0 *)
-}
-
-let checkpoint_interval = 32
-
-(* The deepest lookahead past an emitted token's end is 3 bytes
-   (lex_number's signed-exponent probe); anything at distance >= 8 from the
-   first changed byte is therefore lexed from unchanged input only.  The
-   margin also keeps a resumed run clear of multi-byte operators that start
-   just before the damage. *)
-let resume_margin = 8
-
-(* Checkpoints are derived from the token arrays after the fact: because
-   every token records the line of its first byte and tokens tile the
-   source, the lexer state at the boundary before token i is exactly
-   (lx_starts.(i), tokens.(i).line, lx_php.(i)). *)
-let derive_ckpts (tokens : Token.t array) (starts : int array)
-    (php : bool array) =
-  let n = Array.length tokens in
-  let acc = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    acc :=
-      {
-        ck_index = !i;
-        ck_pos = starts.(!i);
-        ck_line = tokens.(!i).Token.line;
-        ck_in_php = php.(!i);
-      }
-      :: !acc;
-    i := !i + checkpoint_interval
-  done;
-  Array.of_list (List.rev !acc)
-
-let lex_all src : lexed =
-  let st = make_state src in
-  let len = String.length src in
-  let toks = ref [] and starts = ref [] and phps = ref [] and count = ref 0 in
-  with_counters st (fun () ->
-      while st.pos < len do
-        starts := st.pos :: !starts;
-        phps := st.in_php :: !phps;
-        toks := step st :: !toks;
-        Stdlib.incr count
-      done);
-  starts := len :: !starts;
-  phps := st.in_php :: !phps;
-  toks := Token.make Token.T_EOF "" st.line :: !toks;
-  Stdlib.incr count;
-  let tokens = Array.make !count (Token.make Token.T_EOF "" 1) in
-  let starts_a = Array.make !count 0 and php_a = Array.make !count false in
-  let i = ref (!count - 1) in
-  List.iter2
-    (fun t (s, p) ->
-      tokens.(!i) <- t;
-      starts_a.(!i) <- s;
-      php_a.(!i) <- p;
-      Stdlib.decr i)
-    !toks
-    (List.combine !starts !phps);
-  {
-    lx_src = src;
-    lx_tokens = tokens;
-    lx_starts = starts_a;
-    lx_php = php_a;
-    lx_ckpts = derive_ckpts tokens starts_a php_a;
-  }
-
-(* Binary search: index i with starts.(i) = pos, if any. *)
-let token_index_of_start (starts : int array) pos =
-  let lo = ref 0 and hi = ref (Array.length starts - 1) and found = ref (-1) in
-  while !found < 0 && !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let v = starts.(mid) in
-    if v = pos then found := mid
-    else if v < pos then lo := mid + 1
-    else hi := mid - 1
-  done;
-  if !found < 0 then None else Some !found
-
-let relex (old : lexed) (src : string) : lexed =
-  let olen = String.length old.lx_src and nlen = String.length src in
-  let n_old = Array.length old.lx_tokens in
-  (* damage region = everything between the byte-level common prefix and
-     the (non-overlapping) common suffix *)
-  let maxp = min olen nlen in
-  let p = ref 0 in
-  while !p < maxp && old.lx_src.[!p] = src.[!p] do Stdlib.incr p done;
-  let p = !p in
-  if p = olen && olen = nlen then old
-  else begin
-    let s = ref 0 in
-    let maxs = maxp - p in
-    while
-      !s < maxs && old.lx_src.[olen - 1 - !s] = src.[nlen - 1 - !s]
-    do
-      Stdlib.incr s
-    done;
-    let s = !s in
-    let delta = nlen - olen in
-    let damage_new_end = nlen - s in
-    (* resume from the last checkpoint safely before the damage *)
-    let resume_limit =
-      let limit = p - resume_margin in
-      (* try_lex_cast probes forward over '(' ws* ident ws* ')' with no
-         length bound, so an edit can retroactively flip a distant '('
-         between Punct and a cast token.  If the bytes leading back from
-         the damage are all spaces/tabs/ident chars and hit a '(', that
-         parenthesis must be re-lexed too. *)
-      let r = ref p in
-      while
-        !r > 0
-        &&
-        let c = old.lx_src.[!r - 1] in
-        c = ' ' || c = '\t' || is_ident_char c
-      do
-        Stdlib.decr r
-      done;
-      if !r > 0 && old.lx_src.[!r - 1] = '(' then min limit (!r - 1)
-      else limit
-    in
-    let ck = ref old.lx_ckpts.(0) in
-    Array.iter
-      (fun c ->
-        if c.ck_pos <= resume_limit && c.ck_index >= !ck.ck_index then
-          ck := c)
-      old.lx_ckpts;
-    let ck = !ck in
-    Obs.incr "lexer.ckpt.resume";
-    let st =
-      make_state ~pos:ck.ck_pos ~line:ck.ck_line ~in_php:ck.ck_in_php src
-    in
-    (* lex forward until the token stream re-synchronizes with the old one:
-       same byte position (modulo the length delta) past the damage, same
-       PHP/HTML mode *)
-    let fresh = ref [] and fresh_count = ref 0 in
-    let resync = ref (-1) in
-    let continue_ = ref true in
-    with_counters st (fun () ->
-        while !continue_ do
-          if st.pos >= nlen then continue_ := false
-          else begin
-            (if st.pos >= damage_new_end then
-               match token_index_of_start old.lx_starts (st.pos - delta) with
-               | Some i
-                 when old.lx_php.(i) = st.in_php && i < n_old - 1 ->
-                   resync := i;
-                   continue_ := false
-               | _ -> ());
-            if !continue_ then begin
-              let start = st.pos and php = st.in_php in
-              let t = step st in
-              fresh := (t, start, php) :: !fresh;
-              Stdlib.incr fresh_count
-            end
-          end
-        done);
-    Obs.add "lexer.ckpt.resync_tokens" !fresh_count;
-    let fresh = List.rev !fresh in
-    let resync = if !resync >= 0 then Some !resync else None in
-    let line_delta =
-      match resync with
-      | Some i -> st.line - old.lx_tokens.(i).Token.line
-      | None -> 0
-    in
-    let n_suffix = match resync with Some i -> n_old - i | None -> 0 in
-    let n_new =
-      ck.ck_index + !fresh_count + n_suffix
-      + (match resync with None -> 1 | Some _ -> 0)
-    in
-    let tokens = Array.make n_new (Token.make Token.T_EOF "" 1) in
-    let starts_a = Array.make n_new 0 and php_a = Array.make n_new false in
-    Array.blit old.lx_tokens 0 tokens 0 ck.ck_index;
-    Array.blit old.lx_starts 0 starts_a 0 ck.ck_index;
-    Array.blit old.lx_php 0 php_a 0 ck.ck_index;
-    List.iteri
-      (fun j (t, start, php) ->
-        tokens.(ck.ck_index + j) <- t;
-        starts_a.(ck.ck_index + j) <- start;
-        php_a.(ck.ck_index + j) <- php)
-      fresh;
-    (match resync with
-    | Some i ->
-        let base = ck.ck_index + !fresh_count in
-        for k = 0 to n_suffix - 1 do
-          let t = old.lx_tokens.(i + k) in
-          tokens.(base + k) <-
-            (if line_delta = 0 then t
-             else Token.make t.Token.kind t.Token.lexeme
-                    (t.Token.line + line_delta));
-          starts_a.(base + k) <- old.lx_starts.(i + k) + delta;
-          php_a.(base + k) <- old.lx_php.(i + k)
-        done
-    | None ->
-        let i = n_new - 1 in
-        tokens.(i) <- Token.make Token.T_EOF "" st.line;
-        starts_a.(i) <- nlen;
-        php_a.(i) <- st.in_php);
-    {
-      lx_src = src;
-      lx_tokens = tokens;
-      lx_starts = starts_a;
-      lx_php = php_a;
-      lx_ckpts = derive_ckpts tokens starts_a php_a;
-    }
-  end
-
-let tokens_of_lexed (l : lexed) = Array.to_list l.lx_tokens

@@ -36,48 +36,7 @@ val drain : (unit -> Token.t) -> int
     {!Error}. *)
 
 val tokenize_significant : string -> Token.t list
-(** [significant (tokenize src)], collected from a {!reader}. *)
-
-(** {1 Checkpointed incremental lexing}
-
-    The lexer's complete inter-token state is (byte position, line,
-    in-PHP flag): heredocs, strings and comments are consumed whole within
-    a single token, so there is no extra mode stack.  {!lex_all} records a
-    checkpoint of that state every 32 tokens; {!relex}
-    resumes from the nearest checkpoint safely before an edit's damage
-    region and stops as soon as the fresh tokens re-synchronize with the
-    old stream, reusing the unchanged prefix and suffix.  Counters:
-    [lexer.ckpt.resume] (one per resumed re-lex) and
-    [lexer.ckpt.resync_tokens] (tokens actually re-lexed). *)
-
-type checkpoint = {
-  ck_index : int;  (** tokens [0, ck_index) precede this boundary *)
-  ck_pos : int;
-  ck_line : int;
-  ck_in_php : bool;
-}
-
-type lexed = {
-  lx_src : string;
-  lx_tokens : Token.t array;  (** includes the trailing {!Token.T_EOF} *)
-  lx_starts : int array;
-      (** byte offset of each token's first byte; strictly increasing *)
-  lx_php : bool array;  (** in-PHP flag at each token's start *)
-  lx_ckpts : checkpoint array;
-}
-
-val lex_all : string -> lexed
-(** Full tokenization with checkpoints; token-for-token identical to
-    {!tokenize}.  Raises {!Error} like {!tokenize}. *)
-
-val relex : lexed -> string -> lexed
-(** [relex old src] re-tokenizes [src] incrementally against the previous
-    result [old], resuming from a checkpoint before the first changed byte
-    and re-synchronizing with [old]'s token stream after the last changed
-    byte.  The result is token-for-token identical to [lex_all src]
-    (reused tokens are the old [Token.t] values themselves; suffix tokens
-    are rebuilt with shifted line numbers when the edit changed the line
-    count).  Raises {!Error} exactly when
-    [lex_all src] would. *)
-
-val tokens_of_lexed : lexed -> Token.t list
+(** [significant (tokenize src)], collected from a {!reader}.  The
+    parser pulls from a {!reader} directly; this list form is kept for
+    the benchmark's traced front end ([perfbench/passes.ml]), which times
+    lexing apart from parsing. *)

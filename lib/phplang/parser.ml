@@ -22,19 +22,13 @@ let nesting_fuel = Atomic.make default_nesting_limit
 let set_nesting_limit n = Atomic.set nesting_fuel (max 16 n)
 let nesting_limit () = Atomic.get nesting_fuel
 
-(* Where the parser's tokens come from: a pull function (a lexer reader,
-   or a list) that is never called again once it has given T_EOF, or a
-   significant-token array, which [parse_program]'s statement reuse can
-   jump through. *)
-type source = Pull of (unit -> Token.t) | Tokens of Token.t array
-
 type state = {
-  source : source;
+  next : unit -> Token.t;
+      (* the token source (a lexer reader, or a list), never called again
+         once it has given T_EOF *)
   mutable tok : Token.t;  (* the current token *)
   mutable ahead : Token.t;
-      (* the token after [tok] once [peek2] pulled it, else [no_token];
-         used by [Pull] only *)
-  mutable cur : int;  (* [tok]'s index: the tokens consumed before it *)
+      (* the token after [tok] once [peek2] pulled it, else [no_token] *)
   mutable depth : int;
   file : string;
   mutable line_pos : Ast.pos;  (* the last position built *)
@@ -42,9 +36,8 @@ type state = {
 
 let no_token = Token.make Token.T_EOF "" 0
 
-let init ~file source =
-  let tok = match source with Pull next -> next () | Tokens a -> a.(0) in
-  { source; tok; ahead = no_token; cur = 0; depth = 0; file;
+let init ~file next =
+  { next; tok = next (); ahead = no_token; depth = 0; file;
     line_pos = { Ast.file; line = 0 } }
 
 (* Nodes from one line share one position record. *)
@@ -65,12 +58,10 @@ let peek st = st.tok
    successor. *)
 let peek2 st =
   if st.tok.Token.kind = Token.T_EOF then st.tok
-  else
-    match st.source with
-    | Tokens a -> a.(st.cur + 1)
-    | Pull next ->
-        if st.ahead == no_token then st.ahead <- next ();
-        st.ahead
+  else begin
+    if st.ahead == no_token then st.ahead <- st.next ();
+    st.ahead
+  end
 
 let here st = pos_of st (peek st)
 
@@ -93,28 +84,15 @@ let fail st msg =
        (Printf.sprintf "%s (at %s %S)" msg (Token.name t.Token.kind) t.Token.lexeme,
         here st))
 
-(* Jump to token [i] of an array source. *)
-let seek st i =
-  match st.source with
-  | Tokens a ->
-      st.cur <- i;
-      st.tok <- a.(i)
-  | Pull _ -> invalid_arg "Parser.seek: not an array source"
-
 let advance st =
   let t = st.tok in
   if t.Token.kind <> Token.T_EOF then begin
-    st.cur <- st.cur + 1;
-    st.tok <-
-      (match st.source with
-      | Tokens a -> a.(st.cur)
-      | Pull next ->
-          let t2 = st.ahead in
-          if t2 == no_token then next ()
-          else begin
-            st.ahead <- no_token;
-            t2
-          end)
+    let t2 = st.ahead in
+    if t2 == no_token then st.tok <- st.next ()
+    else begin
+      st.ahead <- no_token;
+      st.tok <- t2
+    end
   end;
   t
 
@@ -1148,46 +1126,24 @@ and parse_class st pos is_interface =
 and expr_of_string ?(file = "<expr>") src : Ast.expr =
   let next = Lexer.reader ("<?php " ^ src ^ ";") in
   lexing_first next (fun () ->
-      let st = init ~file (Pull next) in
+      let st = init ~file next in
       ignore (eat st Token.T_OPEN_TAG);
       let e = parse_expr st in
       ignore (Lexer.drain next);
       e)
 
-(* A top-level statement's extent in the significant-token array:
-   [sp_start, sp_stop).  Skipped T_OPEN_TAG tokens belong to no span (they
-   are gaps between spans). *)
-type top_span = { sp_start : int; sp_stop : int }
-
-(* The one top-level loop.  At each statement start [reuse] may supply a
-   statement already known to span [start, stop) of the token array; the
-   loop then jumps to [stop] instead of parsing.  Top-level statements
-   start at nesting depth 0, so a statement's parse depends only on its
-   own tokens and the one token after it. *)
-let program ?reuse st : Ast.program * top_span array =
-  let rec loop acc spans =
-    if check st Token.T_EOF then (List.rev acc, Array.of_list (List.rev spans))
+(* The top-level loop: statements up to T_EOF, skipping the T_OPEN_TAG
+   tokens between them. *)
+let program st : Ast.program =
+  let rec loop acc =
+    if check st Token.T_EOF then List.rev acc
     else if check st Token.T_OPEN_TAG then begin
       ignore (advance st);
-      loop acc spans
+      loop acc
     end
-    else begin
-      let start = st.cur in
-      let reused = match reuse with Some f -> f start | None -> None in
-      let s =
-        match reused with
-        | Some (s, stop) ->
-            seek st stop;
-            s
-        | None -> parse_stmt st
-      in
-      loop (s :: acc) ({ sp_start = start; sp_stop = st.cur } :: spans)
-    end
+    else loop (parse_stmt st :: acc)
   in
-  loop [] []
-
-let parse_program ?reuse ~file tokens =
-  program ?reuse (init ~file (Tokens tokens))
+  loop []
 
 let pull_list tokens =
   let rest = ref tokens in
@@ -1199,10 +1155,10 @@ let pull_list tokens =
     | [] -> invalid_arg "Parser.parse_tokens: no T_EOF"
 
 let parse_tokens ~file tokens : Ast.program =
-  fst (program (init ~file (Pull (pull_list tokens))))
+  program (init ~file (pull_list tokens))
 
 (** Parse a full PHP source file, lexing it as the parse pulls tokens. *)
 let parse_source ~file src : Ast.program =
   Obs.span "phplang.parse" (fun () ->
       let next = Lexer.reader src in
-      lexing_first next (fun () -> fst (program (init ~file (Pull next)))))
+      lexing_first next (fun () -> program (init ~file next)))

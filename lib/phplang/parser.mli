@@ -26,7 +26,10 @@ val nesting_limit : unit -> int
 
 val parse_tokens : file:string -> Token.t list -> Ast.program
 (** Parse a significant-token list terminated by [T_EOF] (see
-    {!Lexer.significant}); [file] is recorded in every position. *)
+    {!Lexer.significant}); [file] is recorded in every position.  The
+    analyzers parse through {!parse_source}; this entry point is kept for
+    the benchmark's traced front end ([perfbench/passes.ml]), which times
+    lexing and parsing as separate layers. *)
 
 val parse_source : file:string -> string -> Ast.program
 (** Parse a complete PHP source file in one pass: the parser pulls each
@@ -39,29 +42,3 @@ val expr_of_string : ?file:string -> string -> Ast.expr
 (** Parse a single PHP expression given without [<?php] tags — used for
     [{$...}] interpolation and convenient in tests.  The whole text is
     lexed, with {!parse_source}'s error precedence. *)
-
-(** {1 Statement reuse}
-
-    Support for sub-file incremental parsing: {!parse_program} records
-    each top-level statement's extent in the significant-token array and
-    can take already-parsed statements instead of parsing them.  See
-    [Project.Increment] for how reusable statements are found. *)
-
-type top_span = { sp_start : int; sp_stop : int }
-(** A top-level statement's extent [sp_start, sp_stop) in the
-    significant-token array.  Skipped [T_OPEN_TAG] tokens belong to no
-    span. *)
-
-val parse_program :
-  ?reuse:(int -> (Ast.stmt * int) option) ->
-  file:string ->
-  Token.t array ->
-  Ast.program * top_span array
-(** Parse significant tokens (terminated by [T_EOF]) into the program and
-    one {!top_span} per top-level statement, in order.  At each statement
-    start [i], [reuse i] may answer [Some (stmt, stop)]: the loop takes
-    [stmt] as the statement spanning [i, stop) and resumes at [stop].  The
-    answer must be what parsing from [i] would give; a top-level
-    statement's parse depends only on its tokens, the one token after
-    them, [file] and the nesting limit.  Raises {!Parse_error} and
-    {!Depth_exceeded} like {!parse_tokens}. *)

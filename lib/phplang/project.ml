@@ -98,9 +98,9 @@ module Parse_cache = struct
     Atomic.set t.hits 0;
     Atomic.set t.misses 0
 
-  (* Publish a result computed outside the memo (the incremental pipeline)
-     so later [memo] calls for the same key hit.  An [In_progress] marker is
-     left alone: the live parse will publish the same value. *)
+  (* Publish a result computed outside the memo so later [memo] calls for
+     the same key hit.  An [In_progress] marker is left alone: the live
+     parse will publish the same value. *)
   let seed t key v =
     Mutex.lock t.lock;
     (match Hashtbl.find_opt t.table key with
@@ -166,40 +166,46 @@ let parse_store_key ~path ~source =
   Digest.combine
     [ path; Digest.hex source; string_of_int (Parser.nesting_limit ()) ]
 
+(* One parse of [f], every front-end failure mapped to a {!parse_error}:
+   lexer errors, parse errors and nesting-budget exhaustion.  Only
+   genuinely unexpected exceptions (a front-end bug) escape, and those the
+   analyzers' crash barriers catch. *)
+let parse_result (f : file) : (Ast.program, parse_error) result =
+  match Parser.parse_source ~file:f.path f.source with
+  | prog -> Ok prog
+  | exception Parser.Parse_error (msg, _) -> Error (Syntax msg)
+  | exception Lexer.Error (msg, line) ->
+      Error (Syntax (Printf.sprintf "lexical error on line %d: %s" line msg))
+  | exception Parser.Depth_exceeded (msg, _) -> Error (Over_budget msg)
+
+(* The in-memory memo's key of a file's parse. *)
+let memo_key ~path ~source = (path, Digest.string source)
+
 (** Parse [f], memoized in [cache] (default: {!Parse_cache.shared}) unless
     the cache is globally disabled.  [Error _] is a parse failure — cached
-    too, so a broken file is diagnosed once, not once per tool.  Lexer
-    errors, parse errors and nesting-budget exhaustion all land here as
-    structured {!parse_error}s; only genuinely unexpected exceptions (a
-    front-end bug) escape, and those the analyzers' crash barriers catch. *)
+    too, so a broken file is diagnosed once, not once per tool. *)
 let parse_file ?(cache = Parse_cache.shared) (f : file) :
     (Ast.program, parse_error) result =
-  let parse () =
-    match Parser.parse_source ~file:f.path f.source with
-    | prog -> Ok prog
-    | exception Parser.Parse_error (msg, _) -> Error (Syntax msg)
-    | exception Lexer.Error (msg, line) ->
-        Error (Syntax (Printf.sprintf "lexical error on line %d: %s" line msg))
-    | exception Parser.Depth_exceeded (msg, _) -> Error (Over_budget msg)
-  in
   (* Disk tier ({!Store}), under {!parse_store_key}.  The disk lookup sits
      inside the in-memory memo's miss path, so the exactly-once-per-process
      guarantee is untouched — a disk hit simply replaces the parse work by
      an unmarshal. *)
   let parse_via_store () =
-    if not (Store.enabled ()) then parse ()
+    if not (Store.enabled ()) then parse_result f
     else begin
       let key = parse_store_key ~path:f.path ~source:f.source in
       match Store.get ~ns:"parse" ~key with
       | Some v -> v
       | None ->
-          let v = parse () in
+          let v = parse_result f in
           Store.put ~ns:"parse" ~key v;
           v
     end
   in
   if not (Parse_cache.enabled ()) then parse_via_store ()
-  else Parse_cache.memo cache (f.path, Digest.string f.source) parse_via_store
+  else
+    Parse_cache.memo cache (memo_key ~path:f.path ~source:f.source)
+      parse_via_store
 
 (** Result of {!include_closure} — see the .mli for field semantics. *)
 type closure = {
@@ -249,176 +255,37 @@ let include_closure ?(max_depth = max_int) ?(max_files = max_int) ~parse t
   }
 
 (* ------------------------------------------------------------------ *)
-(* Sub-file incremental re-parse                                      *)
+(* Edit sessions                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(** Per-file incremental parsing sessions: an edit re-lexes only the
-    damaged region ({!Lexer.relex}), then runs the parser's top-level loop
-    ({!Parser.parse_program}) with statement reuse.  A top-level statement
-    of the previous parse is reused, its lines shifted ({!Ast.shift_stmt}),
-    wherever its tokens and the one token after them reappear, every line
-    moved by the same delta; only the other statements are parsed.  So a
-    diff touching k statements re-parses those k, wherever they are.  Such
-    updates count in [parser.region.reparse].  Every other update is a
-    whole-file parse: a path's first update in the session counts in
-    [parser.region.initial]; one after a failed parse, or under a changed
-    nesting limit, counts in [parser.region.fallback].
-
-    Every update publishes its result into {!Parse_cache.shared} and the
-    disk {!Store} under exactly the keys {!parse_file} uses, so the
-    analyzers downstream hit transparently. *)
+(** An edit session is each path's last source.  An update is one
+    streaming parse through {!Parse_cache.shared}, under {!parse_file}'s
+    key and nesting-limit check, so the analyzers downstream hit the memo;
+    the parse of the source it replaces is evicted.  The disk {!Store} is
+    skipped: in this process the memo always answers before it. *)
 module Increment = struct
-  type entry = {
-    ie_source : string;
-    ie_limit : int;  (* the nesting limit [ie_result] was parsed under *)
-    ie_lexed : Lexer.lexed option;  (* None after a lex error *)
-    ie_sig : Token.t array;  (* significant tokens, incl T_EOF *)
-    ie_result : (Ast.program, parse_error) result;
-    ie_spans : Parser.top_span array;  (* one per statement when Ok *)
-  }
+  type session = (string, string) Hashtbl.t
 
-  type session = { ses_files : (string, entry) Hashtbl.t }
-
-  let create () = { ses_files = Hashtbl.create 16 }
-
-  let sig_of (lx : Lexer.lexed) : Token.t array =
-    Array.fold_right
-      (fun t acc -> if Lexer.is_significant t then t :: acc else acc)
-      lx.Lexer.lx_tokens []
-    |> Array.of_list
-
-  (* The reuse oracle for the parse of [nsig]: an old statement is the
-     answer at [i] when its tokens and the one after them match those from
-     [i] on in kind and lexeme, the span's lines all moved by one delta.
-     Old statements are indexed by their first two lexemes; both lie in
-     the compared range, since a span holds at least one token. *)
-  let reuser (old : entry) (oldprog : Ast.program) (nsig : Token.t array) =
-    let osig = old.ie_sig in
-    let key (toks : Token.t array) i =
-      (toks.(i).Token.lexeme, toks.(i + 1).Token.lexeme)
-    in
-    let index = Hashtbl.create (Array.length old.ie_spans) in
-    List.iteri
-      (fun k s ->
-        let sp = old.ie_spans.(k) in
-        Hashtbl.add index (key osig sp.Parser.sp_start) (sp, s))
-      oldprog;
-    (* tokens [0, len) of the span, then the lookahead token [len] *)
-    let rec matches o i len d k =
-      k > len
-      ||
-      let a = osig.(o + k) and b = nsig.(i + k) in
-      (if a == b then d = 0 || k = len
-       else
-         a.Token.kind = b.Token.kind
-         && String.equal a.Token.lexeme b.Token.lexeme
-         && (k = len || b.Token.line = a.Token.line + d))
-      && matches o i len d (k + 1)
-    in
-    let n_new = Array.length nsig in
-    fun i ->
-      let rec first = function
-        | [] -> None
-        | ((sp : Parser.top_span), s) :: rest ->
-            let o = sp.Parser.sp_start in
-            let len = sp.Parser.sp_stop - o in
-            let d = nsig.(i).Token.line - osig.(o).Token.line in
-            if i + len < n_new && matches o i len d 0 then
-              Some ((if d = 0 then s else Ast.shift_stmt d s), i + len)
-            else first rest
-      in
-      first (Hashtbl.find_all index (key nsig i))
-
-  (* Lex [source] with [lex], then parse it (with statement reuse when
-     [reuse] is given), producing exactly [parse_file]'s result value
-     (same error mapping) plus the incremental bookkeeping. *)
-  let build ?reuse ~path ~source lex : entry =
-    let limit = Parser.nesting_limit () in
-    match lex source with
-    | exception Lexer.Error (msg, line) ->
-        {
-          ie_source = source;
-          ie_limit = limit;
-          ie_lexed = None;
-          ie_sig = [||];
-          ie_result =
-            Error
-              (Syntax (Printf.sprintf "lexical error on line %d: %s" line msg));
-          ie_spans = [||];
-        }
-    | lexed ->
-        let sigt = sig_of lexed in
-        if reuse <> None then Obs.incr "parser.region.reparse";
-        let reuse = Option.map (fun r -> r sigt) reuse in
-        let result, spans =
-          match Parser.parse_program ?reuse ~file:path sigt with
-          | prog, spans -> (Ok prog, spans)
-          | exception Parser.Parse_error (msg, _) -> (Error (Syntax msg), [||])
-          | exception Parser.Depth_exceeded (msg, _) ->
-              (Error (Over_budget msg), [||])
-        in
-        {
-          ie_source = source;
-          ie_limit = limit;
-          ie_lexed = Some lexed;
-          ie_sig = sigt;
-          ie_result = result;
-          ie_spans = spans;
-        }
-
-  (* One file update: statement reuse against the previous [Ok] parse
-     under the same nesting limit, else a whole-file parse. *)
-  let compute (prev : entry option) ~path ~source : entry =
-    match prev with
-    | None ->
-        Obs.incr "parser.region.initial";
-        build ~path ~source Lexer.lex_all
-    | Some ({ ie_lexed = Some oldlx; ie_result = Ok oldprog; _ } as e)
-      when e.ie_limit = Parser.nesting_limit () ->
-        build ~reuse:(reuser e oldprog) ~path ~source (Lexer.relex oldlx)
-    | Some _ ->
-        Obs.incr "parser.region.fallback";
-        build ~path ~source Lexer.lex_all
-
-  (* Publish into the in-memory memo [parse_file] reads first, under its
-     exact key, so downstream analyzers hit without code changes, and
-     evict the parse of the source it replaces, which no later lookup of
-     the path asks for.  The disk tier is not written: in this process the
-     memo always answers before it. *)
-  let seed_cache (prev : entry option) ~path ~source result =
-    if Parse_cache.enabled () then begin
-      (match prev with
-      | Some old when not (String.equal old.ie_source source) ->
-          Parse_cache.forget Parse_cache.shared
-            (path, Digest.string old.ie_source)
-      | _ -> ());
-      Parse_cache.seed Parse_cache.shared (path, Digest.string source) result
-    end
+  let create () : session = Hashtbl.create 16
 
   let update session ~path ~source : (Ast.program, parse_error) result =
-    match Hashtbl.find_opt session.ses_files path with
-    | Some e
-      when String.equal e.ie_source source
-           && e.ie_limit = Parser.nesting_limit () ->
-        e.ie_result
-    | prev ->
-        let e = compute prev ~path ~source in
-        Hashtbl.replace session.ses_files path e;
-        seed_cache prev ~path ~source e.ie_result;
-        e.ie_result
+    let parse () = parse_result { path; source } in
+    let result =
+      if not (Parse_cache.enabled ()) then parse ()
+      else begin
+        (match Hashtbl.find_opt session path with
+        | Some old when not (String.equal old source) ->
+            Parse_cache.forget Parse_cache.shared (memo_key ~path ~source:old)
+        | _ -> ());
+        Parse_cache.memo Parse_cache.shared (memo_key ~path ~source) parse
+      end
+    in
+    Hashtbl.replace session path source;
+    result
 
-  let forget session path = Hashtbl.remove session.ses_files path
-
-  let source session path =
-    Option.map (fun e -> e.ie_source) (Hashtbl.find_opt session.ses_files path)
-
-  let paths session =
-    Hashtbl.fold (fun path _ acc -> path :: acc) session.ses_files []
-
-  let result session path =
-    Option.map
-      (fun e -> e.ie_result)
-      (Hashtbl.find_opt session.ses_files path)
+  let forget = Hashtbl.remove
+  let source = Hashtbl.find_opt
+  let paths session = Hashtbl.fold (fun path _ acc -> path :: acc) session []
 end
 
 (* ------------------------------------------------------------------ *)

@@ -50,10 +50,12 @@ module Parse_cache : sig
 
   val seed :
     t -> string * string -> (Ast.program, parse_error) result -> unit
-  (** Publish a result computed outside the memo (the incremental
-      pipeline), so later {!memo} calls for the key hit.  A key currently
-      being parsed is left alone — the live parse publishes the same
-      value. *)
+  (** Publish a result computed outside the memo, so later {!memo} calls
+      for the key hit.  A key currently being parsed is left alone — the
+      live parse publishes the same value.  No library code seeds; this is
+      kept for the benchmark's traced front end ([perfbench/passes.ml]),
+      which lexes and parses as separate timed layers and then publishes
+      the result. *)
 
   val forget : t -> string * string -> unit
   (** Drop the key's cached result.  A key currently being parsed is left
@@ -114,22 +116,15 @@ val include_closure :
     default to unlimited); exceeding either stops the walk and marks the
     closure truncated — the caller reports that as a budget exhaustion. *)
 
-(** Sub-file incremental re-parse sessions (the [--watch]/daemon hot
-    path).  {!Increment.update} re-lexes only an edit's damaged region
-    ({!Lexer.relex}) and re-parses with statement reuse
-    ({!Parser.parse_program}): a top-level statement of the previous parse
-    is reused, lines shifted, wherever its tokens and the one token after
-    them reappear with every line moved by one delta.  A diff touching k
-    statements re-parses those k, wherever they are; such updates count
-    in [parser.region.reparse].  Every other update is a whole-file parse,
-    counted in [parser.region.initial] for a path's first update in the
-    session and in [parser.region.fallback] after a failed parse or under
-    a changed nesting limit.  Results are byte-identical to {!parse_file}
-    on the same input and are published into {!Parse_cache.shared} under
-    {!parse_file}'s key, so downstream analyzers hit transparently, and
-    the memo entry of the source an update replaces is dropped
-    ({!Parse_cache.forget}), so a long session holds one parse per path;
-    the disk {!Store} is not written, since the memo answers first. *)
+(** Edit sessions (the [--watch]/daemon hot path): each path's last
+    source.  {!Increment.update} is one streaming parse of the new source
+    through {!Parse_cache.shared}, under {!parse_file}'s key and
+    nesting-limit check, so downstream analyzers hit the memo
+    transparently; the memo entry of the source an update replaces is
+    dropped ({!Parse_cache.forget}), so a long session holds one parse
+    per path.  The disk {!Store} is neither read nor written, since the
+    memo answers first.  With the memo disabled, an update parses
+    directly. *)
 module Increment : sig
   type session
 
@@ -137,26 +132,19 @@ module Increment : sig
 
   val update :
     session -> path:string -> source:string -> (Ast.program, parse_error) result
-  (** Bring [path] up to date with [source], incrementally when the
-      session has seen the file before, and seed the process parse memo.
-      When [source] replaces another one, the memo entry of the old
-      source is dropped.  Returns exactly what {!parse_file} would for the
-      same input, under the current nesting limit. *)
+  (** Bring [path] up to date with [source] and record it as the path's
+      last source.  When [source] replaces another one, the memo entry of
+      the old source is dropped.  Returns exactly what {!parse_file} would
+      for the same input, under the current nesting limit. *)
 
   val forget : session -> string -> unit
-  (** Drop a file (deleted from the project); the next update re-parses it
-      from scratch. *)
+  (** Drop a file (deleted from the project). *)
 
   val source : session -> string -> string option
   (** The source [path] was last updated to, if the session holds it. *)
 
   val paths : session -> string list
   (** Every path the session holds, in no particular order. *)
-
-  val result :
-    session -> string -> (Ast.program, parse_error) result option
-  (** Last known result for [path], if the session has seen it. *)
-
 end
 
 val load : string -> t

@@ -125,10 +125,9 @@ type t = {
   mutable conn_seq : int;
   mutable threads : Thread.t list;
   listen_fd : Unix.file_descr;
-  (* per-(tenant, project) incremental parse sessions, under [wm]:
-     a client re-scanning an edited project re-parses only the damaged
-     regions (see {!Watch}), and the seeded parse caches make the analysis
-     itself warm.  Bounded: the table is dropped wholesale past
+  (* per-(tenant, project) edit sessions, under [wm]: a client
+     re-scanning an edited project re-parses only the changed files (see
+     {!Watch}), and the parse memo makes the analysis itself warm.  Bounded: the table is dropped wholesale past
      [max_watch_sessions] — sessions are an accelerator, losing one only
      costs a cold parse. *)
   wm : Mutex.t;
@@ -228,15 +227,8 @@ let metrics_reply t id =
               ("write_errors", Json.Int s.Phplang.Store.write_errors) ] ))
       (Phplang.Store.counters ())
   in
-  (* the sub-file incremental pipeline's process-lifetime counters:
-     checkpointed-lexing resumes, statement-reuse re-parses and their
-     fallbacks *)
-  let incremental =
-    List.map (fun (k, v) -> (k, Json.Int v)) (Watch.incremental_counters ())
-  in
   Protocol.ok_reply ~op:"metrics" ?id
     [ ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) counters));
-      ("incremental", Json.Obj incremental);
       ("gauges",
        Json.Obj
          [ ("serve.queue.depth", Json.Int queue_depth);
@@ -268,9 +260,9 @@ let execute_job t (job : job) =
     (fun () ->
       Secflow.Deadline.with_deadline job.jb_deadline (fun () ->
           Phplang.Store.with_tenant req.Protocol.sr_tenant (fun () ->
-              (* sub-file incremental warm-up: re-parse only what changed
-                 since this (tenant, project, opts)'s last scan and seed
-                 the parse caches; the analysis below hits them.  The
+              (* warm-up: re-parse only the files changed since this
+                 (tenant, project)'s last scan, through the parse memo;
+                 the analysis below hits it.  The
                  session lock only covers this refresh — analyses still
                  fan out in parallel. *)
               let session = watch_session_of t req in

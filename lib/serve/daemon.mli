@@ -29,9 +29,8 @@
     - {b ops surface}: [status] reports queue depth, in-flight count,
       served/shed totals, uptime and the store's per-namespace disk usage
       ({!Phplang.Store.stats}); [metrics] adds per-namespace cache
-      hit/miss/store counters, the incremental pipeline's counters
-      ({!Watch.incremental_counters}) and a latency histogram (count,
-      mean, p50, p99).  The daemon always bumps the [serve.*] {!Obs}
+      hit/miss/store counters and a latency histogram (count, mean, p50,
+      p99).  The daemon always bumps the [serve.*] {!Obs}
       counters; when {!Obs} recording is on, the scheduler thread also
       sets [serve.*] gauges and wraps each batch in a [serve.batch] span;
     - {b graceful shutdown}: a [shutdown] request stops admission, drains

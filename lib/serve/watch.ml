@@ -1,5 +1,4 @@
-(** Edit-delta scanning over a long-lived incremental session — see
-    watch.mli. *)
+(** Edit-delta scanning over a long-lived edit session — see watch.mli. *)
 
 type delta = {
   d_initial : bool;
@@ -29,14 +28,6 @@ let create opts =
     w_lock = Mutex.create ();
   }
 
-let incremental_counters () =
-  List.filter
-    (fun (name, _) ->
-      List.exists
-        (fun prefix -> String.starts_with ~prefix name)
-        [ "lexer.ckpt."; "parser.region." ])
-    (Obs.counters ())
-
 let locked s f =
   Mutex.lock s.w_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock s.w_lock) f
@@ -47,11 +38,11 @@ let unchanged s (f : Phplang.Project.file) =
   | Some old -> String.equal old f.source
   | None -> false
 
-(* Under the session lock: bring the incremental parse session in line
-   with [project], returning the changed and deleted paths (each sorted).
-   Each changed file goes through {!Phplang.Project.Increment.update},
-   which re-parses sub-file-incrementally and seeds the process parse
-   memo — the analysis that follows hits it transparently. *)
+(* Under the session lock: bring the edit session in line with [project],
+   returning the changed and deleted paths (each sorted).  Each changed
+   file goes through {!Phplang.Project.Increment.update}, which parses it
+   through the process parse memo — the analysis that follows hits it
+   transparently. *)
 let refresh_locked s (project : Phplang.Project.t) =
   let changed = ref [] in
   List.iter

@@ -1,14 +1,14 @@
 (** Edit-delta scanning: the engine behind [phpsafe_cli --watch] and the
     daemon's warm re-scan path.
 
-    A {!session} owns a {!Phplang.Project.Increment} parse session plus
-    the previous scan's findings.  Each {!scan} first brings the parse
-    session in line with the project — every changed file is re-lexed from
-    its edit's damage region and region-re-parsed, with the result seeded
-    into the process parse memo — then runs the ordinary {!Scan.run}
-    (which hits that memo) and diffs the findings against the previous
+    A {!session} owns a {!Phplang.Project.Increment} edit session plus
+    the previous scan's findings.  Each {!scan} first brings the edit
+    session in line with the project — every changed file is parsed
+    through the process parse memo, whose entry for the file's previous
+    source is dropped — then runs the ordinary {!Scan.run} (which hits
+    that memo for every file) and diffs the findings against the previous
     scan.  Reports stay byte-identical to a cold scan of the same bytes:
-    incrementality only changes how fast the parse artifacts appear, never
+    the session only changes how fast the parse artifacts appear, never
     what they contain. *)
 
 (** What one re-scan observed, relative to the session's previous scan. *)
@@ -32,17 +32,11 @@ type session
 
 val create : Scan.opts -> session
 
-val incremental_counters : unit -> (string * int) list
-(** The sub-file incremental pipeline's counters ([lexer.ckpt.*],
-    [parser.region.*]), sorted by name — the [incremental] view of the
-    daemon's [metrics] reply and of the CLI's [--watch] lines.  Safe from
-    any thread. *)
-
 val refresh_sources :
   session -> Phplang.Project.t -> string list * string list
-(** Update the incremental parse session to [project] without analyzing:
-    [(changed, deleted)] paths, each sorted.  Changed files are re-parsed
-    incrementally and seeded into the shared parse memo.  Thread-safe
+(** Update the edit session to [project] without analyzing:
+    [(changed, deleted)] paths, each sorted.  Changed files are parsed
+    through the shared parse memo.  Thread-safe
     (the daemon calls this from worker domains); the analysis itself can
     then run outside the session lock. *)
 

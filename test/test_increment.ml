@@ -1,51 +1,11 @@
-(** Sub-file incremental re-analysis: checkpointed relexing and
-    statement-reuse re-parse must be byte-identical to a cold lex/parse
-    after every edit, including the nasty front-end cases (heredoc bodies,
-    unterminated strings, [<?=] blocks, edits touching two definitions,
-    lookahead past a reused statement), with the fallback paths exercised
-    and counted. *)
+(** Edit sessions: every {!Project.Increment.update} must be
+    byte-identical to a cold parse of the same source, across the nasty
+    front-end cases (heredoc bodies, unterminated strings, [<?=] blocks,
+    edits touching two definitions), must evict the parse of the source it
+    replaces, must write nothing to the disk store, and must hold little
+    beyond each file's source. *)
 
 open Phplang
-
-(* ------------------------------------------------------------------ *)
-(* Relex equivalence                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let token_list (l : Lexer.lexed) =
-  Array.to_list l.Lexer.lx_tokens
-  |> List.map (fun (t : Token.t) ->
-         Printf.sprintf "%s|%s|%d" (Token.name t.Token.kind) t.Token.lexeme
-           t.Token.line)
-
-let check_relex name old_src new_src =
-  Alcotest.test_case name `Quick (fun () ->
-      let old = Lexer.lex_all old_src in
-      let fresh = Lexer.lex_all new_src in
-      let incr = Lexer.relex old new_src in
-      Alcotest.(check (list string))
-        "relex tokens = cold tokens" (token_list fresh) (token_list incr);
-      Alcotest.(check string) "source recorded" new_src incr.Lexer.lx_src;
-      (* starts must tile the new source *)
-      let n = Array.length incr.Lexer.lx_tokens in
-      Alcotest.(check int)
-        "eof start" (String.length new_src)
-        incr.Lexer.lx_starts.(n - 1))
-
-let check_relex_error name old_src new_src =
-  Alcotest.test_case name `Quick (fun () ->
-      let old = Lexer.lex_all old_src in
-      let cold =
-        match Lexer.lex_all new_src with
-        | exception Lexer.Error (m, l) -> Some (m, l)
-        | _ -> None
-      in
-      let incr =
-        match Lexer.relex old new_src with
-        | exception Lexer.Error (m, l) -> Some (m, l)
-        | _ -> None
-      in
-      Alcotest.(check (option (pair string int)))
-        "relex error = cold error" cold incr)
 
 let big_src =
   let b = Buffer.create 4096 in
@@ -61,78 +21,8 @@ let edit ~at ~drop ~insert src =
   String.sub src 0 at ^ insert
   ^ String.sub src (at + drop) (String.length src - at - drop)
 
-let relex_cases =
-  [
-    check_relex "single char change"
-      "<?php $a = 1; $b = 2; $c = 3;"
-      "<?php $a = 1; $b = 9; $c = 3;";
-    check_relex "insertion grows token"
-      "<?php $abc = 5;" "<?php $abcdef = 5;";
-    check_relex "deletion" "<?php $aa = 11 + 22;" "<?php $aa = 1 + 22;";
-    check_relex "number exponent grows backward"
-      "<?php $x = 5; $y = 2;" "<?php $x = 5e3; $y = 2;"
-      (* "5" then "e3" must relex as one T_DNUMBER *);
-    check_relex "exponent removed" "<?php $x = 5e3;" "<?php $x = 5;";
-    check_relex "newline insertion shifts lines"
-      "<?php $a = 1;\n$b = 2;\n$c = 3;\n"
-      "<?php $a = 1;\n\n\n$b = 2;\n$c = 3;\n";
-    check_relex "newline removal"
-      "<?php $a = 1;\n\n$b = 2;\n" "<?php $a = 1;\n$b = 2;\n";
-    check_relex "heredoc body edit"
-      "<?php $a = 1;\n$s = <<<EOT\nhello world\nEOT;\n$b = 2;\n"
-      "<?php $a = 1;\n$s = <<<EOT\nhello brave world\nEOT;\n$b = 2;\n";
-    check_relex "nowdoc body edit"
-      "<?php $s = <<<'EOT'\nraw $body\nEOT;\n$b = 2;\n"
-      "<?php $s = <<<'EOT'\nraw $content\nEOT;\n$b = 2;\n";
-    check_relex "heredoc label edit changes extent"
-      "<?php $s = <<<EOT\nx\nEOT;\n$t = <<<EOT\ny\nEOT;\n"
-      "<?php $s = <<<EOD\nx\nEOT;\ny\nEOD;\n$u = 1;\n";
-    check_relex "edit before heredoc"
-      "<?php $a = 1;\n$s = <<<EOT\nbody line\nEOT;\n"
-      "<?php $a = 42;\n$s = <<<EOT\nbody line\nEOT;\n";
-    check_relex "open short echo tag"
-      "<html><?= $x ?></html>" "<html><?= $y ?></html>";
-    check_relex "html to php transition edit"
-      "<p>text</p><?php $a = 1;" "<p>more text</p><?php $a = 1;";
-    check_relex "close then reopen"
-      "<?php $a = 1; ?><b><?php $c = 2;"
-      "<?php $a = 1; ?><strong><?php $c = 2;";
-    check_relex "string closed"
-      "<?php $s = 'abc'; $t = 1;" "<?php $s = 'abcd'; $t = 1;";
-    check_relex "comment edit"
-      "<?php // note\n$a = 1;" "<?php // longer note\n$a = 1;";
-    check_relex "block comment edit"
-      "<?php /* a */ $a = 1;" "<?php /* bb */ $a = 1;";
-    check_relex "cast appears at distance"
-      "<?php $x = (          strin) ;" "<?php $x = (          string) ;";
-    check_relex "cast destroyed at distance"
-      "<?php $x = (          string) ;" "<?php $x = (          strin) ;";
-    check_relex "edit near start" "<?php $a = 1;" "<?pHp $a = 1;";
-    check_relex "edit at very end" "<?php $a = 1;" "<?php $a = 12;";
-    check_relex "big file middle edit" big_src
-      (edit ~at:(String.length big_src / 2) ~drop:1 ~insert:"X" big_src);
-    check_relex_error "edit opens unterminated string"
-      "<?php $s = 'ok'; $t = 2;" "<?php $s = ok'; $t = 2;";
-    check_relex_error "unterminated block comment"
-      "<?php /* c */ $a = 1;" "<?php /* c * $a = 1;";
-  ]
-
-(* the error case must also recover: closing the string again re-lexes *)
-let recovery_case =
-  Alcotest.test_case "unterminated string closes again" `Quick (fun () ->
-      let s0 = "<?php $s = 'ok'; $t = 2;" in
-      let s1 = "<?php $s = ok'; $t = 2;" (* broken *) in
-      let s2 = "<?php $s = 'ok2'; $t = 2;" in
-      let session = Project.Increment.create () in
-      let r0 = Project.Increment.update session ~path:"f.php" ~source:s0 in
-      Alcotest.(check bool) "initial ok" true (Result.is_ok r0);
-      let r1 = Project.Increment.update session ~path:"f.php" ~source:s1 in
-      Alcotest.(check bool) "broken errors" true (Result.is_error r1);
-      let r2 = Project.Increment.update session ~path:"f.php" ~source:s2 in
-      Alcotest.(check bool) "recovered" true (Result.is_ok r2))
-
 (* ------------------------------------------------------------------ *)
-(* Incremental parse equivalence                                      *)
+(* Equivalence with a cold parse                                      *)
 (* ------------------------------------------------------------------ *)
 
 let full_result ~path source : (Ast.program, Project.parse_error) result =
@@ -164,24 +54,82 @@ let run_seq sources =
   let session = Project.Increment.create () in
   List.iter (fun s -> check_equivalent session ~path:"seq.php" s) sources
 
-let region_counters = [ "parser.region.reparse"; "parser.region.fallback" ]
+let check_seq name sources =
+  Alcotest.test_case name `Quick (fun () -> run_seq sources)
 
-(* [f]'s deltas of the region counters *)
-let region_deltas f =
-  let before = List.map Obs.counter region_counters in
-  let v = f () in
-  (v, List.map2 (fun c b -> Obs.counter c - b) region_counters before)
+(* An (old, new) pair of lexer inputs: the update to [new] equals a cold
+   parse. *)
+let check_pair name old_src new_src = check_seq name [ old_src; new_src ]
 
-(* [reparse]/[fallback], when given, are the exact counter deltas over
-   the whole sequence *)
-let check_seq name ?reparse ?fallback sources =
-  Alcotest.test_case name `Quick (fun () ->
-      let (), deltas = region_deltas (fun () -> run_seq sources) in
-      List.iter2
-        (fun (c, expect) got ->
-          Option.iter (fun n -> Alcotest.(check int) c n got) expect)
-        (List.combine region_counters [ reparse; fallback ])
-        deltas)
+let lexer_cases =
+  [
+    check_pair "single char change"
+      "<?php $a = 1; $b = 2; $c = 3;"
+      "<?php $a = 1; $b = 9; $c = 3;";
+    check_pair "insertion grows token"
+      "<?php $abc = 5;" "<?php $abcdef = 5;";
+    check_pair "deletion" "<?php $aa = 11 + 22;" "<?php $aa = 1 + 22;";
+    check_pair "number exponent grows backward"
+      "<?php $x = 5; $y = 2;" "<?php $x = 5e3; $y = 2;"
+      (* "5" then "e3" must lex as one T_DNUMBER *);
+    check_pair "exponent removed" "<?php $x = 5e3;" "<?php $x = 5;";
+    check_pair "newline insertion shifts lines"
+      "<?php $a = 1;\n$b = 2;\n$c = 3;\n"
+      "<?php $a = 1;\n\n\n$b = 2;\n$c = 3;\n";
+    check_pair "newline removal"
+      "<?php $a = 1;\n\n$b = 2;\n" "<?php $a = 1;\n$b = 2;\n";
+    check_pair "heredoc body edit"
+      "<?php $a = 1;\n$s = <<<EOT\nhello world\nEOT;\n$b = 2;\n"
+      "<?php $a = 1;\n$s = <<<EOT\nhello brave world\nEOT;\n$b = 2;\n";
+    check_pair "nowdoc body edit"
+      "<?php $s = <<<'EOT'\nraw $body\nEOT;\n$b = 2;\n"
+      "<?php $s = <<<'EOT'\nraw $content\nEOT;\n$b = 2;\n";
+    check_pair "heredoc label edit changes extent"
+      "<?php $s = <<<EOT\nx\nEOT;\n$t = <<<EOT\ny\nEOT;\n"
+      "<?php $s = <<<EOD\nx\nEOT;\ny\nEOD;\n$u = 1;\n";
+    check_pair "edit before heredoc"
+      "<?php $a = 1;\n$s = <<<EOT\nbody line\nEOT;\n"
+      "<?php $a = 42;\n$s = <<<EOT\nbody line\nEOT;\n";
+    check_pair "open short echo tag"
+      "<html><?= $x ?></html>" "<html><?= $y ?></html>";
+    check_pair "html to php transition edit"
+      "<p>text</p><?php $a = 1;" "<p>more text</p><?php $a = 1;";
+    check_pair "close then reopen"
+      "<?php $a = 1; ?><b><?php $c = 2;"
+      "<?php $a = 1; ?><strong><?php $c = 2;";
+    check_pair "string closed"
+      "<?php $s = 'abc'; $t = 1;" "<?php $s = 'abcd'; $t = 1;";
+    check_pair "comment edit"
+      "<?php // note\n$a = 1;" "<?php // longer note\n$a = 1;";
+    check_pair "block comment edit"
+      "<?php /* a */ $a = 1;" "<?php /* bb */ $a = 1;";
+    check_pair "cast appears at distance"
+      "<?php $x = (          strin) ;" "<?php $x = (          string) ;";
+    check_pair "cast destroyed at distance"
+      "<?php $x = (          string) ;" "<?php $x = (          strin) ;";
+    check_pair "edit near start" "<?php $a = 1;" "<?pHp $a = 1;";
+    check_pair "edit at very end" "<?php $a = 1;" "<?php $a = 12;";
+    check_pair "big file middle edit" big_src
+      (edit ~at:(String.length big_src / 2) ~drop:1 ~insert:"X" big_src);
+    check_pair "edit opens unterminated string"
+      "<?php $s = 'ok'; $t = 2;" "<?php $s = ok'; $t = 2;";
+    check_pair "unterminated block comment"
+      "<?php /* c */ $a = 1;" "<?php /* c * $a = 1;";
+  ]
+
+(* the error case must also recover: closing the string again parses *)
+let recovery_case =
+  Alcotest.test_case "unterminated string closes again" `Quick (fun () ->
+      let s0 = "<?php $s = 'ok'; $t = 2;" in
+      let s1 = "<?php $s = ok'; $t = 2;" (* broken *) in
+      let s2 = "<?php $s = 'ok2'; $t = 2;" in
+      let session = Project.Increment.create () in
+      let r0 = Project.Increment.update session ~path:"f.php" ~source:s0 in
+      Alcotest.(check bool) "initial ok" true (Result.is_ok r0);
+      let r1 = Project.Increment.update session ~path:"f.php" ~source:s1 in
+      Alcotest.(check bool) "broken errors" true (Result.is_error r1);
+      let r2 = Project.Increment.update session ~path:"f.php" ~source:s2 in
+      Alcotest.(check bool) "recovered" true (Result.is_ok r2))
 
 (* replace the first occurrence of [needle]; fails the test if absent *)
 let replace needle by s =
@@ -204,14 +152,13 @@ let three_defs body2 =
 
 let seq_cases =
   [
-    check_seq "single-def body edit reparses region" ~reparse:2 ~fallback:0
+    check_seq "single-def body edit"
       [
         three_defs "return $b;";
         three_defs "return $b . 'y';";
         three_defs "return $b . 'yz';";
       ];
-    check_seq "an edit touching two definitions re-parses both" ~reparse:1
-      ~fallback:0
+    check_seq "an edit touching two definitions"
       [
         three_defs "return $b;";
         (* edit the tail of two() and the head of three() in one update *)
@@ -219,8 +166,7 @@ let seq_cases =
         |> replace "return $b;\n}\nfunction three($c)"
              "return $b . '!';\n}\nfunction three($c, $d)");
       ];
-    check_seq "an update after a failed parse falls back" ~reparse:1
-      ~fallback:1
+    check_seq "an update after a failed parse"
       [
         three_defs "return $b;";
         three_defs "return $b";
@@ -274,13 +220,13 @@ let seq_cases =
         (three_defs "return $b;"
         |> replace "function two($b)" "function two($b, $extra = 'd')");
       ];
-    check_seq "an unchanged if gains an else" ~reparse:2 ~fallback:0
+    check_seq "an unchanged if gains an else"
       [
         "<?php\nif ($a) { echo 1; }\n$b = 2;\n";
         "<?php\nif ($a) { echo 1; }\nelse { echo 3; }\n$b = 2;\n";
         "<?php\nif ($a) { echo 1; }\nelse if ($c) { echo 3; }\n$b = 2;\n";
       ];
-    check_seq "an unchanged try gains a catch" ~reparse:1 ~fallback:0
+    check_seq "an unchanged try gains a catch"
       [
         "<?php\ntry { f(); }\n$b = 2;\n";
         "<?php\ntry { f(); }\ncatch (Exception $e) { g($e); }\n$b = 2;\n";
@@ -299,79 +245,14 @@ let seq_cases =
       ];
   ]
 
-(* the top-level function named [name] in [r] *)
-let func r name =
-  match r with
-  | Some (Ok prog) -> (
-      match
-        List.find_map
-          (fun (st : Ast.stmt) ->
-            match st.Ast.s with
-            | Ast.FuncDef f when f.Ast.f_name = name -> Some (st, f)
-            | _ -> None)
-          prog
-      with
-      | Some x -> x
-      | None -> Alcotest.failf "no function %s" name)
-  | _ -> Alcotest.fail "expected a successful parse"
-
-(* A reused statement is the old value (line delta 0) or a line-shifted
-   copy of it, which still shares the old leaf expressions; a re-parse
-   builds every node afresh.  [leaf] is the first body statement's
-   returned expression. *)
-let leaf (_, (f : Ast.func)) =
-  match f.Ast.f_body with
-  | { Ast.s = Ast.Return (Some e); _ } :: _ -> e.Ast.e
-  | _ -> Alcotest.fail "expected a return"
-
-let reuse_cases =
-  [
-    Alcotest.test_case "untouched definitions are reused, not re-parsed"
-      `Quick (fun () ->
-        let session = Project.Increment.create () in
-        let path = "reuse.php" in
-        check_equivalent session ~path (three_defs "return $b;");
-        let r0 = Project.Increment.result session path in
-        check_equivalent session ~path
-          (three_defs "return $b;"
-          |> replace "return $b;\n}\nfunction three($c)"
-               "return $b . '!';\n}\nfunction three($c, $d)");
-        let r1 = Project.Increment.result session path in
-        Alcotest.(check bool)
-          "one() is the old statement" true
-          (fst (func r0 "one") == fst (func r1 "one"));
-        Alcotest.(check bool)
-          "two() is re-parsed" false
-          (leaf (func r0 "two") == leaf (func r1 "two")));
-    Alcotest.test_case "swapped functions are reused with their own deltas"
-      `Quick (fun () ->
-        let short = "function short($a) {\n  return $a;\n}\n" in
-        let long =
-          "function long($b) {\n  return $b;\n\n\n  $b = $b . 'x';\n}\n"
-        in
-        (* the token after each function stays [function] *)
-        let tail = "function tail() {}\n" in
-        let session = Project.Increment.create () in
-        let path = "swap.php" in
-        let (), deltas =
-          region_deltas (fun () ->
-              check_equivalent session ~path ("<?php\n" ^ short ^ long ^ tail);
-              let r0 = Project.Increment.result session path in
-              check_equivalent session ~path ("<?php\n" ^ long ^ short ^ tail);
-              let r1 = Project.Increment.result session path in
-              List.iter
-                (fun name ->
-                  let (s0, _) as f0 = func r0 name and (s1, _) as f1 = func r1 name in
-                  if s0.Ast.spos.Ast.line = s1.Ast.spos.Ast.line then
-                    Alcotest.failf "%s did not move" name;
-                  Alcotest.(check bool)
-                    (name ^ " is reused") true
-                    (leaf f0 == leaf f1))
-                [ "short"; "long" ])
-        in
-        Alcotest.(check (list int)) "one reuse update, no fallback" [ 1; 0 ]
-          deltas);
-  ]
+(* Two functions of different lengths trade places: each moves to the
+   other's lines, and the update must carry every position with it. *)
+let swap_case =
+  let short = "function short($a) {\n  return $a;\n}\n" in
+  let long = "function long($b) {\n  return $b;\n\n\n  $b = $b . 'x';\n}\n" in
+  let tail = "function tail() {}\n" in
+  check_seq "swapped functions move with their own lines"
+    [ "<?php\n" ^ short ^ long ^ tail; "<?php\n" ^ long ^ short ^ tail ]
 
 (* The nesting limit is part of a parse's identity: a result parsed under
    one limit must not answer a lookup under another. *)
@@ -409,38 +290,12 @@ let budget_cases =
             Alcotest.(check string)
               "tight limit" "over budget"
               (outcome (Project.Increment.update session ~path ~source:deep_src)));
-        let r, deltas =
-          region_deltas (fun () ->
-              Project.Increment.update session ~path ~source:deep_src)
-        in
-        Alcotest.(check string) "default limit" "ok" (outcome r);
-        Alcotest.(check (list int)) "a counted fallback" [ 0; 1 ] deltas;
-        (* a successful parse under the old limit is not reused either *)
-        let _, deltas =
-          region_deltas (fun () ->
-              with_limit 400 (fun () ->
-                  check_equivalent session ~path (deep_src ^ "$y = 2;\n")))
-        in
-        Alcotest.(check (list int)) "changed limit falls back" [ 0; 1 ] deltas);
+        Alcotest.(check string)
+          "default limit" "ok"
+          (outcome (Project.Increment.update session ~path ~source:deep_src));
+        with_limit 400 (fun () ->
+            check_equivalent session ~path (deep_src ^ "$y = 2;\n")));
   ]
-
-let resume_counted =
-  Alcotest.test_case "relex resume and resync are counted" `Quick (fun () ->
-      let before_resume = Obs.counter "lexer.ckpt.resume" in
-      let before_resync = Obs.counter "lexer.ckpt.resync_tokens" in
-      let old = Lexer.lex_all big_src in
-      let edited =
-        edit ~at:(String.length big_src / 2) ~drop:0 ~insert:"$q = 7; " big_src
-      in
-      let incr = Lexer.relex old edited in
-      Alcotest.(check int)
-        "one resume" (before_resume + 1)
-        (Obs.counter "lexer.ckpt.resume");
-      let resynced = Obs.counter "lexer.ckpt.resync_tokens" - before_resync in
-      let total = Array.length incr.Lexer.lx_tokens in
-      if resynced <= 0 || resynced >= total / 2 then
-        Alcotest.failf "expected a small fresh-token count, got %d of %d"
-          resynced total)
 
 (* ------------------------------------------------------------------ *)
 (* Randomized edit storms: every update checked against a cold parse  *)
@@ -486,9 +341,8 @@ let storm =
       in
       run_storm ~path:"storm.php" ~steps:160 ~random_edit big_src)
 
-(* Edits that keep the file parsing, so every update after the first goes
-   through statement reuse: statements and blank lines inserted after a
-   line end, and whole lines deleted. *)
+(* Edits that keep the file parsing: statements and blank lines inserted
+   after a line end, and whole lines deleted. *)
 let valid_storm =
   Alcotest.test_case "seeded parse-preserving edit storm" `Quick (fun () ->
       let rng = Random.State.make [| 0x1ed17 |] in
@@ -514,13 +368,7 @@ let valid_storm =
               Some (edit ~at ~drop:(stop - at + 1) ~insert:"" src)
             else None
       in
-      let (), deltas =
-        region_deltas (fun () ->
-            run_storm ~path:"valid-storm.php" ~steps:120 ~random_edit big_src)
-      in
-      Alcotest.(check int) "no fallback" 0 (List.nth deltas 1);
-      if List.hd deltas < 60 then
-        Alcotest.failf "only %d reuse updates" (List.hd deltas))
+      run_storm ~path:"valid-storm.php" ~steps:120 ~random_edit big_src)
 
 (* An update drops the memo entry of the source it replaces, so a long
    --watch session keeps one parse per path, not one per version. *)
@@ -544,18 +392,50 @@ let evicts_superseded =
       Alcotest.(check bool) "v2 still hits" true (cached v2);
       Alcotest.(check bool) "v1 is a miss" false (cached v1))
 
-let initial_counted =
-  Alcotest.test_case "a path's first update counts as initial" `Quick
+(* A path's first update is one parse through the shared memo and answers
+   what [parse_file] answers; the same source again is a memo hit. *)
+let first_update_counted =
+  Alcotest.test_case "a path's first update is one memo parse" `Quick
     (fun () ->
-      let names =
-        [ "parser.region.initial"; "parser.region.reparse";
-          "parser.region.fallback" ]
-      in
-      let before = List.map Obs.counter names in
+      let cache = Project.Parse_cache.shared in
+      let session = Project.Increment.create () and path = "first.php" in
+      let source = three_defs "return $b . 'first';" in
+      let misses0 = Project.Parse_cache.misses cache
+      and hits0 = Project.Parse_cache.hits cache in
+      let r = Project.Increment.update session ~path ~source in
+      Alcotest.(check int) "one miss" 1
+        (Project.Parse_cache.misses cache - misses0);
+      Alcotest.(check string)
+        "update = parse_file"
+        (result_fingerprint (Project.parse_file { Project.path; source }))
+        (result_fingerprint r);
+      ignore (Project.Increment.update session ~path ~source);
+      Alcotest.(check int) "no further parse" 1
+        (Project.Parse_cache.misses cache - misses0);
+      Alcotest.(check int) "two hits" 2 (Project.Parse_cache.hits cache - hits0);
+      Project.Parse_cache.forget cache (path, Digest.string source))
+
+(* [source]/[paths] report each path's last source; [forget] drops a path,
+   and a later update of it starts afresh. *)
+let forget_case =
+  Alcotest.test_case "forget drops a path and its source" `Quick (fun () ->
       let session = Project.Increment.create () in
-      check_equivalent session ~path:"first.php" (three_defs "return $b;");
-      Alcotest.(check (list int)) "initial, reparse, fallback" [ 1; 0; 0 ]
-        (List.map2 (fun c b -> Obs.counter c - b) names before))
+      let a = three_defs "return $b;" and b = "<?php $x = 1;\n" in
+      ignore (Project.Increment.update session ~path:"a.php" ~source:a);
+      ignore (Project.Increment.update session ~path:"b.php" ~source:b);
+      let b' = b ^ "$y = 2;\n" in
+      ignore (Project.Increment.update session ~path:"b.php" ~source:b');
+      let paths () = List.sort compare (Project.Increment.paths session) in
+      Alcotest.(check (list string)) "both paths" [ "a.php"; "b.php" ] (paths ());
+      Alcotest.(check (option string)) "last source" (Some b')
+        (Project.Increment.source session "b.php");
+      Project.Increment.forget session "a.php";
+      Alcotest.(check (list string)) "a forgotten" [ "b.php" ] (paths ());
+      Alcotest.(check (option string)) "no source" None
+        (Project.Increment.source session "a.php");
+      check_equivalent session ~path:"a.php" a;
+      Alcotest.(check (option string)) "a is back" (Some a)
+        (Project.Increment.source session "a.php"))
 
 (* The in-process memo answers every parse on the incremental path before
    the disk tier would, so an update writes nothing to the Store. *)
@@ -580,15 +460,42 @@ let no_store_writes =
           Alcotest.(check int) "cache.parse.store" 0
             (Obs.counter "cache.parse.store" - before)))
 
+(* A session holds each path's last source and nothing the parse does
+   not: its reachable heap is at most 1.1 times that of the sources and
+   results it hands out. *)
+let retention =
+  Alcotest.test_case "a session retains little beyond sources and results"
+    `Quick (fun () ->
+      let session = Project.Increment.create () in
+      let files =
+        ("retain0.php", big_src)
+        :: List.init 3 (fun i ->
+               ( Printf.sprintf "retain%d.php" (i + 1),
+                 three_defs (Printf.sprintf "return $b . '%d';" i) ))
+      in
+      let results =
+        List.map
+          (fun (path, source) ->
+            ignore (Project.Increment.update session ~path ~source);
+            let edited = source ^ "$after = 1;\n" in
+            (edited, Project.Increment.update session ~path ~source:edited))
+          files
+      in
+      let held = Obj.reachable_words (Obj.repr session)
+      and handed_out = Obj.reachable_words (Obj.repr results) in
+      if float_of_int held > 1.1 *. float_of_int handed_out then
+        Alcotest.failf "session holds %d words; its sources and results %d"
+          held handed_out)
+
 let () =
   Alcotest.run "increment"
     [
-      ("relex", relex_cases);
+      ("lexer edits", lexer_cases);
       ("recovery", [ recovery_case ]);
-      ("equivalence", seq_cases);
-      ("reuse", reuse_cases);
+      ("equivalence", seq_cases @ [ swap_case ]);
       ("budget", budget_cases);
-      ("counters", [ resume_counted; initial_counted; no_store_writes ]);
-      ("memo", [ evicts_superseded ]);
+      ("store", [ no_store_writes ]);
+      ("memo", [ evicts_superseded; first_update_counted; retention ]);
+      ("session", [ forget_case ]);
       ("storm", [ storm; valid_storm ]);
     ]

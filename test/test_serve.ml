@@ -630,8 +630,7 @@ let daemon_cases =
             in
             let flow = { Scan.default with Scan.flow = true } in
             let parses () =
-              Obs.counter "parser.region.reparse"
-              + Obs.counter "parser.region.fallback"
+              Phplang.Project.Parse_cache.(misses shared)
             in
             ignore (scan_via sock v1 : string);
             ignore (scan_via sock ~opts:flow v1 : string);

@@ -6,9 +6,8 @@
     pinned digests are the reference token stream: a lexer optimization
     must leave them as they are, and any change to a token kind, a lexeme,
     a line number or an error shows up here.  The same files also check
-    that the three entry points agree: [tokenize_significant] is
-    [significant] of [tokenize], and [lex_all] yields [tokenize]'s
-    tokens. *)
+    that the lexer's entry points agree: [tokenize_significant] is
+    [significant] of [tokenize]. *)
 
 open Phplang
 
@@ -63,15 +62,12 @@ let agreement_case name version =
           Alcotest.check result
             (f.Project.path ^ ": tokenize_significant")
             (Result.map Lexer.significant tokens)
-            (lexed Lexer.tokenize_significant src);
-          Alcotest.check result (f.Project.path ^ ": lex_all") tokens
-            (lexed (fun s -> Lexer.tokens_of_lexed (Lexer.lex_all s)) src))
+            (lexed Lexer.tokenize_significant src))
         (files version))
 
 (* The parser's entry points build the same program, positions included,
-   and fail with the same error: [parse_source] pulling from the lexer,
-   [parse_tokens] over the significant-token list, and [parse_program]
-   over [lex_all]'s significant tokens. *)
+   and fail with the same error: [parse_source] pulling from the lexer
+   and [parse_tokens] over the significant-token list. *)
 let ast_agreement_case name version =
   let parsed f src =
     match f src with
@@ -94,17 +90,6 @@ let ast_agreement_case name version =
           agree "parse_tokens"
             (parsed
                (fun s -> Parser.parse_tokens ~file (Lexer.tokenize_significant s))
-               src);
-          agree "parse_program"
-            (parsed
-               (fun s ->
-                 let lexed = Lexer.lex_all s in
-                 let sigt =
-                   Array.of_list
-                     (List.filter Lexer.is_significant
-                        (Array.to_list lexed.Lexer.lx_tokens))
-                 in
-                 fst (Parser.parse_program ~file sigt))
                src))
         (files version))
 
