@@ -174,5 +174,5 @@ let stats corpus =
   List.fold_left
     (fun (files, loc) p ->
       ( files + Phplang.Project.file_count p.po_project,
-        loc + Phplang.Loc.project_loc p.po_project ))
+        loc + Phplang.Project.loc p.po_project ))
     (0, 0) corpus.plugins

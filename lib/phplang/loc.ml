@@ -25,7 +25,3 @@ let count src =
     | _ -> blank := false
   done;
   if !blank then !n else !n + 1
-
-(** Total LOC over a project. *)
-let project_loc (p : Project.t) =
-  List.fold_left (fun acc (f : Project.file) -> acc + count f.Project.source) 0 p.Project.files

@@ -1,5 +1,7 @@
-(** Lines-of-code accounting for the corpus size report (paper §V.E) and
-    the seconds-per-kLOC responsiveness metric. *)
+(** Lines-of-code accounting for the corpus size report (paper §V.E), the
+    seconds-per-kLOC responsiveness metric and phpSAFE's include-closure
+    memory budget (each file's count rides its parse-memo entry, see
+    {!Project.facts}). *)
 
 val physical_lines : string -> int
 (** Physical lines in a source string (a trailing newline does not start a
@@ -7,6 +9,3 @@ val physical_lines : string -> int
 
 val count : string -> int
 (** Non-blank lines — the LOC measure reported everywhere. *)
-
-val project_loc : Project.t -> int
-(** Sum of {!count} over all files of a project. *)

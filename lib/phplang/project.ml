@@ -16,6 +16,8 @@ let find t path = List.find_opt (fun f -> String.equal f.path path) t.files
 
 let file_count t = List.length t.files
 
+let loc t = List.fold_left (fun acc f -> acc + Loc.count f.source) 0 t.files
+
 (** Literal include targets of a program: the string arguments of
     [include]/[require] expressions, in order.  Dynamic include arguments
     (anything but a string literal) are skipped, like the real tools do. *)
@@ -43,6 +45,9 @@ type parse_error =
 
 let parse_error_message = function Syntax m | Over_budget m -> m
 
+(** What the include budget reads of one file; see the .mli. *)
+type facts = { includes : string list; loc : int }
+
 (** Content-keyed parse memoization shared by every analyzer.  A file's AST
     depends only on its path (recorded in positions) and its source text, so
     entries are keyed by path + source digest and can be shared across
@@ -54,13 +59,21 @@ let parse_error_message = function Syntax m | Over_budget m -> m
     [In_progress] marker before parsing outside the lock, so concurrent
     requests for the same file wait on the condition variable instead of
     parsing twice — the "exactly once" stats guarantee holds under
-    parallelism. *)
+    parallelism.  A cell's [facts] slot is filled after publication, by
+    whichever reader first needs it; two domains racing there compute the
+    same pure value and either write wins. *)
 module Parse_cache = struct
-  (* [Done (limit, v)]: [v] was parsed (or seeded) under nesting limit
-     [limit]; a lookup under another limit is a miss. *)
-  type entry =
-    | In_progress
-    | Done of int * (Ast.program, parse_error) result
+  (* [result] was parsed (or seeded) under nesting limit [limit]; a lookup
+     under another limit is a miss. *)
+  type cell = {
+    limit : int;
+    result : (Ast.program, parse_error) result;
+    facts : facts option Atomic.t;
+  }
+
+  type entry = In_progress | Done of cell
+
+  let cell limit result = { limit; result; facts = Atomic.make None }
 
   type t = {
     table : (string * string, entry) Hashtbl.t;  (** (path, digest) *)
@@ -105,7 +118,7 @@ module Parse_cache = struct
     Mutex.lock t.lock;
     (match Hashtbl.find_opt t.table key with
     | Some In_progress -> ()
-    | _ -> Hashtbl.replace t.table key (Done (Parser.nesting_limit (), v)));
+    | _ -> Hashtbl.replace t.table key (Done (cell (Parser.nesting_limit ()) v)));
     Mutex.unlock t.lock
 
   (* Drop a superseded [Done] entry; a live parse's marker stays, so its
@@ -117,16 +130,16 @@ module Parse_cache = struct
     | Some In_progress | None -> ());
     Mutex.unlock t.lock
 
-  let memo t key parse =
+  let memo_cell t key parse =
     let limit = Parser.nesting_limit () in
     Mutex.lock t.lock;
     let rec await () =
       match Hashtbl.find_opt t.table key with
-      | Some (Done (l, v)) when l = limit ->
+      | Some (Done c) when c.limit = limit ->
           Mutex.unlock t.lock;
           Atomic.incr t.hits;
           Obs.incr "phplang.parse_cache.hit";
-          v
+          c
       | Some In_progress ->
           Condition.wait t.cond t.lock;
           await ()
@@ -135,13 +148,14 @@ module Parse_cache = struct
           Mutex.unlock t.lock;
           match parse () with
           | v ->
+              let c = cell limit v in
               Mutex.lock t.lock;
-              Hashtbl.replace t.table key (Done (limit, v));
+              Hashtbl.replace t.table key (Done c);
               Condition.broadcast t.cond;
               Mutex.unlock t.lock;
               Atomic.incr t.misses;
               Obs.incr "phplang.parse_cache.miss";
-              v
+              c
           | exception e ->
               (* Exception safety: drop the [In_progress] marker and wake
                  the waiters, otherwise they block on the condition
@@ -157,6 +171,8 @@ module Parse_cache = struct
               Printexc.raise_with_backtrace e bt)
     in
     await ()
+
+  let memo t key parse = (memo_cell t key parse).result
 end
 
 (* The disk-tier ({!Store}) key of a parse artifact: it depends on the
@@ -181,11 +197,15 @@ let parse_result (f : file) : (Ast.program, parse_error) result =
 (* The in-memory memo's key of a file's parse. *)
 let memo_key ~path ~source = (path, Digest.string source)
 
+(** One file's parse as the memo holds it: the cell carries the facts
+    slot, the file is what fills it. *)
+type parsed = { file : file; cell : Parse_cache.cell }
+
 (** Parse [f], memoized in [cache] (default: {!Parse_cache.shared}) unless
-    the cache is globally disabled.  [Error _] is a parse failure — cached
-    too, so a broken file is diagnosed once, not once per tool. *)
-let parse_file ?(cache = Parse_cache.shared) (f : file) :
-    (Ast.program, parse_error) result =
+    the cache is globally disabled.  A [result] of [Error _] is a parse
+    failure — cached too, so a broken file is diagnosed once, not once per
+    tool. *)
+let parse ?(cache = Parse_cache.shared) (f : file) : parsed =
   (* Disk tier ({!Store}), under {!parse_store_key}.  The disk lookup sits
      inside the in-memory memo's miss path, so the exactly-once-per-process
      guarantee is untouched — a disk hit simply replaces the parse work by
@@ -202,10 +222,35 @@ let parse_file ?(cache = Parse_cache.shared) (f : file) :
           v
     end
   in
-  if not (Parse_cache.enabled ()) then parse_via_store ()
-  else
-    Parse_cache.memo cache (memo_key ~path:f.path ~source:f.source)
-      parse_via_store
+  let cell =
+    if not (Parse_cache.enabled ()) then
+      Parse_cache.cell (Parser.nesting_limit ()) (parse_via_store ())
+    else
+      Parse_cache.memo_cell cache (memo_key ~path:f.path ~source:f.source)
+        parse_via_store
+  in
+  { file = f; cell }
+
+let result p = p.cell.Parse_cache.result
+
+(** The file's facts, computed on the first demand per memo entry (so a
+    seeded entry is filled here too, from the file in hand). *)
+let facts p =
+  match Atomic.get p.cell.Parse_cache.facts with
+  | Some x -> x
+  | None ->
+      Obs.incr "phplang.parse_cache.facts";
+      let x =
+        {
+          includes =
+            (match result p with Ok prog -> include_targets prog | Error _ -> []);
+          loc = Loc.count p.file.source;
+        }
+      in
+      Atomic.set p.cell.Parse_cache.facts (Some x);
+      x
+
+let parse_file ?cache f = result (parse ?cache f)
 
 (** Result of {!include_closure} — see the .mli for field semantics. *)
 type closure = {
@@ -215,13 +260,13 @@ type closure = {
   cl_truncated : bool;
 }
 
-(** Transitive include closure of [path] within project [t], parsed on
-    demand with [parse].  Cycles are cut by the visited set; missing files
-    (WordPress core, typically) are tolerated, counted as unresolved and
-    still part of the closure.  [max_depth]/[max_files] are safety caps:
-    when either is hit the walk stops expanding and the closure is marked
-    truncated instead of recursing without bound. *)
-let include_closure ?(max_depth = max_int) ?(max_files = max_int) ~parse t
+(** Transitive include closure of [path] within project [t], following
+    [targets] of each member file.  Cycles are cut by the visited set;
+    missing files (WordPress core, typically) are tolerated, counted as
+    unresolved and still part of the closure.  [max_depth]/[max_files] are
+    safety caps: when either is hit the walk stops expanding and the
+    closure is marked truncated instead of recursing without bound. *)
+let include_closure ?(max_depth = max_int) ?(max_files = max_int) ~targets t
     path =
   Obs.span "phplang.includes" @@ fun () ->
   let visited = Hashtbl.create 16 in
@@ -239,10 +284,7 @@ let include_closure ?(max_depth = max_int) ?(max_files = max_int) ~parse t
       | None ->
           incr unresolved;
           Obs.incr "phplang.includes.unresolved"
-      | Some f -> (
-          match parse f with
-          | Some prog -> List.iter (go (depth + 1)) (include_targets prog)
-          | None -> ())
+      | Some f -> List.iter (go (depth + 1)) (targets f)
     end
   in
   go 0 path;

@@ -12,6 +12,9 @@ val find : t -> string -> file option
 
 val file_count : t -> int
 
+val loc : t -> int
+(** Sum of {!Loc.count} over all files of a project. *)
+
 (** Why a parse failed.  [Syntax] is a lexer/parser rejection; [Over_budget]
     means the nesting-depth fuel (see {!Parser.set_nesting_limit}) ran out —
     analyzers report the two differently in the robustness table. *)
@@ -21,13 +24,28 @@ type parse_error =
 
 val parse_error_message : parse_error -> string
 
+(** What phpSAFE's include-closure memory budget (paper §V.E) reads of one
+    file.  Both fields depend only on the file's path and source, so they
+    are computed once per parse-memo entry (see {!facts}). *)
+type facts = {
+  includes : string list;
+      (** {!include_targets} of the parse; [[]] for a failed parse *)
+  loc : int;  (** {!Loc.count} of the source *)
+}
+
 (** Content-keyed parse memoization shared by analyzers and domains:
     entries are keyed by file path + source digest, so each distinct file
     is parsed exactly once per process even when three tools (or several
     domains) visit it.  Each entry records the nesting limit
     ({!Parser.nesting_limit}) it was parsed or seeded under; a lookup
-    under another limit is a miss that re-parses and replaces it.  Safe to use concurrently: the table is
-    mutex-guarded and concurrent misses for the same key parse only once. *)
+    under another limit is a miss that re-parses and replaces it.  Safe to
+    use concurrently: the table is mutex-guarded and concurrent misses for
+    the same key parse only once.
+
+    An entry also carries its file's {!facts}, empty until the first
+    {!Project.facts} call on a {!Project.parse} that reaches it fills them;
+    they are dropped with the entry ({!forget}, {!clear}, or a re-parse
+    under another nesting limit). *)
 module Parse_cache : sig
   type t
 
@@ -52,14 +70,15 @@ module Parse_cache : sig
     t -> string * string -> (Ast.program, parse_error) result -> unit
   (** Publish a result computed outside the memo, so later {!memo} calls
       for the key hit.  A key currently being parsed is left alone — the
-      live parse publishes the same value.  No library code seeds; this is
-      kept for the benchmark's traced front end ([perfbench/passes.ml]),
-      which lexes and parses as separate timed layers and then publishes
-      the result. *)
+      live parse publishes the same value.  A seeded entry has no source,
+      so its {!facts} are filled on first demand like a parsed one's.  No
+      library code seeds; this is kept for the benchmark's traced front
+      end ([perfbench/passes.ml]), which lexes and parses as separate timed
+      layers and then publishes the result. *)
 
   val forget : t -> string * string -> unit
-  (** Drop the key's cached result.  A key currently being parsed is left
-      alone. *)
+  (** Drop the key's cached result and facts.  A key currently being
+      parsed is left alone. *)
 
   val set_enabled : bool -> unit
   (** Globally enable/disable memoization ([true] initially).  Flip only
@@ -74,15 +93,32 @@ module Parse_cache : sig
   (** Actual parses performed through this cache. *)
 
   val clear : t -> unit
-  (** Drop all entries and reset the hit/miss counters. *)
+  (** Drop all entries (their facts with them) and reset the hit/miss
+      counters. *)
 end
+
+type parsed
+(** One file's parse, as {!parse} found or put it in the memo. *)
+
+val parse : ?cache:Parse_cache.t -> file -> parsed
+(** Parse one project file, memoized in [cache] (default
+    {!Parse_cache.shared}) unless the cache is disabled: one memo lookup
+    (one digest of the source) answers both {!result} and {!facts}. *)
+
+val result : parsed -> (Ast.program, parse_error) result
+(** [Error _] is a structured parse failure (lexical/syntax error or
+    nesting-budget exhaustion); failures are cached too. *)
+
+val facts : parsed -> facts
+(** The file's facts, computed from the file {!parse} was given on the
+    first demand per memo entry and kept in the entry, so a warm
+    re-analysis computes none; each computation bumps the
+    [phplang.parse_cache.facts] counter.  With the memo disabled they are
+    computed once per {!parse}.  Safe from any domain. *)
 
 val parse_file :
   ?cache:Parse_cache.t -> file -> (Ast.program, parse_error) result
-(** Parse one project file, memoized in [cache] (default
-    {!Parse_cache.shared}) unless the cache is disabled.  [Error _] is a
-    structured parse failure (lexical/syntax error or nesting-budget
-    exhaustion); failures are cached too. *)
+(** [result (parse ?cache f)]. *)
 
 val include_targets : Ast.program -> string list
 (** Literal include targets of a program, in source order; dynamic include
@@ -105,16 +141,18 @@ type closure = {
 val include_closure :
   ?max_depth:int ->
   ?max_files:int ->
-  parse:(file -> Ast.program option) ->
+  targets:(file -> string list) ->
   t ->
   string ->
   closure
-(** [include_closure ~parse t path] is the transitive include closure of
-    [path].  Cycles are cut; missing files are tolerated but counted as
-    unresolved (and still part of the closure, as before).  [max_depth]
-    bounds the include-chain depth and [max_files] the closure size (both
-    default to unlimited); exceeding either stops the walk and marks the
-    closure truncated — the caller reports that as a budget exhaustion. *)
+(** [include_closure ~targets t path] is the transitive include closure of
+    [path], following [targets f] out of each member file [f] ({!find}'s
+    file for the member's path; typically the [includes] of its
+    {!facts}).  Cycles are cut; missing files are tolerated but counted as
+    unresolved (and still part of the closure).  [max_depth] bounds the
+    include-chain depth and [max_files] the closure size (both default to
+    unlimited); exceeding either stops the walk and marks the closure
+    truncated — the caller reports that as a budget exhaustion. *)
 
 (** Edit sessions (the [--watch]/daemon hot path): each path's last
     source.  {!Increment.update} is one streaming parse of the new source

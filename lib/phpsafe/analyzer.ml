@@ -1249,12 +1249,21 @@ let analyze_project_internal ?(opts = default_options)
   let analyzable =
     Obs.span "phpsafe.model" @@ fun () ->
     let parse_ok = ref [] in
+    (* the memo entries the budget reads facts from: a path's LOC is its
+       first file's ([Project.find]'s), its include targets are those of
+       the parse [ctx.parsed] holds *)
+    let first_entry = Hashtbl.create 64 and ok_entry = Hashtbl.create 64 in
     List.iter
       (fun (f : Phplang.Project.file) ->
-        match Phplang.Project.parse_file f with
+        let path = f.Phplang.Project.path in
+        let entry = Phplang.Project.parse f in
+        if not (Hashtbl.mem first_entry path) then
+          Hashtbl.add first_entry path entry;
+        match Phplang.Project.result entry with
         | Ok prog ->
-            Hashtbl.replace ctx.parsed f.Phplang.Project.path prog;
-            parse_ok := f.Phplang.Project.path :: !parse_ok
+            Hashtbl.replace ctx.parsed path prog;
+            Hashtbl.replace ok_entry path entry;
+            parse_ok := path :: !parse_ok
         | Error err ->
             ctx.errors <- ctx.errors + 1;
             let reason =
@@ -1274,21 +1283,23 @@ let analyze_project_internal ?(opts = default_options)
     | None -> ()
     | Some budget ->
         let safety = Budget.get () in
-        let parse (f : Phplang.Project.file) =
-          Hashtbl.find_opt ctx.parsed f.Phplang.Project.path
+        let targets (f : Phplang.Project.file) =
+          match Hashtbl.find_opt ok_entry f.Phplang.Project.path with
+          | Some e -> (Phplang.Project.facts e).Phplang.Project.includes
+          | None -> []
         in
         List.iter
           (fun path ->
             let closure =
               Phplang.Project.include_closure
                 ~max_depth:safety.Budget.include_depth
-                ~max_files:safety.Budget.include_files ~parse project path
+                ~max_files:safety.Budget.include_files ~targets project path
             in
             let closure_loc =
               List.fold_left
                 (fun acc p ->
-                  match Phplang.Project.find project p with
-                  | Some f -> acc + Phplang.Loc.count f.Phplang.Project.source
+                  match Hashtbl.find_opt first_entry p with
+                  | Some e -> acc + (Phplang.Project.facts e).Phplang.Project.loc
                   | None ->
                       unresolved := S.add p !unresolved;
                       acc)

@@ -596,11 +596,12 @@ let chain_loop src =
       (List.init 12 (fun i -> Printf.sprintf "$a%d = $a%d;\n" (12 - i) (11 - i)))
   ^ "$a0 = " ^ src ^ ";\n}\n"
 
-let with_passes n f =
-  let d = Budget.default in
+let with_budget b f =
   Fun.protect ~finally:Budget.reset @@ fun () ->
-  Budget.set { d with Budget.fixpoint_passes = n };
+  Budget.set b;
   f ()
+
+let with_passes n = with_budget { Budget.default with Budget.fixpoint_passes = n }
 
 let status (r : Report.result) path =
   match List.assoc_opt path r.Report.outcomes with
@@ -645,12 +646,241 @@ let flow_budget_cases =
         Alcotest.(check string) "status" "analyzed" (status r "t.php"));
   ]
 
+(* The include budget's verdicts on inputs where the closure walk and the
+   LOC sum could disagree about which file or parse they read.  Every
+   expected list below is what the analyzer reported before the budget
+   read per-file facts from the parse memo. *)
+let verdicts (r : Report.result) =
+  List.map
+    (fun (path, o) ->
+      path ^ "="
+      ^
+      match o with
+      | Report.Analyzed -> "analyzed"
+      | Report.Failed reason -> Report.failure_label reason)
+    r.Report.outcomes
+
+let with_include_budget ~depth ~loc files =
+  let opts =
+    { Phpsafe.default_options with
+      Phpsafe.budget =
+        Some
+          { Phpsafe.Analyzer.max_include_depth = depth; max_closure_loc = loc } }
+  in
+  Phpsafe.analyze_project ~opts (Phplang.Project.make ~name:"p" files)
+
+let php path source = { Phplang.Project.path; source }
+
+let with_include_caps ~depth ~files =
+  with_budget
+    { Budget.default with Budget.include_depth = depth; include_files = files }
+
+let lines prefix n =
+  String.concat "" (List.init n (fun i -> Printf.sprintf "$%s%d = %d;\n" prefix i i))
+
+let budget_edge_cases =
+  let case name f = Alcotest.test_case name `Quick f in
+  [
+    case "a path listed twice: LOC of the first file, targets of the last parse"
+      (fun () ->
+        (* a.php #1 has 10 LOC and no include; #2 has 1 LOC and includes
+           b.php (5 LOC); #3 would include c.php but does not parse.  The
+           closure follows #2's include and sums #1's LOC: 15 > 12. *)
+        let r =
+          with_include_budget ~depth:6 ~loc:12
+            [ php "a.php" ("<?php\n" ^ lines "a" 9);
+              php "a.php" "<?php include 'b.php';";
+              php "a.php" "<?php include 'c.php'; $x = ;";
+              php "b.php" ("<?php\n" ^ lines "b" 4) ]
+        in
+        Alcotest.(check (list string)) "verdicts"
+          [ "a.php=parse_failure"; "a.php=out_of_memory";
+            "a.php=out_of_memory"; "b.php=analyzed" ]
+          (verdicts r);
+        Alcotest.(check int) "unresolved" 0 r.Report.unresolved_includes);
+    case "an include cycle counts each member's LOC once" (fun () ->
+        let files =
+          [ php "a.php" "<?php include 'b.php';\n$a = 1;\n$b = 2;";
+            php "b.php" "<?php include 'a.php';\n$c = 1;\n$d = 2;" ]
+        in
+        Alcotest.(check (list string)) "6 LOC over a cap of 5"
+          [ "a.php=out_of_memory"; "b.php=out_of_memory" ]
+          (verdicts (with_include_budget ~depth:6 ~loc:5 files));
+        Alcotest.(check (list string)) "6 LOC within a cap of 6"
+          [ "a.php=analyzed"; "b.php=analyzed" ]
+          (verdicts (with_include_budget ~depth:6 ~loc:6 files));
+        with_include_caps ~depth:64 ~files:1 @@ fun () ->
+        Alcotest.(check (list string)) "the closure-size safety cap"
+          [ "a.php=budget_exhausted"; "b.php=budget_exhausted" ]
+          (verdicts (with_include_budget ~depth:6 ~loc:6 files)));
+    case "unresolved includes count toward the depth, not the LOC" (fun () ->
+        let r =
+          with_include_budget ~depth:1 ~loc:2
+            [ php "a.php" "<?php include 'wp-load.php'; include 'b.php';";
+              php "b.php" "<?php include 'wp-config.php';" ]
+        in
+        Alcotest.(check (list string)) "verdicts"
+          [ "a.php=out_of_memory"; "b.php=analyzed" ]
+          (verdicts r);
+        Alcotest.(check int) "unresolved" 2 r.Report.unresolved_includes);
+    case "an unparsable member adds its LOC but no targets" (fun () ->
+        (* bad.php's 3 LOC count (1 + 3 > 3); its include is not followed *)
+        let r =
+          with_include_budget ~depth:6 ~loc:3
+            [ php "main.php" "<?php include 'bad.php';";
+              php "bad.php" "<?php\ninclude 'wp-load.php';\n$x = ;" ]
+        in
+        Alcotest.(check (list string)) "verdicts"
+          [ "bad.php=parse_failure"; "main.php=out_of_memory" ]
+          (verdicts r);
+        Alcotest.(check int) "unresolved" 0 r.Report.unresolved_includes);
+    case "one closure over max_closure_loc" (fun () ->
+        let r =
+          with_include_budget ~depth:6 ~loc:20
+            [ php "main.php" "<?php include 'lib.php'; echo $_GET['x'];";
+              php "lib.php" ("<?php\n" ^ lines "l" 19);
+              php "other.php" "<?php echo $_GET['y'];" ]
+        in
+        Alcotest.(check (list string)) "verdicts"
+          [ "main.php=out_of_memory"; "lib.php=analyzed"; "other.php=analyzed" ]
+          (verdicts r);
+        Alcotest.(check int) "only other.php's finding" 1
+          (List.length r.Report.findings));
+    case "the include-depth safety cap" (fun () ->
+        with_include_caps ~depth:2 ~files:4096 @@ fun () ->
+        let r =
+          with_include_budget ~depth:6 ~loc:40_000
+            [ php "a.php" "<?php include 'b.php';";
+              php "b.php" "<?php include 'c.php';";
+              php "c.php" "<?php include 'd.php';";
+              php "d.php" "<?php $x = 1;" ]
+        in
+        Alcotest.(check (list string)) "verdicts"
+          [ "a.php=budget_exhausted"; "b.php=analyzed"; "c.php=analyzed";
+            "d.php=analyzed" ]
+          (verdicts r));
+  ]
+
+(* Each file's include targets and LOC are computed once per parse-memo
+   entry and live as long as it does.  Every case tags its sources so its
+   entries are new to the process-wide memo. *)
+let facts_computed () = Obs.counter "phplang.parse_cache.facts"
+
+let facts_project tag =
+  Phplang.Project.make ~name:"facts"
+    [ php "main.php"
+        (Printf.sprintf "<?php /* %s */\ninclude 'lib.php';\necho f($_GET['x']);\n" tag);
+      php "lib.php"
+        (Printf.sprintf "<?php /* %s */\nfunction f($p) {\n  $q = $p;\n  return $q;\n}\n" tag);
+      php "other.php" (Printf.sprintf "<?php /* %s */\necho $_POST['y'];\n" tag) ]
+
+(* main.php's closure (main + lib, 7 LOC) is over the cap, the others not *)
+let tight = { Phpsafe.Analyzer.max_include_depth = 6; max_closure_loc = 6 }
+
+let analyze_tight p =
+  Phpsafe.analyze_project
+    ~opts:{ Phpsafe.default_options with Phpsafe.budget = Some tight }
+    p
+
+let memo = Phplang.Project.Parse_cache.shared
+
+let memo_key (f : Phplang.Project.file) =
+  (f.Phplang.Project.path, Phplang.Digest.string f.Phplang.Project.source)
+
+let facts_cases =
+  let case name f = Alcotest.test_case name `Quick f in
+  [
+    case "a warm re-analysis computes no facts" (fun () ->
+        let p = facts_project "warm" in
+        let c0 = facts_computed () in
+        let cold = analyze_tight p in
+        Alcotest.(check int) "one per file" 3 (facts_computed () - c0);
+        let warm = analyze_tight p in
+        Alcotest.(check int) "none on the warm run" 3 (facts_computed () - c0);
+        Alcotest.(check (list string)) "verdicts"
+          [ "main.php=out_of_memory"; "lib.php=analyzed"; "other.php=analyzed" ]
+          (verdicts warm);
+        Alcotest.(check string) "same report" (Report.to_json cold)
+          (Report.to_json warm));
+    case "with the memo off, facts are computed per run" (fun () ->
+        let p = facts_project "off" in
+        let set = Phplang.Project.Parse_cache.set_enabled in
+        Fun.protect ~finally:(fun () -> set true) @@ fun () ->
+        set false;
+        let c0 = facts_computed () in
+        let first = analyze_tight p in
+        let second = analyze_tight p in
+        Alcotest.(check int) "three per run" 6 (facts_computed () - c0);
+        Alcotest.(check (list string)) "verdicts" (verdicts first)
+          (verdicts second));
+    case "a seeded entry gives a parsed entry's verdicts and report" (fun () ->
+        let p = facts_project "seeded" in
+        let parsed = analyze_tight p in
+        List.iter
+          (fun (f : Phplang.Project.file) ->
+            Phplang.Project.Parse_cache.forget memo (memo_key f);
+            Phplang.Project.Parse_cache.seed memo (memo_key f)
+              (Ok
+                 (Phplang.Parser.parse_source ~file:f.Phplang.Project.path
+                    f.Phplang.Project.source)))
+          p.Phplang.Project.files;
+        let c0 = facts_computed ()
+        and m0 = Phplang.Project.Parse_cache.misses memo in
+        let seeded = analyze_tight p in
+        Alcotest.(check int) "no parse" 0
+          (Phplang.Project.Parse_cache.misses memo - m0);
+        Alcotest.(check int) "filled on demand" 3 (facts_computed () - c0);
+        Alcotest.(check (list string)) "verdicts" (verdicts parsed)
+          (verdicts seeded);
+        Alcotest.(check string) "phpsafe-report/1 bytes" (Report.to_json parsed)
+          (Report.to_json seeded));
+    case "forget and clear drop the facts with their entry" (fun () ->
+        let p = facts_project "evict" in
+        ignore (analyze_tight p);
+        let c0 = facts_computed () in
+        Phplang.Project.Parse_cache.forget memo
+          (memo_key (List.hd p.Phplang.Project.files));
+        let after_forget = analyze_tight p in
+        Alcotest.(check int) "the forgotten file's facts" 1
+          (facts_computed () - c0);
+        Phplang.Project.Parse_cache.clear memo;
+        let after_clear = analyze_tight p in
+        Alcotest.(check int) "every file's facts" 4 (facts_computed () - c0);
+        Alcotest.(check (list string)) "verdicts" (verdicts after_forget)
+          (verdicts after_clear));
+    case "a 2-domain pool gives the --jobs 1 results" (fun () ->
+        let p = facts_project "pool" in
+        let flow_contexts =
+          { Phpsafe.default_options with
+            Phpsafe.budget = Some tight;
+            flow_sensitive = true;
+            infer_contexts = true }
+        in
+        let runs =
+          [ (fun () -> Report.to_json (analyze_tight p));
+            (fun () ->
+              Report.to_json (Phpsafe.analyze_project_so ~opts:flow_contexts p)) ]
+        in
+        let sequential = List.map (fun run -> run ()) runs in
+        (* from a cold memo, both domains race to fill the same entries *)
+        Phplang.Project.Parse_cache.clear memo;
+        let pool = Sched.create ~size:2 () in
+        let parallel =
+          Sched.map ~chunk:1 ~pool (fun run -> run ()) (runs @ runs @ runs)
+        in
+        Alcotest.(check (list string)) "every run"
+          (sequential @ sequential @ sequential)
+          parallel);
+  ]
+
 let () =
   Alcotest.run "phpsafe"
     [ ("data flow (§III.C)", flow_cases);
       ("front-end gaps (heredoc, <?=, ??)", frontend_cases);
       ("flow-sensitive walk (--flow)", flow_sensitive_cases);
       ("fixpoint pass budget (--flow)", flow_budget_cases);
+      ("include budget verdicts", budget_edge_cases);
+      ("per-file facts in the parse memo", facts_cases);
       ("sanitizers and reverts (§III.A)", sanitizer_cases);
       ("inter-procedural and summaries", interproc_cases);
       ("OOP support (§III.E)", oop_cases);

@@ -36,10 +36,10 @@ let include_cases =
               file "b.php" "<?php include 'c.php';";
               file "c.php" "<?php $x = 1;" ]
         in
-        let parse_file (f : Project.file) =
-          Some (parse ~file:f.Project.path f.Project.source)
+        let targets (f : Project.file) =
+          Project.include_targets (parse ~file:f.Project.path f.Project.source)
         in
-        let cl = Project.include_closure ~parse:parse_file p "a.php" in
+        let cl = Project.include_closure ~targets p "a.php" in
         Alcotest.(check (list string)) "closure" [ "a.php"; "b.php"; "c.php" ]
           cl.Project.cl_paths;
         Alcotest.(check int) "depth" 2 cl.Project.cl_max_depth;
@@ -51,18 +51,18 @@ let include_cases =
             [ file "a.php" "<?php include 'b.php';";
               file "b.php" "<?php include 'a.php';" ]
         in
-        let parse_file (f : Project.file) =
-          Some (parse ~file:f.Project.path f.Project.source)
+        let targets (f : Project.file) =
+          Project.include_targets (parse ~file:f.Project.path f.Project.source)
         in
-        let cl = Project.include_closure ~parse:parse_file p "a.php" in
+        let cl = Project.include_closure ~targets p "a.php" in
         Alcotest.(check (list string)) "closure" [ "a.php"; "b.php" ]
           cl.Project.cl_paths);
     case "missing include files are tolerated" (fun () ->
         let p = Project.make ~name:"p" [ file "a.php" "<?php include 'wp-load.php';" ] in
-        let parse_file (f : Project.file) =
-          Some (parse ~file:f.Project.path f.Project.source)
+        let targets (f : Project.file) =
+          Project.include_targets (parse ~file:f.Project.path f.Project.source)
         in
-        let cl = Project.include_closure ~parse:parse_file p "a.php" in
+        let cl = Project.include_closure ~targets p "a.php" in
         Alcotest.(check int) "closure size" 2 (List.length cl.Project.cl_paths);
         Alcotest.(check int) "depth counts the attempt" 1 cl.Project.cl_max_depth;
         Alcotest.(check int) "unresolved counted" 1 cl.Project.cl_unresolved);
@@ -89,7 +89,7 @@ let loc_cases =
         let p =
           Project.make ~name:"p" [ file "a.php" "x\ny"; file "b.php" "z" ]
         in
-        Alcotest.(check int) "total" 3 (Loc.project_loc p));
+        Alcotest.(check int) "total" 3 (Project.loc p));
   ]
 
 (* Regression for the memo deadlock: a [parse] thunk that raised used to
