@@ -2,9 +2,8 @@
     reverse post-order, parameterized by the client's lattice (join /
     equality) and transfer function.
 
-    The iteration discipline is exactly the one Pixy's solver used before
-    the extraction, so a client that plugs in Pixy's lattice reproduces its
-    findings byte for byte:
+    The iteration discipline is Pixy's pre-extraction solver plus one
+    stopping rule that proves a further pass would be a replay:
 
     - per pass, every reachable node is visited in {!Cfg.rpo} order;
     - a node's in-state is the join of its predecessors' out-states
@@ -12,17 +11,31 @@
       additionally joins [init] — back-edges into the entry are honoured;
     - a node with no computed predecessor inputs gets [bottom] ([init] for
       the entry node);
-    - iteration stops when no out-state changed during a pass, or after
-      [max_passes] passes, whichever comes first.  In the latter case
-      [converged] is [false] and the states computed so far stand: the
-      iteration ascends from [bottom], so for a may-analysis (taint) they
-      {e under}-approximate the fixpoint — facts the missing passes would
-      have added are absent.  Clients report exhaustion rather than treat
-      those states as sound;
+    - iteration stops after a pass that changed no out-state, or after a
+      pass that changed no {e back-edge source} (a node with a successor
+      at or before it in RPO, self-loops included) while the client's
+      [effects] counter stood still, or after [max_passes] passes,
+      whichever comes first.  Only the budget stop leaves [converged]
+      [false]; the states computed so far then stand: the iteration ascends
+      from [bottom], so for a may-analysis (taint) they {e under}-
+      approximate the fixpoint — facts the missing passes would have added
+      are absent.  Clients report exhaustion rather than treat those states
+      as sound;
     - an out-state physically equal to the previous one is unchanged
       without calling [equal], which must therefore be reflexive.  A
       client whose transfer function returns its input (or shares it)
       when nothing changed gets the convergence test for free.
+
+    Why the second stop is exact: a node reads the current pass's
+    out-states along forward edges and the previous pass's along back
+    edges.  If no back-edge source changed during pass k, every back-edge
+    read of pass k+1 returns what pass k read; if no state outside ['st]
+    that a transfer reads was written, pass k+1 starts from the outside
+    state pass k started from.  By induction over RPO, pass k+1 then sees
+    the in-states and the outside state of pass k at every node, so it
+    replays pass k: the same out-states, and side effects that a client
+    already de-duplicates.  On an acyclic CFG pass 1 reads no back edge,
+    so a pass 1 that writes nothing outside its scope is final.
 
     The transfer function may carry side effects (finding reports,
     observability counters): it runs once per node visit, every pass, so
@@ -35,6 +48,7 @@ type 'st config = {
   join : 'st -> 'st -> 'st;
   equal : 'st -> 'st -> bool;  (** convergence test; must be reflexive *)
   transfer : 'st -> Phplang.Ast.stmt -> 'st;
+  effects : unit -> int;  (** moves on every outside write a transfer may read *)
   max_passes : int;  (** pass budget; exhaustion under-approximates *)
 }
 
@@ -43,20 +57,35 @@ type 'st result = {
   out_states : 'st option array;
       (** per-node out-states; [None] for nodes never reached *)
   passes : int;
-  converged : bool;  (** [false] when [max_passes] ran out first *)
+  converged : bool;  (** [false] when [max_passes] ran out before a stop *)
 }
+
+(* Nodes with a successor at or before them in [order]: the sources of the
+   back edges, whose out-states the next pass reads before recomputing. *)
+let back_edge_sources cfg order =
+  let rank = Array.make (Cfg.size cfg) (-1) in
+  List.iteri (fun i id -> rank.(id) <- i) order;
+  let feeds_back = Array.make (Cfg.size cfg) false in
+  List.iter
+    (fun id ->
+      feeds_back.(id) <-
+        List.exists (fun s -> rank.(s) <= rank.(id)) (Cfg.node cfg id).Cfg.succs)
+    order;
+  feeds_back
 
 let solve ?(check = fun () -> ()) (c : 'st config) (cfg : Cfg.t) :
     'st result =
   let n = Cfg.size cfg in
   let out_states = Array.make n None in
   let order = Cfg.rpo cfg in
-  let changed = ref true in
+  let feeds_back = back_edge_sources cfg order in
+  let final = ref false in
   let passes = ref 0 in
-  while !changed && !passes < c.max_passes do
+  while (not !final) && !passes < c.max_passes do
     check ();
-    changed := false;
     incr passes;
+    let effects = c.effects () in
+    let changed = ref false and fed_back = ref false in
     List.iter
       (fun id ->
         let node = Cfg.node cfg id in
@@ -75,12 +104,14 @@ let solve ?(check = fun () -> ()) (c : 'st config) (cfg : Cfg.t) :
         | Some prev when prev == out_state || c.equal prev out_state -> ()
         | _ ->
             out_states.(id) <- Some out_state;
-            changed := true)
-      order
+            changed := true;
+            if feeds_back.(id) then fed_back := true)
+      order;
+    final := (not !changed) || ((not !fed_back) && c.effects () = effects)
   done;
   {
     exit_state = Option.value out_states.(cfg.Cfg.exit_) ~default:c.bottom;
     out_states;
     passes = !passes;
-    converged = not !changed;
+    converged = !final;
   }

@@ -107,8 +107,34 @@ let rec write buf = function
         fields;
       Buffer.add_char buf '}'
 
+(* Decimal digits of [n], with its sign. *)
+let int_len n =
+  let rec go n k = if n > -10 && n < 10 then k else go (n / 10) (k + 1) in
+  go n (if n < 0 then 2 else 1)
+
+(* The bytes [write] emits for a value, counting each string byte once:
+   floats count their longest form, [Seq] items (which exist only while
+   written) nothing.  Escapes can make the output longer. *)
+let rec size = function
+  | Null -> 4
+  | Bool b -> if b then 4 else 5
+  | Int n -> int_len n
+  | Float _ -> 24
+  | Raw s -> String.length s
+  | String s -> String.length s + 2
+  | List items -> List.fold_left (fun acc item -> acc + 1 + size item) 2 items
+  | Seq _ -> 2
+  | Obj fields ->
+      List.fold_left
+        (fun acc (k, v) -> acc + String.length k + 4 + size v)
+        2 fields
+
+(* The buffer starts at [size] plus an eighth for escapes, which covers
+   text like PHP source, so it rarely grows, and then once: rendering
+   allocates the buffer and the result instead of a chain of doublings. *)
 let to_string j =
-  let buf = Buffer.create 4096 in
+  let n = size j in
+  let buf = Buffer.create (n + (n lsr 3)) in
   write buf j;
   Buffer.contents buf
 

@@ -43,7 +43,10 @@
 (* v9: Pixy's OOP gate also inspects switch case guards and parameter
    defaults, so a v8 Pixy result for a file whose only OOP construct sits
    there is stale. *)
-let format_version = 9
+(* v10: the dataflow solver stops after a pass that changed no back-edge
+   source, so under a tight pass budget a Pixy walk that v9 reported as
+   budget-exhausted may now converge. *)
+let format_version = 10
 
 let magic = "phpsafe-store"
 

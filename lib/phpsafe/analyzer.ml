@@ -1041,7 +1041,25 @@ and exec_body a (stmts : Phplang.Ast.stmt list) =
    - [fr_ret] joins monotonically across passes.
    A walk that runs out of passes keeps its findings and marks [a.file] —
    the entry file, or the file defining the function being summarised —
-   budget-exhausted. *)
+   budget-exhausted.
+
+   The solver stops after a pass that changed no back-edge source and left
+   the [effects] counter still ({!Dataflow.Fixpoint}), since the next pass
+   would replay it.  The counter sums the scope's binding changes ([global],
+   [=&], class bindings, [unset]) and the writes function and closure
+   scopes made into the global table: this walk's own, when it is one,
+   and a callee's, including those of the first call's summary build,
+   which a later pass does not repeat.  At top level the global table is
+   the solved cell, so the top-level scope's own writes are state and do
+   not count.  The other effects of a pass are safe to skip replaying:
+   - a summary stored in [c.summaries] is the value that pass used, and a
+     later pass would read it back;
+   - findings and conditional sinks are de-duplicated, so a replay adds
+     none;
+   - [fr_ret] and [so_writes] only join or add, and nothing in the walk
+     reads them;
+   - the include stack is balanced per include, and [in_progress] per
+     summary build. *)
 and exec_body_flow a stmts =
   let module F = Dataflow.Fixpoint in
   let cfg = Dataflow.Cfg.build stmts in
@@ -1058,10 +1076,12 @@ and exec_body_flow a stmts =
             cell.Env.vars <- st;
             exec_stmt a s;
             cell.Env.vars);
+        effects = (fun () -> a.env.Env.changes + a.env.Env.globals.Env.writes);
         max_passes = (Budget.get ()).Budget.fixpoint_passes;
       }
       cfg
   in
+  Obs.incr "phpsafe.flow.solves";
   Obs.add "phpsafe.flow.passes" res.F.passes;
   if not res.F.converged then begin
     Obs.incr "phpsafe.flow.exhausted";

@@ -8,9 +8,15 @@
 module S : Set.S with type elt = string
 module SMap : Map.S with type key = string
 
-type table = { mutable vars : Taint.t SMap.t }
+type table = {
+  mutable vars : Taint.t SMap.t;
+  mutable writes : int;
+      (** writes made through this module by scopes that do not own the
+          table as their locals — a function or closure writing a global *)
+}
 (** A variable table: one mutable cell holding a persistent map, so a
-    snapshot is a read of [vars] and a restore is a write. *)
+    snapshot is a read of [vars] and a restore is a write.  Neither counts
+    in [writes]. *)
 
 val table : unit -> table
 (** A fresh, empty table. *)
@@ -24,6 +30,8 @@ type t = {
   current_class : string option;
   aliases : (string, string) Hashtbl.t;
       (** [$a =& $b] reference bindings (the Pixy [-A] analogue, §IV.B) *)
+  mutable changes : int;
+      (** changes to [declared_global], [class_of] and [aliases] *)
 }
 
 val create_toplevel : table -> t

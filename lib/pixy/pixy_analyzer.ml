@@ -371,6 +371,13 @@ and exec_stmt sc (st : T.state) (s : A.stmt) : T.state =
 (* Worklist solver — Pixy's taint as a config of the shared engine    *)
 (* ------------------------------------------------------------------ *)
 
+(* The transfer passes its whole state; outside it, it reads only [fx.memo]
+   and [fx.in_progress].  A memo entry stored during a pass is the return
+   taint that pass used, and a later pass reads it back; [in_progress] is
+   balanced per call; findings de-duplicate through [fx.seen]; [returns]
+   only joins and no transfer of this walk reads it.  So nothing a pass
+   writes changes what the next one reads, and the solver's [effects]
+   counter stands still: a pass that changed no back-edge source is final. *)
 and run_dataflow sc (stmts : A.stmt list) (init : T.state) : T.state =
   let cfg = Cfg.build stmts in
   let res =
@@ -381,6 +388,7 @@ and run_dataflow sc (stmts : A.stmt list) (init : T.state) : T.state =
         join = T.join_state ~global_scope:sc.global_scope;
         equal = T.equal_state;
         transfer = exec_stmt sc;
+        effects = (fun () -> 0);
         max_passes = (Budget.get ()).Budget.fixpoint_passes;
       }
       cfg

@@ -127,15 +127,64 @@ let toy_transfer st (s : A.stmt) =
       | _ -> SMap.add x false st)
   | _ -> st
 
-let solve ?(max_passes = 50) src =
+let toy_config ?(effects = fun () -> 0) max_passes =
+  { F.init = SMap.empty; bottom = SMap.empty;
+    join = SMap.union (fun _ a b -> Some (a || b));
+    equal = SMap.equal Bool.equal;
+    transfer = toy_transfer; effects; max_passes }
+
+let solve ?effects ?(max_passes = 50) src =
   let cfg = build src in
-  ( cfg,
-    F.solve
-      { F.init = SMap.empty; bottom = SMap.empty;
-        join = SMap.union (fun _ a b -> Some (a || b));
-        equal = SMap.equal Bool.equal;
-        transfer = toy_transfer; max_passes }
-      cfg )
+  (cfg, F.solve (toy_config ?effects max_passes) cfg)
+
+(* a client counter that moves on every read *)
+let moving () =
+  let k = ref 0 in
+  fun () -> incr k; !k
+
+(* The solver before the back-edge stopping rule: it stops only after a
+   pass that changed no out-state.  A moving counter must reproduce it. *)
+let reference_solve (c : _ F.config) cfg =
+  let out_states = Array.make (Cfg.size cfg) None in
+  let changed = ref true and passes = ref 0 in
+  while !changed && !passes < c.F.max_passes do
+    changed := false;
+    incr passes;
+    List.iter
+      (fun id ->
+        let node = Cfg.node cfg id in
+        let pred_outs = List.filter_map (fun p -> out_states.(p)) node.Cfg.preds in
+        let in_state =
+          if id = cfg.Cfg.entry then List.fold_left c.F.join c.F.init pred_outs
+          else
+            match pred_outs with
+            | [] -> c.F.bottom
+            | o :: rest -> List.fold_left c.F.join o rest
+        in
+        let out = List.fold_left c.F.transfer in_state node.Cfg.stmts in
+        match out_states.(id) with
+        | Some prev when c.F.equal prev out -> ()
+        | _ ->
+            out_states.(id) <- Some out;
+            changed := true)
+      (Cfg.rpo cfg)
+  done;
+  (out_states, !passes, not !changed)
+
+let straight = "$a = $_GET['x'];\n$b = $a;\n$a = 'safe';"
+let branchy = "if ($c) {\n$a = $_GET['x'];\n} else {\n$a = 'safe';\n}\n$b = $a;"
+let loopy = "$w = 'c';\nwhile ($p) {\n$v = $w;\n$w = $_GET['x'];\n}"
+
+let reference_sources =
+  [ straight; branchy; loopy;
+    "$a = $_GET['x'];\nif ($c) {\n$a = 'safe';\n}";
+    "do {\n$b = $a;\n$a = $_GET['x'];\n} while ($c);";
+    "for ($i = 0; $i < 3; $i++) {\nif ($c) {\ncontinue;\n}\n$z = $y;\n$y = $x;\n$x = $_GET['x'];\n}";
+    "while ($p) {\nwhile ($q) {\n$b = $a;\n$a = $_GET['x'];\n}\n$c = $b;\n}";
+    "$a = 'safe';\nif ($c) {\n$a = $_GET['x'];\nexit;\n}\necho $a;" ]
+
+let same_states a b =
+  Array.for_all2 (Option.equal (SMap.equal Bool.equal)) a b
 
 let tainted res x =
   match SMap.find_opt x res.F.exit_state with Some b -> b | None -> false
@@ -202,6 +251,64 @@ let fixpoint_cases =
         in
         Alcotest.(check bool) "not converged" false res.F.converged;
         Alcotest.(check int) "spent the budget" 1 res.F.passes);
+    case "acyclic bodies stop after one pass while the counter stands still"
+      (fun () ->
+        List.iter
+          (fun src ->
+            let _, still = solve src in
+            Alcotest.(check int) "one pass" 1 still.F.passes;
+            Alcotest.(check bool) "converged" true still.F.converged;
+            let _, moved = solve ~effects:(moving ()) src in
+            Alcotest.(check int) "two passes when it moves" 2 moved.F.passes;
+            Alcotest.(check bool) "same exit state" true
+              (SMap.equal Bool.equal still.F.exit_state moved.F.exit_state))
+          [ straight; branchy ]);
+    case "a self-loop is a back edge" (fun () ->
+        (* no statement builds one, so add it by hand around the entry *)
+        let cfg = build "$b = $a;\n$a = $_GET['x'];" in
+        let entry = Cfg.node cfg cfg.Cfg.entry in
+        entry.Cfg.succs <- entry.Cfg.id :: entry.Cfg.succs;
+        entry.Cfg.preds <- entry.Cfg.id :: entry.Cfg.preds;
+        let res = F.solve (toy_config 50) cfg in
+        Alcotest.(check bool) "carried around the loop" true (tainted res "$b");
+        Alcotest.(check bool) "converged" true res.F.converged);
+    case "a body proven final within the budget is converged" (fun () ->
+        (* one pass over a straight line is final, so the budget of one
+           pass no longer reports exhaustion *)
+        let _, res = solve ~max_passes:1 straight in
+        Alcotest.(check int) "one pass" 1 res.F.passes;
+        Alcotest.(check bool) "converged" true res.F.converged;
+        let _, res = solve ~effects:(moving ()) ~max_passes:1 straight in
+        Alcotest.(check bool) "not converged when the counter moves" false
+          res.F.converged);
+    case "a moving counter reproduces the solver without the rule" (fun () ->
+        List.iter
+          (fun src ->
+            List.iter
+              (fun budget ->
+                let cfg = build src in
+                let res = F.solve (toy_config ~effects:(moving ()) budget) cfg in
+                let states, passes, converged =
+                  reference_solve (toy_config budget) cfg
+                in
+                Alcotest.(check int) "passes" passes res.F.passes;
+                Alcotest.(check bool) "converged" converged res.F.converged;
+                Alcotest.(check bool) "out-states" true
+                  (same_states states res.F.out_states))
+              [ 1; 2; 3; 50 ])
+          reference_sources);
+    case "a still counter reaches the same fixpoint in no more passes"
+      (fun () ->
+        List.iter
+          (fun src ->
+            let cfg = build src in
+            let res = F.solve (toy_config 50) cfg in
+            let states, passes, _ = reference_solve (toy_config 50) cfg in
+            Alcotest.(check bool) "converged" true res.F.converged;
+            Alcotest.(check bool) "no more passes" true (res.F.passes <= passes);
+            Alcotest.(check bool) "out-states" true
+              (same_states states res.F.out_states))
+          reference_sources);
     case "rpo is stable across rebuilds" (fun () ->
         let src =
           "if ($c) {\n$a = 1;\n} else {\n$b = 2;\n}\nwhile ($d) {\n$e = 3;\n}"

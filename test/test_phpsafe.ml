@@ -586,6 +586,41 @@ let flow_sensitive_cases =
             n mwords);
   ]
 
+(* --flow findings that only a body's second pass produces: the first pass
+   writes state outside the walk's own scope (a global, a property, a
+   scope binding) that an earlier statement of the body reads.  The solver
+   may stop after one pass only when no such write happened, so each case
+   pins what the analyzer reported when every walk ran its confirming
+   pass. *)
+let replay_cases =
+  [
+    expect_flow "a function echoes a global before assigning it"
+      "function f() {\nglobal $x;\necho $x;\n$x = $_GET['a'];\n}\nf();"
+      [ "XSS@3" ];
+    expect_flow "a function echoes a static property before assigning it"
+      "function f() {\necho C::$v;\nC::$v = $_GET['a'];\n}\nf();"
+      [ "XSS@2" ];
+    expect_flow "a method reads $this->p before writing it tainted"
+      "class C {\npublic $p;\nfunction m() {\necho $this->p;\n$this->p = $_GET['a'];\n}\n}\n$o = new C;\n$o->m();"
+      [ "XSS@4" ];
+    expect_flow "global $x declared after a use"
+      "$x = $_GET['a'];\nf();\nfunction f() {\necho $x;\nglobal $x;\n}"
+      [ "XSS@4" ];
+    expect_flow "$a =& $b bound after a use"
+      "function f() {\n$b = $_GET['x'];\necho $a;\n$a =& $b;\n}\nf();"
+      [ "XSS@3" ];
+    expect_flow "$o = new C bound after a method call on $o"
+      "class C {\nfunction get() {\nreturn $_GET['x'];\n}\n}\nfunction f() {\necho $o->get();\n$o = new C;\n}\nf();"
+      [ "XSS@7" ];
+    (* at top level the global table is the walk's own state, yet a
+       callee's first call writes it from the summary build, which the
+       second pass does not repeat: that pass's exit state stands, and the
+       uncalled [show] reads a clean [$g] *)
+    expect_flow "a global written by a top-level call's summary build"
+      "function load() {\nglobal $g;\n$g = $_GET['x'];\n}\nload();\nfunction show() {\nglobal $g;\necho $g;\n}"
+      [];
+  ]
+
 (* the [--flow] pass budget: a walk that runs out keeps its findings and
    reports its file as budget-exhausted *)
 let chain_loop src =
@@ -878,6 +913,7 @@ let () =
     [ ("data flow (§III.C)", flow_cases);
       ("front-end gaps (heredoc, <?=, ??)", frontend_cases);
       ("flow-sensitive walk (--flow)", flow_sensitive_cases);
+      ("second-pass findings (--flow)", replay_cases);
       ("fixpoint pass budget (--flow)", flow_budget_cases);
       ("include budget verdicts", budget_edge_cases);
       ("per-file facts in the parse memo", facts_cases);
