@@ -32,7 +32,7 @@ let epoch_ns = Atomic.make 0L
 
 (** One per domain, reached through [Domain.DLS]: owning-domain writes need
     no lock.  The registry only adds buffers (under its mutex); merging
-    reads them from a quiescent main domain. *)
+    reads them while no other domain records (see obs.mli). *)
 type buffer = {
   buf_domain : int;
   mutable buf_events : event list;  (** reversed *)
@@ -65,10 +65,11 @@ let buffer () = Domain.DLS.get buffer_key
 (* ------------------------------------------------------------------ *)
 
 (** A domain's counters.  The systhreads of one domain share its shard
-    (the daemon's connection threads and its scheduler thread all count
-    in the main domain), so every access takes [sh_lock].  At domain exit
+    (the daemon's connection threads all count in the domain that runs
+    its accept loop), so every access takes [sh_lock].  At domain exit
     the shard is folded into [retired] and unregistered, so the domains
-    [Sched.map] spawns per call do not pile up. *)
+    [Sched.map] spawns per call do not pile up, and a daemon's scheduler
+    domain hands its counts over when [Daemon.run] joins it. *)
 type shard = {
   sh_lock : Mutex.t;
   sh_counts : (string, int ref) Hashtbl.t;

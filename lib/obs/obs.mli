@@ -17,9 +17,14 @@
     a domain exits, its shard is folded into a retired total and dropped,
     so the counts of a joined [Sched.map] are visible to the main domain
     and a long-running process does not accumulate shards.  {!snapshot}
-    and {!reset} must be called from a quiescent main domain (no workers
-    running), which is exactly the drivers' situation — [Sched.map] joins
-    all domains before returning.  The merge is deterministic: counters and
+    and {!reset} read and clear every domain's span buffer without a
+    lock, so call them while no other domain records: no [Sched.map] and
+    no scan in flight.  [evaluate] and [bench] call them between maps,
+    which join all their domains before returning.  A serving daemon's
+    scheduler domain lives as long as [Serve.Daemon.run] and records a
+    [serve.batch] span per batch, so take a daemon's snapshot after
+    [run] returns, or while its queue is empty and nothing is in
+    flight.  The merge is deterministic: counters and
     span aggregates are summed and sorted by name, so a parallel run at any
     pool size produces the same counter values as a sequential one (only
     durations differ); events sort by (domain id, per-domain sequence
@@ -35,12 +40,13 @@ end
 val set_enabled : bool -> unit
 (** Turn span, event and gauge recording on or off (counters are always
     on).  Enabling records the trace epoch: event timestamps in the trace
-    export are relative to the [set_enabled true] call.  Flip only from a
-    quiescent main domain. *)
+    export are relative to the [set_enabled true] call.  Flip only while
+    no scan or [Sched.map] is in flight. *)
 
 val reset : unit -> unit
 (** Drop all recorded events, counters, span aggregates and gauges (the
-    enabled flag is untouched).  Quiescent main domain only. *)
+    enabled flag is untouched).  Only while no other domain records: no
+    scan or [Sched.map] in flight. *)
 
 val span : string -> (unit -> 'a) -> 'a
 (** [span name f] runs [f ()] inside a named span: a trace event on the
@@ -64,8 +70,9 @@ val counters : unit -> (string * int) list
     any thread at any time. *)
 
 val set_gauge : string -> float -> unit
-(** Set a named gauge (last write wins; main-domain configuration values
-    like pool size, not merged counters). *)
+(** Set a named gauge (last write wins; configuration and level values
+    like pool size or queue depth, not merged counters).  Safe from any
+    domain: gauges share one table under a lock. *)
 
 (** The former mirrored-counter API, kept only for [perfbench/]: the
     counters it mirrored now live in the registry above. *)
@@ -106,8 +113,9 @@ type snapshot = {
 }
 
 val snapshot : unit -> snapshot
-(** Merge every domain's buffer deterministically.  Quiescent main domain
-    only. *)
+(** Merge every domain's buffer deterministically.  Only while no other
+    domain records: no scan or [Sched.map] in flight (for a daemon, after
+    [Serve.Daemon.run] returns). *)
 
 val trace_json : snapshot -> string
 (** Chrome trace-event JSON (the [{"traceEvents": [...]}] envelope): one

@@ -244,7 +244,7 @@ let metrics_reply t id =
       ("cache", Json.Obj cache) ]
 
 (* ------------------------------------------------------------------ *)
-(* Scan execution: the scheduler thread                                *)
+(* Scan execution: the scheduler domain                                *)
 (* ------------------------------------------------------------------ *)
 
 (* One work item, run inside a [Sched] worker domain: the tenant prefix
@@ -614,12 +614,34 @@ let accept_loop t =
   in
   loop ()
 
+(* Wake connections idling in read so their threads can exit — replies
+   already in flight still go out, since SHUTDOWN_RECEIVE leaves the write
+   half open — and join every connection thread. *)
+let join_connections t =
+  Mutex.lock t.cm;
+  Hashtbl.iter
+    (fun _ fd ->
+      try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
+    t.conns;
+  let threads = t.threads in
+  Mutex.unlock t.cm;
+  List.iter Thread.join threads
+
+let close_listener cfg listen_fd =
+  (try Unix.close listen_fd with Unix.Unix_error _ -> ());
+  match cfg.listen with
+  | Unix_sock path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
+  | Tcp _ -> ()
+
 let run ?on_ready cfg =
   (* a client hanging up mid-reply must surface as EPIPE, not kill us *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let listen_fd, addr =
     make_listener ~backlog:(max 16 cfg.max_queue) cfg.listen
   in
+  (* from here on, every way out of [run] — a raising [on_ready], a failed
+     [Domain.spawn] — closes the listener and removes the socket file *)
+  Fun.protect ~finally:(fun () -> close_listener cfg listen_fd) @@ fun () ->
   (* the listener is bound and accepting: tell the embedder (tests bind
      TCP port 0 and need the real port back) *)
   Option.iter (fun f -> f addr) on_ready;
@@ -656,22 +678,15 @@ let run ?on_ready cfg =
     }
   in
   Obs.set_gauge "serve.jobs" (float_of_int jobs);
-  let scheduler = Thread.create scheduler_loop t in
-  accept_loop t;
-  (* draining: the scheduler finishes every queued scan and exits *)
-  Thread.join scheduler;
-  (* wake connections idling in read so their threads can exit; replies
-     already in flight still go out — SHUTDOWN_RECEIVE leaves the write
-     half open *)
-  Mutex.lock t.cm;
-  Hashtbl.iter
-    (fun _ fd ->
-      try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-    t.conns;
-  let threads = t.threads in
-  Mutex.unlock t.cm;
-  List.iter Thread.join threads;
-  (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-  match cfg.listen with
-  | Unix_sock path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-  | Tcp _ -> ()
+  (* analysis runs on a domain of its own, so a scan never holds the
+     runtime lock that the accept loop and the connection threads need to
+     decode requests and write replies *)
+  let scheduler = Domain.spawn (fun () -> scheduler_loop t) in
+  (* however the accept loop ends, the scheduler finishes every queued
+     scan and exits before the connections are woken and joined *)
+  Fun.protect
+    ~finally:(fun () ->
+      initiate_shutdown t;
+      Domain.join scheduler;
+      join_connections t)
+    (fun () -> accept_loop t)

@@ -5,10 +5,11 @@
     Unix or TCP socket for {!Protocol} frames, and executes scans through
     a {!Sched} pool:
 
-    - {b batching}: one scheduler thread drains the queue into batches of
-      same-budget requests (budgets are process-global, so a batch shares
-      one {!Secflow.Budget.set}) and fans each batch out with
-      [Sched.map_result] — per-request crash isolation included;
+    - {b batching}: one scheduler, on a domain of its own, drains the
+      queue into batches of same-budget requests (budgets are
+      process-global, so a batch shares one {!Secflow.Budget.set}) and
+      fans each batch out with [Sched.map_result] — per-request crash
+      isolation included;
     - {b admission control}: at most [max_queue] requests wait and at most
       [max_inflight] execute; a scan arriving over capacity is shed with a
       structured [overloaded] reply instead of queueing without bound;
@@ -31,12 +32,18 @@
       ({!Phplang.Store.stats}); [metrics] adds per-namespace cache
       hit/miss/store counters and a latency histogram (count, mean, p50,
       p99).  The daemon always bumps the [serve.*] {!Obs}
-      counters; when {!Obs} recording is on, the scheduler thread also
+      counters; when {!Obs} recording is on, the scheduler domain also
       sets [serve.*] gauges and wraps each batch in a [serve.batch] span;
     - {b graceful shutdown}: a [shutdown] request stops admission, drains
       every queued and in-flight scan (their replies are still delivered),
-      wakes idle connections and joins every thread before {!run}
-      returns. *)
+      wakes idle connections and joins the scheduler domain and every
+      connection thread before {!run} returns.
+
+    Threading: the accept loop and one systhread per connection run on
+    the domain that called {!run}; the scheduler runs on a domain it
+    spawns, and a pool of [jobs] > 1 adds [jobs - 1] helper domains per
+    batch.  Analysis therefore never holds the runtime lock that request
+    decoding and reply writing need. *)
 
 type listen =
   | Unix_sock of string  (** socket path; unlinked on shutdown *)
@@ -64,7 +71,10 @@ val run : ?on_ready:(Unix.sockaddr -> unit) -> config -> unit
 (** Serve until a [shutdown] request arrives.  Blocks the calling thread;
     run it in a [Thread] (the benchmark does) or dedicate the process to
     it (the [phpsafe_serve] binary does).  [SIGPIPE] is ignored
-    process-wide — a vanishing client must not kill the server.
+    process-wide — a vanishing client must not kill the server.  The
+    scheduler domain counts toward OCaml's limit on live domains; if
+    [on_ready] raises or the domain cannot be spawned, [run] closes the
+    listener, removes a Unix socket's file and re-raises.
 
     [on_ready] is called once, on the calling thread, as soon as the
     listener is bound and accepting — with the bound address, so an

@@ -494,6 +494,41 @@ let daemon_cases =
                   expected got)
               results))
     ;
+    case "a --jobs 1 daemon analyzes on a domain other than its caller's"
+      `Quick (fun () ->
+        let expected = Scan.run_json Scan.default vuln_project in
+        let caller = (Domain.self () :> int) in
+        let seen = Atomic.make [] in
+        let rec record (p : Phplang.Project.t) =
+          let l = Atomic.get seen in
+          if not (Atomic.compare_and_set seen l ((Domain.self () :> int) :: l))
+          then record p
+        in
+        (* [with_daemon] returns once the thread running [run] has
+           joined after [shutdown]; a second daemon must then serve too *)
+        let serve_once round =
+          with_daemon
+            ~reshape:(fun c -> { c with Serve.Daemon.jobs = Some 1 })
+            (fun sock ->
+              let results = Array.make 2 "" in
+              let client i = results.(i) <- scan_via sock vuln_project in
+              let threads = List.init 2 (fun i -> Thread.create client i) in
+              List.iter Thread.join threads;
+              Array.iteri
+                (fun i got ->
+                  Alcotest.(check string)
+                    (Printf.sprintf "daemon %d, client %d" round i)
+                    expected got)
+                results)
+        in
+        with_scan_hook record (fun () ->
+            serve_once 1;
+            serve_once 2);
+        let seen = Atomic.get seen in
+        Alcotest.(check int) "every scan analyzed" 4 (List.length seen);
+        Alcotest.(check bool)
+          "no scan on the caller's domain" false (List.mem caller seen))
+    ;
     case "admission control: max_queue 0 sheds every scan as overloaded"
       `Quick (fun () ->
         with_daemon
@@ -745,6 +780,43 @@ let robustness_cases =
         in
         Alcotest.(check (list string)) "no temp socket left" [] leftovers;
         Alcotest.(check bool) "unlinked on shutdown" false (Sys.file_exists sock));
+    case "a raising on_ready closes the listener and removes the socket"
+      `Quick (fun () ->
+        incr sock_seq;
+        let sock =
+          Filename.concat
+            (Filename.get_temp_dir_name ())
+            (Printf.sprintf "phpsafe-test-refused-%d-%d.sock" (Unix.getpid ())
+               !sock_seq)
+        in
+        if Sys.file_exists sock then Sys.remove sock;
+        let refuse listen on_ready =
+          match
+            Serve.Daemon.run ~on_ready
+              (Serve.Daemon.default_config listen)
+          with
+          | () -> Alcotest.fail "run returned normally"
+          | exception Failure m ->
+              Alcotest.(check string) "on_ready's exception" "refused" m
+        in
+        refuse (Serve.Daemon.Unix_sock sock) (fun _ -> failwith "refused");
+        Alcotest.(check bool) "socket file removed" false (Sys.file_exists sock);
+        (* a listener left open would still complete connects to its port *)
+        let port = ref 0 in
+        refuse (Serve.Daemon.Tcp ("127.0.0.1", 0)) (fun addr ->
+            (match addr with
+            | Unix.ADDR_INET (_, p) -> port := p
+            | Unix.ADDR_UNIX _ -> ());
+            failwith "refused");
+        let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            match
+              Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, !port))
+            with
+            | () -> Alcotest.fail "the listener outlived run"
+            | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> ()));
     case "TCP transport: byte-identical scans and oversized-frame refusal"
       `Quick (fun () ->
         with_tcp_daemon
