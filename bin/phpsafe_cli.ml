@@ -61,7 +61,7 @@ let failure_text = function
   | Secflow.Report.Budget_exhausted msg -> "resource budget exhausted: " ^ msg
 
 let run target opts show_trace quiet format html_out json_out config_path
-    show_stats export budget () watch watch_poll_ms watch_max_events =
+    show_stats export budget _no_cache watch watch_poll_ms watch_max_events =
   Secflow.Budget.set budget;
   if watch then
     exit (watch_loop target opts ~poll_ms:watch_poll_ms

@@ -136,8 +136,8 @@ let run_simple op listen id =
 (* Server side                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let run_serve listen jobs max_queue max_inflight max_frame_bytes prune_age ()
-    io_timeout =
+let run_serve listen jobs max_queue max_inflight max_frame_bytes prune_age
+    _no_cache io_timeout =
   let cfg =
     { (Serve.Daemon.default_config listen) with
       Serve.Daemon.jobs;

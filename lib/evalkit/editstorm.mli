@@ -7,8 +7,6 @@
 
 type kind = Single_def | Whitespace | Cross_def | Signature
 
-val kind_name : kind -> string
-
 type point = {
   pt_kind : kind;
   pt_full_ms : float;  (** cold full re-analysis of the whole corpus *)

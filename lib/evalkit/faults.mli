@@ -28,10 +28,6 @@ val all_kinds : kind list
 
 val kind_label : kind -> string
 
-val mutate : Corpus.Prng.t -> kind -> Phplang.Project.t -> Phplang.Project.t
-(** Apply one fault of the given kind to a (PRNG-chosen) file of the
-    project; the mutant's name records the fault kind. *)
-
 val mutants :
   seed:int -> count:int -> Phplang.Project.t -> (kind * Phplang.Project.t) list
 (** [mutants ~seed ~count project] derives [count] mutants, cycling through

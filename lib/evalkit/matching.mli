@@ -15,8 +15,6 @@ end
 module Qset : Set.S with type elt = Qkey.t
 module Qmap : Map.S with type key = Qkey.t
 
-val qkey_of_seed : Corpus.Gt.seed -> Qkey.t
-
 (** Per-tool, per-plugin raw results. *)
 type tool_output = {
   to_tool : string;

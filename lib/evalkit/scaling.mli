@@ -9,13 +9,11 @@ type point = {
   sp_seconds : (string * float) list;  (** per tool *)
 }
 
-val default_scales : float list
-(** [0.5; 1.0; 2.0; 4.0] *)
-
 val measure :
   ?scales:float list ->
   ?tools:Secflow.Tool.t list ->
   Corpus.Plan.version ->
   point list
+(** [scales] defaults to [[0.5; 1.0; 2.0; 4.0]]. *)
 
 val print : Format.formatter -> point list -> unit

@@ -1,9 +1,6 @@
 (** Formatting of every table and figure in the paper's evaluation section,
     with the paper-reported values printed alongside the measured ones. *)
 
-val tool_names : string list
-(** ["phpSAFE"; "RIPS"; "Pixy"], the paper's column order. *)
-
 val table1 :
   Format.formatter ->
   ev2012:Runner.evaluation ->

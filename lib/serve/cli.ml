@@ -115,7 +115,10 @@ let cache =
     let doc = "Ignore $(b,PHPSAFE_CACHE_DIR) and run without the disk cache." in
     Arg.(value & flag & info [ "no-cache" ] ~doc)
   in
-  let set dir no_cache = set_root ~no_cache dir in
+  let set dir no_cache =
+    set_root ~no_cache dir;
+    no_cache
+  in
   Term.(const set $ cache_dir_arg $ no_cache)
 
 let cache_dir = Term.(const (set_root ~no_cache:false) $ cache_dir_arg)

@@ -17,11 +17,12 @@ val budget : Secflow.Budget.t Term.t
 (** The four [--budget-*] caps, each defaulting to
     {!Secflow.Budget.default}'s field. *)
 
-val cache : unit Term.t
+val cache : bool Term.t
 (** [--cache-dir DIR] and [--no-cache].  Evaluating the term points
     {!Phplang.Store} at [DIR], or turns the disk tier off under
     [--no-cache]; with neither flag the store keeps its
-    [PHPSAFE_CACHE_DIR] default. *)
+    [PHPSAFE_CACHE_DIR] default.  It yields whether [--no-cache] was
+    given. *)
 
 val cache_dir : unit Term.t
 (** [--cache-dir DIR] alone, for commands where turning the store off

@@ -291,6 +291,8 @@ let other_usage_cases =
     usage "evaluate: --jobs 0" evaluate [ "--jobs"; "0" ] ~message:"got: 0";
     usage "evaluate: non-numeric budget" evaluate
       [ "--budget-parse-depth"; "x" ] ~message:"'x'";
+    usage "evaluate: --json without a file" evaluate [ "--json" ]
+      ~message:"option '--json' needs an argument";
   ]
 
 (* A bounded --watch run exits like a plain scan of its last event, so a
