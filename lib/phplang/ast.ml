@@ -409,3 +409,18 @@ let rec stmt_size (s : stmt) =
 
 let program_size (p : program) =
   List.fold_left (fun acc s -> acc + stmt_size s) 0 p
+
+(** Human-readable name of an expression, as findings show the vulnerable
+    variable at a sink: [$row->name], [$a[...]], [f()], [<concat>]. *)
+let rec name_of_expr (e : expr) =
+  match e.e with
+  | Var v -> v
+  | ArrayGet (b, _) -> name_of_expr b ^ "[...]"
+  | Prop (b, p) -> name_of_expr b ^ "->" ^ p
+  | StaticProp (c, p) -> c ^ "::" ^ p
+  | Call (f, _) -> f ^ "()"
+  | MethodCall (b, m, _) -> name_of_expr b ^ "->" ^ m ^ "()"
+  | StaticCall (c, m, _) -> c ^ "::" ^ m ^ "()"
+  | Interp _ -> "<string>"
+  | Bin (Concat, _, _) -> "<concat>"
+  | _ -> "<expr>"

@@ -367,23 +367,6 @@ let so_read_taint a ~pos ~is_method ?disp name args =
           end
           else Taint.untainted)
 
-(* ------------------------------------------------------------------ *)
-(* Names                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let rec name_of_expr (e : Phplang.Ast.expr) =
-  match e.Phplang.Ast.e with
-  | Phplang.Ast.Var v -> v
-  | Phplang.Ast.ArrayGet (b, _) -> name_of_expr b ^ "[...]"
-  | Phplang.Ast.Prop (b, p) -> name_of_expr b ^ "->" ^ p
-  | Phplang.Ast.StaticProp (c, p) -> c ^ "::" ^ p
-  | Phplang.Ast.Call (f, _) -> f ^ "()"
-  | Phplang.Ast.MethodCall (b, m, _) -> name_of_expr b ^ "->" ^ m ^ "()"
-  | Phplang.Ast.StaticCall (c, m, _) -> c ^ "::" ^ m ^ "()"
-  | Phplang.Ast.Interp _ -> "<string>"
-  | Phplang.Ast.Bin (Phplang.Ast.Concat, _, _) -> "<concat>"
-  | _ -> "<expr>"
-
 let lc = String.lowercase_ascii
 let method_key cls m = lc cls ^ "::" ^ lc m
 
@@ -550,7 +533,8 @@ let rec eval a (e : Phplang.Ast.expr) : Taint.t =
         ignore (check_sink_ctx a ~pos ~targets:[ (Vuln.Xss, "print") ] x)
       else begin
         let t = eval a x in
-        check_sink a ~kind:Vuln.Xss ~pos ~sink_name:"print" ~var:(name_of_expr x) t
+        check_sink a ~kind:Vuln.Xss ~pos ~sink_name:"print"
+          ~var:(Phplang.Ast.name_of_expr x) t
       end;
       Taint.untainted
   | Phplang.Ast.Exit arg ->
@@ -560,7 +544,8 @@ let rec eval a (e : Phplang.Ast.expr) : Taint.t =
             ignore (check_sink_ctx a ~pos ~targets:[ (Vuln.Xss, "exit") ] x)
           else begin
             let t = eval a x in
-            check_sink a ~kind:Vuln.Xss ~pos ~sink_name:"exit" ~var:(name_of_expr x) t
+            check_sink a ~kind:Vuln.Xss ~pos ~sink_name:"exit"
+              ~var:(Phplang.Ast.name_of_expr x) t
           end)
         arg;
       Taint.untainted
@@ -608,7 +593,7 @@ and check_sink_ctx a ~pos ~targets (e : Phplang.Ast.expr) : Taint.t =
       | Phplang.Strshape.Lit s -> Buffer.add_string prefix s
       | Phplang.Strshape.Dyn sub ->
           let t = eval a sub in
-          let var = name_of_expr sub in
+          let var = Phplang.Ast.name_of_expr sub in
           (* inferred only for a hole that can report or register a
              conditional sink; [infer_context] is pure *)
           let context kind = infer_context kind (Buffer.contents prefix) in
@@ -717,7 +702,7 @@ and eval_call a ~pos fname args =
               match List.nth_opt args i with
               | Some e when sink_applies snk ~args ~arg:e ->
                   check_sink a ~kind:snk.Config.snk_kind ~pos ~sink_name:fname
-                    ~var:(name_of_expr e) t
+                    ~var:(Phplang.Ast.name_of_expr e) t
               | _ -> ())
             arg_ts)
         sinks;
@@ -730,7 +715,7 @@ and eval_call a ~pos fname args =
     match arg_ts with t :: _ -> t | [] -> Taint.untainted
   in
   let arg0_name () =
-    match args with e :: _ -> name_of_expr e | [] -> "<none>"
+    match args with e :: _ -> Phplang.Ast.name_of_expr e | [] -> "<none>"
   in
   (* 2. value roles, in priority order *)
   let t =
@@ -781,7 +766,7 @@ and eval_method_call a ~pos obj m args =
   let ix = a.c.ix in
   ignore (eval a obj);
   let full_name obj_name = obj_name ^ "->" ^ m in
-  let obj_name = name_of_expr obj in
+  let obj_name = Phplang.Ast.name_of_expr obj in
   (* user-defined class methods resolve through the object's binding *)
   let user_class =
     match obj.Phplang.Ast.e with
@@ -822,7 +807,8 @@ and eval_method_call a ~pos obj m args =
           match (arg_ts, args) with
           | t :: _, e :: _ when sink_applies snk ~args ~arg:e ->
               check_sink a ~kind:snk.Config.snk_kind ~pos
-                ~sink_name:(full_name obj_name) ~var:(name_of_expr e) t
+                ~sink_name:(full_name obj_name)
+                ~var:(Phplang.Ast.name_of_expr e) t
           | _ -> ())
         msinks;
       arg_ts
@@ -902,7 +888,7 @@ and call_user_function a ~pos key arg_ts arg_exprs =
                   if not suppressed then begin
                     let arg_var =
                       match List.nth_opt arg_exprs cs.Summary.cs_param with
-                      | Some e -> name_of_expr e
+                      | Some e -> Phplang.Ast.name_of_expr e
                       | None -> "<arg>"
                     in
                     let t =
@@ -994,7 +980,7 @@ and exec_include a (arg : Phplang.Ast.expr) =
             (fun (snk : Config.sink_entry) ->
               if sink_applies snk ~args ~arg then
                 check_sink a ~kind:snk.Config.snk_kind ~pos
-                  ~sink_name:"include" ~var:(name_of_expr arg) t)
+                  ~sink_name:"include" ~var:(Phplang.Ast.name_of_expr arg) t)
             include_sinks
   in
   match arg.Phplang.Ast.e with
@@ -1102,7 +1088,7 @@ and exec_stmt a (s : Phplang.Ast.stmt) =
           else begin
             let t = eval a e in
             check_sink a ~kind:Vuln.Xss ~pos:e.Phplang.Ast.epos ~sink_name:"echo"
-              ~var:(name_of_expr e) t
+              ~var:(Phplang.Ast.name_of_expr e) t
           end)
         es
   | Phplang.Ast.If (branches, els) ->

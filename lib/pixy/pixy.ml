@@ -1,9 +1,5 @@
 (** Public facade for the Pixy-like baseline analyzer. *)
 
-module Config = Pixy_config
-module Taint = Pixy_taint
-module Analyzer = Pixy_analyzer
-
 let analyze_project = Pixy_analyzer.analyze_project
 
 let analyze_source ~file source =

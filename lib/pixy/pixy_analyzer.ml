@@ -19,7 +19,8 @@
 
 open Secflow
 module A = Phplang.Ast
-module T = Pixy_taint
+module T = Baseline
+module S = Pixy_taint
 module Cfg = Dataflow.Cfg
 
 (* ------------------------------------------------------------------ *)
@@ -49,7 +50,6 @@ and oop_stmt (s : A.stmt) =
 (* ------------------------------------------------------------------ *)
 
 type fctx = {
-  file : string;
   funcs : (string, A.func) Hashtbl.t;
   mutable findings : Report.finding list;
   mutable seen : Report.Key_set.t;
@@ -66,33 +66,19 @@ type fctx = {
 (* nesting cap on inlined calls of user functions *)
 let max_inline_depth = 8
 
-let report fx ~kind ~pos ~sink_name ~var (t : T.taint) =
+(* The fixpoint replays transfers, so the sink is keyed per walk: a later
+   pass over the same sink reports nothing new. *)
+let report_if_tainted fx ~kind ~pos ~sink_name (arg : A.expr) t =
   let key =
     { Report.k_kind = kind; k_file = pos.A.file; k_line = pos.A.line }
   in
-  if not (Report.Key_set.mem key fx.seen) then begin
+  if T.is_tainted kind t && not (Report.Key_set.mem key fx.seen) then begin
     fx.seen <- Report.Key_set.add key fx.seen;
-    let source = Option.value t.T.source ~default:Vuln.Unknown_source in
-    let source_pos = Option.value t.T.spos ~default:A.dummy_pos in
     fx.findings <-
-      { Report.kind; sink_pos = pos; sink = sink_name; variable = var;
-        source; source_pos;
-        trace =
-          [ { Report.step_var = Vuln.source_to_string source;
-              step_pos = source_pos;
-              step_note = "tainted on some program path" } ];
-        context = None; sanitizers_applied = []; trace_truncated = false }
+      T.finding ~note:"tainted on some program path" ~kind ~sink_pos:pos
+        ~sink:sink_name ~variable:(A.name_of_expr arg) t
       :: fx.findings
   end
-
-let rec name_of (e : A.expr) =
-  match e.A.e with
-  | A.Var v -> v
-  | A.ArrayGet (b, _) -> name_of b ^ "[...]"
-  | A.Call (f, _) -> f ^ "()"
-  | A.Interp _ -> "<string>"
-  | A.Bin (A.Concat, _, _) -> "<concat>"
-  | _ -> "<expr>"
 
 (* ------------------------------------------------------------------ *)
 (* Transfer function                                                  *)
@@ -105,7 +91,7 @@ type scope = {
   returns : T.taint ref;  (** accumulated return taint of this scope *)
 }
 
-let rec eval sc (st : T.state) (e : A.expr) : T.state * T.taint =
+let rec eval sc (st : S.state) (e : A.expr) : S.state * T.taint =
   let pos = e.A.epos in
   match e.A.e with
   | A.Null | A.True | A.False | A.Int _ | A.Float _ | A.Str _ | A.Const _
@@ -122,8 +108,8 @@ let rec eval sc (st : T.state) (e : A.expr) : T.state * T.taint =
         (st, T.clean) parts
   | A.Var v ->
       if Pixy_config.is_superglobal v then
-        (st, T.of_source [ Vuln.Xss; Vuln.Sqli ] (Vuln.Superglobal v) pos)
-      else (st, T.read ~global_scope:sc.global_scope st v pos)
+        (st, T.of_source Pixy_config.input_kinds (Vuln.Superglobal v) pos)
+      else (st, S.read ~global_scope:sc.global_scope st v pos)
   | A.ArrayGet (b, i) ->
       let st =
         match i with
@@ -190,11 +176,11 @@ let rec eval sc (st : T.state) (e : A.expr) : T.state * T.taint =
       (st, T.clean)
   | A.PrintE x ->
       let st, t = eval sc st x in
-      report sc.fx ~kind:Vuln.Xss ~pos ~sink_name:"print" ~var:(name_of x) t;
+      report_if_tainted sc.fx ~kind:Vuln.Xss ~pos ~sink_name:"print" x t;
       (st, T.clean)
   | A.Exit (Some x) ->
       let st, t = eval sc st x in
-      report sc.fx ~kind:Vuln.Xss ~pos ~sink_name:"exit" ~var:(name_of x) t;
+      report_if_tainted sc.fx ~kind:Vuln.Xss ~pos ~sink_name:"exit" x t;
       (st, T.clean)
   | A.Exit None -> (st, T.clean)
   | A.IncludeE (_, x) ->
@@ -216,15 +202,7 @@ let rec eval sc (st : T.state) (e : A.expr) : T.state * T.taint =
         (st, T.clean) items
   | A.Call (fname, args) -> eval_call sc st fname args pos
 
-and report_if_tainted sc ~kind ~pos ~sink_name arg t =
-  if T.is_tainted kind t then
-    report sc.fx ~kind ~pos ~sink_name ~var:(name_of arg) t
-  else
-    (* register_globals makes everything possibly tainted only in the global
-       scope; nothing to do otherwise *)
-    ()
-
-and eval_call sc st fname args pos : T.state * T.taint =
+and eval_call sc st fname args pos : S.state * T.taint =
   let fname_lc = String.lowercase_ascii fname in
   (* evaluate arguments left to right *)
   let st, arg_ts =
@@ -235,22 +213,12 @@ and eval_call sc st fname args pos : T.state * T.taint =
       (st, []) args
   in
   let arg_ts = List.rev arg_ts in
-  let arg0 () = match arg_ts with t :: _ -> t | [] -> T.clean in
-  (* sinks *)
-  if List.mem fname_lc Pixy_config.xss_sink_functions then
-    List.iter2
-      (fun a t -> report_if_tainted sc ~kind:Vuln.Xss ~pos ~sink_name:fname a t)
-      args arg_ts;
-  if List.mem fname_lc Pixy_config.sqli_sink_functions then (
-    match (args, arg_ts) with
-    | a :: _, t :: _ ->
-        report_if_tainted sc ~kind:Vuln.Sqli ~pos ~sink_name:fname a t
-    | _ -> ());
+  List.iter
+    (fun (kind, (a, t)) ->
+      report_if_tainted sc.fx ~kind ~pos ~sink_name:fname a t)
+    (T.sink_args Pixy_config.sinks fname_lc (List.combine args arg_ts));
   match Pixy_config.builtin fname_lc with
-  | Some (Pixy_config.Source (kinds, src)) -> (st, T.of_source kinds src pos)
-  | Some (Pixy_config.Sanitizer kinds) -> (st, T.sanitize kinds (arg0 ()))
-  | Some Pixy_config.Passthrough -> (st, arg0 ())
-  | Some Pixy_config.Join_args -> (st, T.join_all arg_ts)
+  | Some role -> (st, T.apply role ~pos ~arg:Fun.id arg_ts)
   | None -> (
       match Hashtbl.find_opt sc.fx.funcs fname_lc with
       | Some f when sc.depth < max_inline_depth ->
@@ -261,12 +229,12 @@ and eval_call sc st fname args pos : T.state * T.taint =
           (st, T.join_all arg_ts))
 
 (* Inline inter-procedural analysis: run the callee's CFG with the
-   arguments' taint bound to the parameters, memoized per taint signature. *)
+   arguments' taint bound to the parameters, memoized per signature — the
+   arguments' live kinds, exactly. *)
 and call_function sc fname (f : A.func) (arg_ts : T.taint list) : T.taint =
   let signature =
     fname ^ ":"
-    ^ String.concat ""
-        (List.map (fun t -> if t.T.xss then "x" else if t.T.sqli then "s" else "-") arg_ts)
+    ^ String.concat "," (List.map (fun t -> string_of_int t.T.live) arg_ts)
   in
   match Hashtbl.find_opt sc.fx.memo signature with
   | Some t -> t
@@ -278,8 +246,8 @@ and call_function sc fname (f : A.func) (arg_ts : T.taint list) : T.taint =
           List.fold_left
             (fun st (i, (p : A.param)) ->
               let t = List.nth_opt arg_ts i |> Option.value ~default:T.clean in
-              T.write st p.A.p_name t)
-            T.empty_state
+              S.write st p.A.p_name t)
+            S.empty_state
             (List.mapi (fun i p -> (i, p)) f.A.f_params)
         in
         let returns = ref T.clean in
@@ -293,9 +261,9 @@ and call_function sc fname (f : A.func) (arg_ts : T.taint list) : T.taint =
         !returns
       end
 
-and assign sc (st : T.state) (lhs : A.expr) (t : T.taint) : T.state =
+and assign sc (st : S.state) (lhs : A.expr) (t : T.taint) : S.state =
   match lhs.A.e with
-  | A.Var v -> T.write st v t
+  | A.Var v -> S.write st v t
   | A.ArrayGet (b, i) ->
       let st =
         match i with
@@ -309,11 +277,11 @@ and assign sc (st : T.state) (lhs : A.expr) (t : T.taint) : T.state =
 
 and assign_join sc st (lhs : A.expr) t =
   match lhs.A.e with
-  | A.Var v -> T.write_join st v t
+  | A.Var v -> S.write_join st v t
   | A.ArrayGet (b, _) -> assign_join sc st b t
   | _ -> st
 
-and exec_stmt sc (st : T.state) (s : A.stmt) : T.state =
+and exec_stmt sc (st : S.state) (s : A.stmt) : S.state =
   match s.A.s with
   | A.Expr e ->
       let st, _ = eval sc st e in
@@ -322,7 +290,8 @@ and exec_stmt sc (st : T.state) (s : A.stmt) : T.state =
       List.fold_left
         (fun st e ->
           let st, t = eval sc st e in
-          report_if_tainted sc ~kind:Vuln.Xss ~pos:e.A.epos ~sink_name:"echo" e t;
+          report_if_tainted sc.fx ~kind:Vuln.Xss ~pos:e.A.epos
+            ~sink_name:"echo" e t;
           st)
         st es
   | A.Foreach (subject, binding, []) ->
@@ -337,9 +306,9 @@ and exec_stmt sc (st : T.state) (s : A.stmt) : T.state =
       (* globals exist after startup: not register_globals candidates *)
       List.fold_left
         (fun st v ->
-          match T.VMap.find_opt v st with
+          match S.VMap.find_opt v st with
           | Some _ -> st
-          | None -> T.write st v T.clean)
+          | None -> S.write st v T.clean)
         st names
   | A.StaticVar vars ->
       List.fold_left
@@ -349,12 +318,12 @@ and exec_stmt sc (st : T.state) (s : A.stmt) : T.state =
             | Some e -> eval sc st e
             | None -> (st, T.clean)
           in
-          T.write st v t)
+          S.write st v t)
         st vars
   | A.Unset es ->
       List.fold_left
         (fun st e ->
-          match e.A.e with A.Var v -> T.write st v T.clean | _ -> st)
+          match e.A.e with A.Var v -> S.write st v T.clean | _ -> st)
         st es
   | A.Return e ->
       let st, t =
@@ -378,15 +347,15 @@ and exec_stmt sc (st : T.state) (s : A.stmt) : T.state =
    only joins and no transfer of this walk reads it.  So nothing a pass
    writes changes what the next one reads, and the solver's [effects]
    counter stands still: a pass that changed no back-edge source is final. *)
-and run_dataflow sc (stmts : A.stmt list) (init : T.state) : T.state =
+and run_dataflow sc (stmts : A.stmt list) (init : S.state) : S.state =
   let cfg = Cfg.build stmts in
   let res =
     Dataflow.Fixpoint.solve ~check:Secflow.Deadline.check
       {
         Dataflow.Fixpoint.init;
-        bottom = T.empty_state;
-        join = T.join_state ~global_scope:sc.global_scope;
-        equal = T.equal_state;
+        bottom = S.empty_state;
+        join = S.join_state ~global_scope:sc.global_scope;
+        equal = S.equal_state;
         transfer = exec_stmt sc;
         effects = (fun () -> 0);
         max_passes = (Budget.get ()).Budget.fixpoint_passes;
@@ -418,54 +387,29 @@ let rec collect_funcs tbl (s : A.stmt) =
   | _ -> ());
   A.iter_stmt ~expr:ignore ~stmt:(collect_funcs tbl) s
 
-let analyze_file_exn ~file source :
-    Report.finding list * Report.file_outcome * int =
-  match Phplang.Project.parse_file { Phplang.Project.path = file; source } with
-  | Error (Phplang.Project.Syntax msg) ->
-      ([], Report.fail (Report.Parse_failure msg), 1)
-  | Error (Phplang.Project.Over_budget msg) ->
-      ([], Report.fail (Report.Budget_exhausted msg), 1)
-  | Ok prog -> (
-      (* model stage: the OOP gate plus the callable registry *)
-      match
-        Obs.span "pixy.model" (fun () ->
-            List.iter oop_stmt prog;
-            let funcs = Hashtbl.create 16 in
-            List.iter (collect_funcs funcs) prog;
-            funcs)
-      with
-      | exception Oop what ->
-          ([], Report.fail (Report.Unsupported_syntax what), 1)
-      | funcs ->
-          let fx =
-            { file; funcs; findings = []; seen = Report.Key_set.empty;
-              memo = Hashtbl.create 32; in_progress = []; over_budget = false }
-          in
-          let sc =
-            { fx; global_scope = true; depth = 0; returns = ref T.clean }
-          in
-          Obs.span "pixy.analysis" (fun () ->
-              ignore (run_dataflow sc prog T.empty_state));
-          if fx.over_budget then
-            ( List.rev fx.findings,
-              Report.fail
-                (Report.Budget_exhausted
-                   "dataflow fixpoint pass budget exhausted"),
-              1 )
-          else (List.rev fx.findings, Report.Analyzed, 0))
-
-(* Crash barrier: any exception escaping the solver or the evaluator fails
-   this file only, never the project run. *)
-let analyze_file ~file source =
-  match analyze_file_exn ~file source with
-  | result -> result
-  | exception (Secflow.Deadline.Exceeded as e) ->
-      (* cooperative cancellation is not a crash: let it reach the
-         scheduler so the whole request becomes [Cancelled] *)
-      raise e
-  | exception exn ->
-      Obs.incr "pixy.files.crashed";
-      ([], Report.fail (Report.Crashed (Printexc.to_string exn)), 1)
+let analyze (prog : A.program) =
+  (* model stage: the OOP gate plus the callable registry *)
+  match
+    Obs.span "pixy.model" (fun () ->
+        List.iter oop_stmt prog;
+        let funcs = Hashtbl.create 16 in
+        List.iter (collect_funcs funcs) prog;
+        funcs)
+  with
+  | exception Oop what -> ([], Report.fail (Report.Unsupported_syntax what))
+  | funcs ->
+      let fx =
+        { funcs; findings = []; seen = Report.Key_set.empty;
+          memo = Hashtbl.create 32; in_progress = []; over_budget = false }
+      in
+      let sc = { fx; global_scope = true; depth = 0; returns = ref T.clean } in
+      Obs.span "pixy.analysis" (fun () ->
+          ignore (run_dataflow sc prog S.empty_state));
+      ( List.rev fx.findings,
+        if fx.over_budget then
+          Report.fail
+            (Report.Budget_exhausted "dataflow fixpoint pass budget exhausted")
+        else Report.Analyzed )
 
 (* Per-file result-cache fingerprint: Pixy consults the parser nesting
    fuel and the dataflow fixpoint pass cap; the include caps are
@@ -479,7 +423,5 @@ let cache_fingerprint () =
       string_of_int b.Budget.fixpoint_passes ]
 
 let analyze_project (project : Phplang.Project.t) : Report.result =
-  Cache.file_loop ~tool:"Pixy" ~fingerprint:(cache_fingerprint ()) ~dedup:`None
-    ~analyze:(fun (f : Phplang.Project.file) ->
-      analyze_file ~file:f.Phplang.Project.path f.Phplang.Project.source)
+  Cache.file_loop ~tool:"Pixy" ~fingerprint:(cache_fingerprint ()) ~analyze
     project

@@ -4,7 +4,4 @@
     inter-procedural inlining — and hard failure on any OOP construct.
     See the implementation header for the full behavioural model. *)
 
-exception Oop of string
-(** Raised internally when an OOP construct is encountered. *)
-
 val analyze_project : Phplang.Project.t -> Secflow.Report.result

@@ -4,17 +4,16 @@
 
     It knows the PHP 4-era builtins: classic superglobals, the standard
     sanitizers, and the [mysql_*] family.  It has no revert modelling, no
-    WordPress knowledge, and — crucially — no OOP support at all. *)
+    WordPress knowledge, and — crucially — no OOP support at all.
+
+    Pixy's taxonomy stops at XSS and SQLi, and these tables alone express
+    it: no source, sink or sanitizer here names another kind, so every
+    newer kind stays permanently clean (the paper-fidelity gap the E16
+    evaluation measures). *)
 
 open Secflow
 
-type role =
-  | Source of Vuln.kind list * Vuln.source
-  | Sanitizer of Vuln.kind list
-  | Passthrough
-  | Join_args
-
-let builtin = function
+let builtin : string -> Baseline.role option = function
   | "file_get_contents" | "fgets" | "fread" | "file" ->
       Some (Source ([ Vuln.Xss; Vuln.Sqli ], Vuln.File_read "file read"))
   | "mysql_fetch_assoc" | "mysql_fetch_array" | "mysql_fetch_row"
@@ -36,8 +35,13 @@ let builtin = function
 let superglobals = [ "$_GET"; "$_POST"; "$_COOKIE"; "$_REQUEST"; "$_SERVER" ]
 let is_superglobal v = List.mem v superglobals
 
-let xss_sink_functions = [ "printf"; "print_r" ]
-let sqli_sink_functions = [ "mysql_query"; "mysql_db_query" ]
+(** Superglobals and register_globals seeds carry both kinds. *)
+let input_kinds = [ Vuln.Xss; Vuln.Sqli ]
+
+(** Sink functions; [echo], [print] and [exit] are handled by the analyzer. *)
+let sinks : Baseline.sink list =
+  [ ("printf", Vuln.Xss, `All); ("print_r", Vuln.Xss, `All);
+    ("mysql_query", Vuln.Sqli, `First); ("mysql_db_query", Vuln.Sqli, `First) ]
 
 (** register_globals = 1: an uninitialized variable can be seeded from the
     request, through GET, POST or COOKIE — hence the mixed vector. *)

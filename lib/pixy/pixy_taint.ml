@@ -1,64 +1,19 @@
-(** Pixy's taint lattice and abstract state: a flow-sensitive map from
-    variable names to taint values, joined at control-flow merge points.
-    There is no revert bookkeeping (2007-era tool).
+(** Pixy's flow-sensitive abstract state: a map from variable names to
+    {!Secflow.Baseline} taint, joined at control-flow merge points.
 
     register_globals: a variable read in the {e global scope} with no prior
     assignment on some path may have been seeded from the request, so it is
     treated as attacker-controlled (paper §V.A). *)
 
 open Secflow
-
-type taint = {
-  xss : bool;
-  sqli : bool;
-  source : Vuln.source option;
-  spos : Phplang.Ast.pos option;
-}
-
-let clean = { xss = false; sqli = false; source = None; spos = None }
-
-let of_source kinds source pos =
-  { xss = List.mem Vuln.Xss kinds;
-    sqli = List.mem Vuln.Sqli kinds;
-    source = Some source;
-    spos = Some pos }
+module T = Baseline
 
 let uninitialized v pos =
-  of_source [ Vuln.Xss; Vuln.Sqli ] (Pixy_config.uninitialized_source v) pos
-
-(* Pixy's 2007 taxonomy stops at XSS and SQLi: every newer kind is
-   permanently clean (the paper-fidelity gap the E16 evaluation measures). *)
-let is_tainted kind t =
-  match kind with
-  | Vuln.Xss -> t.xss
-  | Vuln.Sqli -> t.sqli
-  | Vuln.Cmdi | Vuln.Path_traversal | Vuln.Ssrf | Vuln.Second_order_sqli ->
-      false
-
-let join a b =
-  { xss = a.xss || b.xss;
-    sqli = a.sqli || b.sqli;
-    source = (match a.source with Some _ -> a.source | None -> b.source);
-    spos = (match a.source with Some _ -> a.spos | None -> b.spos) }
-
-let join_all = List.fold_left join clean
-
-let sanitize kinds t =
-  List.fold_left
-    (fun t k ->
-      match k with
-      | Vuln.Xss -> { t with xss = false }
-      | Vuln.Sqli -> { t with sqli = false }
-      | Vuln.Cmdi | Vuln.Path_traversal | Vuln.Ssrf | Vuln.Second_order_sqli
-        ->
-          t)
-    t kinds
-
-(* -- abstract state -------------------------------------------------- *)
+  T.of_source Pixy_config.input_kinds (Pixy_config.uninitialized_source v) pos
 
 module VMap = Map.Make (String)
 
-type state = taint VMap.t
+type state = T.taint VMap.t
 (** a variable absent from the map has never been assigned *)
 
 let empty_state : state = VMap.empty
@@ -68,11 +23,11 @@ let empty_state : state = VMap.empty
 let read ~global_scope (st : state) v pos =
   match VMap.find_opt v st with
   | Some t -> t
-  | None -> if global_scope then uninitialized v pos else clean
+  | None -> if global_scope then uninitialized v pos else T.clean
 
 let write (st : state) v t : state = VMap.add v t st
 let write_join (st : state) v t : state =
-  VMap.add v (match VMap.find_opt v st with Some old -> join old t | None -> t) st
+  VMap.add v (match VMap.find_opt v st with Some old -> T.join old t | None -> t) st
 
 (** Merge-point join: a variable assigned on only one incoming path is still
     possibly uninitialized, which keeps the register_globals signal. *)
@@ -80,15 +35,16 @@ let join_state ~global_scope (a : state) (b : state) : state =
   VMap.merge
     (fun v ta tb ->
       match (ta, tb) with
-      | Some ta, Some tb -> Some (join ta tb)
+      | Some ta, Some tb -> Some (T.join ta tb)
       | Some t, None | None, Some t ->
           if global_scope then
-            Some (join t (uninitialized v Phplang.Ast.dummy_pos))
+            Some (T.join t (uninitialized v Phplang.Ast.dummy_pos))
           else Some t
       | None, None -> None)
     a b
 
-(** Convergence test; sources are ignored so the fixpoint terminates on the
-    boolean lattice. *)
+(** Convergence test on the live kinds; sources and the never-read [was]
+    bookkeeping are ignored, so the fixpoint terminates on the flag
+    lattice. *)
 let equal_state (a : state) (b : state) =
-  VMap.equal (fun x y -> x.xss = y.xss && x.sqli = y.sqli) a b
+  VMap.equal (fun x y -> x.T.live = y.T.live) a b

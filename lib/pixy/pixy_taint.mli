@@ -1,44 +1,32 @@
-(** Pixy's taint lattice and flow-sensitive abstract state (per-variable
-    maps joined at control-flow merges).  No revert bookkeeping — a
-    2007-era tool. *)
+(** Pixy's flow-sensitive abstract state: per-variable
+    {!Secflow.Baseline.taint} maps joined at control-flow merges.  No revert
+    modelling — a 2007-era tool. *)
 
-open Secflow
-
-type taint = {
-  xss : bool;
-  sqli : bool;
-  source : Vuln.source option;
-  spos : Phplang.Ast.pos option;
-}
-
-val clean : taint
-val of_source : Vuln.kind list -> Vuln.source -> Phplang.Ast.pos -> taint
-
-val uninitialized : string -> Phplang.Ast.pos -> taint
+val uninitialized : string -> Phplang.Ast.pos -> Secflow.Baseline.taint
 (** register_globals: an unassigned variable is attacker-controllable. *)
-
-val is_tainted : Vuln.kind -> taint -> bool
-val join : taint -> taint -> taint
-val join_all : taint list -> taint
-val sanitize : Vuln.kind list -> taint -> taint
 
 module VMap : Map.S with type key = string
 
-type state = taint VMap.t
+type state = Secflow.Baseline.taint VMap.t
 (** A variable absent from the map has never been assigned. *)
 
 val empty_state : state
 
-val read : global_scope:bool -> state -> string -> Phplang.Ast.pos -> taint
+val read :
+  global_scope:bool ->
+  state ->
+  string ->
+  Phplang.Ast.pos ->
+  Secflow.Baseline.taint
 (** In the global scope, reading an unassigned variable yields
     {!uninitialized} taint (register_globals = 1). *)
 
-val write : state -> string -> taint -> state
-val write_join : state -> string -> taint -> state
+val write : state -> string -> Secflow.Baseline.taint -> state
+val write_join : state -> string -> Secflow.Baseline.taint -> state
 
 val join_state : global_scope:bool -> state -> state -> state
 (** Merge-point join; a variable assigned on only one path stays possibly
     uninitialized in the global scope. *)
 
 val equal_state : state -> state -> bool
-(** Convergence test on the boolean lattice (sources ignored). *)
+(** Convergence test on the live kinds (sources ignored). *)

@@ -1,9 +1,5 @@
 (** Public facade for the RIPS-like baseline analyzer. *)
 
-module Config = Rips_config
-module Taint = Rips_taint
-module Analyzer = Rips_analyzer
-
 let analyze_project = Rips_analyzer.analyze_project
 
 let analyze_source ~file source =

@@ -21,6 +21,7 @@
 
 open Secflow
 module A = Phplang.Ast
+module T = Baseline
 
 type event =
   | Ev_assign of string * A.expr * bool * A.pos
@@ -48,7 +49,6 @@ type scope = {
 }
 
 type fstate = {
-  file : string;
   mutable scopes : scope list;
   mutable sinks : sink_occ list;
   funcs : (string, int) Hashtbl.t;  (** lowercase name -> scope id *)
@@ -126,23 +126,11 @@ let rec lin_expr l (e : A.expr) =
         slots
   | A.Call (fname, args) ->
       List.iter (lin_expr l) args;
-      push l (Ev_call (String.lowercase_ascii fname, args, e.A.epos));
-      (* sink functions *)
       let fname_lc = String.lowercase_ascii fname in
-      if List.mem fname_lc Rips_config.xss_sink_functions then
-        List.iter (fun a -> push_sink l ~kind:Vuln.Xss ~sink:fname a) args;
-      if List.mem fname_lc Rips_config.sqli_sink_functions then (
-        match args with
-        | q :: _ -> push_sink l ~kind:Vuln.Sqli ~sink:fname q
-        | [] -> ());
-      if List.mem fname_lc Rips_config.cmdi_sink_functions then (
-        match args with
-        | c :: _ -> push_sink l ~kind:Vuln.Cmdi ~sink:fname c
-        | [] -> ());
-      if List.mem fname_lc Rips_config.lfi_sink_functions then (
-        match args with
-        | p :: _ -> push_sink l ~kind:Vuln.Path_traversal ~sink:fname p
-        | [] -> ())
+      push l (Ev_call (fname_lc, args, e.A.epos));
+      List.iter
+        (fun (kind, a) -> push_sink l ~kind ~sink:fname a)
+        (T.sink_args Rips_config.sinks fname_lc args)
   | A.MethodCall (obj, _, args) ->
       lin_expr l obj;
       List.iter (lin_expr l) args
@@ -248,10 +236,8 @@ let rec lin_stmt l (s : A.stmt) =
   | A.InlineHtml _ | A.Nop | A.Break | A.Continue -> ()
 
 (* Collect scopes: top level + every free function (recursively). *)
-let build_fstate ~file (prog : A.program) : fstate =
-  let st =
-    { file; scopes = []; sinks = []; funcs = Hashtbl.create 16; work = 0 }
-  in
+let build_fstate (prog : A.program) : fstate =
+  let st = { scopes = []; sinks = []; funcs = Hashtbl.create 16; work = 0 } in
   let next_id = ref 0 in
   let fresh () =
     let id = !next_id in
@@ -304,51 +290,51 @@ let max_depth = 60
 module Visited = Set.Make (String)
 
 let rec resolve st ~visited ~depth (scope : scope) (idx : int) (e : A.expr) :
-    Rips_taint.t =
+    T.taint =
   st.work <- st.work + 1;
-  if depth > max_depth || st.work > max_work then Rips_taint.clean
+  if depth > max_depth || st.work > max_work then T.clean
   else
     let resolve_here = resolve st ~visited ~depth:(depth + 1) scope idx in
     match e.A.e with
     | A.Null | A.True | A.False | A.Int _ | A.Float _ | A.Str _ | A.Const _
     | A.ClassConst _ ->
-        Rips_taint.clean
+        T.clean
     | A.Interp parts ->
-        Rips_taint.join_all
+        T.join_all
           (List.map
-             (function A.ILit _ -> Rips_taint.clean | A.IExpr x -> resolve_here x)
+             (function A.ILit _ -> T.clean | A.IExpr x -> resolve_here x)
              parts)
     | A.Var v -> resolve_var st ~visited ~depth scope idx v e.A.epos
     | A.ArrayGet (b, _) -> resolve_here b
     | A.Prop _ | A.StaticProp _ | A.MethodCall _ | A.StaticCall _ | A.New _ ->
-        Rips_taint.clean  (* OOP constructs are opaque *)
+        T.clean  (* OOP constructs are opaque *)
     | A.Assign (_, rhs) | A.AssignRef (_, rhs) -> resolve_here rhs
     | A.OpAssign (A.Concat, lhs, rhs) ->
-        Rips_taint.join (resolve_here lhs) (resolve_here rhs)
-    | A.OpAssign (_, _, _) -> Rips_taint.clean
+        T.join (resolve_here lhs) (resolve_here rhs)
+    | A.OpAssign (_, _, _) -> T.clean
     | A.ListAssign (_, rhs) -> resolve_here rhs
     | A.Bin ((A.Concat | A.Coalesce), x, y) ->
-        Rips_taint.join (resolve_here x) (resolve_here y)
-    | A.Bin (_, _, _) -> Rips_taint.clean
+        T.join (resolve_here x) (resolve_here y)
+    | A.Bin (_, _, _) -> T.clean
     | A.Un (A.Silence, x) -> resolve_here x
-    | A.Un (_, _) -> Rips_taint.clean
+    | A.Un (_, _) -> T.clean
     | A.Ternary (c, t, e2) ->
         let tt = match t with Some t -> resolve_here t | None -> resolve_here c in
-        Rips_taint.join tt (resolve_here e2)
-    | A.CastE ((A.CastInt | A.CastFloat | A.CastBool), _) -> Rips_taint.clean
+        T.join tt (resolve_here e2)
+    | A.CastE ((A.CastInt | A.CastFloat | A.CastBool), _) -> T.clean
     | A.CastE ((A.CastString | A.CastArray), x) -> resolve_here x
-    | A.Isset _ | A.EmptyE _ | A.Exit _ | A.Closure _ -> Rips_taint.clean
+    | A.Isset _ | A.EmptyE _ | A.Exit _ | A.Closure _ -> T.clean
     | A.PrintE x | A.IncludeE (_, x) -> resolve_here x
     | A.ArrayLit items ->
-        Rips_taint.join_all (List.map (fun (_, v) -> resolve_here v) items)
+        T.join_all (List.map (fun (_, v) -> resolve_here v) items)
     | A.Call (fname, args) -> resolve_call st ~visited ~depth scope idx fname args e.A.epos
 
-and resolve_var st ~visited ~depth scope idx v pos : Rips_taint.t =
+and resolve_var st ~visited ~depth scope idx v pos : T.taint =
   if Rips_config.is_superglobal v then
-    Rips_taint.of_source Rips_config.input_kinds (Vuln.Superglobal v) pos
+    T.of_source Rips_config.input_kinds (Vuln.Superglobal v) pos
   else
     let key = Printf.sprintf "v:%d:%d:%s" scope.sc_id idx v in
-    if Visited.mem key visited then Rips_taint.clean
+    if Visited.mem key visited then T.clean
     else
       let visited = Visited.add key visited in
       (* walk backwards for the most recent definition *)
@@ -358,10 +344,10 @@ and resolve_var st ~visited ~depth scope idx v pos : Rips_taint.t =
           match scope.sc_events.(j) with
           | Ev_assign (v', rhs, concatish, _) when String.equal v v' ->
               let t = resolve st ~visited ~depth:(depth + 1) scope j rhs in
-              if concatish then Rips_taint.join t (scan (j - 1)) else t
+              if concatish then T.join t (scan (j - 1)) else t
           | Ev_foreach (v', subject, _) when String.equal v v' ->
               resolve st ~visited ~depth:(depth + 1) scope j subject
-          | Ev_unset vs when List.mem v vs -> Rips_taint.clean
+          | Ev_unset vs when List.mem v vs -> T.clean
           | _ -> scan (j - 1)
       and not_found () =
         (* parameter? walk to the call sites *)
@@ -378,7 +364,7 @@ and resolve_var st ~visited ~depth scope idx v pos : Rips_taint.t =
               let top = scope_by_id st 0 in
               resolve_var st ~visited ~depth:(depth + 1) top
                 (Array.length top.sc_events) v pos
-            else Rips_taint.clean (* RIPS: uninitialized is harmless *)
+            else T.clean (* RIPS: uninitialized is harmless *)
       in
       scan (idx - 1)
 
@@ -389,16 +375,16 @@ and find_param_index scope v =
   in
   go 0 scope.sc_params
 
-and resolve_param st ~visited ~depth scope pi : Rips_taint.t =
+and resolve_param st ~visited ~depth scope pi : T.taint =
   match scope.sc_fname with
-  | None -> Rips_taint.clean
+  | None -> T.clean
   | Some fname ->
       let key = Printf.sprintf "p:%d:%d" scope.sc_id pi in
-      if Visited.mem key visited then Rips_taint.clean
+      if Visited.mem key visited then T.clean
       else
         let visited = Visited.add key visited in
         (* every call site of [fname], in any scope of this file *)
-        let acc = ref Rips_taint.clean in
+        let acc = ref T.clean in
         List.iter
           (fun caller ->
             Array.iteri
@@ -408,7 +394,7 @@ and resolve_param st ~visited ~depth scope pi : Rips_taint.t =
                     match List.nth_opt args pi with
                     | Some arg ->
                         acc :=
-                          Rips_taint.join !acc
+                          T.join !acc
                             (resolve st ~visited ~depth:(depth + 1) caller j arg)
                     | None -> ())
                 | _ -> ())
@@ -416,29 +402,22 @@ and resolve_param st ~visited ~depth scope pi : Rips_taint.t =
           st.scopes;
         !acc
 
-and resolve_call st ~visited ~depth scope idx fname args pos : Rips_taint.t =
+and resolve_call st ~visited ~depth scope idx fname args pos : T.taint =
   let resolve_arg a = resolve st ~visited ~depth:(depth + 1) scope idx a in
-  let arg0 () =
-    match args with a :: _ -> resolve_arg a | [] -> Rips_taint.clean
-  in
   let fname_lc = String.lowercase_ascii fname in
   match Rips_config.builtin fname_lc with
-  | Some (Rips_config.Source (kinds, src)) -> Rips_taint.of_source kinds src pos
-  | Some (Rips_config.Sanitizer kinds) -> Rips_taint.sanitize kinds (arg0 ())
-  | Some Rips_config.Revert -> Rips_taint.revert (arg0 ())
-  | Some Rips_config.Passthrough -> arg0 ()
-  | Some Rips_config.Join_args -> Rips_taint.join_all (List.map resolve_arg args)
+  | Some role -> T.apply role ~pos ~arg:resolve_arg args
   | None -> (
       match Hashtbl.find_opt st.funcs fname_lc with
       | Some callee_id ->
           (* user function: resolve its return expressions with this call's
              arguments bound to the parameters *)
           let key = Printf.sprintf "r:%d:%s" scope.sc_id fname_lc in
-          if Visited.mem key visited then Rips_taint.clean
+          if Visited.mem key visited then T.clean
           else
             let visited = Visited.add key visited in
             let callee = scope_by_id st callee_id in
-            let acc = ref Rips_taint.clean in
+            let acc = ref T.clean in
             Array.iteri
               (fun j ev ->
                 match ev with
@@ -447,14 +426,14 @@ and resolve_call st ~visited ~depth scope idx fname args pos : Rips_taint.t =
                       resolve_with_binding st ~visited ~depth:(depth + 1)
                         ~binding:(callee, scope, idx, args) callee j rexpr
                     in
-                    acc := Rips_taint.join !acc t
+                    acc := T.join !acc t
                 | _ -> ())
               callee.sc_events;
             !acc
       | None ->
           (* unknown (framework) function: conservatively taint-preserving —
              RIPS has no WordPress profile *)
-          Rips_taint.join_all (List.map resolve_arg args))
+          T.join_all (List.map resolve_arg args))
 
 (* Resolution inside a callee with parameters bound to call-site arguments:
    a parameter that has no local redefinition resolves to the argument at the
@@ -472,35 +451,25 @@ and resolve_with_binding st ~visited ~depth ~binding callee j rexpr =
             match List.nth_opt args pi with
             | Some arg ->
                 resolve st ~visited ~depth:(depth + 1) caller_scope caller_idx arg
-            | None -> Rips_taint.clean)
-        | None -> Rips_taint.clean)
+            | None -> T.clean)
+        | None -> T.clean)
     | A.Bin ((A.Concat | A.Coalesce), x, y) ->
-        Rips_taint.join (subst_resolve scope idx x) (subst_resolve scope idx y)
+        T.join (subst_resolve scope idx x) (subst_resolve scope idx y)
     | A.Interp parts ->
-        Rips_taint.join_all
+        T.join_all
           (List.map
              (function
-               | A.ILit _ -> Rips_taint.clean
+               | A.ILit _ -> T.clean
                | A.IExpr x -> subst_resolve scope idx x)
              parts)
     | A.Call (fname, cargs) ->
-        (* builtins keep their semantics with substituted arguments *)
-        let fname_lc = String.lowercase_ascii fname in
-        let sub0 () =
-          match cargs with
-          | a :: _ -> subst_resolve scope idx a
-          | [] -> Rips_taint.clean
+        (* builtins keep their semantics with substituted arguments; any
+           other call joins them *)
+        let role =
+          Rips_config.builtin (String.lowercase_ascii fname)
+          |> Option.value ~default:T.Join_args
         in
-        (match Rips_config.builtin fname_lc with
-        | Some (Rips_config.Source (kinds, src)) ->
-            Rips_taint.of_source kinds src e.A.epos
-        | Some (Rips_config.Sanitizer kinds) -> Rips_taint.sanitize kinds (sub0 ())
-        | Some Rips_config.Revert -> Rips_taint.revert (sub0 ())
-        | Some Rips_config.Passthrough -> sub0 ()
-        | Some Rips_config.Join_args ->
-            Rips_taint.join_all (List.map (subst_resolve scope idx) cargs)
-        | None ->
-            Rips_taint.join_all (List.map (subst_resolve scope idx) cargs))
+        T.apply role ~pos:e.A.epos ~arg:(subst_resolve scope idx) cargs
     | _ -> resolve st ~visited ~depth:(depth + 1) scope idx e
   and locally_defined scope idx v =
     let rec scan j =
@@ -521,66 +490,27 @@ and resolve_with_binding st ~visited ~depth ~binding callee j rexpr =
 
 let name = "RIPS"
 
-let analyze_file_exn ~file source :
-    Report.finding list * Report.file_outcome * int =
-  match Phplang.Project.parse_file { Phplang.Project.path = file; source } with
-  | Error (Phplang.Project.Syntax msg) ->
-      (* RIPS is robust: a parse problem is reported but does not abort *)
-      ([], Report.fail (Report.Parse_failure msg), 1)
-  | Error (Phplang.Project.Over_budget msg) ->
-      ([], Report.fail (Report.Budget_exhausted msg), 1)
-  | Ok prog ->
-      let st = Obs.span "rips.model" (fun () -> build_fstate ~file prog) in
-      let findings =
-        Obs.span "rips.analysis" @@ fun () ->
-        List.filter_map
-          (fun so ->
-            let scope = scope_by_id st so.so_scope in
-            st.work <- 0;
-            let t =
-              resolve st ~visited:Visited.empty ~depth:0 scope so.so_index
-                so.so_expr
-            in
-            if Rips_taint.is_tainted so.so_kind t then
-              let source =
-                Option.value t.Rips_taint.source ~default:Vuln.Unknown_source
-              in
-              let source_pos =
-                Option.value t.Rips_taint.source_pos ~default:A.dummy_pos
-              in
-              Some
-                {
-                  Report.kind = so.so_kind;
-                  sink_pos = so.so_pos;
-                  sink = so.so_sink;
-                  variable = Analyzer_names.name_of_expr so.so_expr;
-                  source;
-                  source_pos;
-                  trace =
-                    [ { Report.step_var = Vuln.source_to_string source;
-                        step_pos = source_pos;
-                        step_note = "tainted source (backward-resolved)" } ];
-                  context = None;
-                  sanitizers_applied = [];
-                  trace_truncated = false;
-                }
-            else None)
-          st.sinks
-      in
-      (findings, Report.Analyzed, 0)
-
-(* Crash barrier: any exception escaping the backward resolution (a
-   resolver bug, stack exhaustion, ...) fails this file only. *)
-let analyze_file ~file source =
-  match analyze_file_exn ~file source with
-  | result -> result
-  | exception (Secflow.Deadline.Exceeded as e) ->
-      (* cooperative cancellation is not a crash: let it reach the
-         scheduler so the whole request becomes [Cancelled] *)
-      raise e
-  | exception exn ->
-      Obs.incr "rips.files.crashed";
-      ([], Report.fail (Report.Crashed (Printexc.to_string exn)), 1)
+let analyze (prog : A.program) =
+  let st = Obs.span "rips.model" (fun () -> build_fstate prog) in
+  let findings =
+    Obs.span "rips.analysis" @@ fun () ->
+    List.filter_map
+      (fun so ->
+        let scope = scope_by_id st so.so_scope in
+        st.work <- 0;
+        let t =
+          resolve st ~visited:Visited.empty ~depth:0 scope so.so_index
+            so.so_expr
+        in
+        if T.is_tainted so.so_kind t then
+          Some
+            (T.finding ~note:"tainted source (backward-resolved)"
+               ~kind:so.so_kind ~sink_pos:so.so_pos ~sink:so.so_sink
+               ~variable:(A.name_of_expr so.so_expr) t)
+        else None)
+      st.sinks
+  in
+  (findings, Report.Analyzed)
 
 (* Per-file result-cache fingerprint: RIPS has no runtime configuration;
    of the process-global {!Budget} it only (indirectly) consults the
@@ -591,8 +521,5 @@ let cache_fingerprint () =
     [ name; string_of_int (Budget.get ()).Budget.parse_depth ]
 
 let analyze_project (project : Phplang.Project.t) : Report.result =
-  Cache.file_loop ~tool:name ~fingerprint:(cache_fingerprint ())
-    ~dedup:(`By_key "rips.findings")
-    ~analyze:(fun (f : Phplang.Project.file) ->
-      analyze_file ~file:f.Phplang.Project.path f.Phplang.Project.source)
+  Cache.file_loop ~tool:name ~fingerprint:(cache_fingerprint ()) ~analyze
     project

@@ -3,8 +3,6 @@
     never fails a file.  See the implementation header for the full
     behavioural model. *)
 
-val name : string
-
 val analyze_project : Phplang.Project.t -> Secflow.Report.result
 (** File-by-file analysis of a plugin, findings de-duplicated per
     (kind, file, line). *)

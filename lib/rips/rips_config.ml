@@ -14,14 +14,7 @@ open Secflow
     model of data coming back out of storage. *)
 let input_kinds = [ Vuln.Xss; Vuln.Sqli; Vuln.Cmdi; Vuln.Path_traversal ]
 
-type role =
-  | Source of Vuln.kind list * Vuln.source
-  | Sanitizer of Vuln.kind list
-  | Revert
-  | Passthrough
-  | Join_args   (** result tainted if any argument is *)
-
-let builtin name =
+let builtin name : Baseline.role option =
   match name with
   (* input functions *)
   | "file_get_contents" -> Some (Source ([ Vuln.Xss; Vuln.Sqli ], Vuln.File_read name))
@@ -61,18 +54,19 @@ let superglobals =
 
 let is_superglobal v = List.mem v superglobals
 
-(** XSS sinks (language constructs handled separately by the analyzer). *)
-let xss_sink_functions = [ "printf"; "print_r"; "vprintf" ]
-
-let sqli_sink_functions =
-  [ "mysql_query"; "mysql_db_query"; "mysql_unbuffered_query" ]
-
-(** Command-execution sinks (RIPS 0.55's "code execution" class); the
-    command is the first argument. *)
-let cmdi_sink_functions =
-  [ "system"; "exec"; "shell_exec"; "passthru"; "popen"; "proc_open" ]
-
-(** File-access sinks whose first argument is a path — RIPS's file
-    inclusion / file disclosure class ([include] constructs are handled
-    separately by the analyzer). *)
-let lfi_sink_functions = [ "fopen"; "readfile"; "file_get_contents" ]
+(** Sink functions.  Language constructs ([echo], [print], [exit],
+    [include]) are handled by the analyzer.  Every argument of an XSS sink
+    is output; the others take the query, the command (RIPS 0.55's "code
+    execution" class) or the path (its file inclusion / disclosure class)
+    first. *)
+let sinks : Baseline.sink list =
+  List.map (fun n -> (n, Vuln.Xss, `All)) [ "printf"; "print_r"; "vprintf" ]
+  @ List.map
+      (fun n -> (n, Vuln.Sqli, `First))
+      [ "mysql_query"; "mysql_db_query"; "mysql_unbuffered_query" ]
+  @ List.map
+      (fun n -> (n, Vuln.Cmdi, `First))
+      [ "system"; "exec"; "shell_exec"; "passthru"; "popen"; "proc_open" ]
+  @ List.map
+      (fun n -> (n, Vuln.Path_traversal, `First))
+      [ "fopen"; "readfile"; "file_get_contents" ]

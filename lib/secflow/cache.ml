@@ -36,27 +36,60 @@ let file_key ~tool ~fingerprint ~path ~source =
 let find_file ~key : file_entry option = Phplang.Store.get ~ns ~key
 let store_file ~key (e : file_entry) = Phplang.Store.put ~ns ~key e
 
-(** Per-file analysis loop with replay, shared by RIPS and Pixy (the two
-    analyzers with no cross-file state beyond finding de-duplication):
-    runs [analyze] per project file unless a cached entry replays it.
-    Entries hold the file's {e pre-dedup} findings; the loop re-applies
-    the analyzer's deterministic cross-file dedup ([`By_key] for RIPS,
-    [`None] for Pixy, which de-duplicates per file inside [analyze]), so
-    warm results are byte-identical to cold ones.  [fingerprint] must
-    cover everything but the file itself: analyzer name, configuration
-    and the {!Budget} slice the analyzer consults. *)
-let file_loop ~tool ~fingerprint ~(dedup : [ `None | `By_key of string ])
-    ~analyze (project : Phplang.Project.t) : Report.result =
+(** The per-file driver of RIPS and Pixy (the two analyzers with no
+    cross-file state beyond finding de-duplication): parses each project
+    file and runs [analyze] on its program, unless a cached entry replays
+    the file.  It owns what the two share around [analyze] —
+
+    - a syntax error fails the file with [Parse_failure], exhausted parser
+      fuel with [Budget_exhausted];
+    - the crash barrier: any exception but {!Deadline.Exceeded} fails this
+      file only, with [Crashed], and counts [<tool>.files.crashed];
+    - a failed file counts one error;
+    - cross-file de-duplication by {!Report.key_of_finding}, counted by
+      [<tool>.findings.pre_dedup] and [.post_dedup] ([<tool>] lowercased).
+
+    Entries hold the file's {e pre-dedup} findings and the loop re-applies
+    the deterministic dedup, so warm results are byte-identical to cold
+    ones.  [fingerprint] must cover everything but the file itself:
+    analyzer name, configuration and the {!Budget} slice the analyzer
+    consults. *)
+let file_loop ~tool ~fingerprint
+    ~(analyze :
+       Phplang.Ast.program -> Report.finding list * Report.file_outcome)
+    (project : Phplang.Project.t) : Report.result =
   let findings = ref [] in
   let outcomes = ref [] in
   let errors = ref 0 in
   let seen = ref Report.Key_set.empty in
   (* counter names built once per call, not per file or finding *)
   let replayed = "cache.result.replayed." ^ tool in
-  let dedup =
-    match dedup with
-    | `None -> None
-    | `By_key prefix -> Some (prefix ^ ".pre_dedup", prefix ^ ".post_dedup")
+  let prefix = String.lowercase_ascii tool in
+  let crashed = prefix ^ ".files.crashed" in
+  let pre = prefix ^ ".findings.pre_dedup" in
+  let post = prefix ^ ".findings.post_dedup" in
+  let parse_and_analyze f =
+    match Phplang.Project.parse_file f with
+    | Error (Phplang.Project.Syntax msg) ->
+        ([], Report.fail (Report.Parse_failure msg))
+    | Error (Phplang.Project.Over_budget msg) ->
+        ([], Report.fail (Report.Budget_exhausted msg))
+    | Ok prog -> analyze prog
+  in
+  let run f =
+    let fs, outcome =
+      match parse_and_analyze f with
+      | result -> result
+      | exception (Deadline.Exceeded as e) ->
+          (* cooperative cancellation is not a crash: let it reach the
+             scheduler so the whole request becomes [Cancelled] *)
+          raise e
+      | exception exn ->
+          Obs.incr crashed;
+          ([], Report.fail (Report.Crashed (Printexc.to_string exn)))
+    in
+    let errors = match outcome with Report.Analyzed -> 0 | Failed _ -> 1 in
+    { fe_findings = fs; fe_outcome = outcome; fe_errors = errors }
   in
   List.iter
     (fun (f : Phplang.Project.file) ->
@@ -64,8 +97,8 @@ let file_loop ~tool ~fingerprint ~(dedup : [ `None | `By_key of string ])
          or without the result cache enabled *)
       Deadline.check ();
       let path = f.Phplang.Project.path in
-      let fs, outcome, errs =
-        if not (enabled ()) then analyze f
+      let e =
+        if not (enabled ()) then run f
         else
           let key =
             file_key ~tool ~fingerprint ~path ~source:f.Phplang.Project.source
@@ -73,28 +106,24 @@ let file_loop ~tool ~fingerprint ~(dedup : [ `None | `By_key of string ])
           match find_file ~key with
           | Some e ->
               Obs.incr replayed;
-              (e.fe_findings, e.fe_outcome, e.fe_errors)
+              e
           | None ->
-              let fs, outcome, errs = analyze f in
-              store_file ~key
-                { fe_findings = fs; fe_outcome = outcome; fe_errors = errs };
-              (fs, outcome, errs)
+              let e = run f in
+              store_file ~key e;
+              e
       in
-      errors := !errors + errs;
-      outcomes := (path, outcome) :: !outcomes;
-      match dedup with
-      | None -> findings := List.rev_append fs !findings
-      | Some (pre, post) ->
-          List.iter
-            (fun finding ->
-              Obs.incr pre;
-              let key = Report.key_of_finding finding in
-              if not (Report.Key_set.mem key !seen) then begin
-                Obs.incr post;
-                seen := Report.Key_set.add key !seen;
-                findings := finding :: !findings
-              end)
-            fs)
+      errors := !errors + e.fe_errors;
+      outcomes := (path, e.fe_outcome) :: !outcomes;
+      List.iter
+        (fun finding ->
+          Obs.incr pre;
+          let key = Report.key_of_finding finding in
+          if not (Report.Key_set.mem key !seen) then begin
+            Obs.incr post;
+            seen := Report.Key_set.add key !seen;
+            findings := finding :: !findings
+          end)
+        e.fe_findings)
     project.Phplang.Project.files;
   {
     Report.findings = List.rev !findings;

@@ -253,6 +253,58 @@ let ablation_cases =
            < full.Evalkit.Ablation.ab_metrics.Evalkit.Metrics.fp));
   ]
 
+(* Cross-analyzer agreement: single-file procedural inputs inside the
+   documented overlap of all three tools (superglobal sources; echo, print
+   and mysql_query sinks; htmlspecialchars, addslashes, intval and sprintf;
+   user functions called from top level; no branches, uninitialized
+   reads, OOP, includes or WordPress API).  There each tool must report
+   the same (kind, line) set. *)
+let agreement_cases =
+  let keys (r : Report.result) =
+    List.map
+      (fun (f : Report.finding) ->
+        Printf.sprintf "%s@%d" (Vuln.kind_to_string f.Report.kind)
+          (f.Report.sink_pos.Phplang.Ast.line - 1))
+      r.Report.findings
+    |> List.sort_uniq compare
+  in
+  let row name src expected =
+    case name (fun () ->
+        let source = "<?php\n" ^ src in
+        List.iter
+          (fun (tool, analyze) ->
+            Alcotest.(check (list string)) tool
+              (List.sort compare expected)
+              (keys (analyze ~file:"t.php" source)))
+          [ ("phpSAFE", fun ~file s -> Phpsafe.analyze_source ~file s);
+            ("RIPS", Rips.analyze_source); ("Pixy", Pixy.analyze_source) ])
+  in
+  [
+    row "direct echo" "echo $_GET['x'];" [ "XSS@1" ];
+    row "print" "print $_POST['x'];" [ "XSS@1" ];
+    row "concatenation" "$a = 'Hi ' . $_GET['n'];\necho $a;" [ "XSS@2" ];
+    row "interpolation into mysql_query"
+      "$id = $_GET['id'];\nmysql_query(\"SELECT * FROM t WHERE id = $id\");"
+      [ "SQLi@2" ];
+    row "htmlspecialchars" "echo htmlspecialchars($_GET['x']);" [];
+    row "addslashes then echo" "$a = addslashes($_GET['x']);\necho $a;"
+      [ "XSS@2" ];
+    row "intval into both sinks"
+      "$n = intval($_GET['n']);\necho $n;\nmysql_query(\"SELECT $n\");" [];
+    row "sprintf" "$q = sprintf('SELECT %s', $_GET['q']);\nmysql_query($q);"
+      [ "SQLi@2" ];
+    row "identity function, tainted and literal arguments"
+      "function id($v) { return $v; }\necho id($_GET['x']);\necho id('lit');"
+      [ "XSS@2" ];
+    row "sink inside a called function"
+      "function show($m) {\necho $m;\n}\nshow($_COOKIE['c']);" [ "XSS@2" ];
+    row "overwrite with a literal" "$a = $_GET['x'];\n$a = 'safe';\necho $a;" [];
+    row "one function called with different taint kinds"
+      "function f($a) { return $a; }\n$y = addslashes($_GET['b']);\n\
+       $z = $_GET['c'];\necho f($y);\nmysql_query(f($z));"
+      [ "XSS@4"; "SQLi@5" ];
+  ]
+
 let () =
   Alcotest.run "integration"
     [ ("table I", table1_cases);
@@ -260,4 +312,5 @@ let () =
       ("§V.A OOP", oop_cases);
       ("§V.D/§V.E", inertia_robustness_cases);
       ("pattern breakdown", pattern_report_cases);
-      ("E8 ablation", ablation_cases) ]
+      ("E8 ablation", ablation_cases);
+      ("cross-analyzer agreement", agreement_cases) ]

@@ -48,6 +48,8 @@ let dataflow_cases =
       "echo esc_html($_GET['x']);" [ "XSS@1" ];
     expect "exit terminates the path"
       "$a = $_GET['x'];\nexit;\necho $a;" [];
+    expect "print and exit report tainted arguments only"
+      "print 'hello';\nprint $_GET['x'];\nexit('bye');" [ "XSS@2" ];
   ]
 
 let register_globals_cases =
@@ -80,6 +82,12 @@ let interproc_cases =
       "function f($m) {\necho $m;\n}\nf('clean');\nf($_GET['x']);" [ "XSS@2" ];
     expect "recursion terminates" "function f($a) {\necho $a;\nreturn f($a);\n}\nf($_GET['x']);"
       [ "XSS@2" ];
+    (* the memo is keyed by the arguments' exact kinds: an {xss} call must
+       not answer for a later {xss, sqli} one *)
+    expect "memo keeps calls with different taint kinds apart"
+      "function f($a) { return $a; }\n$y = addslashes($_GET['b']);\n\
+       $z = $_GET['c'];\necho f($y);\nmysql_query(f($z));"
+      [ "XSS@4"; "SQLi@5" ];
   ]
 
 let oop_cases =

@@ -1,5 +1,7 @@
 (** Taint lattice tests: unit laws for sources, sanitize, revert and the
-    dependency machinery, plus QCheck algebraic properties of [join]. *)
+    dependency machinery, QCheck algebraic properties of [join], and the
+    baselines' flag taint ({!Secflow.Baseline}) against a reference
+    model. *)
 
 open Secflow
 module T = Phpsafe.Taint
@@ -274,8 +276,84 @@ let props =
       (fun a -> T.equal_modulo_trace a a && T.equal_modulo_trace a (copy a));
   ]
 
+(* -- QCheck: the baselines' flag taint against a kind-set model -------- *)
+
+module B = Baseline
+
+module Kset = Set.Make (struct
+  type t = Vuln.kind
+
+  let compare = Vuln.compare_kind
+end)
+
+(* A taint computation: sources are numbered, and source [i] sits on
+   line [i]. *)
+type op =
+  | Clean
+  | Src of Vuln.kind list * int
+  | Join of op * op
+  | San of Vuln.kind list * op
+  | Rev of op
+
+let gen_op : op Gen.t =
+  let open Gen in
+  let kinds = list_size (int_bound 3) (oneofl Vuln.all_kinds) in
+  let src = map2 (fun ks i -> Src (ks, i)) kinds (int_bound 3) in
+  sized_size (int_bound 12)
+  @@ fix (fun self n ->
+         if n <= 0 then frequency [ (1, return Clean); (3, src) ]
+         else
+           frequency
+             [ (1, return Clean); (2, src);
+               (3, map2 (fun a b -> Join (a, b)) (self (n / 2)) (self (n / 2)));
+               (2, map2 (fun ks a -> San (ks, a)) kinds (self (n - 1)));
+               (2, map (fun a -> Rev a) (self (n - 1))) ])
+
+let source_of i = Vuln.Superglobal (Printf.sprintf "$_GET%d" i)
+
+let rec run = function
+  | Clean -> B.clean
+  | Src (ks, i) ->
+      B.of_source ks (source_of i) { Phplang.Ast.dummy_pos with line = i }
+  | Join (a, b) -> B.join (run a) (run b)
+  | San (ks, a) -> B.sanitize ks (run a)
+  | Rev a -> B.revert (run a)
+
+(* live kinds, sanitized-away kinds, and the first source joined in *)
+let rec model = function
+  | Clean -> (Kset.empty, Kset.empty, None)
+  | Src (ks, i) -> (Kset.of_list ks, Kset.empty, Some i)
+  | Join (a, b) ->
+      let la, wa, sa = model a and lb, wb, sb = model b in
+      (Kset.union la lb, Kset.union wa wb, if sa = None then sb else sa)
+  | San (ks, a) ->
+      let l, w, s = model a and ks = Kset.of_list ks in
+      (Kset.diff l ks, Kset.union w (Kset.inter l ks), s)
+  | Rev a ->
+      let l, w, s = model a in
+      (Kset.union l w, w, s)
+
+let kinds_of mask =
+  List.filter (fun k -> mask land B.bit k <> 0) Vuln.all_kinds
+
+let baseline_props =
+  [
+    Test.make ~name:"flag taint agrees with the kind-set model" ~count:1000
+      gen_op (fun op ->
+        let t = run op and live, was, src = model op in
+        kinds_of t.B.live = Kset.elements live
+        && kinds_of t.B.was = Kset.elements was
+        && t.B.source = Option.map source_of src
+        && Option.map (fun p -> p.Phplang.Ast.line) t.B.source_pos = src
+        && List.for_all
+             (fun k -> B.is_tainted k t = Kset.mem k live)
+             Vuln.all_kinds);
+  ]
+
 let () =
   Alcotest.run "taint"
     [ ("laws", unit_cases);
       ("sanitizer sets (--contexts)", sans_cases);
-      ("qcheck semilattice", List.map QCheck_alcotest.to_alcotest props) ]
+      ("qcheck semilattice", List.map QCheck_alcotest.to_alcotest props);
+      ( "qcheck baseline flag taint",
+        List.map QCheck_alcotest.to_alcotest baseline_props ) ]
