@@ -45,8 +45,29 @@ type parse_error =
 
 let parse_error_message = function Syntax m | Over_budget m -> m
 
-(** What the include budget reads of one file; see the .mli. *)
-type facts = { includes : string list; loc : int }
+(** What the include budget and the hoisting read of one file; see the
+    .mli. *)
+type facts = { includes : string list; loc : int; defs : Ast.stmt list }
+
+(** The [FuncDef] and [ClassDef] statements of a program, in pre-order,
+    from any statement nesting (class bodies included) but not from
+    closure bodies: expressions are not entered. *)
+let definitions (prog : Ast.program) : Ast.stmt list =
+  let acc = ref [] in
+  let rec visit (s : Ast.stmt) =
+    (match s.Ast.s with
+    | Ast.FuncDef _ | Ast.ClassDef _ -> acc := s :: !acc
+    | _ -> ());
+    Ast.iter_stmt ~expr:ignore ~stmt:visit s
+  in
+  List.iter visit prog;
+  List.rev !acc
+
+(* The MD5 of a source, for a parse key (memo or {!Store}); each one
+   computed is counted. *)
+let source_digest source =
+  Obs.incr "phplang.parse_cache.digests";
+  Digest.string source
 
 (** Content-keyed parse memoization shared by every analyzer.  A file's AST
     depends only on its path (recorded in positions) and its source text, so
@@ -61,7 +82,18 @@ type facts = { includes : string list; loc : int }
     parsing twice — the "exactly once" stats guarantee holds under
     parallelism.  A cell's [facts] slot is filled after publication, by
     whichever reader first needs it; two domains racing there compute the
-    same pure value and either write wins. *)
+    same pure value and either write wins.
+
+    Retained sources: an entry that a parse given its source publishes
+    ({!memo_source}) keeps that source in [sources], next to its digest,
+    from the moment its marker goes in; a later parse of the same bytes at
+    the same path finds the key by a string comparison instead of a fresh
+    MD5.  A source lives exactly as long as its entry: replacing, seeding,
+    forgetting or clearing the entry, or an aborted parse, drops it.  The
+    MD5 of a new source is taken under the lock, in the same critical
+    section that publishes the entry's marker, so concurrent parses of the
+    same new bytes hash them once and the [phplang.parse_cache.digests]
+    counter does not depend on the pool size. *)
 module Parse_cache = struct
   (* [result] was parsed (or seeded) under nesting limit [limit]; a lookup
      under another limit is a miss. *)
@@ -77,6 +109,9 @@ module Parse_cache = struct
 
   type t = {
     table : (string * string, entry) Hashtbl.t;  (** (path, digest) *)
+    sources : (string, (string * string) list) Hashtbl.t;
+        (** path -> (digest, source) of each entry of the path that keeps
+            its source, newest first *)
     lock : Mutex.t;
     cond : Condition.t;
     hits : int Atomic.t;
@@ -86,6 +121,7 @@ module Parse_cache = struct
   let create () =
     {
       table = Hashtbl.create 256;
+      sources = Hashtbl.create 256;
       lock = Mutex.create ();
       cond = Condition.create ();
       hits = Atomic.make 0;
@@ -107,9 +143,47 @@ module Parse_cache = struct
   let clear t =
     Mutex.lock t.lock;
     Hashtbl.reset t.table;
+    Hashtbl.reset t.sources;
     Mutex.unlock t.lock;
     Atomic.set t.hits 0;
     Atomic.set t.misses 0
+
+  (* [kept], [drop_source], [keep_source] and [find_digest] run under the
+     lock. *)
+
+  let kept t path = Option.value ~default:[] (Hashtbl.find_opt t.sources path)
+
+  (* the key's entry no longer keeps a source *)
+  let drop_source t (path, digest) =
+    match
+      List.filter (fun (d, _) -> not (String.equal d digest)) (kept t path)
+    with
+    | [] -> Hashtbl.remove t.sources path
+    | rest -> Hashtbl.replace t.sources path rest
+
+  (* the key's entry keeps [source] *)
+  let keep_source t ((path, digest) as key) source =
+    drop_source t key;
+    Hashtbl.replace t.sources path ((digest, source) :: kept t path)
+
+  (* the digest of an entry of [path] that keeps [source]'s bytes;
+     [String.equal] answers at once on the same string and compares
+     lengths before bytes *)
+  let find_digest t ~path ~source =
+    Option.map fst
+      (List.find_opt (fun (_, s) -> String.equal s source) (kept t path))
+
+  let known_digest t ~path ~source =
+    Mutex.lock t.lock;
+    let d = find_digest t ~path ~source in
+    Mutex.unlock t.lock;
+    d
+
+  let retained t path =
+    Mutex.lock t.lock;
+    let n = List.length (kept t path) in
+    Mutex.unlock t.lock;
+    n
 
   (* Publish a result computed outside the memo so later [memo] calls for
      the same key hit.  An [In_progress] marker is left alone: the live
@@ -118,7 +192,9 @@ module Parse_cache = struct
     Mutex.lock t.lock;
     (match Hashtbl.find_opt t.table key with
     | Some In_progress -> ()
-    | _ -> Hashtbl.replace t.table key (Done (cell (Parser.nesting_limit ()) v)));
+    | _ ->
+        Hashtbl.replace t.table key (Done (cell (Parser.nesting_limit ()) v));
+        drop_source t key);
     Mutex.unlock t.lock
 
   (* Drop a superseded [Done] entry; a live parse's marker stays, so its
@@ -126,13 +202,18 @@ module Parse_cache = struct
   let forget t key =
     Mutex.lock t.lock;
     (match Hashtbl.find_opt t.table key with
-    | Some (Done _) -> Hashtbl.remove t.table key
+    | Some (Done _) ->
+        Hashtbl.remove t.table key;
+        drop_source t key
     | Some In_progress | None -> ());
     Mutex.unlock t.lock
 
-  let memo_cell t key parse =
+  (* Entered with the lock held, returns with it released: the key's cell,
+     parsed on a miss (outside the lock, behind an [In_progress] marker).
+     The new entry keeps [source], when given, which is what [parse]
+     parses. *)
+  let locked_cell ?source t key parse =
     let limit = Parser.nesting_limit () in
-    Mutex.lock t.lock;
     let rec await () =
       match Hashtbl.find_opt t.table key with
       | Some (Done c) when c.limit = limit ->
@@ -145,6 +226,9 @@ module Parse_cache = struct
           await ()
       | Some (Done _) | None -> (
           Hashtbl.replace t.table key In_progress;
+          (match source with
+          | Some src -> keep_source t key src
+          | None -> drop_source t key);
           Mutex.unlock t.lock;
           match parse () with
           | v ->
@@ -165,6 +249,7 @@ module Parse_cache = struct
               let bt = Printexc.get_raw_backtrace () in
               Mutex.lock t.lock;
               Hashtbl.remove t.table key;
+              drop_source t key;
               Condition.broadcast t.cond;
               Mutex.unlock t.lock;
               Obs.incr "phplang.parse_cache.aborted";
@@ -172,15 +257,33 @@ module Parse_cache = struct
     in
     await ()
 
-  let memo t key parse = (memo_cell t key parse).result
+  let memo t key parse =
+    Mutex.lock t.lock;
+    (locked_cell t key parse).result
+
+  (* The cell of [source] at [path], keyed by a retained source's digest
+     or else by a fresh MD5; [parse] gets the digest. *)
+  let memo_source t ~path ~source parse =
+    Mutex.lock t.lock;
+    let digest =
+      match find_digest t ~path ~source with
+      | Some d -> d
+      | None -> source_digest source
+    in
+    locked_cell ~source t (path, digest) (fun () -> parse digest)
 end
 
 (* The disk-tier ({!Store}) key of a parse artifact: it depends on the
-   path (recorded in positions), the source bytes and the parser nesting
-   fuel ([--budget-parse-depth]); nothing else reaches the front end. *)
-let parse_store_key ~path ~source =
+   path (recorded in positions), the source bytes (through [digest], their
+   raw MD5) and the parser nesting fuel ([--budget-parse-depth]); nothing
+   else reaches the front end. *)
+let parse_store_key ~path ~digest =
   Digest.combine
-    [ path; Digest.hex source; string_of_int (Parser.nesting_limit ()) ]
+    [
+      path;
+      Stdlib.Digest.to_hex digest;
+      string_of_int (Parser.nesting_limit ());
+    ]
 
 (* One parse of [f], every front-end failure mapped to a {!parse_error}:
    lexer errors, parse errors and nesting-budget exhaustion.  Only
@@ -193,9 +296,6 @@ let parse_result (f : file) : (Ast.program, parse_error) result =
   | exception Lexer.Error (msg, line) ->
       Error (Syntax (Printf.sprintf "lexical error on line %d: %s" line msg))
   | exception Parser.Depth_exceeded (msg, _) -> Error (Over_budget msg)
-
-(* The in-memory memo's key of a file's parse. *)
-let memo_key ~path ~source = (path, Digest.string source)
 
 (** One file's parse as the memo holds it: the cell carries the facts
     slot, the file is what fills it. *)
@@ -210,10 +310,10 @@ let parse ?(cache = Parse_cache.shared) (f : file) : parsed =
      inside the in-memory memo's miss path, so the exactly-once-per-process
      guarantee is untouched — a disk hit simply replaces the parse work by
      an unmarshal. *)
-  let parse_via_store () =
+  let parse_via_store digest =
     if not (Store.enabled ()) then parse_result f
     else begin
-      let key = parse_store_key ~path:f.path ~source:f.source in
+      let key = parse_store_key ~path:f.path ~digest:(Lazy.force digest) in
       match Store.get ~ns:"parse" ~key with
       | Some v -> v
       | None ->
@@ -224,10 +324,11 @@ let parse ?(cache = Parse_cache.shared) (f : file) : parsed =
   in
   let cell =
     if not (Parse_cache.enabled ()) then
-      Parse_cache.cell (Parser.nesting_limit ()) (parse_via_store ())
+      Parse_cache.cell (Parser.nesting_limit ())
+        (parse_via_store (lazy (source_digest f.source)))
     else
-      Parse_cache.memo_cell cache (memo_key ~path:f.path ~source:f.source)
-        parse_via_store
+      Parse_cache.memo_source cache ~path:f.path ~source:f.source (fun digest ->
+          parse_via_store (Lazy.from_val digest))
   in
   { file = f; cell }
 
@@ -240,13 +341,12 @@ let facts p =
   | Some x -> x
   | None ->
       Obs.incr "phplang.parse_cache.facts";
-      let x =
-        {
-          includes =
-            (match result p with Ok prog -> include_targets prog | Error _ -> []);
-          loc = Loc.count p.file.source;
-        }
+      let includes, defs =
+        match result p with
+        | Ok prog -> (include_targets prog, definitions prog)
+        | Error _ -> ([], [])
       in
+      let x = { includes; loc = Loc.count p.file.source; defs } in
       Atomic.set p.cell.Parse_cache.facts (Some x);
       x
 
@@ -303,8 +403,9 @@ let include_closure ?(max_depth = max_int) ?(max_files = max_int) ~targets t
 (** An edit session is each path's last source.  An update is one
     streaming parse through {!Parse_cache.shared}, under {!parse_file}'s
     key and nesting-limit check, so the analyzers downstream hit the memo;
-    the parse of the source it replaces is evicted.  The disk {!Store} is
-    skipped: in this process the memo always answers before it. *)
+    the parse of the source it replaces is evicted, found through that
+    source's retained bytes rather than a second MD5.  The disk {!Store}
+    is skipped: in this process the memo always answers before it. *)
 module Increment = struct
   type session = (string, string) Hashtbl.t
 
@@ -315,11 +416,17 @@ module Increment = struct
     let result =
       if not (Parse_cache.enabled ()) then parse ()
       else begin
+        let cache = Parse_cache.shared in
         (match Hashtbl.find_opt session path with
         | Some old when not (String.equal old source) ->
-            Parse_cache.forget Parse_cache.shared (memo_key ~path ~source:old)
+            (* the replaced source's entry is found by its retained bytes;
+               without them it is gone already, or was seeded over *)
+            Option.iter
+              (fun digest -> Parse_cache.forget cache (path, digest))
+              (Parse_cache.known_digest cache ~path ~source:old)
         | _ -> ());
-        Parse_cache.memo Parse_cache.shared (memo_key ~path ~source) parse
+        (Parse_cache.memo_source cache ~path ~source (fun _ -> parse ()))
+          .Parse_cache.result
       end
     in
     Hashtbl.replace session path source;

@@ -24,13 +24,19 @@ type parse_error =
 
 val parse_error_message : parse_error -> string
 
-(** What phpSAFE's include-closure memory budget (paper §V.E) reads of one
-    file.  Both fields depend only on the file's path and source, so they
-    are computed once per parse-memo entry (see {!facts}). *)
+(** What phpSAFE's include-closure memory budget (paper §V.E) and its
+    hoisting (§III.B) read of one file.  Every field depends only on the
+    file's path and source, so they are computed once per parse-memo entry
+    (see {!facts}). *)
 type facts = {
   includes : string list;
       (** {!include_targets} of the parse; [[]] for a failed parse *)
   loc : int;  (** {!Loc.count} of the source *)
+  defs : Ast.stmt list;
+      (** the parse's [FuncDef] and [ClassDef] statements in pre-order,
+          from any statement nesting (function, method and class bodies,
+          branches) but not from closure bodies; [[]] for a failed
+          parse *)
 }
 
 (** Content-keyed parse memoization shared by analyzers and domains:
@@ -45,7 +51,16 @@ type facts = {
     An entry also carries its file's {!facts}, empty until the first
     {!Project.facts} call on a {!Project.parse} that reaches it fills them;
     they are dropped with the entry ({!forget}, {!clear}, or a re-parse
-    under another nesting limit). *)
+    under another nesting limit).
+
+    An entry that {!Project.parse} or {!Increment.update} publishes also
+    keeps the source it was parsed from, so a later parse of the same
+    bytes at the same path (the same string, or an equal one) reuses its
+    digest instead of computing an MD5.  The source goes with the entry:
+    on {!forget}, {!clear}, a {!seed} over it, or a re-parse.  A seeded
+    entry (or one published by {!memo}) keeps none and is found through
+    the digest.  Concurrent parses of the same new bytes compute its MD5
+    once. *)
 module Parse_cache : sig
   type t
 
@@ -77,8 +92,12 @@ module Parse_cache : sig
       layers and then publishes the result. *)
 
   val forget : t -> string * string -> unit
-  (** Drop the key's cached result and facts.  A key currently being
-      parsed is left alone. *)
+  (** Drop the key's cached result, facts and source.  A key currently
+      being parsed is left alone. *)
+
+  val retained : t -> string -> int
+  (** How many sources the cache keeps for a path: one per entry of the
+      path that keeps its source. *)
 
   val set_enabled : bool -> unit
   (** Globally enable/disable memoization ([true] initially).  Flip only
@@ -103,7 +122,10 @@ type parsed
 val parse : ?cache:Parse_cache.t -> file -> parsed
 (** Parse one project file, memoized in [cache] (default
     {!Parse_cache.shared}) unless the cache is disabled: one memo lookup
-    (one digest of the source) answers both {!result} and {!facts}. *)
+    answers both {!result} and {!facts}.  The key's digest is a retained
+    source's when the memo keeps the file's bytes for its path, else one
+    MD5 of the source; each MD5 a parse key computes
+    (memo or {!Store}) bumps the [phplang.parse_cache.digests] counter. *)
 
 val result : parsed -> (Ast.program, parse_error) result
 (** [Error _] is a structured parse failure (lexical/syntax error or
@@ -159,8 +181,9 @@ val include_closure :
     through {!Parse_cache.shared}, under {!parse_file}'s key and
     nesting-limit check, so downstream analyzers hit the memo
     transparently; the memo entry of the source an update replaces is
-    dropped ({!Parse_cache.forget}), so a long session holds one parse
-    per path.  The disk {!Store} is neither read nor written, since the
+    dropped ({!Parse_cache.forget}, found through its retained source
+    without hashing it again), so a long session holds one parse and one
+    retained source per path, and an update computes at most one MD5.  The disk {!Store} is neither read nor written, since the
     memo answers first.  With the memo disabled, an update parses
     directly. *)
 module Increment : sig

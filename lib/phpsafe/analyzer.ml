@@ -1200,11 +1200,11 @@ let register_func ctx ~file key fi_func fi_class =
     Hashtbl.replace ctx.funcs key
       { fi_key = key; fi_func; fi_class; fi_file = file }
 
-(* Functions, classes and methods are hoisted from any nesting, class
-   bodies included, but not from closure bodies (expressions are not
-   entered); the first definition of a name wins. *)
-let rec register_stmt ctx ~file (s : Phplang.Ast.stmt) =
-  (match s.Phplang.Ast.s with
+(* Register one of a file's definitions ({!Phplang.Project.facts}'s
+   [defs]: functions and classes from any nesting, class bodies included,
+   but not from closure bodies); the first definition of a name wins. *)
+let register_def ctx ~file (s : Phplang.Ast.stmt) =
+  match s.Phplang.Ast.s with
   | Phplang.Ast.FuncDef f ->
       register_func ctx ~file (lc f.Phplang.Ast.f_name) f None
   | Phplang.Ast.ClassDef cls ->
@@ -1217,8 +1217,7 @@ let rec register_stmt ctx ~file (s : Phplang.Ast.stmt) =
           register_func ctx ~file (method_key name f.Phplang.Ast.f_name) f
             (Some name))
         cls.Phplang.Ast.c_methods
-  | _ -> ());
-  Phplang.Ast.iter_stmt ~expr:ignore ~stmt:(register_stmt ctx ~file) s
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Project driver                                                     *)
@@ -1336,10 +1335,13 @@ let analyze_project_internal ?(opts = default_options)
     let analyzable =
       List.filter (fun p -> not (Hashtbl.mem failed_mem p)) parse_ok
     in
-    (* registry (hoisting): functions and classes from analyzable files *)
+    (* registry (hoisting): functions and classes from analyzable files,
+       in file order, from the definitions the memo keeps per parse *)
     List.iter
       (fun path ->
-        List.iter (register_stmt ctx ~file:path) (Hashtbl.find ctx.parsed path))
+        List.iter (register_def ctx ~file:path)
+          (Phplang.Project.facts (Hashtbl.find ok_entry path))
+            .Phplang.Project.defs)
       analyzable;
     analyzable
   in

@@ -109,9 +109,11 @@ let rec lin_expr l (e : A.expr) =
       lin_expr l rhs;
       match base_var_of_lval lhs with
       | Some v ->
-          let concatish = op = A.Concat in
-          if concatish then push l (Ev_assign (v, rhs, true, e.A.epos))
-          else push l (Ev_assign (v, rhs, false, e.A.epos))
+          (* [.=] appends to the old value; any other operator defines the
+             variable as the whole expression, which {!resolve} finds
+             clean, as it finds [$a + $b] *)
+          if op = A.Concat then push l (Ev_assign (v, rhs, true, e.A.epos))
+          else push l (Ev_assign (v, e, false, e.A.epos))
       | None -> ())
   | A.ListAssign (slots, rhs) ->
       lin_expr l rhs;

@@ -487,6 +487,131 @@ let retention =
         Alcotest.failf "session holds %d words; its sources and results %d"
           held handed_out)
 
+(* ------------------------------------------------------------------ *)
+(* Digest reuse: a known source is looked up without an MD5           *)
+(* ------------------------------------------------------------------ *)
+
+let digests () = Obs.counter "phplang.parse_cache.digests"
+
+(* the digests [f] computes *)
+let digests_of f =
+  let d0 = digests () in
+  let v = f () in
+  (v, digests () - d0)
+
+let fresh_copy s = Bytes.to_string (Bytes.of_string s)
+
+let digest_cases =
+  let case name f = Alcotest.test_case name `Quick f in
+  let src tag = three_defs (Printf.sprintf "return $b . '%s';" tag) in
+  [
+    case "an equal but distinct source hits with no new digest" (fun () ->
+        let cache = Project.Parse_cache.create () and path = "equal.php" in
+        let source = src "equal" in
+        let copy = fresh_copy source in
+        Alcotest.(check bool) "distinct strings" false (source == copy);
+        let first, n0 =
+          digests_of (fun () -> Project.parse_file ~cache { Project.path; source })
+        in
+        Alcotest.(check int) "the first parse hashes" 1 n0;
+        let again, n1 =
+          digests_of (fun () ->
+              Project.parse_file ~cache { Project.path; source = copy })
+        in
+        Alcotest.(check int) "no new digest" 0 n1;
+        Alcotest.(check int) "one parse" 1 (Project.Parse_cache.misses cache);
+        Alcotest.(check int) "one hit" 1 (Project.Parse_cache.hits cache);
+        Alcotest.(check string) "same result" (result_fingerprint first)
+          (result_fingerprint again);
+        (* same length, other bytes: a new key *)
+        let other = src "lauqe" in
+        Alcotest.(check int) "same length" (String.length source)
+          (String.length other);
+        let r, n2 =
+          digests_of (fun () ->
+              Project.parse_file ~cache { Project.path; source = other })
+        in
+        Alcotest.(check int) "other bytes are hashed" 1 n2;
+        Alcotest.(check string) "other bytes' result"
+          (result_fingerprint (full_result ~path other))
+          (result_fingerprint r));
+    case "an A -> B -> A session answers the current bytes" (fun () ->
+        let session = Project.Increment.create () and path = "aba.php" in
+        let a = src "a" and b = src "b" in
+        List.iter
+          (fun source ->
+            let r, n =
+              digests_of (fun () -> Project.Increment.update session ~path ~source)
+            in
+            Alcotest.(check string)
+              "update = cold parse"
+              (result_fingerprint (full_result ~path source))
+              (result_fingerprint r);
+            Alcotest.(check int) "one digest, for the new source" 1 n)
+          [ a; b; fresh_copy a ];
+        let _, n =
+          digests_of (fun () ->
+              Project.Increment.update session ~path ~source:(fresh_copy a))
+        in
+        Alcotest.(check int) "an unchanged update hashes nothing" 0 n;
+        Alcotest.(check int) "one retained source" 1
+          (Project.Parse_cache.retained Project.Parse_cache.shared path);
+        Project.Parse_cache.forget Project.Parse_cache.shared
+          (path, Digest.string a));
+    case "forget and clear drop the retained source" (fun () ->
+        let cache = Project.Parse_cache.create () and path = "drop.php" in
+        let source = src "drop" in
+        let parse () =
+          snd
+            (digests_of (fun () ->
+                 ignore (Project.parse_file ~cache { Project.path; source })))
+        in
+        Alcotest.(check int) "first parse" 1 (parse ());
+        Alcotest.(check int) "kept" 0 (parse ());
+        Project.Parse_cache.forget cache (path, Digest.string source);
+        Alcotest.(check int) "forgotten" 0 (Project.Parse_cache.retained cache path);
+        Alcotest.(check int) "after forget" 1 (parse ());
+        Alcotest.(check int) "kept again" 1 (Project.Parse_cache.retained cache path);
+        Project.Parse_cache.clear cache;
+        Alcotest.(check int) "cleared" 0 (Project.Parse_cache.retained cache path);
+        Alcotest.(check int) "after clear" 1 (parse ()));
+    case "a seeded entry still hits, through its digest" (fun () ->
+        let cache = Project.Parse_cache.create () and path = "seeded.php" in
+        let source = src "seeded" in
+        Project.Parse_cache.seed cache (path, Digest.string source)
+          (full_result ~path source);
+        let parse () =
+          digests_of (fun () -> Project.parse_file ~cache { Project.path; source })
+        in
+        let r, n = parse () in
+        let _, n' = parse () in
+        Alcotest.(check (pair int int)) "a digest per parse" (1, 1) (n, n');
+        Alcotest.(check int) "no parse" 0 (Project.Parse_cache.misses cache);
+        Alcotest.(check int) "two hits" 2 (Project.Parse_cache.hits cache);
+        Alcotest.(check int) "no retained source" 0
+          (Project.Parse_cache.retained cache path);
+        Alcotest.(check string) "the seeded result"
+          (result_fingerprint (full_result ~path source))
+          (result_fingerprint r));
+    case "a 200-edit storm keeps one retained source for its path" (fun () ->
+        let session = Project.Increment.create () and path = "storm-kept.php" in
+        let last = ref "" in
+        for step = 1 to 200 do
+          let source = src (string_of_int step) in
+          let _, n =
+            digests_of (fun () -> Project.Increment.update session ~path ~source)
+          in
+          if n > 1 then Alcotest.failf "step %d computed %d digests" step n;
+          let kept = Project.Parse_cache.retained Project.Parse_cache.shared path in
+          if kept > 1 then Alcotest.failf "step %d keeps %d sources" step kept;
+          last := source
+        done;
+        Alcotest.(check int) "one at the end" 1
+          (Project.Parse_cache.retained Project.Parse_cache.shared path);
+        Project.Parse_cache.forget Project.Parse_cache.shared
+          (path, Digest.string !last));
+  ]
+
 let () =
   Alcotest.run "increment"
     [
@@ -498,4 +623,5 @@ let () =
       ("memo", [ evicts_superseded; first_update_counted; retention ]);
       ("session", [ forget_case ]);
       ("storm", [ storm; valid_storm ]);
+      ("digest reuse", digest_cases);
     ]

@@ -299,6 +299,8 @@ let agreement_cases =
     row "sink inside a called function"
       "function show($m) {\necho $m;\n}\nshow($_COOKIE['c']);" [ "XSS@2" ];
     row "overwrite with a literal" "$a = $_GET['x'];\n$a = 'safe';\necho $a;" [];
+    row "non-concat compound assignment" "$a = 1;\n$a += $_GET['x'];\necho $a;"
+      [];
     row "one function called with different taint kinds"
       "function f($a) { return $a; }\n$y = addslashes($_GET['b']);\n\
        $z = $_GET['c'];\necho f($y);\nmysql_query(f($z));"

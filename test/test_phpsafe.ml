@@ -837,6 +837,25 @@ let facts_cases =
           (verdicts warm);
         Alcotest.(check string) "same report" (Report.to_json cold)
           (Report.to_json warm));
+    case "a warm re-analysis computes no digest" (fun () ->
+        let p = facts_project "digest" in
+        let digests () = Obs.counter "phplang.parse_cache.digests" in
+        let d0 = digests () in
+        let cold = analyze_tight p in
+        Alcotest.(check int) "one per file" 3 (digests () - d0);
+        (* the sources of a re-sent project are equal, not the same *)
+        let resent =
+          Phplang.Project.make ~name:"facts"
+            (List.map
+               (fun (f : Phplang.Project.file) ->
+                 php f.Phplang.Project.path
+                   (Bytes.to_string (Bytes.of_string f.Phplang.Project.source)))
+               p.Phplang.Project.files)
+        in
+        let warm = analyze_tight resent in
+        Alcotest.(check int) "none on the warm run" 3 (digests () - d0);
+        Alcotest.(check string) "same report" (Report.to_json cold)
+          (Report.to_json warm));
     case "with the memo off, facts are computed per run" (fun () ->
         let p = facts_project "off" in
         let set = Phplang.Project.Parse_cache.set_enabled in
@@ -908,6 +927,55 @@ let facts_cases =
           parallel);
   ]
 
+(* Model construction (§III.B) hoists functions, classes and methods from
+   any statement nesting, but not from closure bodies, and the first
+   definition of a name in analyzable-file order wins.  The uncalled-
+   function pass walks that same registry. *)
+let hoist_findings p =
+  (Phpsafe.analyze_project p).Report.findings
+  |> List.map (fun (f : Report.finding) ->
+         Printf.sprintf "%s@%s:%d"
+           (Vuln.kind_to_string f.Report.kind)
+           f.Report.sink_pos.Phplang.Ast.file f.Report.sink_pos.Phplang.Ast.line)
+  |> List.sort compare
+
+let hoisting_cases =
+  let first_wins name files expected =
+    Alcotest.test_case name `Quick (fun () ->
+        Alcotest.(check (list string)) name expected
+          (hoist_findings (Phplang.Project.make ~name:"hoist" files)))
+  in
+  let echo_def = php "echo_def.php" "<?php\nfunction first($v) {\n  echo $v;\n}\n"
+  and calls_def =
+    php "calls_def.php"
+      "<?php\nfunction first($v) {\n  return 1;\n}\nfirst($_GET['x']);\n"
+  in
+  List.concat
+    [ expect_both "a function defined inside an if branch is hoisted"
+        "branch($_GET['x']);\nif ($c) {\n  function branch($v) {\n    echo $v;\n  }\n}"
+        [ "XSS@4" ];
+      expect_both "a function defined inside a method is hoisted"
+        "class Outer {\n  function m() {\n    function inner($v) {\n      echo $v;\n    }\n  }\n}\ninner($_GET['x']);"
+        [ "XSS@4" ];
+      expect_both "a function defined inside a closure body is not hoisted"
+        "$g = function () {\n  function hidden($v) {\n    echo $v;\n  }\n};\nhidden($_GET['x']);"
+        [];
+      [ first_wins "the earlier file's definition wins" [ echo_def; calls_def ]
+          [ "XSS@echo_def.php:3" ];
+        first_wins "the earlier file's definition wins (reversed)"
+          [ calls_def; echo_def ] [] ];
+      expect_both "the uncalled-function pass sees the hoisted registry"
+        "if ($c) {\n  function uncalled_u() {\n    echo $_GET['a'];\n  }\n}\n\
+         function outer_k() {\n  class K {\n    function m() {\n      echo $_GET['b'];\n    }\n  }\n}\n\
+         $g = function () {\n  function uncalled_hid() {\n    echo $_GET['c'];\n  }\n};"
+        [ "XSS@3"; "XSS@9" ];
+      [ expect_with
+          { Phpsafe.default_options with Phpsafe.analyze_uncalled = false }
+          "without the uncalled-function pass none of them is walked"
+          "if ($c) {\n  function uncalled_u2() {\n    echo $_GET['a'];\n  }\n}\n\
+           function outer_k2() {\n  class K2 {\n    function m() {\n      echo $_GET['b'];\n    }\n  }\n}"
+          [] ] ]
+
 let () =
   Alcotest.run "phpsafe"
     [ ("data flow (§III.C)", flow_cases);
@@ -917,6 +985,7 @@ let () =
       ("fixpoint pass budget (--flow)", flow_budget_cases);
       ("include budget verdicts", budget_edge_cases);
       ("per-file facts in the parse memo", facts_cases);
+      ("hoisting (§III.B)", hoisting_cases);
       ("sanitizers and reverts (§III.A)", sanitizer_cases);
       ("inter-procedural and summaries", interproc_cases);
       ("OOP support (§III.E)", oop_cases);

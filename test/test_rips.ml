@@ -25,6 +25,10 @@ let backward_cases =
       "$a = 'safe';\n$a = $_GET['x'];\necho $a;" [ "XSS@3" ];
     expect "concat-assign joins older defs"
       "$a = $_GET['x'];\n$a .= 'tail';\necho $a;" [ "XSS@3" ];
+    expect "a non-concat compound assignment is clean, like $a + $b"
+      "$a = 1;\n$a += $_GET['x'];\necho $a;\n$b = $a + $_GET['y'];\necho $b;" [];
+    expect "a non-concat compound assignment overwrites an older taint"
+      "$a = $_GET['x'];\n$a *= 2;\necho $a;" [];
     expect "foreach binding resolves to subject"
       "$xs = array($_POST['x']);\nforeach ($xs as $v) {\necho $v;\n}" [ "XSS@3" ];
     expect "unset stops the walk" "$a = $_GET['x'];\nunset($a);\necho $a;" [];
