@@ -152,20 +152,6 @@ let sink_check_kinds a kind =
       [ Vuln.Sqli; Vuln.Second_order_sqli ]
   | k -> [ k ]
 
-(** Pseudo-sink name prefix for DB-write conditional sinks: firing one
-    records a second-order write key instead of reporting a finding. *)
-let so_write_prefix = "dbwrite:"
-
-let is_so_write_sink (cs : Summary.cond_sink) =
-  String.length cs.Summary.cs_sink_name >= String.length so_write_prefix
-  && String.equal
-       (String.sub cs.Summary.cs_sink_name 0 (String.length so_write_prefix))
-       so_write_prefix
-
-let so_write_key (cs : Summary.cond_sink) =
-  String.sub cs.Summary.cs_sink_name (String.length so_write_prefix)
-    (String.length cs.Summary.cs_sink_name - String.length so_write_prefix)
-
 let record_so_write (c : ctx) key = c.so_writes <- S.add key c.so_writes
 
 let record_exhausted (c : ctx) file = c.exhausted <- S.add file c.exhausted
@@ -204,27 +190,18 @@ let report a ?context ~kind ~pos ~sink_name ~var (taint : Taint.t) =
     end
   end
 
-(** Check one value arriving at a sink.  Live taint is reported; symbolic
-    parameter dependencies become conditional sinks of the enclosing
-    summary. *)
-let check_sink a ~kind ~pos ~sink_name ~var (taint : Taint.t) =
-  List.iter
-    (fun kind ->
-      if Taint.is_tainted kind taint then
-        report a ~kind ~pos ~sink_name ~var taint
-      else
-        match a.frame with
-        | Some frame ->
-            Taint.Int_set.iter
-              (fun i ->
-                frame.fr_csinks <-
-                  { Summary.cs_param = i; cs_kind = kind;
-                    cs_sink_name = sink_name; cs_pos = pos; cs_var = var;
-                    cs_context = None; cs_sans = Taint.no_sans }
-                  :: frame.fr_csinks)
-              (Taint.deps kind taint)
-        | None -> ())
-    (sink_check_kinds a kind)
+(** Register conditional sinks on the summary being built: one copy of
+    [cs] per parameter in [params], each with that parameter as its
+    [cs_param].  Outside a function body there is no summary to extend. *)
+let register_cond_sinks a params (cs : Summary.cond_sink) =
+  match a.frame with
+  | Some frame ->
+      Taint.Int_set.iter
+        (fun i ->
+          frame.fr_csinks <-
+            { cs with Summary.cs_param = i } :: frame.fr_csinks)
+        params
+  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Context inference (--contexts, §VI future work)                    *)
@@ -254,11 +231,18 @@ let infer_context kind prefix =
   | Vuln.Path_traversal -> Context.File_path
   | Vuln.Ssrf -> Context.Url_remote
 
-(** Did the value pass through a sanitizer adequate for context [ctxt]? *)
-let adequately_sanitized ix kind ctxt (taint : Taint.t) =
-  Taint.San_set.exists
-    (fun name -> Config.adequate ix ~name ctxt)
-    (Taint.applied kind taint)
+(** The sink verdict, shared by a direct sink and a fired conditional
+    sink: a tainted value is reported unless it passed through a sanitizer
+    adequate for its output context.  The published mode infers no
+    context, so there every tainted value is reported. *)
+let reportable ix kind context (taint : Taint.t) =
+  match context with
+  | None -> true
+  | Some ctxt ->
+      not
+        (Taint.San_set.exists
+           (fun name -> Config.adequate ix ~name ctxt)
+           (Taint.applied kind taint))
 
 (* ------------------------------------------------------------------ *)
 (* Sink applicability and second-order DB endpoints                   *)
@@ -306,8 +290,8 @@ let db_key (rw : Config.db_rw_entry) (args : Phplang.Ast.expr list) =
 
 (** DB-write endpoint ([$wpdb->insert], [update_option], …): when the
     stored value is SQL-tainted, record the write key; when it merely
-    depends on an enclosing parameter, register a [dbwrite:] pseudo
-    conditional sink so the record still happens through summaries. *)
+    depends on an enclosing parameter, register a [Db_write] conditional
+    sink so the record still happens through summaries. *)
 let check_db_write a ~pos ~is_method name args arg_ts =
   match a.c.opts.so_mode with
   | So_off -> ()
@@ -324,18 +308,12 @@ let check_db_write a ~pos ~is_method name args arg_ts =
           let joined = Taint.join_all vals in
           if Taint.is_tainted Vuln.Sqli joined then record_so_write a.c key
           else
-            match a.frame with
-            | Some frame ->
-                Taint.Int_set.iter
-                  (fun i ->
-                    frame.fr_csinks <-
-                      { Summary.cs_param = i; cs_kind = Vuln.Sqli;
-                        cs_sink_name = so_write_prefix ^ key; cs_pos = pos;
-                        cs_var = name; cs_context = None;
-                        cs_sans = Taint.no_sans }
-                      :: frame.fr_csinks)
-                  (Taint.deps Vuln.Sqli joined)
-            | None -> ()))
+            let deps = Taint.deps Vuln.Sqli joined in
+            if not (Taint.Int_set.is_empty deps) then
+              register_cond_sinks a deps
+                { Summary.cs_param = 0; cs_kind = Vuln.Sqli;
+                  cs_target = Summary.Db_write key; cs_pos = pos; cs_var = name;
+                  cs_context = None; cs_sans = Taint.no_sans }))
 
 (** DB-read endpoint in the replay phase: second-order taint flows out of
     the call when a matching write key was recorded by the record phase.
@@ -375,7 +353,7 @@ let method_key cls m = lc cls ^ "::" ^ lc m
 let cond_sink_same (a : Summary.cond_sink) (b : Summary.cond_sink) =
   a.Summary.cs_param = b.Summary.cs_param
   && a.Summary.cs_kind = b.Summary.cs_kind
-  && String.equal a.Summary.cs_sink_name b.Summary.cs_sink_name
+  && a.Summary.cs_target = b.Summary.cs_target
   && a.Summary.cs_pos = b.Summary.cs_pos
   && String.equal a.Summary.cs_var b.Summary.cs_var
   && a.Summary.cs_context = b.Summary.cs_context
@@ -529,24 +507,11 @@ let rec eval a (e : Phplang.Ast.expr) : Taint.t =
       ignore (eval a x);
       Taint.untainted
   | Phplang.Ast.PrintE x ->
-      if ctx_on a then
-        ignore (check_sink_ctx a ~pos ~targets:[ (Vuln.Xss, "print") ] x)
-      else begin
-        let t = eval a x in
-        check_sink a ~kind:Vuln.Xss ~pos ~sink_name:"print"
-          ~var:(Phplang.Ast.name_of_expr x) t
-      end;
+      ignore (check_sink a ~pos ~targets:[ (Vuln.Xss, "print") ] x);
       Taint.untainted
   | Phplang.Ast.Exit arg ->
       Option.iter
-        (fun x ->
-          if ctx_on a then
-            ignore (check_sink_ctx a ~pos ~targets:[ (Vuln.Xss, "exit") ] x)
-          else begin
-            let t = eval a x in
-            check_sink a ~kind:Vuln.Xss ~pos ~sink_name:"exit"
-              ~var:(Phplang.Ast.name_of_expr x) t
-          end)
+        (fun x -> ignore (check_sink a ~pos ~targets:[ (Vuln.Xss, "exit") ] x))
         arg;
       Taint.untainted
   | Phplang.Ast.IncludeE (_, arg) ->
@@ -571,60 +536,79 @@ let rec eval a (e : Phplang.Ast.expr) : Taint.t =
           Taint.untainted
       | None -> Taint.untainted)
 
-(* Context-mode sink check: evaluate the sink argument piecewise (each
-   dynamic hole exactly once — [Strshape.pieces] only decomposes
-   side-effect-free literal structure), infer each hole's output context
-   from the constant prefix, and report a tainted hole only when none of
-   its applied sanitizers is adequate for that context.  Parameter-
-   dependent holes register conditional sinks carrying the context and the
-   sanitizer delta.  Returns the joined taint of the whole argument, so
-   callers use this INSTEAD of [eval] on the sink argument. *)
-and check_sink_ctx a ~pos ~targets (e : Phplang.Ast.expr) : Taint.t =
+(* The sink check every sink site calls: evaluate argument [e] hole by
+   hole and check each hole against every (kind, sink name) target, left
+   to right.  Under --contexts the holes are [Strshape.pieces] (each
+   dynamic hole evaluated exactly once — [pieces] only decomposes
+   side-effect-free literal structure), each with the output context
+   inferred from the constant text before it; in the published mode the
+   whole argument is one hole with no context.  A tainted hole is reported
+   when {!reportable} says so; a parameter-dependent one registers
+   conditional sinks carrying its context and sanitizer set.  Returns the
+   joined taint of the whole argument, so callers use this INSTEAD of
+   [eval] on the sink argument. *)
+and check_sink a ~pos ~targets (e : Phplang.Ast.expr) : Taint.t =
   let targets =
     List.concat_map
       (fun (kind, sink_name) ->
         List.map (fun k -> (k, sink_name)) (sink_check_kinds a kind))
       targets
   in
-  let prefix = Buffer.create 64 in
-  let acc = ref Taint.untainted in
-  List.iter
-    (function
-      | Phplang.Strshape.Lit s -> Buffer.add_string prefix s
-      | Phplang.Strshape.Dyn sub ->
-          let t = eval a sub in
-          let var = Phplang.Ast.name_of_expr sub in
-          (* inferred only for a hole that can report or register a
-             conditional sink; [infer_context] is pure *)
-          let context kind = infer_context kind (Buffer.contents prefix) in
-          List.iter
-            (fun (kind, sink_name) ->
-              if Taint.is_tainted kind t then begin
-                let ctxt = context kind in
-                if not (adequately_sanitized a.c.ix kind ctxt t) then
-                  report a ~context:ctxt ~kind ~pos ~sink_name ~var t
-              end
-              else
-                match a.frame with
-                | Some frame ->
-                    let deps = Taint.deps kind t in
-                    if not (Taint.Int_set.is_empty deps) then begin
-                      let ctxt = context kind in
-                      Taint.Int_set.iter
-                        (fun i ->
-                          frame.fr_csinks <-
-                            { Summary.cs_param = i; cs_kind = kind;
-                              cs_sink_name = sink_name; cs_pos = pos;
-                              cs_var = var; cs_context = Some ctxt;
-                              cs_sans = t.Taint.sans }
-                            :: frame.fr_csinks)
-                        deps
-                    end
-                | None -> ())
-            targets;
-          acc := Taint.join !acc t)
-    (Phplang.Strshape.pieces e);
-  !acc
+  let holes =
+    if ctx_on a then Phplang.Strshape.pieces e else [ Phplang.Strshape.Dyn e ]
+  in
+  (* [lits]: the constant text before the current hole, latest first *)
+  let _, t =
+    List.fold_left
+      (fun (lits, acc) -> function
+        | Phplang.Strshape.Lit s -> (s :: lits, acc)
+        | Phplang.Strshape.Dyn sub ->
+            let t = eval a sub in
+            let var = Phplang.Ast.name_of_expr sub in
+            (* inferred only for a hole that can report or register a
+               conditional sink; [infer_context] is pure *)
+            let context kind =
+              if ctx_on a then
+                Some (infer_context kind (String.concat "" (List.rev lits)))
+              else None
+            in
+            List.iter
+              (fun (kind, sink_name) ->
+                if Taint.is_tainted kind t then begin
+                  let context = context kind in
+                  if reportable a.c.ix kind context t then
+                    report a ?context ~kind ~pos ~sink_name ~var t
+                end
+                else
+                  let deps = Taint.deps kind t in
+                  if not (Taint.Int_set.is_empty deps) then
+                    register_cond_sinks a deps
+                      { Summary.cs_param = 0; cs_kind = kind;
+                        cs_target = Summary.Report sink_name; cs_pos = pos;
+                        cs_var = var; cs_context = context kind;
+                        cs_sans = t.Taint.sans })
+              targets;
+            (lits, Taint.join acc t))
+      ([], Taint.untainted) holes
+  in
+  t
+
+(* One call argument: checked against the entries of [sinks] that apply to
+   it, or plainly evaluated when none does. *)
+and eval_sink_arg a ~pos ~sink_name sinks ~args (e : Phplang.Ast.expr) =
+  match sinks with
+  | [] -> eval a e
+  | _ -> (
+      match
+        List.filter_map
+          (fun (snk : Config.sink_entry) ->
+            if sink_applies snk ~args ~arg:e then
+              Some (snk.Config.snk_kind, sink_name)
+            else None)
+          sinks
+      with
+      | [] -> eval a e
+      | targets -> check_sink a ~pos ~targets e)
 
 and propagate_class_binding a lhs rhs =
   match (lhs.Phplang.Ast.e, rhs.Phplang.Ast.e) with
@@ -673,41 +657,11 @@ and assign_lval_join a (lhs : Phplang.Ast.expr) taint =
 
 and eval_call a ~pos fname args =
   let ix = a.c.ix in
-  let sinks = Config.find_sinks ix fname in
-  (* 1. sink roles.  In context mode the sink arguments are evaluated
-     piecewise by [check_sink_ctx] (still exactly once each) so that every
-     hole gets its inferred output context. *)
+  (* 1. sink roles: each argument evaluated, then checked *)
   let arg_ts =
-    if ctx_on a && sinks <> [] then
-      List.map
-        (fun e ->
-          match
-            List.filter (fun snk -> sink_applies snk ~args ~arg:e) sinks
-          with
-          | [] -> eval a e
-          | applicable ->
-              let targets =
-                List.map
-                  (fun (snk : Config.sink_entry) -> (snk.Config.snk_kind, fname))
-                  applicable
-              in
-              check_sink_ctx a ~pos ~targets e)
-        args
-    else begin
-      let arg_ts = List.map (eval a) args in
-      List.iter
-        (fun (snk : Config.sink_entry) ->
-          List.iteri
-            (fun i t ->
-              match List.nth_opt args i with
-              | Some e when sink_applies snk ~args ~arg:e ->
-                  check_sink a ~kind:snk.Config.snk_kind ~pos ~sink_name:fname
-                    ~var:(Phplang.Ast.name_of_expr e) t
-              | _ -> ())
-            arg_ts)
-        sinks;
-      arg_ts
-    end
+    List.map
+      (eval_sink_arg a ~pos ~sink_name:fname (Config.find_sinks ix fname) ~args)
+      args
   in
   check_db_write a ~pos ~is_method:false fname args arg_ts;
   let so_t = so_read_taint a ~pos ~is_method:false fname args in
@@ -781,38 +735,15 @@ and eval_method_call a ~pos obj m args =
     | Some _ -> []
     | None -> Config.find_method_sinks ix m
   in
-  (* method sinks check their first (query) argument; in context mode that
-     argument is evaluated piecewise by [check_sink_ctx] *)
+  (* method sinks check their first (query) argument *)
   let arg_ts =
-    if ctx_on a && msinks <> [] then
-      match args with
-      | e :: rest -> (
-          match
-            List.filter (fun snk -> sink_applies snk ~args ~arg:e) msinks
-          with
-          | [] -> List.map (eval a) args
-          | applicable ->
-              let targets =
-                List.map
-                  (fun (snk : Config.sink_entry) ->
-                    (snk.Config.snk_kind, full_name obj_name))
-                  applicable
-              in
-              check_sink_ctx a ~pos ~targets e :: List.map (eval a) rest)
-      | [] -> []
-    else begin
-      let arg_ts = List.map (eval a) args in
-      List.iter
-        (fun (snk : Config.sink_entry) ->
-          match (arg_ts, args) with
-          | t :: _, e :: _ when sink_applies snk ~args ~arg:e ->
-              check_sink a ~kind:snk.Config.snk_kind ~pos
-                ~sink_name:(full_name obj_name)
-                ~var:(Phplang.Ast.name_of_expr e) t
-          | _ -> ())
-        msinks;
-      arg_ts
-    end
+    match (args, msinks) with
+    | e :: rest, _ :: _ ->
+        let t =
+          eval_sink_arg a ~pos ~sink_name:(full_name obj_name) msinks ~args e
+        in
+        t :: List.map (eval a) rest
+    | _ -> List.map (eval a) args
   in
   let arg0 () = match arg_ts with t :: _ -> t | [] -> Taint.untainted in
   match user_class with
@@ -859,53 +790,44 @@ and call_user_function a ~pos key arg_ts arg_exprs =
           List.iter
             (fun action ->
               match action with
-              | `Fire ((cs : Summary.cond_sink), (arg_taint : Taint.t))
-                when is_so_write_sink cs ->
-                  (* a [dbwrite:] pseudo-sink never reports; firing it with
-                     SQL-tainted data records the second-order write key *)
-                  if Taint.is_tainted Vuln.Sqli arg_taint then
-                    record_so_write a.c (so_write_key cs)
-              | `Fire ((cs : Summary.cond_sink), (arg_taint : Taint.t)) ->
-                  (* context mode: replay the callee's sanitizer delta on
-                     the argument and test adequacy against the context
-                     inferred at the callee's sink *)
-                  let arg_taint =
-                    if ctx_on a then
-                      { arg_taint with
-                        Taint.sans =
-                          Taint.compose_sans ~outer:arg_taint.Taint.sans
-                            ~inner:cs.Summary.cs_sans }
-                    else arg_taint
-                  in
-                  let suppressed =
-                    ctx_on a
-                    && (match cs.Summary.cs_context with
-                       | Some ctxt ->
-                           adequately_sanitized a.c.ix
-                             cs.Summary.cs_kind ctxt arg_taint
-                       | None -> false)
-                  in
-                  if not suppressed then begin
-                    let arg_var =
-                      match List.nth_opt arg_exprs cs.Summary.cs_param with
-                      | Some e -> Phplang.Ast.name_of_expr e
-                      | None -> "<arg>"
-                    in
-                    let t =
-                      Taint.push_step arg_taint ~var:arg_var ~pos
-                        ~note:
-                          (Printf.sprintf "passed to %s (parameter %d)" key
-                             (cs.Summary.cs_param + 1))
-                    in
-                    report a ?context:cs.Summary.cs_context
-                      ~kind:cs.Summary.cs_kind ~pos:cs.Summary.cs_pos
-                      ~sink_name:cs.Summary.cs_sink_name ~var:cs.Summary.cs_var
-                      t
-                  end
-              | `Hoist cs -> (
-                  match a.frame with
-                  | Some frame -> frame.fr_csinks <- cs :: frame.fr_csinks
-                  | None -> ()))
+              | `Fire ((cs : Summary.cond_sink), (arg_taint : Taint.t)) -> (
+                  match cs.Summary.cs_target with
+                  | Summary.Db_write key ->
+                      (* fired with SQL-tainted data: record the write key *)
+                      record_so_write a.c key
+                  | Summary.Report sink_name ->
+                      (* replay the callee's sanitizer delta on the argument and
+                         take the direct sink's verdict in the context inferred
+                         at the callee's sink *)
+                      let arg_taint =
+                        { arg_taint with
+                          Taint.sans =
+                            Taint.compose_sans ~outer:arg_taint.Taint.sans
+                              ~inner:cs.Summary.cs_sans }
+                      in
+                      if
+                        reportable a.c.ix cs.Summary.cs_kind
+                          cs.Summary.cs_context arg_taint
+                      then begin
+                        let arg_var =
+                          match List.nth_opt arg_exprs cs.Summary.cs_param with
+                          | Some e -> Phplang.Ast.name_of_expr e
+                          | None -> "<arg>"
+                        in
+                        let t =
+                          Taint.push_step arg_taint ~var:arg_var ~pos
+                            ~note:
+                              (Printf.sprintf "passed to %s (parameter %d)" key
+                                 (cs.Summary.cs_param + 1))
+                        in
+                        report a ?context:cs.Summary.cs_context
+                          ~kind:cs.Summary.cs_kind ~pos:cs.Summary.cs_pos
+                          ~sink_name ~var:cs.Summary.cs_var t
+                      end)
+              | `Hoist (cs : Summary.cond_sink) ->
+                  register_cond_sinks a
+                    (Taint.Int_set.singleton cs.Summary.cs_param)
+                    cs)
             (Summary.fire_cond_sinks summary arg_ts);
           Summary.instantiate_return summary arg_ts)
 
@@ -932,7 +854,6 @@ and analyze_function (c : ctx) (fi : func_info) : Summary.t =
   let env = Env.create_scope ?current_class:fi.fi_class c.globals in
   List.iteri
     (fun i (p : Phplang.Ast.param) ->
-      Option.iter (fun d -> ignore d) p.Phplang.Ast.p_default;
       Env.set env p.Phplang.Ast.p_name (Taint.of_param i))
     fi.fi_func.Phplang.Ast.f_params;
   let frame = { fr_ret = Taint.untainted; fr_csinks = [] } in
@@ -954,34 +875,10 @@ and exec_include a (arg : Phplang.Ast.expr) =
      against the configured [include] sink entries (paper-class path
      traversal; a string literal resolves statically and is safe) *)
   let check_dynamic () =
-    match Config.find_sinks a.c.ix "include" with
-    | [] -> ignore (eval a arg)
-    | include_sinks ->
-        let pos = arg.Phplang.Ast.epos in
-        let args = [ arg ] in
-        if ctx_on a then (
-          match
-            List.filter
-              (fun snk -> sink_applies snk ~args ~arg)
-              include_sinks
-          with
-          | [] -> ignore (eval a arg)
-          | applicable ->
-              let targets =
-                List.map
-                  (fun (snk : Config.sink_entry) ->
-                    (snk.Config.snk_kind, "include"))
-                  applicable
-              in
-              ignore (check_sink_ctx a ~pos ~targets arg))
-        else
-          let t = eval a arg in
-          List.iter
-            (fun (snk : Config.sink_entry) ->
-              if sink_applies snk ~args ~arg then
-                check_sink a ~kind:snk.Config.snk_kind ~pos
-                  ~sink_name:"include" ~var:(Phplang.Ast.name_of_expr arg) t)
-            include_sinks
+    ignore
+      (eval_sink_arg a ~pos:arg.Phplang.Ast.epos ~sink_name:"include"
+         (Config.find_sinks a.c.ix "include")
+         ~args:[ arg ] arg)
   in
   match arg.Phplang.Ast.e with
   | _ when not a.c.opts.resolve_includes -> check_dynamic ()
@@ -1081,15 +978,9 @@ and exec_stmt a (s : Phplang.Ast.stmt) =
   | Phplang.Ast.Echo es ->
       List.iter
         (fun e ->
-          if ctx_on a then
-            ignore
-              (check_sink_ctx a ~pos:e.Phplang.Ast.epos
-                 ~targets:[ (Vuln.Xss, "echo") ] e)
-          else begin
-            let t = eval a e in
-            check_sink a ~kind:Vuln.Xss ~pos:e.Phplang.Ast.epos ~sink_name:"echo"
-              ~var:(Phplang.Ast.name_of_expr e) t
-          end)
+          ignore
+            (check_sink a ~pos:e.Phplang.Ast.epos
+               ~targets:[ (Vuln.Xss, "echo") ] e))
         es
   | Phplang.Ast.If (branches, els) ->
       (* §III.C: "Conditions and loops do not change the data flow. Only the

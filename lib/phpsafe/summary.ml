@@ -10,10 +10,20 @@
 
 open Secflow
 
+(** What firing a conditional sink does. *)
+type target =
+  | Report of string
+      (** report a finding at the sink of this name ([echo],
+          [mysql_query], [$wpdb->query], …) *)
+  | Db_write of string
+      (** second-order record phase: record this DB-write key (the table
+          or option name, or ["*"] when not statically known); never
+          reports *)
+
 type cond_sink = {
   cs_param : int;            (** formal parameter index feeding the sink *)
   cs_kind : Vuln.kind;
-  cs_sink_name : string;
+  cs_target : target;        (** report, or record a second-order write *)
   cs_pos : Phplang.Ast.pos;  (** sink location inside the callee *)
   cs_var : string;           (** variable name at the sink *)
   cs_context : Context.t option;
@@ -30,12 +40,6 @@ type t = {
   cond_sinks : cond_sink list;
 }
 
-(* Restrict a taint value to one kind's live component: the concrete flag,
-   the parameter dependencies and the provenance, but nothing of the other
-   kinds.  Needed because a function may pass a parameter through for one
-   vulnerability class while sanitizing another. *)
-let restrict_kind = Taint.restrict
-
 (** Instantiate the summary's return taint at a call site: the concrete part
     carries over, and each parameter dependency imports the matching
     argument's component for that kind — including the argument's own
@@ -45,7 +49,9 @@ let instantiate_return summary (args : Taint.t list) : Taint.t =
   let import kind deps acc =
     Taint.Int_set.fold
       (fun i acc ->
-        let a = restrict_kind kind (arg i) in
+        (* one kind's component: a function may pass a parameter
+           through for one class while sanitizing another *)
+        let a = Taint.restrict kind (arg i) in
         (* replay the callee's sanitizer delta on the imported argument *)
         let a =
           { a with

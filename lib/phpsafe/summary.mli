@@ -3,10 +3,20 @@
 
 open Secflow
 
+(** What firing a conditional sink does. *)
+type target =
+  | Report of string
+      (** report a finding at the sink of this name ([echo],
+          [mysql_query], [$wpdb->query], …) *)
+  | Db_write of string
+      (** second-order record phase: record this DB-write key (the table
+          or option name, or ["*"] when not statically known); never
+          reports *)
+
 type cond_sink = {
   cs_param : int;            (** formal parameter index feeding the sink *)
   cs_kind : Vuln.kind;
-  cs_sink_name : string;
+  cs_target : target;        (** report, or record a second-order write *)
   cs_pos : Phplang.Ast.pos;  (** sink location inside the callee *)
   cs_var : string;           (** variable name at the sink *)
   cs_context : Context.t option;
@@ -21,10 +31,6 @@ type t = {
           parameters *)
   cond_sinks : cond_sink list;
 }
-
-val restrict_kind : Vuln.kind -> Taint.t -> Taint.t
-(** One kind's live component of a taint value (flag, dependencies,
-    provenance) with the other kind removed. *)
 
 val instantiate_return : t -> Taint.t list -> Taint.t
 (** Apply a summary's return taint to concrete argument taints; argument

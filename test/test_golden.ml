@@ -6,7 +6,13 @@
     onto the shared {!Evalkit.Delta} harness; any change to the analyzers,
     the corpus or the harness that moves a number or a column shows up
     here as a diff.  The E11, E13 and E16 tables are pinned the same way
-    in test_context, test_flow and test_classes. *)
+    in test_context, test_flow and test_classes.
+
+    The report digests pin phpSAFE's findings themselves: the MD5 of the
+    [phpsafe-report/1] JSON of every plugin of a corpus version, for the
+    published mode and the [--flow], [--contexts] and two-phase
+    [--flow --contexts --second-order] extensions.  A digest moves when a
+    finding is added, dropped, changed in any field, or reordered. *)
 
 let e8_2012 = {|
 == E8: phpSAFE ablation study, version 2012 ==
@@ -44,4 +50,55 @@ let cases =
           [ (Corpus.Plan.V2012, e8_2012); (Corpus.Plan.V2014, e8_2014) ]);
   ]
 
-let () = Alcotest.run "golden" [ ("experiment tables", cases) ]
+(* Each mode's analysis, as phpsafe_cli runs it for the matching flags. *)
+let modes =
+  let opts ~flow ~contexts =
+    { Phpsafe.default_options with
+      Phpsafe.flow_sensitive = flow;
+      infer_contexts = contexts }
+  in
+  [ ("flat", Phpsafe.analyze_project ~opts:(opts ~flow:false ~contexts:false));
+    ("--flow", Phpsafe.analyze_project ~opts:(opts ~flow:true ~contexts:false));
+    ("--contexts",
+     Phpsafe.analyze_project ~opts:(opts ~flow:false ~contexts:true));
+    ("--flow --contexts --second-order",
+     Phpsafe.analyze_project_so ~opts:(opts ~flow:true ~contexts:true)) ]
+
+(* MD5 of the newline-separated per-plugin reports, in corpus order *)
+let report_digest analyze (corpus : Corpus.t) =
+  Corpus.projects corpus
+  |> List.map (fun p -> Secflow.Report.to_json (analyze p))
+  |> String.concat "\n" |> Digest.string |> Digest.to_hex
+
+let expected_digests =
+  [ (Corpus.Plan.V2012,
+     [ ("flat", "0ce1c2f317f6145b1475d0956be02759");
+       ("--flow", "0ce1c2f317f6145b1475d0956be02759");
+       ("--contexts", "dd3d38877d15d44015c6c9b675ee9988");
+       ("--flow --contexts --second-order", "dd3d38877d15d44015c6c9b675ee9988") ]);
+    (Corpus.Plan.V2014,
+     [ ("flat", "9d91c2755d3d30adff193cba3e4e4d9c");
+       ("--flow", "9d91c2755d3d30adff193cba3e4e4d9c");
+       ("--contexts", "6c585052c5281f8f979392352e308444");
+       ("--flow --contexts --second-order", "6c585052c5281f8f979392352e308444") ]) ]
+
+let digest_cases =
+  List.map
+    (fun (version, expected) ->
+      let name = Corpus.Plan.version_to_string version in
+      Alcotest.test_case name `Quick (fun () ->
+          (* the analysis itself, not a persistent cache of it *)
+          Phplang.Store.set_root None;
+          let corpus = Corpus.generate version in
+          List.iter
+            (fun (mode, analyze) ->
+              Alcotest.(check string)
+                (name ^ " " ^ mode)
+                (List.assoc mode expected)
+                (report_digest analyze corpus))
+            modes))
+    expected_digests
+
+let () =
+  Alcotest.run "golden"
+    [ ("experiment tables", cases); ("report digests", digest_cases) ]

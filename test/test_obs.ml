@@ -252,24 +252,33 @@ let registry_cases =
       `Quick (fun () ->
         let name = "test.registry.shared" and per_writer = 10_000 in
         let before = Obs.counter name in
-        let write () =
+        let stop = Atomic.make false and polls = Atomic.make 0 in
+        (* writers start only after the reader's first poll, so the reader
+           overlaps them however the threads are scheduled *)
+        let write yield () =
+          while Atomic.get polls = 0 do
+            yield ()
+          done;
           for _ = 1 to per_writer do
             Obs.incr name
           done
         in
-        let stop = Atomic.make false and polls = ref 0 in
         let reader =
           Thread.create
             (fun () ->
               while not (Atomic.get stop) do
                 ignore (Obs.counters () : (string * int) list);
-                Stdlib.incr polls;
+                Atomic.incr polls;
                 Thread.yield ()
               done)
             ()
         in
-        let threads = List.init 4 (fun _ -> Thread.create write ()) in
-        let domains = List.init 2 (fun _ -> Domain.spawn write) in
+        let threads =
+          List.init 4 (fun _ -> Thread.create (write Thread.yield) ())
+        in
+        let domains =
+          List.init 2 (fun _ -> Domain.spawn (write Domain.cpu_relax))
+        in
         List.iter Thread.join threads;
         List.iter Domain.join domains;
         Atomic.set stop true;
@@ -280,7 +289,7 @@ let registry_cases =
           "counters agrees with counter"
           (Some (Obs.counter name))
           (List.assoc_opt name (Obs.counters ()));
-        Alcotest.(check bool) "the reader polled" true (!polls > 0));
+        Alcotest.(check bool) "the reader polled" true (Atomic.get polls > 0));
     case "1,000 joined domains each count once" `Quick (fun () ->
         let name = "test.registry.domains" in
         let before = Obs.counter name in

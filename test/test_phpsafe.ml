@@ -41,6 +41,39 @@ let expect_flow name src expected =
 let expect_both name src expected =
   [ expect name src expected; expect_flow (name ^ " (--flow)") src expected ]
 
+let analyze_with opts src =
+  Phpsafe.analyze_source ~opts ~file:"t.php" ("<?php\n" ^ src)
+
+let ctx_opts = { Phpsafe.default_options with Phpsafe.infer_contexts = true }
+
+(* Findings in report order, with every field a sink decides: kind, line
+   (1-based on [src]), sink, variable, and under --contexts the inferred
+   context and the applied sanitizers. *)
+let finding_seq (r : Report.result) =
+  List.map
+    (fun (f : Report.finding) ->
+      Printf.sprintf "%s@%d %s(%s)%s%s"
+        (Vuln.kind_to_string f.Report.kind)
+        (f.Report.sink_pos.Phplang.Ast.line - 1)
+        f.Report.sink f.Report.variable
+        (match f.Report.context with
+        | Some c -> " " ^ Context.to_string c
+        | None -> "")
+        (match f.Report.sanitizers_applied with
+        | [] -> ""
+        | ss -> " {" ^ String.concat "," ss ^ "}"))
+    r.Report.findings
+
+(* One sink shape pinned in both modes: the published (flat) walk and
+   --contexts, each by its exact finding sequence. *)
+let expect_seq ?(run = analyze_with) name src ~flat ~ctx =
+  let case name opts expected =
+    Alcotest.test_case name `Quick (fun () ->
+        Alcotest.(check (list string)) name expected (finding_seq (run opts src)))
+  in
+  [ case name Phpsafe.default_options flat;
+    case (name ^ " (--contexts)") ctx_opts ctx ]
+
 let flow_cases =
   [
     expect "direct superglobal echo" "echo $_GET['x'];" [ "XSS@1" ];
@@ -86,6 +119,35 @@ let flow_cases =
     expect "taint survives if no later overwrite"
       "if ($c) {\n$a = $_GET['x'];\necho $a;\n}" [ "XSS@3" ];
   ]
+  @ expect_seq "print and exit"
+      "$a = $_GET['a'];\nprint '<p>' . $a;\n$b = $_GET['b'];\nexit(\"<b title=\" . $b);"
+      ~flat:[ "XSS@2 print(<concat>)"; "XSS@4 exit(<concat>)" ]
+      ~ctx:[ "XSS@2 print($a) html-body"; "XSS@4 exit($b) html-attr-unquoted" ]
+  @ expect_seq "echo with several expressions"
+      "$a = $_GET['a'];\n$b = $_GET['b'];\necho '<p>' . $a, 'x', \"<input value=\" . $b . '>';"
+      ~flat:[ "XSS@3 echo(<concat>)" ]
+      ~ctx:[ "XSS@3 echo($a) html-body"; "XSS@3 echo($b) html-attr-unquoted" ]
+  @ expect_seq "a sink checking every argument, two tainted"
+      "$a = $_GET['a'];\n$b = $_GET['b'];\nprintf($a, '<i>' . $b);"
+      ~flat:[ "XSS@3 printf($a)"; "XSS@3 printf(<concat>)" ]
+      ~ctx:[ "XSS@3 printf($a) html-body"; "XSS@3 printf($b) html-body" ]
+  (* each argument is checked against both entries before the next one is
+     evaluated; the flat walk used to check sink by sink:
+     [XSS $a; XSS $b; SQLi $a; SQLi $b] *)
+  @ expect_seq "two sink entries apply to one call"
+      ~run:(fun opts ->
+        analyze_with
+          { opts with
+            Phpsafe.config =
+              { Phpsafe.default_options.Phpsafe.config with
+                Phpsafe.Config.sinks =
+                  Phpsafe.default_options.Phpsafe.config.Phpsafe.Config.sinks
+                  @ [ Phpsafe.Config.sink "printf" Vuln.Sqli ] } })
+      "$a = $_GET['a'];\n$b = $_GET['b'];\nprintf($a, $b);"
+      ~flat:[ "XSS@3 printf($a)"; "SQLi@3 printf($a)"; "XSS@3 printf($b)";
+              "SQLi@3 printf($b)" ]
+      ~ctx:[ "XSS@3 printf($a) html-body"; "SQLi@3 printf($a) sql-quoted-string";
+             "XSS@3 printf($b) html-body"; "SQLi@3 printf($b) sql-quoted-string" ]
 
 let sanitizer_cases =
   [
@@ -144,6 +206,17 @@ let interproc_cases =
     expect "global declaration shares state"
       "$g = $_GET['x'];\nfunction f() {\nglobal $g;\necho $g;\n}\nf();" [ "XSS@4" ];
   ]
+  (* [$a] is checked before [f($b)] is evaluated; the flat walk used to
+     evaluate every argument first: [echo $m; printf $a; printf f()] *)
+  @ expect_seq "nested sink inside a later argument"
+      "function f($m) {\necho $m;\nreturn $m;\n}\n$a = $_GET['a'];\n$b = $_GET['b'];\nprintf($a, f($b));"
+      ~flat:[ "XSS@7 printf($a)"; "XSS@2 echo($m)"; "XSS@7 printf(f())" ]
+      ~ctx:[ "XSS@7 printf($a) html-body"; "XSS@2 echo($m) html-body";
+             "XSS@7 printf(f()) html-body" ]
+  @ expect_seq "parameter-fed sink in a function called twice"
+      "function show($v) {\necho \"<input value=\" . $v . '>';\n}\nshow(htmlspecialchars($_GET['a']));\nshow($_GET['b']);"
+      ~flat:[ "XSS@2 echo(<concat>)" ]
+      ~ctx:[ "XSS@2 echo($v) html-attr-unquoted {htmlspecialchars}" ]
 
 let oop_cases =
   [
@@ -186,9 +259,31 @@ let oop_cases =
     expect "unknown method returns untainted"
       "$v = $mailer->fetch_subject();\necho $v;" [];
   ]
+  (* the query is checked before [f(...)] is evaluated; both modes used to
+     evaluate the later arguments first: [... echo $m; query $q] *)
+  @ expect_seq "method sink whose later argument is tainted"
+      "function f($m) {\necho $m;\nreturn $m;\n}\n$q = $_GET['q'];\n$wpdb->query(\"SELECT \" . $q, $_GET['x']);\n$wpdb->query($q, f($_GET['y']));"
+      ~flat:[ "SQLi@6 $wpdb->query(<concat>)"; "SQLi@7 $wpdb->query($q)";
+              "XSS@2 echo($m)" ]
+      ~ctx:[ "SQLi@6 $wpdb->query($q) sql-identifier";
+             "SQLi@7 $wpdb->query($q) sql-quoted-string";
+             "XSS@2 echo($m) html-body" ]
+  @ expect_seq "$wpdb->insert reached through a summary (--second-order)"
+      ~run:(fun opts src ->
+        Phpsafe.analyze_project_so ~opts
+          (Phplang.Project.make ~name:"p"
+             [ { Phplang.Project.path = "t.php"; source = "<?php\n" ^ src } ]))
+      "function save_row($v) {\nglobal $wpdb;\n$wpdb->insert('rows', array('v' => $v));\n}\nsave_row($_POST['x']);\n$r = $wpdb->get_var('SELECT v FROM rows');\n$wpdb->query(\"DELETE FROM t WHERE v = '\" . $r . \"'\");\n$wpdb->query('DELETE FROM t WHERE n = ' . $r);"
+      ~flat:[ "SO-SQLi@7 $wpdb->query(<concat>)"; "SO-SQLi@8 $wpdb->query(<concat>)" ]
+      ~ctx:[ "SO-SQLi@7 $wpdb->query($r) sql-quoted-string";
+             "SO-SQLi@8 $wpdb->query($r) sql-numeric" ]
 
 let project_cases =
-  [
+  expect_seq "dynamic include"
+    "include $_GET['p'];\n$t = $_GET['t'];\ninclude 'tpl/' . $t . '.php';"
+    ~flat:[ "LFI@1 include($_GET[...])"; "LFI@3 include(<concat>)" ]
+    ~ctx:[ "LFI@1 include($_GET[...]) file-path"; "LFI@3 include($t) file-path" ]
+  @ [
     Alcotest.test_case "include resolves across files" `Quick (fun () ->
         let project =
           Phplang.Project.make ~name:"p"
@@ -307,9 +402,6 @@ let project_cases =
 
 (* -- analyzer option flags (ablation switches) ----------------------- *)
 
-let analyze_with opts src =
-  Phpsafe.analyze_source ~opts ~file:"t.php" ("<?php\n" ^ src)
-
 let reference_cases =
   [
     expect "write through a reference taints the other name"
@@ -425,8 +517,6 @@ let option_cases =
   ]
 
 (* -- sink-context-sensitive sanitization (--contexts) ---------------- *)
-
-let ctx_opts = { Phpsafe.default_options with Phpsafe.infer_contexts = true }
 
 let expect_with opts name src expected =
   Alcotest.test_case name `Quick (fun () ->
