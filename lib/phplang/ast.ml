@@ -249,6 +249,74 @@ let iter_stmt ~expr ~stmt (x : stmt) =
       List.iter stmt b;
       List.iter (fun c -> List.iter stmt c.catch_body) catches
 
+(** {2 Value flow}
+
+    [value_flow e] says how the operators every analyzer treats alike carry
+    a value: the operands of [e] in evaluation order (an index before its
+    base, a key before its value), each either [Carried] into the value or
+    evaluated for its [Effect] only, and [Lit] for constant text that joins
+    the clean value.  The value is the join of the carried operands and
+    literals, left to right, and clean when there is none: a literal or a
+    named constant, arithmetic, comparison, a boolean operator, a numeric
+    cast, [isset] and [empty].  A string interpolation and an array literal
+    start from a [Lit] (the empty string or array), so their value is a
+    join even with one carried operand, while an index, [@] and the string
+    and array casts pass their operand's value through.  Every other
+    constructor (variables, properties, assignments, calls, [print],
+    [exit], [include], closures) is analyzer-specific: it yields no
+    operands, and each analyzer matches it before falling through to this
+    table.  This is the only constructor-by-constructor account of how
+    operators carry taint, so the analyzers cannot drift apart on it. *)
+
+type operand = Carried of expr | Effect of expr | Lit
+
+let value_flow (x : expr) =
+  match x.e with
+  | Interp parts ->
+      Lit :: List.map (function ILit _ -> Lit | IExpr e -> Carried e) parts
+  | ArrayGet (b, Some i) -> [ Effect i; Carried b ]
+  | ArrayGet (b, None)
+  | Un (Silence, b)
+  | CastE ((CastString | CastArray), b) ->
+      [ Carried b ]
+  | ArrayLit items ->
+      Lit
+      :: List.concat_map
+           (fun (k, v) ->
+             match k with Some k -> [ Effect k; Carried v ] | None -> [ Carried v ])
+           items
+  | Bin ((Concat | Coalesce), l, r) -> [ Carried l; Carried r ]
+  | Bin (_, l, r) -> [ Effect l; Effect r ]
+  | Un (_, e) | CastE (_, e) | EmptyE e -> [ Effect e ]
+  | Ternary (c, Some t, e) -> [ Effect c; Carried t; Carried e ]
+  | Ternary (c, None, e) -> [ Carried c; Carried e ]
+  | Isset es -> List.map (fun e -> Effect e) es
+  | Null | True | False | Int _ | Float _ | Str _ | Const _ | ClassConst _
+  | Var _ | Prop _ | StaticProp _ | Call _ | MethodCall _ | StaticCall _
+  | New _ | Assign _ | AssignRef _ | OpAssign _ | PrintE _ | Exit _
+  | IncludeE _ | Closure _ | ListAssign _ ->
+      []
+
+(* [acc] is the join of the carried operands so far, [None] before the
+   first one. *)
+let rec fold_operands ~clean ~join ~eval ~effect env acc = function
+  | [] -> Option.value acc ~default:clean
+  | Effect x :: ops ->
+      ignore (effect env x);
+      fold_operands ~clean ~join ~eval ~effect env acc ops
+  | ((Carried _ | Lit) as op) :: ops ->
+      let v = match op with Carried x -> eval env x | _ -> clean in
+      let v = match acc with Some a -> join a v | None -> v in
+      fold_operands ~clean ~join ~eval ~effect env (Some v) ops
+
+(** [flow_value ~clean ~join ~eval ~effect env e]: the value of [e] by
+    {!value_flow}: each operand in order goes to [eval env] or, when it is
+    evaluated for its effects only, to [effect env], whose result is
+    discarded; the results of the carried ones (a [Lit] as [clean]) are
+    joined left to right. *)
+let flow_value ~clean ~join ~eval ~effect env e =
+  fold_operands ~clean ~join ~eval ~effect env None (value_flow e)
+
 (** Structural equality ignoring positions — used by the parse/print
     round-trip property tests. *)
 let rec equal_expr (a : expr) (b : expr) =

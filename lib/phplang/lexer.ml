@@ -170,9 +170,37 @@ let lex_inline_html st =
   st.pos <- !i;
   slice_token st Token.T_INLINE_HTML start line
 
+(* A [{$...}] region of an interpolated string is PHP code: it ends at
+   the brace matching the one at [i], and its own quoted strings, which
+   may hold the outer quote (["x{$_GET["h"]}"]), are skipped whole, a
+   backslash escaping the byte after it ([~quotes:false] treats quotes as
+   plain bytes).  [region_end s i limit] is the index just past that
+   brace, or [None] when the region does not close before [limit]. *)
+let region_end ?(quotes = true) s i limit =
+  let rec code depth j =
+    if j >= limit then None
+    else
+      match String.unsafe_get s j with
+      | '{' -> code (depth + 1) (j + 1)
+      | '}' -> if depth = 1 then Some (j + 1) else code (depth - 1) (j + 1)
+      | ('\'' | '"') as q when quotes -> quoted depth q (j + 1)
+      | _ -> code depth (j + 1)
+  and quoted depth q j =
+    if j >= limit then None
+    else
+      match String.unsafe_get s j with
+      | '\\' -> quoted depth q (j + 2)
+      | c when c = q -> code depth (j + 1)
+      | _ -> quoted depth q (j + 1)
+  in
+  code 0 i
+
 (* Single- and double-quoted strings: the lexeme is the source slice,
    quotes and escapes included.  A backslash consumes the byte after it,
-   so a backslash-newline still advances the line counter. *)
+   so a backslash-newline still advances the line counter.  A
+   double-quoted string skips each [{$...}] region whole; a region that
+   never closes is lexed as plain text, so the string ends at its first
+   unescaped quote and the parser reports the unclosed region. *)
 let lex_quoted st quote kind unterminated =
   let line = st.line and start = st.pos in
   let closed = ref false in
@@ -181,15 +209,25 @@ let lex_quoted st quote kind unterminated =
     if st.pos >= st.len then fail st unterminated;
     let c = String.unsafe_get st.src st.pos in
     if c = '\n' then st.line <- st.line + 1;
-    if c = '\\' && st.pos + 1 < st.len then begin
-      if String.unsafe_get st.src (st.pos + 1) = '\n' then
-        st.line <- st.line + 1;
-      st.pos <- st.pos + 2
-    end
-    else begin
-      st.pos <- st.pos + 1;
-      closed := c = quote
-    end
+    let region =
+      if c = '{' && quote = '"' && at st 1 '$' then
+        region_end st.src st.pos st.len
+      else None
+    in
+    match region with
+    | Some stop ->
+        st.line <- st.line + newlines_in st.src st.pos stop;
+        st.pos <- stop
+    | None ->
+        if c = '\\' && st.pos + 1 < st.len then begin
+          if String.unsafe_get st.src (st.pos + 1) = '\n' then
+            st.line <- st.line + 1;
+          st.pos <- st.pos + 2
+        end
+        else begin
+          st.pos <- st.pos + 1;
+          closed := c = quote
+        end
   done;
   slice_token st kind start line
 

@@ -15,6 +15,14 @@ val two_char_ops : (string * Token.kind) list
     dispatch is derived from this list.  [===], [!==], [?>] and [<<<] are
     recognised separately. *)
 
+val region_end : ?quotes:bool -> string -> int -> int -> int option
+(** [region_end s i limit]: [s.[i]] opens a [{$...}] region of an
+    interpolated string; the index just past its matching brace, or
+    [None] when it does not close before [limit].  The region is PHP code,
+    so its own quoted strings are skipped whole, even when they hold the
+    outer string's quote; [~quotes:false] (default [true]) matches braces
+    only. *)
+
 val is_significant : Token.t -> bool
 (** [false] for whitespace and comment tokens. *)
 

@@ -691,21 +691,23 @@ and parse_interp_body st ~pos body : Ast.expr =
     end
     else if c = '{' && !i + 1 < n && body.[!i + 1] = '$' then begin
       flush_lit ();
-      (* find matching close brace, tracking nesting *)
-      let depth = ref 1 in
-      let j = ref (!i + 1) in
-      while !depth > 0 && !j < n do
-        (match body.[!j] with
-        | '{' -> incr depth
-        | '}' -> decr depth
-        | _ -> ());
-        if !depth > 0 then incr j
-      done;
-      if !depth > 0 then raise (Parse_error ("unterminated {$ in string", pos));
-      let inner = String.sub body (!i + 1) (!j - !i - 1) in
+      (* a region whose quoted strings run past the body is matched at the
+         first brace that balances, so [expr_of_string] still meets its
+         text and reports the lexical error in it *)
+      let stop =
+        match Lexer.region_end body !i n with
+        | None -> Lexer.region_end ~quotes:false body !i n
+        | stop -> stop
+      in
+      let stop =
+        match stop with
+        | Some stop -> stop
+        | None -> raise (Parse_error ("unterminated {$ in string", pos))
+      in
+      let inner = String.sub body (!i + 1) (stop - !i - 2) in
       let e = expr_of_string ~file:st.file inner in
       parts := Ast.IExpr e :: !parts;
-      i := !j + 1
+      i := stop
     end
     else begin
       Buffer.add_char lit c;

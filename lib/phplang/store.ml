@@ -46,7 +46,10 @@
 (* v10: the dataflow solver stops after a pass that changed no back-edge
    source, so under a tight pass budget a Pixy walk that v9 reported as
    budget-exhausted may now converge. *)
-let format_version = 10
+(* v11: RIPS gives a [print] or [include] expression a clean value, and a
+   double-quoted string's [{$...}] region may hold quoted strings with the
+   outer quote, so v10 RIPS results and cached parse failures are stale. *)
+let format_version = 11
 
 let magic = "phpsafe-store"
 

@@ -71,10 +71,6 @@ type options = {
   so_mode : so_mode;
       (** second-order SQLi phase; [So_off] outside
           {!analyze_project_so}. *)
-  restrict_kinds : Vuln.kind list option;
-      (** [--kinds] restriction: report only these vulnerability classes
-          ([None] = all).  Applied at the reporting gate, so the data-flow
-          walk itself is unchanged. *)
 }
 
 let default_options =
@@ -85,8 +81,7 @@ let default_options =
     respect_guards = false;
     infer_contexts = false;
     flow_sensitive = false;
-    so_mode = So_off;
-    restrict_kinds = None }
+    so_mode = So_off }
 
 (** Numeric/type guard functions whose failure developers use to abort the
     request; recognised only under [respect_guards]. *)
@@ -138,11 +133,6 @@ type actx = {
 (* Reporting                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let kind_enabled (opts : options) k =
-  match opts.restrict_kinds with
-  | None -> true
-  | Some ks -> List.exists (Vuln.equal_kind k) ks
-
 (** The kinds one configured sink entry checks: a SQLi sink also checks the
     second-order kind when a second-order phase is active (the replayed
     taint still lands in a SQL statement — no extra sink entries needed). *)
@@ -159,35 +149,33 @@ let record_exhausted (c : ctx) file = c.exhausted <- S.add file c.exhausted
 (** The one reporting gate: a finding is kept unless its occurrence was
     already reported, and is built only when kept. *)
 let report a ?context ~kind ~pos ~sink_name ~var (taint : Taint.t) =
-  if kind_enabled a.c.opts kind then begin
-    let c = a.c in
-    let occ =
-      { Report.o_key =
-          { Report.k_kind = kind; k_file = pos.Phplang.Ast.file;
-            k_line = pos.Phplang.Ast.line };
-        o_sink = sink_name;
-        o_var = var }
-    in
-    Obs.incr "phpsafe.findings.pre_dedup";
-    if not (Report.Occurrence_set.mem occ c.reported) then begin
-      Obs.incr "phpsafe.findings.post_dedup";
-      c.reported <- Report.Occurrence_set.add occ c.reported;
-      let source, source_pos = Taint.source_of taint in
-      c.findings <-
-        {
-          Report.kind;
-          sink_pos = pos;
-          sink = sink_name;
-          variable = var;
-          source;
-          source_pos;
-          trace = List.rev taint.Taint.trace;
-          context;
-          sanitizers_applied = Taint.San_set.elements (Taint.applied kind taint);
-          trace_truncated = taint.Taint.trace_truncated;
-        }
-        :: c.findings
-    end
+  let c = a.c in
+  let occ =
+    { Report.o_key =
+        { Report.k_kind = kind; k_file = pos.Phplang.Ast.file;
+          k_line = pos.Phplang.Ast.line };
+      o_sink = sink_name;
+      o_var = var }
+  in
+  Obs.incr "phpsafe.findings.pre_dedup";
+  if not (Report.Occurrence_set.mem occ c.reported) then begin
+    Obs.incr "phpsafe.findings.post_dedup";
+    c.reported <- Report.Occurrence_set.add occ c.reported;
+    let source, source_pos = Taint.source_of taint in
+    c.findings <-
+      {
+        Report.kind;
+        sink_pos = pos;
+        sink = sink_name;
+        variable = var;
+        source;
+        source_pos;
+        trace = List.rev taint.Taint.trace;
+        context;
+        sanitizers_applied = Taint.San_set.elements (Taint.applied kind taint);
+        trace_truncated = taint.Taint.trace_truncated;
+      }
+      :: c.findings
   end
 
 (** Register conditional sinks on the summary being built: one copy of
@@ -396,26 +384,12 @@ let join_vars m1 m2 =
 let rec eval a (e : Phplang.Ast.expr) : Taint.t =
   let pos = e.Phplang.Ast.epos in
   match e.Phplang.Ast.e with
-  | Phplang.Ast.Null | Phplang.Ast.True | Phplang.Ast.False
-  | Phplang.Ast.Int _ | Phplang.Ast.Float _ | Phplang.Ast.Str _
-  | Phplang.Ast.Const _ | Phplang.Ast.ClassConst _ ->
-      Taint.untainted
-  | Phplang.Ast.Interp parts ->
-      Taint.join_all
-        (List.map
-           (function
-             | Phplang.Ast.ILit _ -> Taint.untainted
-             | Phplang.Ast.IExpr e -> eval a e)
-           parts)
   | Phplang.Ast.Var v -> (
       match Config.is_superglobal_source a.c.ix v with
       | Some kinds ->
           Taint.of_source ~kinds ~source:(Vuln.Superglobal v) ~pos
           |> Taint.push_step ~var:v ~pos ~note:"attacker-controlled input"
       | None -> Env.get a.env v)
-  | Phplang.Ast.ArrayGet (b, idx) ->
-      Option.iter (fun i -> ignore (eval a i)) idx;
-      eval a b
   | Phplang.Ast.Prop (b, p) -> (
       match b.Phplang.Ast.e with
       | Phplang.Ast.Var "$this" -> (
@@ -429,13 +403,6 @@ let rec eval a (e : Phplang.Ast.expr) : Taint.t =
       | _ -> eval a b)
   | Phplang.Ast.StaticProp (cls, p) ->
       Env.get_global_key a.env (Env.static_prop_key cls p)
-  | Phplang.Ast.ArrayLit items ->
-      Taint.join_all
-        (List.map
-           (fun (k, v) ->
-             Option.iter (fun k -> ignore (eval a k)) k;
-             eval a v)
-           items)
   | Phplang.Ast.Assign (lhs, rhs) ->
       let t = eval a rhs in
       propagate_class_binding a lhs rhs;
@@ -468,44 +435,6 @@ let rec eval a (e : Phplang.Ast.expr) : Taint.t =
       in
       assign_lval a lhs t;
       t
-  | Phplang.Ast.Bin (op, l, r) -> (
-      let lt = eval a l and rt = eval a r in
-      match op with
-      | Phplang.Ast.Concat -> Taint.join lt rt
-      (* ?? selects one operand's value, so taint flows from both sides *)
-      | Phplang.Ast.Coalesce -> Taint.join lt rt
-      | Phplang.Ast.Plus | Phplang.Ast.Minus | Phplang.Ast.Mul
-      | Phplang.Ast.Div | Phplang.Ast.Mod ->
-          Taint.untainted
-      | Phplang.Ast.Eq | Phplang.Ast.Neq | Phplang.Ast.Identical
-      | Phplang.Ast.NotIdentical | Phplang.Ast.Lt | Phplang.Ast.Gt
-      | Phplang.Ast.Le | Phplang.Ast.Ge | Phplang.Ast.BoolAnd
-      | Phplang.Ast.BoolOr ->
-          Taint.untainted)
-  | Phplang.Ast.Un (op, x) -> (
-      let t = eval a x in
-      match op with
-      | Phplang.Ast.Silence -> t
-      | Phplang.Ast.Not | Phplang.Ast.Neg | Phplang.Ast.PreInc
-      | Phplang.Ast.PreDec | Phplang.Ast.PostInc | Phplang.Ast.PostDec ->
-          Taint.untainted)
-  | Phplang.Ast.Ternary (c, thn, els) ->
-      let ct = eval a c in
-      let tt = match thn with Some t -> eval a t | None -> ct in
-      let et = eval a els in
-      Taint.join tt et
-  | Phplang.Ast.CastE (cast, x) -> (
-      let t = eval a x in
-      match cast with
-      | Phplang.Ast.CastInt | Phplang.Ast.CastFloat | Phplang.Ast.CastBool ->
-          Taint.untainted
-      | Phplang.Ast.CastString | Phplang.Ast.CastArray -> t)
-  | Phplang.Ast.Isset es ->
-      List.iter (fun e -> ignore (eval a e)) es;
-      Taint.untainted
-  | Phplang.Ast.EmptyE x ->
-      ignore (eval a x);
-      Taint.untainted
   | Phplang.Ast.PrintE x ->
       ignore (check_sink a ~pos ~targets:[ (Vuln.Xss, "print") ] x);
       Taint.untainted
@@ -535,6 +464,10 @@ let rec eval a (e : Phplang.Ast.expr) : Taint.t =
           ignore (call_user_function a ~pos (method_key owner "__construct") arg_ts args);
           Taint.untainted
       | None -> Taint.untainted)
+  | _ ->
+      (* an operator: {!Phplang.Ast.value_flow} says what carries its value *)
+      Phplang.Ast.flow_value ~clean:Taint.untainted ~join:Taint.join ~eval
+        ~effect:eval a e
 
 (* The sink check every sink site calls: evaluate argument [e] hole by
    hole and check each hole against every (kind, sink name) target, left

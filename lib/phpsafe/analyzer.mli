@@ -38,9 +38,6 @@ type options = {
   so_mode : so_mode;
       (** second-order SQLi phase; callers normally leave this [So_off] and
           use {!analyze_project_so} instead of setting it directly *)
-  restrict_kinds : Secflow.Vuln.kind list option;
-      (** [--kinds] filter: when set, only findings of these kinds are
-          reported; [None] reports every kind *)
 }
 
 val default_options : options

@@ -25,7 +25,6 @@ type options = Analyzer.options = {
   infer_contexts : bool;
   flow_sensitive : bool;
   so_mode : so_mode;
-  restrict_kinds : Secflow.Vuln.kind list option;
 }
 
 let default_options = Analyzer.default_options

@@ -94,33 +94,11 @@ type scope = {
 let rec eval sc (st : S.state) (e : A.expr) : S.state * T.taint =
   let pos = e.A.epos in
   match e.A.e with
-  | A.Null | A.True | A.False | A.Int _ | A.Float _ | A.Str _ | A.Const _
-  | A.ClassConst _ ->
-      (st, T.clean)
-  | A.Interp parts ->
-      List.fold_left
-        (fun (st, acc) part ->
-          match part with
-          | A.ILit _ -> (st, acc)
-          | A.IExpr x ->
-              let st, t = eval sc st x in
-              (st, T.join acc t))
-        (st, T.clean) parts
   | A.Var v ->
       if Pixy_config.is_superglobal v then
         (st, T.of_source Pixy_config.input_kinds (Vuln.Superglobal v) pos)
       else (st, S.read ~global_scope:sc.global_scope st v pos)
-  | A.ArrayGet (b, i) ->
-      let st =
-        match i with
-        | Some i ->
-            let st, _ = eval sc st i in
-            st
-        | None -> st
-      in
-      eval sc st b
   | A.Prop (b, _) -> eval sc st b  (* unreachable: OOP files fail earlier *)
-  | A.StaticProp _ | A.MethodCall _ | A.StaticCall _ | A.New _ -> (st, T.clean)
   | A.Assign (lhs, rhs) | A.AssignRef (lhs, rhs) ->
       let st, t = eval sc st rhs in
       (assign sc st lhs t, t)
@@ -138,42 +116,6 @@ let rec eval sc (st : S.state) (e : A.expr) : S.state * T.taint =
       let st, rt = eval sc st rhs in
       let t = match op with A.Concat -> T.join old rt | _ -> T.clean in
       (assign sc st lhs t, t)
-  (* ?? yields one operand's value, so both sides contribute taint *)
-  | A.Bin ((A.Concat | A.Coalesce), x, y) ->
-      let st, tx = eval sc st x in
-      let st, ty = eval sc st y in
-      (st, T.join tx ty)
-  | A.Bin (_, x, y) ->
-      let st, _ = eval sc st x in
-      let st, _ = eval sc st y in
-      (st, T.clean)
-  | A.Un (A.Silence, x) -> eval sc st x
-  | A.Un (_, x) ->
-      let st, _ = eval sc st x in
-      (st, T.clean)
-  | A.Ternary (c, thn, els) ->
-      let st, ct = eval sc st c in
-      let st, tt =
-        match thn with Some t -> eval sc st t | None -> (st, ct)
-      in
-      let st, et = eval sc st els in
-      (st, T.join tt et)
-  | A.CastE ((A.CastInt | A.CastFloat | A.CastBool), x) ->
-      let st, _ = eval sc st x in
-      (st, T.clean)
-  | A.CastE ((A.CastString | A.CastArray), x) -> eval sc st x
-  | A.Isset es ->
-      let st =
-        List.fold_left
-          (fun st e ->
-            let st, _ = eval sc st e in
-            st)
-          st es
-      in
-      (st, T.clean)
-  | A.EmptyE x ->
-      let st, _ = eval sc st x in
-      (st, T.clean)
   | A.PrintE x ->
       let st, t = eval sc st x in
       report_if_tainted sc.fx ~kind:Vuln.Xss ~pos ~sink_name:"print" x t;
@@ -182,25 +124,24 @@ let rec eval sc (st : S.state) (e : A.expr) : S.state * T.taint =
       let st, t = eval sc st x in
       report_if_tainted sc.fx ~kind:Vuln.Xss ~pos ~sink_name:"exit" x t;
       (st, T.clean)
-  | A.Exit None -> (st, T.clean)
   | A.IncludeE (_, x) ->
       let st, _ = eval sc st x in
       (st, T.clean)  (* Pixy does not resolve includes *)
-  | A.Closure _ -> (st, T.clean)
-  | A.ArrayLit items ->
-      List.fold_left
-        (fun (st, acc) (k, v) ->
-          let st =
-            match k with
-            | Some k ->
-                let st, _ = eval sc st k in
-                st
-            | None -> st
-          in
-          let st, t = eval sc st v in
-          (st, T.join acc t))
-        (st, T.clean) items
   | A.Call (fname, args) -> eval_call sc st fname args pos
+  | _ ->
+      (* an operator (the state threads through its operands in order), or
+         a construct Pixy leaves opaque: OOP, exit, closures *)
+      let st = ref st in
+      let t =
+        A.flow_value ~clean:T.clean ~join:T.join ~eval:eval_in
+          ~effect:eval_in (sc, st) e
+      in
+      (!st, t)
+
+and eval_in (sc, st) e =
+  let st', t = eval sc !st e in
+  st := st';
+  t
 
 and eval_call sc st fname args pos : S.state * T.taint =
   let fname_lc = String.lowercase_ascii fname in

@@ -291,6 +291,15 @@ let max_depth = 60
 (* visited keys prevent infinite regress through recursive code *)
 module Visited = Set.Make (String)
 
+(* An operator's value by {!Phplang.Ast.value_flow}: RIPS resolves the
+   carried operands with [resolve] and skips those evaluated for their
+   effects only. *)
+let resolve_operands resolve e =
+  A.flow_value ~clean:T.clean ~join:T.join
+    ~eval:(fun resolve x -> resolve x)
+    ~effect:(fun _ _ -> T.clean)
+    resolve e
+
 let rec resolve st ~visited ~depth (scope : scope) (idx : int) (e : A.expr) :
     T.taint =
   st.work <- st.work + 1;
@@ -298,38 +307,16 @@ let rec resolve st ~visited ~depth (scope : scope) (idx : int) (e : A.expr) :
   else
     let resolve_here = resolve st ~visited ~depth:(depth + 1) scope idx in
     match e.A.e with
-    | A.Null | A.True | A.False | A.Int _ | A.Float _ | A.Str _ | A.Const _
-    | A.ClassConst _ ->
-        T.clean
-    | A.Interp parts ->
-        T.join_all
-          (List.map
-             (function A.ILit _ -> T.clean | A.IExpr x -> resolve_here x)
-             parts)
     | A.Var v -> resolve_var st ~visited ~depth scope idx v e.A.epos
-    | A.ArrayGet (b, _) -> resolve_here b
-    | A.Prop _ | A.StaticProp _ | A.MethodCall _ | A.StaticCall _ | A.New _ ->
-        T.clean  (* OOP constructs are opaque *)
-    | A.Assign (_, rhs) | A.AssignRef (_, rhs) -> resolve_here rhs
+    | A.Assign (_, rhs) | A.AssignRef (_, rhs) | A.ListAssign (_, rhs) ->
+        resolve_here rhs
     | A.OpAssign (A.Concat, lhs, rhs) ->
         T.join (resolve_here lhs) (resolve_here rhs)
-    | A.OpAssign (_, _, _) -> T.clean
-    | A.ListAssign (_, rhs) -> resolve_here rhs
-    | A.Bin ((A.Concat | A.Coalesce), x, y) ->
-        T.join (resolve_here x) (resolve_here y)
-    | A.Bin (_, _, _) -> T.clean
-    | A.Un (A.Silence, x) -> resolve_here x
-    | A.Un (_, _) -> T.clean
-    | A.Ternary (c, t, e2) ->
-        let tt = match t with Some t -> resolve_here t | None -> resolve_here c in
-        T.join tt (resolve_here e2)
-    | A.CastE ((A.CastInt | A.CastFloat | A.CastBool), _) -> T.clean
-    | A.CastE ((A.CastString | A.CastArray), x) -> resolve_here x
-    | A.Isset _ | A.EmptyE _ | A.Exit _ | A.Closure _ -> T.clean
-    | A.PrintE x | A.IncludeE (_, x) -> resolve_here x
-    | A.ArrayLit items ->
-        T.join_all (List.map (fun (_, v) -> resolve_here v) items)
     | A.Call (fname, args) -> resolve_call st ~visited ~depth scope idx fname args e.A.epos
+    | _ ->
+        (* an operator, or a construct RIPS leaves opaque: OOP, non-concat
+           compound assignment, print, include, exit, closures *)
+        resolve_operands resolve_here e
 
 and resolve_var st ~visited ~depth scope idx v pos : T.taint =
   if Rips_config.is_superglobal v then
@@ -455,15 +442,8 @@ and resolve_with_binding st ~visited ~depth ~binding callee j rexpr =
                 resolve st ~visited ~depth:(depth + 1) caller_scope caller_idx arg
             | None -> T.clean)
         | None -> T.clean)
-    | A.Bin ((A.Concat | A.Coalesce), x, y) ->
-        T.join (subst_resolve scope idx x) (subst_resolve scope idx y)
-    | A.Interp parts ->
-        T.join_all
-          (List.map
-             (function
-               | A.ILit _ -> T.clean
-               | A.IExpr x -> subst_resolve scope idx x)
-             parts)
+    | A.Bin ((A.Concat | A.Coalesce), _, _) | A.Interp _ ->
+        resolve_operands (subst_resolve scope idx) e
     | A.Call (fname, cargs) ->
         (* builtins keep their semantics with substituted arguments; any
            other call joins them *)

@@ -8,11 +8,12 @@
     here as a diff.  The E11, E13 and E16 tables are pinned the same way
     in test_context, test_flow and test_classes.
 
-    The report digests pin phpSAFE's findings themselves: the MD5 of the
-    [phpsafe-report/1] JSON of every plugin of a corpus version, for the
-    published mode and the [--flow], [--contexts] and two-phase
-    [--flow --contexts --second-order] extensions.  A digest moves when a
-    finding is added, dropped, changed in any field, or reordered. *)
+    The report digests pin the findings themselves: the MD5 of the
+    [phpsafe-report/1] JSON of every plugin of a corpus version, for
+    phpSAFE's published mode and its [--flow], [--contexts] and two-phase
+    [--flow --contexts --second-order] extensions, and for the RIPS and
+    Pixy baselines.  A digest moves when a finding is added, dropped,
+    changed in any field, or reordered. *)
 
 let e8_2012 = {|
 == E8: phpSAFE ablation study, version 2012 ==
@@ -50,7 +51,8 @@ let cases =
           [ (Corpus.Plan.V2012, e8_2012); (Corpus.Plan.V2014, e8_2014) ]);
   ]
 
-(* Each mode's analysis, as phpsafe_cli runs it for the matching flags. *)
+(* Each mode's analysis, as phpsafe_cli runs it for the matching flags
+   (and [--tool rips|pixy]). *)
 let modes =
   let opts ~flow ~contexts =
     { Phpsafe.default_options with
@@ -62,7 +64,9 @@ let modes =
     ("--contexts",
      Phpsafe.analyze_project ~opts:(opts ~flow:false ~contexts:true));
     ("--flow --contexts --second-order",
-     Phpsafe.analyze_project_so ~opts:(opts ~flow:true ~contexts:true)) ]
+     Phpsafe.analyze_project_so ~opts:(opts ~flow:true ~contexts:true));
+    ("RIPS", Rips.analyze_project);
+    ("Pixy", Pixy.analyze_project) ]
 
 (* MD5 of the newline-separated per-plugin reports, in corpus order *)
 let report_digest analyze (corpus : Corpus.t) =
@@ -75,12 +79,16 @@ let expected_digests =
      [ ("flat", "0ce1c2f317f6145b1475d0956be02759");
        ("--flow", "0ce1c2f317f6145b1475d0956be02759");
        ("--contexts", "dd3d38877d15d44015c6c9b675ee9988");
-       ("--flow --contexts --second-order", "dd3d38877d15d44015c6c9b675ee9988") ]);
+       ("--flow --contexts --second-order", "dd3d38877d15d44015c6c9b675ee9988");
+       ("RIPS", "6fe2bca008b189a404c4b2a9961508a5");
+       ("Pixy", "9a6b1566cdf9367e42b85864146fff66") ]);
     (Corpus.Plan.V2014,
      [ ("flat", "9d91c2755d3d30adff193cba3e4e4d9c");
        ("--flow", "9d91c2755d3d30adff193cba3e4e4d9c");
        ("--contexts", "6c585052c5281f8f979392352e308444");
-       ("--flow --contexts --second-order", "6c585052c5281f8f979392352e308444") ]) ]
+       ("--flow --contexts --second-order", "6c585052c5281f8f979392352e308444");
+       ("RIPS", "200cddbb175e1f23ab8b18798b731480");
+       ("Pixy", "097ce15ddc1a7129ca6663141c13676d") ]) ]
 
 let digest_cases =
   List.map

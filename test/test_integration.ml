@@ -255,10 +255,10 @@ let ablation_cases =
 
 (* Cross-analyzer agreement: single-file procedural inputs inside the
    documented overlap of all three tools (superglobal sources; echo, print
-   and mysql_query sinks; htmlspecialchars, addslashes, intval and sprintf;
-   user functions called from top level; no branches, uninitialized
-   reads, OOP, includes or WordPress API).  There each tool must report
-   the same (kind, line) set. *)
+   and mysql_query sinks; htmlspecialchars, addslashes, intval, sprintf
+   and basename; user functions called from top level; PHP operators; no
+   branches, uninitialized reads, OOP, include resolution or WordPress
+   API).  There each tool must report the same (kind, line) set. *)
 let agreement_cases =
   let keys (r : Report.result) =
     List.map
@@ -305,6 +305,36 @@ let agreement_cases =
       "function f($a) { return $a; }\n$y = addslashes($_GET['b']);\n\
        $z = $_GET['c'];\necho f($y);\nmysql_query(f($z));"
       [ "XSS@4"; "SQLi@5" ];
+    (* how each operator carries a value ({!Phplang.Ast.value_flow}) *)
+    row "@ keeps taint" "echo @$_GET['x'];" [ "XSS@1" ];
+    row "(string) keeps taint" "echo (string)$_GET['x'];" [ "XSS@1" ];
+    row "(array) keeps taint" "$a = (array)$_GET['x'];\necho $a;" [ "XSS@2" ];
+    row "(int) clears taint" "echo (int)$_GET['x'];" [];
+    row "?: with a tainted branch" "$c = 1;\necho $c ? $_GET['x'] : 'no';"
+      [ "XSS@2" ];
+    row "?: with a tainted condition" "echo $_GET['c'] ? 'a' : 'b';" [];
+    row "short ?:" "echo $_GET['x'] ?: 'd';" [ "XSS@1" ];
+    row "??" "echo $_GET['x'] ?? 'd';" [ "XSS@1" ];
+    row "braced interpolation" "$a = $_GET['x'];\necho \"pre{$a}post\";"
+      [ "XSS@2" ];
+    row "array literal value" "$a = array('k' => $_GET['x']);\necho $a;"
+      [ "XSS@2" ];
+    row "array literal key" "$a = array($_GET['k'] => 'v');\necho $a;" [];
+    row "tainted index only" "$arr = array('a');\necho $arr[$_GET['i']];" [];
+    row "arithmetic" "echo $_GET['x'] + 1;" [];
+    row "comparison" "echo $_GET['x'] == 1;" [];
+    row "!" "echo !$_GET['x'];" [];
+    row "unary minus" "echo -$_GET['x'];" [];
+    row "isset" "echo isset($_GET['x']);" [];
+    row "empty" "echo empty($_GET['x']);" [];
+    row "?? inside a concatenated query"
+      "mysql_query(\"SELECT * FROM t WHERE id = \" . ($_GET['q'] ?? '1'));"
+      [ "SQLi@1" ];
+    (* print returns 1 and include the included file's value: both clean *)
+    row "print's value" "$a = print $_GET['x'];\necho $a;" [ "XSS@1" ];
+    row "include's value" "$a = include basename($_GET['f']);\necho $a;" [];
+    row "outer quote inside a braced interpolation"
+      "echo \"{$_GET[\"x\"]}\";" [ "XSS@1" ];
   ]
 
 let () =

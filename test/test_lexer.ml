@@ -175,6 +175,23 @@ let line_cases =
     Alcotest.test_case "escaped dquote in string" `Quick (fun () ->
         let got = lexemes "<?php \"a\\\"b\";" in
         Alcotest.(check (list string)) "tokens" [ "<?php"; "\"a\\\"b\""; ";" ] got);
+    Alcotest.test_case "quoted string inside a {$ region" `Quick (fun () ->
+        let got = lexemes "<?php echo \"x{$_GET[\"h\"]}\";" in
+        Alcotest.(check (list string))
+          "tokens" [ "<?php"; "echo"; "\"x{$_GET[\"h\"]}\""; ";" ] got);
+    Alcotest.test_case "newline in a {$ region's string counts" `Quick
+      (fun () ->
+        let tokens = lex "<?php $a = \"{$b[\"x\ny\"]}\";\n$c;" in
+        let c_line =
+          (List.find (fun (tok : Token.t) -> tok.Token.lexeme = "$c") tokens)
+            .Token.line
+        in
+        Alcotest.(check int) "line of $c" 3 c_line);
+    Alcotest.test_case "unclosed {$ region lexes as plain text" `Quick
+      (fun () ->
+        let got = lexemes "<?php echo \"x{$a\";" in
+        Alcotest.(check (list string))
+          "tokens" [ "<?php"; "echo"; "\"x{$a\""; ";" ] got);
     Alcotest.test_case "unterminated string raises" `Quick (fun () ->
         Alcotest.check_raises "error"
           (Lexer.Error ("unterminated single-quoted string", 1))

@@ -133,6 +133,18 @@ let interp_cases =
               Ast.ILit "y" ] ->
             ()
         | _ -> Alcotest.fail "unexpected structure");
+    Alcotest.test_case "outer quote inside a braced expression" `Quick
+      (fun () ->
+        Alcotest.(check bool)
+          "same AST as single-quoted key" true
+          (Ast.equal_program
+             (parse "<?php echo \"x{$_GET[\"h\"]}\";")
+             (parse "<?php echo \"x{$_GET['h']}\";")));
+    Alcotest.test_case "unclosed braced expression" `Quick (fun () ->
+        match parse "<?php echo \"x{$a\";" with
+        | _ -> Alcotest.fail "expected Parse_error"
+        | exception Parser.Parse_error (msg, _) ->
+            Alcotest.(check string) "message" "unterminated {$ in string" msg);
     Alcotest.test_case "no interpolation folds to Str" `Quick (fun () ->
         match (pe "\"plain\"").Ast.e with
         | Ast.Str "plain" -> ()
